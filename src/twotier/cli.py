@@ -20,13 +20,8 @@ from .config import _FIELD_TYPES, RunConfig, apply_overrides, parse_config, rend
 from .errors import (
     ConfigError,
     EmptyInput,
-    GridMisalignment,
-    IncompleteDay,
     InsufficientHistory,
     InsufficientTrainingDays,
-    MalformedRow,
-    NegativePower,
-    PersistenceError,
     TooFewDays,
     TwoTierError,
     Underdetermined,
@@ -39,7 +34,6 @@ EXIT_IO = 3
 EXIT_INSUFFICIENT = 4
 EXIT_BAD_REFERENCE = 5
 
-_DATA_ERRORS = (MalformedRow, GridMisalignment, IncompleteDay, NegativePower)
 _SHORTAGE_ERRORS = (
     TooFewDays,
     InsufficientTrainingDays,
@@ -329,7 +323,7 @@ def main(argv=None) -> int:
     except _SHORTAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (OSError, PersistenceError, *_DATA_ERRORS) as exc:
+    except (OSError, TwoTierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

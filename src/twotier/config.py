@@ -7,7 +7,8 @@ default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 from datetime import date as Date
 
 from .errors import ConfigError
@@ -129,34 +130,7 @@ _PARSERS = {
     Date: _parse_date,
 }
 
-_FIELD_TYPES = {
-    "sample_interval_seconds": int,
-    "split_train": float,
-    "split_tune": float,
-    "split_test": float,
-    "knn_depth_days": int,
-    "knn_neighbors": int,
-    "nn_hidden_neurons": int,
-    "nn_restarts": int,
-    "nn_lm_initial_damping": float,
-    "nn_lm_damping_factor": float,
-    "nn_max_iterations": int,
-    "nn_loss_tolerance": float,
-    "correction_window": int,
-    "correction_harmonics": int,
-    "seed": int,
-    "synth_days": int,
-    "synth_peak_power_w": float,
-    "synth_sunrise_sample": int,
-    "synth_sunset_sample": int,
-    "synth_cloudiness": float,
-    "synth_cloud_event_rate": float,
-    "synth_cloud_depth_low": float,
-    "synth_cloud_depth_high": float,
-    "synth_start_date": Date,
-}
-
-assert set(_FIELD_TYPES) == {f.name for f in fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

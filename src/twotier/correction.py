@@ -6,6 +6,12 @@ window with a truncated discrete Fourier series. Extrapolating that fit
 a few slots ahead and subtracting it from the global forecast gives the
 corrected prediction. A positive fitted residual means the global tier
 has been over-predicting, so the correction lowers the forecast.
+
+For a fixed window length n and harmonic count L the fit and its
+one-step extrapolation are a fixed linear map of the window, so the
+local tier is a one-step FIR filter of the last n residuals followed by
+a clamp at zero. `simulate_day` applies it to a whole day at once;
+`fit_dfs`, `eval_dfs` and `correct_remaining` are the per-slot form.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInput,
@@ -175,28 +182,20 @@ def correct_remaining(
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    sample_index: int
-    global_w: float
-    measured_w: float
-    corrected_w: float
-    fit: DfsFit | None
-
-
-@dataclass(frozen=True)
 class DaySimulation:
-    records: tuple[StepRecord, ...]
-    window_length: int
-    harmonics: int
+    """A replayed day, one array element per slot.
+
+    Row i of `coefficients` holds the fit [a0, a1, b1, ..., aL, bL] that
+    predicted slot i; rows before the first full window are NaN.
+    """
+
+    global_w: np.ndarray
+    measured_w: np.ndarray
+    corrected_w: np.ndarray
+    coefficients: np.ndarray
 
     def corrected_series(self) -> np.ndarray:
-        return np.array([r.corrected_w for r in self.records])
-
-    def global_series(self) -> np.ndarray:
-        return np.array([r.global_w for r in self.records])
-
-    def measured_series(self) -> np.ndarray:
-        return np.array([r.measured_w for r in self.records])
+        return self.corrected_w
 
 
 def simulate_day(
@@ -205,43 +204,37 @@ def simulate_day(
     window_length: int = DEFAULT_WINDOW,
     harmonics: int = DEFAULT_HARMONICS,
 ) -> DaySimulation:
-    """Replay a day one slot at a time.
+    """Replay a day with the one-step local correction, all slots at once.
 
-    At each slot m with at least window_length residuals available the
-    window ending at m is refitted and the next slot's corrected value is
-    the one-step-ahead correction. Slots before the first full window
-    keep the global forecast unchanged.
+    Slot m + 1 (for m >= n - 1) is corrected from the DFS fit of the n
+    residuals ending at slot m, extrapolated one step. Slots before the
+    first full window keep the global forecast unchanged. The fit is
+    pinv(A) times the window and the extrapolation to position n + 1 is
+    row A[0] (the basis is n-periodic), so the correction is a fixed
+    one-step FIR filter of the last n residuals followed by a clamp at
+    zero. For n=8, L=2 the taps, oldest residual first, are
+    [0.625, 0.302, -0.125, -0.052, 0.125, -0.052, -0.125, 0.302].
     """
-    g = np.asarray(global_day, dtype=float)
-    y = np.asarray(measured_day, dtype=float)
+    g = np.array(global_day, dtype=float)
+    y = np.array(measured_day, dtype=float)
     if g.shape != y.shape:
         raise LengthMismatch(f"shape mismatch: {g.shape} vs {y.shape}")
     if g.ndim != 1 or g.size == 0:
         raise EmptyInput("day must be a non-empty vector")
-    res = g - y
+    n = window_length
     corrected = g.copy()
-    fits: list[DfsFit | None] = [None] * g.size
-    for m in range(window_length - 1, g.size - 1):
-        window = ResidualWindow(
-            values=tuple(res[m - window_length + 1 : m + 1]),
-            last_sample_index=m,
-        )
-        fit = fit_dfs(window, harmonics)
-        fits[m + 1] = fit
-        step = correct_remaining(g, fit, m, horizon=1)
-        corrected[m + 1] = step.values[0]
-    records = tuple(
-        StepRecord(
-            sample_index=i,
-            global_w=float(g[i]),
-            measured_w=float(y[i]),
-            corrected_w=float(corrected[i]),
-            fit=fits[i],
-        )
-        for i in range(g.size)
-    )
+    coefficients = np.full((g.size, 2 * harmonics + 1), np.nan)
+    if g.size > n:
+        matrix = design_matrix(n, harmonics)
+        windows = sliding_window_view((g - y)[:-1], n)
+        coef = windows @ np.linalg.pinv(matrix).T
+        if not np.all(np.isfinite(coef)):
+            raise NumericalFailure("DFS fit produced non-finite coefficients")
+        coefficients[n:] = coef
+        # fmax maps -0.0 and NaN to 0.0, as max(0.0, x) in correct_remaining does
+        corrected[n:] = np.fmax(0.0, g[n:] - coef @ matrix[0])
     return DaySimulation(
-        records=records, window_length=window_length, harmonics=harmonics
+        global_w=g, measured_w=y, corrected_w=corrected, coefficients=coefficients
     )
 
 
@@ -249,24 +242,20 @@ def write_trace_csv(sim: DaySimulation, sink) -> None:
     """Dump a simulation as CSV. Coefficient columns are empty on slots
     predicted before the window filled."""
     coef_names = ["a0"]
-    for i in range(1, sim.harmonics + 1):
+    for i in range(1, sim.coefficients.shape[1] // 2 + 1):
         coef_names += [f"a{i}", f"b{i}"]
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(
         ["sample_index", "global_w", "measured_w", "corrected_w", *coef_names]
     )
-    for rec in sim.records:
-        coeffs = (
-            [repr(c) for c in rec.fit.coefficients]
-            if rec.fit is not None
-            else [""] * len(coef_names)
-        )
+    rows = zip(
+        sim.global_w.tolist(),
+        sim.measured_w.tolist(),
+        sim.corrected_w.tolist(),
+        sim.coefficients.tolist(),
+    )
+    for i, (global_w, measured_w, corrected_w, coef) in enumerate(rows):
+        coeffs = [""] * len(coef) if math.isnan(coef[0]) else [repr(c) for c in coef]
         writer.writerow(
-            [
-                rec.sample_index,
-                repr(rec.global_w),
-                repr(rec.measured_w),
-                repr(rec.corrected_w),
-                *coeffs,
-            ]
+            [i, repr(global_w), repr(measured_w), repr(corrected_w), *coeffs]
         )

@@ -18,6 +18,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import (
+    EmptyInput,
     GridMisalignment,
     IncompleteDay,
     InsufficientHistory,
@@ -190,6 +191,7 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     a day inside the covered date span with any slot missing (or never
     present at all) raises IncompleteDay naming that date. Readings in
     [-1 W, 0) clamp to zero; anything below -1 W raises NegativePower.
+    A header with no data rows raises EmptyInput.
     """
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, bytes):
@@ -246,7 +248,7 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     if not header_seen:
         raise MalformedRow("empty input: missing header row")
     if not per_day:
-        return SolarSeries(grid, ())
+        raise EmptyInput("no data rows after the header")
 
     dates = sorted(per_day)
     span_days = (dates[-1] - dates[0]).days + 1

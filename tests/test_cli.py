@@ -116,6 +116,13 @@ class TestIngest:
         bad.write_text("\n".join(lines[:-1]) + "\n")
         assert cli.main(["ingest", "--data", str(bad)]) == 3
 
+    def test_header_only_csv_exit_4(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("timestamp,power_w\n")
+        assert cli.main(["ingest", "--data", str(empty)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTrain:
     def test_models_written_and_loadable(self, pipeline):
@@ -295,6 +302,24 @@ class TestEvaluate:
             improved, base = pair.split(" vs ")
             expect = 100.0 * (averages[base] - averages[improved]) / averages[base]
             assert got == pytest.approx(expect, abs=1e-9)
+
+    def test_models_from_other_grid_exit_3(self, pipeline, tmp_path, capsys):
+        # models trained on 900 s data cannot score a 1800 s data set
+        data = tmp_path / "half-hourly.csv"
+        grid = ["--sample-interval-seconds", "1800"]
+        code = cli.main(
+            ["synth", *grid, "--synth-sunrise-sample", "13",
+             "--synth-sunset-sample", "35", "--out", str(data)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        code = cli.main(
+            ["evaluate", *grid, "--models", str(pipeline["models"]),
+             "--data", str(data), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_models_exit_3(self, pipeline, tmp_path):
         code = cli.main(

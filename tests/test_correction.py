@@ -27,6 +27,7 @@ from twotier.errors import (
     GridMismatch,
     IndexOutOfDay,
     LengthMismatch,
+    NumericalFailure,
     Underdetermined,
 )
 
@@ -52,6 +53,24 @@ def window(values, last_index=None):
     if last_index is None:
         last_index = len(vals) - 1
     return ResidualWindow(values=vals, last_sample_index=last_index)
+
+
+def reference_simulation(global_day, measured, n, L):
+    """Per-slot replay through fit_dfs and correct_remaining."""
+    res = residual(global_day, measured)
+    corrected = np.array(global_day, dtype=float)
+    coefficients = np.full((corrected.size, 2 * L + 1), np.nan)
+    for m in range(n - 1, corrected.size - 1):
+        fit = fit_dfs(window(res[m - n + 1 : m + 1], m), harmonics=L)
+        coefficients[m + 1] = fit.coefficients
+        corrected[m + 1] = correct_remaining(global_day, fit, m, horizon=1).values[0]
+    return corrected, coefficients
+
+
+def solar_like_day(rng):
+    day = np.zeros(96)
+    day[26:71] = rng.uniform(0.0, 35000.0, size=45)
+    return day
 
 
 class TestResidual:
@@ -192,9 +211,7 @@ class TestSimulateDay:
         sim = simulate_day(global_f, measured)
         # from the first slot after a full window onward, the one-step
         # corrected value should match the measurement almost exactly
-        for rec in sim.records:
-            if rec.sample_index >= 8:
-                assert abs(rec.corrected_w - rec.measured_w) < 1e-9
+        assert np.all(np.abs(sim.corrected_w[8:] - sim.measured_w[8:]) < 1e-9)
 
     def test_positive_residual_history_lowers_forecast(self):
         # the sign convention pin: persistent over-prediction must pull
@@ -202,17 +219,14 @@ class TestSimulateDay:
         measured = np.full(20, 400.0)
         global_f = np.full(20, 650.0)
         sim = simulate_day(global_f, measured)
-        for rec in sim.records:
-            if rec.sample_index >= 8:
-                assert rec.corrected_w < rec.global_w
+        assert np.all(sim.corrected_w[8:] < sim.global_w[8:])
 
     def test_early_slots_pass_through(self):
         rng = np.random.default_rng(41)
         measured = rng.uniform(0, 100, 16)
         global_f = rng.uniform(0, 100, 16)
         sim = simulate_day(global_f, measured, window_length=8)
-        for rec in sim.records[:8]:
-            assert rec.corrected_w == rec.global_w
+        assert np.array_equal(sim.corrected_w[:8], sim.global_w[:8])
 
     def test_no_negative_corrected_values(self):
         rng = np.random.default_rng(42)
@@ -228,7 +242,48 @@ class TestSimulateDay:
 
     def test_record_count_equals_day_length(self):
         sim = simulate_day(np.zeros(96), np.zeros(96))
-        assert len(sim.records) == 96
+        assert len(sim.corrected_w) == 96
+        assert sim.global_w.shape == sim.measured_w.shape == (96,)
+        assert sim.coefficients.shape == (96, 5)
+
+
+class TestSimulateDayMatchesPerSlotReference:
+    @pytest.mark.parametrize("n, L", [(8, 2), (8, 3), (12, 2), (5, 1)])
+    def test_random_days(self, n, L):
+        rng = np.random.default_rng(1000 * n + L)
+        for _ in range(20):
+            global_f, measured = solar_like_day(rng), solar_like_day(rng)
+            sim = simulate_day(global_f, measured, n, L)
+            corrected, coefficients = reference_simulation(global_f, measured, n, L)
+            assert np.max(np.abs(sim.corrected_w - corrected)) <= 1e-9
+            assert np.array_equal(
+                np.isnan(sim.coefficients), np.isnan(coefficients)
+            )
+            fitted = slice(n, None)
+            assert np.max(
+                np.abs(sim.coefficients[fitted] - coefficients[fitted])
+            ) <= 1e-9
+
+    @pytest.mark.parametrize("n, L", [(8, 2), (5, 1), (4, 2)])
+    def test_day_no_longer_than_window_passes_through(self, n, L):
+        rng = np.random.default_rng(77)
+        for size in range(1, n + 1):
+            global_f = rng.uniform(0, 100, size)
+            sim = simulate_day(global_f, rng.uniform(0, 100, size), n, L)
+            assert np.array_equal(sim.corrected_w, global_f)
+            assert sim.coefficients.shape == (size, 2 * L + 1)
+            assert np.all(np.isnan(sim.coefficients))
+
+    def test_nan_measurement_raises_numerical_failure(self):
+        rng = np.random.default_rng(78)
+        global_f, measured = solar_like_day(rng), solar_like_day(rng)
+        measured[40] = np.nan
+        with pytest.raises(NumericalFailure):
+            simulate_day(global_f, measured)
+
+    def test_underdetermined_on_long_day(self):
+        with pytest.raises(Underdetermined):
+            simulate_day(np.zeros(96), np.zeros(96), window_length=4, harmonics=2)
 
 
 def test_trace_csv_layout():
