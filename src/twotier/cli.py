@@ -20,6 +20,7 @@ from .config import _FIELD_TYPES, RunConfig, apply_overrides, parse_config, rend
 from .errors import (
     ConfigError,
     EmptyInput,
+    GridMismatch,
     InsufficientHistory,
     InsufficientTrainingDays,
     TooFewDays,
@@ -87,6 +88,21 @@ def _load_model(models_dir: str, name: str, expected):
             f"{path} does not contain a {name} model"
         )
     return model
+
+
+def _load_models(models_dir: str, grid):
+    """The k-NN and NN models of a directory, checked against the data grid."""
+    knn_model = _load_model(models_dir, "knn", knn.KnnModel)
+    nn_model = _load_model(models_dir, "nn", nn.NnModel)
+    knn_per_day = knn_model.context_length / knn_model.config.depth_days
+    expected = grid.samples_per_day
+    if knn_per_day != expected or nn_model.samples_per_day != expected:
+        raise GridMismatch(
+            f"models in {models_dir} were trained at {knn_per_day:g} (k-NN) "
+            f"and {nn_model.samples_per_day} (NN) samples per day, but the "
+            f"data has {expected} ({grid.sample_interval_seconds} s interval)"
+        )
+    return knn_model, nn_model
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -198,8 +214,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _run_config(args)
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
-    knn_model = _load_model(args.models, "knn", knn.KnnModel)
-    nn_model = _load_model(args.models, "nn", nn.NnModel)
+    knn_model, nn_model = _load_models(args.models, series.grid)
     try:
         target = series.day_by_date(args.day)
     except KeyError:
@@ -245,8 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
-    knn_model = _load_model(args.models, "knn", knn.KnnModel)
-    nn_model = _load_model(args.models, "nn", nn.NnModel)
+    knn_model, nn_model = _load_models(args.models, series.grid)
     report = evaluation.compare_methods(
         split.full_series(), split.test, knn_model, nn_model, window, harmonics
     )

@@ -7,7 +7,11 @@ maximum power; predictions are denormalized and clamped at zero.
 
 Training is damped Gauss-Newton on the sum of squared errors with an
 analytic Jacobian, restarted from several random initializations; the
-restart with the lowest training RMSE wins.
+restart with the lowest training RMSE wins. One evaluation of a
+parameter vector yields its hidden activations, residual and loss; when
+a step is accepted those become the next iteration's state, so the
+Jacobian is built from the cached activations and the network is never
+evaluated twice at the same parameters.
 """
 
 from __future__ import annotations
@@ -96,15 +100,28 @@ class NnModel:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """One entry per proposed LM step, in proposal order."""
+    """One entry per proposed LM step, in proposal order.
+
+    stop_reason is why training ended: "budget" (max_iterations used up),
+    "tolerance" (an accepted step improved by less than loss_tolerance)
+    or "damping_cap" (the damping passed DAMPING_CAP without an
+    acceptable step).
+    """
 
     initial_loss: float
     losses: tuple[float, ...]
     accepted: tuple[bool, ...]
     final_damping: float
+    stop_reason: str
 
     def accepted_losses(self) -> tuple[float, ...]:
         return tuple(l for l, ok in zip(self.losses, self.accepted) if ok)
+
+    @property
+    def final_loss(self) -> float:
+        """Sum-squared error of the returned parameters."""
+        kept = self.accepted_losses()
+        return kept[-1] if kept else self.initial_loss
 
 
 def build(
@@ -161,13 +178,19 @@ def _unpack(theta: np.ndarray, base: NnModel) -> NnModel:
     )
 
 
-def _forward_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
+def _hidden_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
+    """Hidden activations tanh(inputs W1' + b1), shape (n, H)."""
     w1 = theta[: 2 * h].reshape(h, INPUT_WIDTH)
     b1 = theta[2 * h : 3 * h]
-    w2 = theta[3 * h : 4 * h]
-    b2 = theta[4 * h]
-    hidden = np.tanh(inputs @ w1.T + b1)
-    return hidden @ w2 + b2
+    return np.tanh(inputs @ w1.T + b1)
+
+
+def _output_batch(theta: np.ndarray, h: int, hidden: np.ndarray) -> np.ndarray:
+    return hidden @ theta[3 * h : 4 * h] + theta[4 * h]
+
+
+def _forward_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
+    return _output_batch(theta, h, _hidden_batch(theta, h, inputs))
 
 
 def forward(model: NnModel, inputs) -> float:
@@ -178,15 +201,15 @@ def forward(model: NnModel, inputs) -> float:
     return float(_forward_batch(_pack(model), model.config.hidden_neurons, x[None, :])[0])
 
 
-def _jacobian_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
-    w1 = theta[: 2 * h].reshape(h, INPUT_WIDTH)
-    b1 = theta[2 * h : 3 * h]
+def _jacobian_batch(
+    theta: np.ndarray, h: int, inputs: np.ndarray, hidden: np.ndarray
+) -> np.ndarray:
+    """Jacobian at theta, given hidden = _hidden_batch(theta, h, inputs)."""
     w2 = theta[3 * h : 4 * h]
-    hidden = np.tanh(inputs @ w1.T + b1)          # (n, H)
     gate = w2 * (1.0 - hidden**2)                 # (n, H): d out / d preactivation
-    n = inputs.shape[0]
-    jac = np.empty((n, 4 * h + 1))
-    jac[:, : 2 * h] = (gate[:, :, None] * inputs[:, None, :]).reshape(n, 2 * h)
+    jac = np.empty((inputs.shape[0], 4 * h + 1))
+    jac[:, 0 : 2 * h : 2] = gate * inputs[:, :1]  # input weights, row-major
+    jac[:, 1 : 2 * h : 2] = gate * inputs[:, 1:]
     jac[:, 2 * h : 3 * h] = gate
     jac[:, 3 * h : 4 * h] = hidden
     jac[:, 4 * h] = 1.0
@@ -205,7 +228,9 @@ def jacobian(model: NnModel, batch) -> np.ndarray:
         raise ValueError("batch must be non-empty")
     if inputs.shape[1] != INPUT_WIDTH:
         raise ValueError(f"inputs must be pairs, got shape {inputs.shape}")
-    return _jacobian_batch(_pack(model), model.config.hidden_neurons, inputs)
+    theta = _pack(model)
+    h = model.config.hidden_neurons
+    return _jacobian_batch(theta, h, inputs, _hidden_batch(theta, h, inputs))
 
 
 def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainTrace]:
@@ -215,7 +240,13 @@ def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainT
     step only if the error decreases (lambda shrinks by the damping
     factor); otherwise lambda grows and the step is retried. Training
     stops at the iteration budget, when an accepted step improves by less
-    than loss_tolerance, or when lambda exceeds the 1e10 cap.
+    than loss_tolerance, or when lambda exceeds the 1e10 cap; the trace's
+    stop_reason says which.
+
+    Each iteration reuses the accepted step's hidden activations and
+    residual: the Jacobian at theta is built from the cached activations,
+    and only proposed steps run the network. The arithmetic is the same
+    as recomputing both at every iteration, so results are bit-identical.
     """
     if len(samples) < 1:
         raise ValueError("need at least one training sample")
@@ -235,32 +266,36 @@ def _train_lm_arrays(
     targets: np.ndarray,
     config: NnConfig,
 ) -> tuple[np.ndarray, TrainTrace]:
-    def sse(t: np.ndarray) -> float:
-        err = _forward_batch(t, h, inputs) - targets
-        return float(err @ err)
+    def evaluate(t: np.ndarray):
+        hidden = _hidden_batch(t, h, inputs)
+        err = _output_batch(t, h, hidden) - targets
+        return hidden, err, float(err @ err)
 
-    initial_loss = sse(theta)
-    loss = initial_loss
+    # hidden, err and loss always belong to the current theta: an accepted
+    # candidate's evaluation becomes the next iteration's state.
+    hidden, err, loss = evaluate(theta)
+    initial_loss = loss
     damping = config.lm_initial_damping
     identity = np.eye(theta.size)
     losses: list[float] = []
     accepted: list[bool] = []
+    stop_reason = "budget"
 
     for _ in range(config.max_iterations):
-        jac = _jacobian_batch(theta, h, inputs)
-        err = _forward_batch(theta, h, inputs) - targets
-        gradient = jac.T @ err
+        jac = _jacobian_batch(theta, h, inputs, hidden)
+        descent = -(jac.T @ err)
         gauss_newton = jac.T @ jac
 
         improvement = None
         while True:
             try:
-                delta = np.linalg.solve(gauss_newton + damping * identity, -gradient)
+                delta = np.linalg.solve(gauss_newton + damping * identity, descent)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 candidate = theta + delta
-                candidate_loss = sse(candidate)
+                candidate_state = evaluate(candidate)
+                candidate_loss = candidate_state[2]
             else:
                 candidate = None
                 candidate_loss = math.inf
@@ -270,7 +305,7 @@ def _train_lm_arrays(
                 accepted.append(True)
                 improvement = loss - candidate_loss
                 theta = candidate
-                loss = candidate_loss
+                hidden, err, loss = candidate_state
                 damping = damping / config.lm_damping_factor
                 break
 
@@ -286,8 +321,10 @@ def _train_lm_arrays(
                 break
 
         if improvement is None:
-            break  # damping cap: no acceptable step exists
+            stop_reason = "damping_cap"  # no acceptable step exists
+            break
         if improvement < config.loss_tolerance:
+            stop_reason = "tolerance"
             break
 
     trace = TrainTrace(
@@ -295,6 +332,7 @@ def _train_lm_arrays(
         losses=tuple(losses),
         accepted=tuple(accepted),
         final_damping=damping,
+        stop_reason=stop_reason,
     )
     return theta, trace
 
@@ -328,11 +366,10 @@ def _run_restart(train, config, restart, scale_max, inputs, targets):
         config, seed, samples_per_day=train.grid.samples_per_day,
         scale_max=scale_max,
     )
-    theta, _ = _train_lm_arrays(
+    theta, trace = _train_lm_arrays(
         _pack(start), config.hidden_neurons, inputs, targets, config
     )
-    err = _forward_batch(theta, config.hidden_neurons, inputs) - targets
-    rmse = math.sqrt(float(err @ err) / err.size)
+    rmse = math.sqrt(trace.final_loss / targets.size)
     return _unpack(theta, start), rmse
 
 

@@ -25,6 +25,29 @@ def pipeline(tmp_path_factory):
     return {"root": root, "data": data, "models": models}
 
 
+def check_other_grid_exit_3(command, pipeline, tmp_path, capsys, extra):
+    """Models trained on 900 s data cannot be used on a 1800 s data set:
+    exit 3 with one error line naming the models and both grids."""
+    data = tmp_path / "half-hourly.csv"
+    grid = ["--sample-interval-seconds", "1800"]
+    code = cli.main(
+        ["synth", *grid, "--synth-sunrise-sample", "13",
+         "--synth-sunset-sample", "35", "--out", str(data)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    code = cli.main(
+        [command, *grid, "--models", str(pipeline["models"]), "--data", str(data),
+         *extra]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"models in {pipeline['models']} " in err
+    assert "96 (k-NN) and 96 (NN) samples per day" in err
+    assert "data has 48 (1800 s interval)" in err
+
+
 class TestSynth:
     def test_writes_csv_and_labels(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -272,6 +295,12 @@ class TestSimulate:
         )
         assert code == 4
 
+    def test_models_from_other_grid_exit_3(self, pipeline, tmp_path, capsys):
+        check_other_grid_exit_3(
+            "simulate", pipeline, tmp_path, capsys,
+            ["--day", CLOUDY_DEMO_DAY, "--out", str(tmp_path)],
+        )
+
 
 class TestEvaluate:
     def test_report_and_consistency(self, pipeline, tmp_path, capsys):
@@ -304,22 +333,10 @@ class TestEvaluate:
             assert got == pytest.approx(expect, abs=1e-9)
 
     def test_models_from_other_grid_exit_3(self, pipeline, tmp_path, capsys):
-        # models trained on 900 s data cannot score a 1800 s data set
-        data = tmp_path / "half-hourly.csv"
-        grid = ["--sample-interval-seconds", "1800"]
-        code = cli.main(
-            ["synth", *grid, "--synth-sunrise-sample", "13",
-             "--synth-sunset-sample", "35", "--out", str(data)]
+        check_other_grid_exit_3(
+            "evaluate", pipeline, tmp_path, capsys,
+            ["--out", str(tmp_path / "r.csv")],
         )
-        assert code == 0
-        capsys.readouterr()
-        code = cli.main(
-            ["evaluate", *grid, "--models", str(pipeline["models"]),
-             "--data", str(data), "--out", str(tmp_path / "r.csv")]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_models_exit_3(self, pipeline, tmp_path):
         code = cli.main(

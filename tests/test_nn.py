@@ -1,7 +1,8 @@
 """Three-layer network and Levenberg-Marquardt training.
 
 Oracles here are a hand-rolled forward evaluator (plain loops, no shared
-code with the module) and a central finite-difference Jacobian.
+code with the module), a central finite-difference Jacobian, and a
+straightforward LM loop that recomputes everything at every iteration.
 """
 
 import math
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import make_series
-from twotier.errors import GridMismatch, InsufficientTrainingDays
+from twotier import nn
+from twotier.errors import GridMismatch, InsufficientTrainingDays, SingularStep
 from twotier.nn import (
+    DAMPING_CAP,
     NnConfig,
     NnModel,
+    TrainTrace,
     build,
     day_ahead_samples,
     fit_day_ahead,
@@ -22,6 +26,9 @@ from twotier.nn import (
     predict_day,
     train_lm,
 )
+from twotier.rng import derive_seed
+from twotier.synth import SynthConfig, generate
+from twotier.timeseries import split_chronological
 
 
 def reference_forward(model, x):
@@ -73,6 +80,74 @@ def fd_jacobian(model, batch, step=1e-6):
             row[c] = (forward(model_of(up), x) - forward(model_of(down), x)) / (2 * step)
         rows.append(row)
     return np.array(rows)
+
+
+def reference_lm(theta, h, inputs, targets, config):
+    """LM as first written: every iteration evaluates the network at theta
+    twice (once inside the Jacobian, once for the residual) and every
+    proposal once more. Same operations, in the same order, as the
+    module's loop, so the two must agree bit for bit."""
+
+    def outputs(t):
+        w1 = t[: 2 * h].reshape(h, 2)
+        return np.tanh(inputs @ w1.T + t[2 * h : 3 * h]) @ t[3 * h : 4 * h] + t[4 * h]
+
+    def jac_at(t):
+        w1 = t[: 2 * h].reshape(h, 2)
+        w2 = t[3 * h : 4 * h]
+        hidden = np.tanh(inputs @ w1.T + t[2 * h : 3 * h])
+        gate = w2 * (1.0 - hidden**2)
+        n = inputs.shape[0]
+        jac = np.empty((n, 4 * h + 1))
+        jac[:, : 2 * h] = (gate[:, :, None] * inputs[:, None, :]).reshape(n, 2 * h)
+        jac[:, 2 * h : 3 * h] = gate
+        jac[:, 3 * h : 4 * h] = hidden
+        jac[:, 4 * h] = 1.0
+        return jac
+
+    def sse(t):
+        err = outputs(t) - targets
+        return float(err @ err)
+
+    initial_loss = loss = sse(theta)
+    damping = config.lm_initial_damping
+    identity = np.eye(theta.size)
+    losses, accepted = [], []
+    for _ in range(config.max_iterations):
+        jac = jac_at(theta)
+        err = outputs(theta) - targets
+        gradient = jac.T @ err
+        gauss_newton = jac.T @ jac
+        improvement = None
+        while True:
+            try:
+                delta = np.linalg.solve(gauss_newton + damping * identity, -gradient)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is not None and np.all(np.isfinite(delta)):
+                candidate = theta + delta
+                candidate_loss = sse(candidate)
+            else:
+                candidate = None
+                candidate_loss = math.inf
+            if candidate is not None and candidate_loss < loss:
+                losses.append(candidate_loss)
+                accepted.append(True)
+                improvement = loss - candidate_loss
+                theta, loss = candidate, candidate_loss
+                damping = damping / config.lm_damping_factor
+                break
+            losses.append(candidate_loss)
+            accepted.append(False)
+            if delta is None and damping >= DAMPING_CAP:
+                raise SingularStep("unsolvable")
+            damping = damping * config.lm_damping_factor
+            if damping > DAMPING_CAP:
+                improvement = None
+                break
+        if improvement is None or improvement < config.loss_tolerance:
+            break
+    return theta, initial_loss, tuple(losses), tuple(accepted), damping
 
 
 class TestBuild:
@@ -206,6 +281,78 @@ class TestTrainLm:
         config = NnConfig()
         with pytest.raises(ValueError):
             train_lm(build(config, seed=1), [], config)
+
+
+    def test_stops_on_budget(self):
+        config = NnConfig(max_iterations=0)
+        _, trace = train_lm(build(config, seed=6), [((0.1, 0.2), 0.3)], config)
+        assert trace.stop_reason == "budget"
+        assert trace.final_loss == trace.initial_loss
+
+    def test_stops_on_tolerance(self):
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(0, 1, (40, 2))
+        samples = [((x[0], x[1]), 0.5 * x[0] - 0.2 * x[1]) for x in xs]
+        config = NnConfig(hidden_neurons=3, loss_tolerance=1e6)
+        _, trace = train_lm(build(config, seed=3), samples, config)
+        assert trace.stop_reason == "tolerance"
+        assert trace.accepted == (True,)
+        assert trace.final_loss == trace.losses[0] < trace.initial_loss
+
+    def test_stops_at_damping_cap_on_zero_loss(self):
+        # targets are the start network's own outputs: no step can lower
+        # a zero loss, so the damping climbs past the cap
+        config = NnConfig(hidden_neurons=4)
+        start = build(config, seed=12)
+        xs = np.random.default_rng(3).uniform(0, 1, (30, 2))
+        own = nn._forward_batch(nn._pack(start), 4, xs)
+        samples = [((x[0], x[1]), t) for x, t in zip(xs, own)]
+        model, trace = train_lm(start, samples, config)
+        assert trace.initial_loss == 0.0
+        assert trace.stop_reason == "damping_cap"
+        assert trace.final_damping > DAMPING_CAP
+        assert not any(trace.accepted)
+        assert np.array_equal(model.hidden_weights, start.hidden_weights)
+
+
+@pytest.fixture(scope="module")
+def default_train_inputs():
+    """Normalized samples of the default 50-day set's 30-day train split."""
+    train = split_chronological(generate(SynthConfig(), 50).series, (0.6, 0.2, 0.2)).train
+    assert train.num_days == 30
+    return day_ahead_samples(train, train.max_power())
+
+
+class TestTrainMatchesReference:
+    """The cached-activation LM loop reproduces the recompute-everything
+    loop exactly: same parameters, losses, accept flags and damping."""
+
+    @staticmethod
+    def check(inputs, targets, hidden, restart):
+        config = NnConfig(hidden_neurons=hidden)
+        start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
+        theta, trace = nn._train_lm_arrays(start.copy(), hidden, inputs, targets, config)
+        ref_theta, initial, losses, accepted, damping = reference_lm(
+            start.copy(), hidden, inputs, targets, config
+        )
+        assert np.array_equal(theta, ref_theta)
+        assert trace == TrainTrace(
+            initial_loss=initial, losses=losses, accepted=accepted,
+            final_damping=damping, stop_reason=trace.stop_reason,
+        )
+
+    @pytest.mark.parametrize("hidden", [1, 3, 6, 8])
+    @pytest.mark.parametrize("restart", [0, 1, 2])
+    def test_default_train_split(self, default_train_inputs, hidden, restart):
+        self.check(*default_train_inputs, hidden, restart)
+
+    @pytest.mark.parametrize("hidden", [1, 3, 6, 8])
+    @pytest.mark.parametrize("restart", [0, 1, 2])
+    def test_random_samples(self, hidden, restart):
+        rng = np.random.default_rng(100 + restart)
+        inputs = rng.uniform(0, 1, (60, 2))
+        targets = np.sin(3 * inputs[:, 0]) * 0.5 + 0.3 * inputs[:, 1] ** 2
+        self.check(inputs, targets, hidden, restart)
 
 
 class TestFitDayAhead:
