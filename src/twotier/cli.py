@@ -23,6 +23,7 @@ from .errors import (
     GridMismatch,
     InsufficientHistory,
     InsufficientTrainingDays,
+    MalformedRow,
     TooFewDays,
     TwoTierError,
     Underdetermined,
@@ -72,8 +73,16 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return apply_overrides(config, overrides)
 
 
+def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
+    """The text of a data or model file; undecodable bytes raise error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
+
+
 def _read_series(path: str, grid):
-    return ingest_csv(Path(path).read_text(encoding="utf-8"), grid)
+    return ingest_csv(_read_utf8(Path(path), MalformedRow), grid)
 
 
 def _split(config: RunConfig, series):
@@ -82,7 +91,7 @@ def _split(config: RunConfig, series):
 
 def _load_model(models_dir: str, name: str, expected):
     path = Path(models_dir) / f"{name}{persistence.MODEL_SUFFIX}"
-    model = persistence.load_model(path.read_text(encoding="utf-8"))
+    model = persistence.load_model(_read_utf8(path, persistence.MalformedModelFile))
     if not isinstance(model, expected):
         raise persistence.MalformedModelFile(
             f"{path} does not contain a {name} model"

@@ -227,8 +227,7 @@ def tune_nn(
         candidate_config = replace(config, hidden_neurons=hidden)
         try:
             restart_scores = []
-            for restart in range(config.restarts):
-                model = nn.fit_restart(split.train, candidate_config, restart)
+            for model, _ in nn.fit_restarts(split.train, candidate_config):
                 scores = [
                     rmse(
                         nn.predict_day(

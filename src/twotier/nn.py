@@ -7,7 +7,11 @@ maximum power; predictions are denormalized and clamped at zero.
 
 Training is damped Gauss-Newton on the sum of squared errors with an
 analytic Jacobian, restarted from several random initializations; the
-restart with the lowest training RMSE wins. One evaluation of a
+restart with the lowest training RMSE wins. Most training rows repeat
+(every night slot is the row (0, 0) -> 0), so the day-ahead training set
+is kept as its distinct rows and their counts: scaling a row's residual
+and Jacobian row by sqrt(count) gives the same sum of squared errors,
+J'J and J'e as the full set, up to summation order. One evaluation of a
 parameter vector yields its hidden activations, residual and loss; when
 a step is accepted those become the next iteration's state, so the
 Jacobian is built from the cached activations and the network is never
@@ -17,6 +21,7 @@ evaluated twice at the same parameters.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,7 +239,7 @@ def jacobian(model: NnModel, batch) -> np.ndarray:
 
 
 def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainTrace]:
-    """Levenberg-Marquardt on sum-squared error.
+    """Levenberg-Marquardt on the sum-squared error over samples.
 
     Each iteration solves (J'J + lambda I) delta = -J'e and accepts the
     step only if the error decreases (lambda shrinks by the damping
@@ -242,6 +247,9 @@ def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainT
     stops at the iteration budget, when an accepted step improves by less
     than loss_tolerance, or when lambda exceeds the 1e10 cap; the trace's
     stop_reason says which.
+
+    Every sample is one row of weight 1. fit_day_ahead minimizes the same
+    objective over distinct rows weighted by their counts.
 
     Each iteration reuses the accepted step's hidden activations and
     residual: the Jacobian at theta is built from the cached activations,
@@ -255,7 +263,7 @@ def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainT
     inputs = np.array([list(x) for x, _ in samples], dtype=float)
     targets = np.array([t for _, t in samples], dtype=float)
     theta, trace = _train_lm_arrays(_pack(model), model.config.hidden_neurons,
-                                    inputs, targets, config)
+                                    inputs, targets, np.ones(targets.size), config)
     return _unpack(theta, model), trace
 
 
@@ -264,11 +272,18 @@ def _train_lm_arrays(
     h: int,
     inputs: np.ndarray,
     targets: np.ndarray,
+    counts: np.ndarray,
     config: NnConfig,
 ) -> tuple[np.ndarray, TrainTrace]:
+    """LM on sum(counts * (output - targets)**2): row r stands for
+    counts[r] identical rows. Residuals and Jacobian rows are scaled by
+    sqrt(counts), so J'J and J'e keep their unweighted form; with unit
+    counts the scaling multiplies by 1.0 and changes no bit."""
+    root = np.sqrt(counts)
+
     def evaluate(t: np.ndarray):
         hidden = _hidden_batch(t, h, inputs)
-        err = _output_batch(t, h, hidden) - targets
+        err = (_output_batch(t, h, hidden) - targets) * root
         return hidden, err, float(err @ err)
 
     # hidden, err and loss always belong to the current theta: an accepted
@@ -283,6 +298,7 @@ def _train_lm_arrays(
 
     for _ in range(config.max_iterations):
         jac = _jacobian_batch(theta, h, inputs, hidden)
+        jac *= root[:, None]
         descent = -(jac.T @ err)
         gauss_newton = jac.T @ jac
 
@@ -349,6 +365,12 @@ def day_ahead_samples(train: SolarSeries, scale_max: float) -> tuple[np.ndarray,
 
 
 def _training_setup(train: SolarSeries):
+    """Scale and distinct training rows of train.
+
+    Returns scale_max, the distinct (inputs, target) rows of
+    day_ahead_samples in sorted order, and how often each occurs; the
+    counts sum to day_ahead_samples' row count.
+    """
     if train.num_days < 3:
         raise InsufficientTrainingDays(
             f"day-ahead NN needs >= 3 training days, have {train.num_days}"
@@ -357,27 +379,44 @@ def _training_setup(train: SolarSeries):
     if scale_max <= 0:
         scale_max = 1.0  # all-dark series: normalization is the identity
     inputs, targets = day_ahead_samples(train, scale_max)
-    return scale_max, inputs, targets
+    rows, counts = np.unique(
+        np.column_stack([inputs, targets]), axis=0, return_counts=True
+    )
+    return (
+        scale_max,
+        np.ascontiguousarray(rows[:, :INPUT_WIDTH]),
+        np.ascontiguousarray(rows[:, INPUT_WIDTH]),
+        counts,
+    )
 
 
-def _run_restart(train, config, restart, scale_max, inputs, targets):
+def _run_restart(train, config, restart, scale_max, inputs, targets, counts):
     seed = derive_seed(config.rng_seed, restart)
     start = build(
         config, seed, samples_per_day=train.grid.samples_per_day,
         scale_max=scale_max,
     )
     theta, trace = _train_lm_arrays(
-        _pack(start), config.hidden_neurons, inputs, targets, config
+        _pack(start), config.hidden_neurons, inputs, targets, counts, config
     )
-    rmse = math.sqrt(trace.final_loss / targets.size)
+    # RMSE over every training row, not over the distinct ones
+    rmse = math.sqrt(trace.final_loss / counts.sum())
     return _unpack(theta, start), rmse
 
 
-def fit_restart(train: SolarSeries, config: NnConfig, restart: int) -> NnModel:
-    """Train once from restart's derived seed (no best-of selection)."""
-    scale_max, inputs, targets = _training_setup(train)
-    model, _ = _run_restart(train, config, restart, scale_max, inputs, targets)
-    return model
+def fit_restarts(
+    train: SolarSeries, config: NnConfig
+) -> Iterator[tuple[NnModel, float]]:
+    """Yield (model, training RMSE) for each restart, in restart order.
+
+    Restart r trains from derive_seed(config.rng_seed, r). The training
+    rows are built once for all restarts.
+    """
+    scale_max, inputs, targets, counts = _training_setup(train)
+    for restart in range(config.restarts):
+        yield _run_restart(
+            train, config, restart, scale_max, inputs, targets, counts
+        )
 
 
 def fit_day_ahead(train: SolarSeries, config: NnConfig) -> NnModel:
@@ -387,13 +426,9 @@ def fit_day_ahead(train: SolarSeries, config: NnConfig) -> NnModel:
     on RMSE keep the earliest restart, so the result does not depend on
     evaluation order.
     """
-    scale_max, inputs, targets = _training_setup(train)
     best_model = None
     best_rmse = math.inf
-    for restart in range(config.restarts):
-        model, rmse = _run_restart(
-            train, config, restart, scale_max, inputs, targets
-        )
+    for model, rmse in fit_restarts(train, config):
         if rmse < best_rmse:
             best_rmse = rmse
             best_model = model

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
+import shlex
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,13 @@ class TestIngest:
         assert cli.main(["ingest", "--data", str(empty)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_csv_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"timestamp,power_w\n2015-02-15T00:00:00,\xff\n")
+        assert cli.main(["ingest", "--data", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {bad} is not UTF-8 text: byte 38 is invalid\n"
 
 
 class TestTrain:
@@ -344,3 +354,54 @@ class TestEvaluate:
              "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
         )
         assert code == 3
+
+    def test_non_utf8_model_exit_3(self, pipeline, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        with open(models / "knn.htm-model", "ab") as sink:
+            sink.write(b"\xff")
+        code = cli.main(
+            ["evaluate", "--models", str(models),
+             "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {models / 'knn.htm-model'} is not UTF-8 text")
+        assert err.count("\n") == 1
+
+
+def readme_quick_start():
+    """(argv, printed lines) for every `$ twotier ...` command in the
+    README's Quick start section, in order. `...` elisions are dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("$ twotier "):
+                commands.append((shlex.split(line)[2:], []))
+            elif commands and line.strip() not in ("", "..."):
+                commands[-1][1].append(line)
+    return commands
+
+
+class TestReadmeQuickStart:
+    def test_printed_lines_match(self, tmp_path, monkeypatch, capsys):
+        """The Quick start commands print the README's lines at the default
+        seed. tune runs with --knn-only: the README elides the NN table."""
+        commands = readme_quick_start()
+        assert [argv[0] for argv, _ in commands] == [
+            "synth", "ingest", "train", "simulate", "evaluate", "tune", "train"
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv, expected in commands:
+            if argv[0] == "tune":
+                argv = [*argv, "--knn-only"]
+            assert cli.main(argv) == 0, argv
+            printed = iter(capsys.readouterr().out.splitlines())
+            # each README line appears, in README order
+            for line in expected:
+                assert line in printed, (argv[0], line)
+        assert "  nn         6223.9" in commands[4][1]
+        assert "  nn+local   2727.8" in commands[4][1]

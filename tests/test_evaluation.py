@@ -177,9 +177,8 @@ class TestTuneNn:
         config = nn.NnConfig(restarts=3, max_iterations=10)
         grid = tune_nn(split, hidden_candidates=(4,), config=config)
         per_restart = []
-        for restart in range(3):
-            model = nn.fit_restart(split.train, nn.NnConfig(
-                hidden_neurons=4, restarts=3, max_iterations=10), restart)
+        for model, _ in nn.fit_restarts(split.train, nn.NnConfig(
+                hidden_neurons=4, restarts=3, max_iterations=10)):
             scores = []
             full = split.full_series()
             for day in split.tune.days:

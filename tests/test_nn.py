@@ -312,11 +312,17 @@ class TestTrainLm:
 
 
 @pytest.fixture(scope="module")
-def default_train_inputs():
-    """Normalized samples of the default 50-day set's 30-day train split."""
+def default_train():
+    """The default 50-day set's 30-day train split."""
     train = split_chronological(generate(SynthConfig(), 50).series, (0.6, 0.2, 0.2)).train
     assert train.num_days == 30
-    return day_ahead_samples(train, train.max_power())
+    return train
+
+
+@pytest.fixture(scope="module")
+def default_train_inputs(default_train):
+    """Normalized samples of the default train split, one row per slot."""
+    return day_ahead_samples(default_train, default_train.max_power())
 
 
 class TestTrainMatchesReference:
@@ -327,7 +333,9 @@ class TestTrainMatchesReference:
     def check(inputs, targets, hidden, restart):
         config = NnConfig(hidden_neurons=hidden)
         start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
-        theta, trace = nn._train_lm_arrays(start.copy(), hidden, inputs, targets, config)
+        theta, trace = nn._train_lm_arrays(
+            start.copy(), hidden, inputs, targets, np.ones(targets.size), config
+        )
         ref_theta, initial, losses, accepted, damping = reference_lm(
             start.copy(), hidden, inputs, targets, config
         )
@@ -349,6 +357,82 @@ class TestTrainMatchesReference:
         inputs = rng.uniform(0, 1, (60, 2))
         targets = np.sin(3 * inputs[:, 0]) * 0.5 + 0.3 * inputs[:, 1] ** 2
         self.check(inputs, targets, hidden, restart)
+
+
+def first_normal_equations(monkeypatch, inputs, targets, counts, hidden):
+    """Initial loss and the first system (J'J + lambda I, -J'e) that LM
+    solves, at the restart-0 start parameters."""
+    systems = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        systems.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    config = NnConfig(hidden_neurons=hidden, max_iterations=1)
+    start = nn._pack(build(config, derive_seed(config.rng_seed, 0)))
+    _, trace = nn._train_lm_arrays(start, hidden, inputs, targets, counts, config)
+    monkeypatch.undo()
+    return trace.initial_loss, *systems[0]
+
+
+def assert_rel_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestDistinctRows:
+    """fit_day_ahead trains on the distinct rows of day_ahead_samples,
+    each weighted by its count; the objective is the full row set's."""
+
+    def test_counts_sum_to_row_count(self, default_train, default_train_inputs):
+        _, inputs, targets, counts = nn._training_setup(default_train)
+        full_inputs, full_targets = default_train_inputs
+        assert counts.sum() == full_targets.size == 2688
+        assert targets.size == 1098
+        # the distinct rows repeated by their counts are the full rows, sorted
+        full = np.column_stack([full_inputs, full_targets])
+        full = full[np.lexsort(full.T[::-1])]
+        repeated = np.repeat(np.column_stack([inputs, targets]), counts, axis=0)
+        assert np.array_equal(repeated, full)
+
+    @pytest.mark.parametrize("hidden", [3, 6])
+    def test_loss_and_normal_equations_match_full_rows(
+        self, monkeypatch, default_train, default_train_inputs, hidden
+    ):
+        _, inputs, targets, counts = nn._training_setup(default_train)
+        full_inputs, full_targets = default_train_inputs
+        loss, system, rhs = first_normal_equations(
+            monkeypatch, inputs, targets, counts, hidden
+        )
+        full_loss, full_system, full_rhs = first_normal_equations(
+            monkeypatch, full_inputs, full_targets, np.ones(full_targets.size), hidden
+        )
+        assert loss == pytest.approx(full_loss, rel=1e-12)
+        assert_rel_close(system, full_system, 1e-12)
+        assert_rel_close(rhs, full_rhs, 1e-12)
+
+    @pytest.mark.parametrize("hidden", [3, 6])
+    @pytest.mark.parametrize("restart", [0, 1])
+    def test_final_loss_matches_full_row_training(
+        self, default_train, default_train_inputs, hidden, restart
+    ):
+        _, inputs, targets, counts = nn._training_setup(default_train)
+        full_inputs, full_targets = default_train_inputs
+        config = NnConfig(hidden_neurons=hidden)
+        start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
+        _, trace = nn._train_lm_arrays(start, hidden, inputs, targets, counts, config)
+        _, full_trace = nn._train_lm_arrays(
+            start, hidden, full_inputs, full_targets, np.ones(full_targets.size), config
+        )
+        assert trace.final_loss == pytest.approx(full_trace.final_loss, rel=1e-6)
+
+    def test_restart_rmse_is_over_all_rows(self, default_train, default_train_inputs):
+        config = NnConfig(restarts=2, max_iterations=20)
+        full_inputs, full_targets = default_train_inputs
+        for model, rmse in nn.fit_restarts(default_train, config):
+            err = nn._forward_batch(nn._pack(model), 6, full_inputs) - full_targets
+            assert rmse == pytest.approx(math.sqrt(err @ err / err.size), rel=1e-12)
 
 
 class TestFitDayAhead:
