@@ -260,12 +260,6 @@ class EvalReport:
     improvement_percent: dict
     skipped_days: tuple
 
-    def daily(self, method: str) -> tuple:
-        return tuple(
-            (day, value) for day, label, value in self.per_day_rmse
-            if label == method
-        )
-
 
 def improvement(baseline: float, improved: float):
     if baseline <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientTrainingDays, UnsortedDistances
-from .timeseries import SolarSeries, day_context
+from .timeseries import SolarSeries
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,11 @@ class KnnModel:
 def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
     """Build one (context, target) pair per day with D full days of history.
 
-    A series of N days yields N - D pairs; training requires at least
-    D + k + 1 days so the predictor can always reach the (k+1)-th distance.
+    A series of N days yields N - D pairs: targets are rows D..N-1 of
+    `train.power`, and column block j of the contexts is rows j..N-D-1+j,
+    so each context is its target day's `day_context`. Training requires
+    at least D + k + 1 days so the predictor can always reach the (k+1)-th
+    distance.
     """
     needed = config.depth_days + config.neighbors + 1
     if train.num_days < needed:
@@ -84,13 +87,11 @@ def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
             f"weighted k-NN with D={config.depth_days}, k={config.neighbors} "
             f"needs >= {needed} training days, have {train.num_days}"
         )
-    first_eligible = train.first_index + config.depth_days
-    contexts = []
-    targets = []
-    for day_index in range(first_eligible, train.last_index + 1):
-        contexts.append(day_context(train, day_index, config.depth_days))
-        targets.append(train.day_by_index(day_index).samples)
-    return KnnModel(config=config, contexts=np.stack(contexts), targets=np.stack(targets))
+    depth = config.depth_days
+    power = train.power
+    pairs = train.num_days - depth
+    contexts = np.hstack([power[j : j + pairs] for j in range(depth)])
+    return KnnModel(config=config, contexts=contexts, targets=power[depth:])
 
 
 def neighbor_weights(sorted_distances) -> np.ndarray:

@@ -356,7 +356,7 @@ def _train_lm_arrays(
 def day_ahead_samples(train: SolarSeries, scale_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized training set over all eligible (day, slot) pairs:
     inputs [P(d-1, m), P(d-2, m)] / scale_max, target P(d, m) / scale_max."""
-    power = train.power_matrix()
+    power = train.power
     inputs = np.stack(
         [power[1:-1].ravel(), power[:-2].ravel()], axis=1
     ) / scale_max

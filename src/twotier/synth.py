@@ -19,13 +19,13 @@ differ in the last ulp of sin().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from typing import IO
 
 import numpy as np
 
 from .rng import SplitMix64
-from .timeseries import DayProfile, SamplingGrid, SolarSeries
+from .timeseries import SamplingGrid, SolarSeries
 
 SUNNY = "sunny"
 CLOUDY = "cloudy"
@@ -145,7 +145,7 @@ def generate(
     rng = SplitMix64(config.rng_seed if seed is None else seed)
     bell = clear_sky_profile(config, grid)
 
-    days = []
+    rows = []
     labels = []
     carry_level: float | None = None
     for i in range(num_days):
@@ -158,15 +158,10 @@ def generate(
         else:
             power = bell.copy()
             carry_level = None
-        days.append(
-            DayProfile(
-                day_index=i,
-                date=config.start_date + timedelta(days=i),
-                samples=np.round(power, 6),
-            )
-        )
+        rows.append(np.round(power, 6))
         labels.append(CLOUDY if cloudy else SUNNY)
-    return SynthResult(series=SolarSeries(grid, tuple(days)), labels=tuple(labels))
+    series = SolarSeries(grid, np.stack(rows), config.start_date)
+    return SynthResult(series=series, labels=tuple(labels))
 
 
 def write_labels_csv(result: SynthResult, sink: IO) -> None:

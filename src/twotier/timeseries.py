@@ -1,8 +1,10 @@
 """Per-day solar power series on a uniform sampling grid.
 
 Data model, CSV ingestion/export, chronological train/tune/test splitting,
-and context-vector extraction. All types are immutable after construction;
-sample arrays are stored read-only.
+and context-vector extraction. A series is one read-only days x slots
+power matrix; the date and day index of a row follow from its position,
+so a series cannot have a gap in its dates or indices. All types are
+immutable after construction; sample arrays are stored read-only.
 
 CSV schema (shared by every CLI-facing file): header ``timestamp,power_w``,
 one row per sample, ISO-8601 local timestamps aligned to the grid.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date, datetime, timedelta
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -36,7 +39,10 @@ NEGATIVE_POWER_TOLERANCE_W = 1.0
 
 
 def _freeze(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """`values` as a read-only float array, copied unless it is one."""
+    arr = np.asarray(values, dtype=float)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -76,82 +82,85 @@ class DayProfile:
     def __post_init__(self):
         if self.day_index < 0:
             raise ValueError("day_index must be non-negative")
-        arr = np.array(self.samples, dtype=float)
+        arr = _freeze(self.samples)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite sample in day {self.date.isoformat()}")
         if np.any(arr < 0):
             raise ValueError(f"negative sample in day {self.date.isoformat()}")
-        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
 
 @dataclass(frozen=True, eq=False)
 class SolarSeries:
-    """Chronologically consecutive day profiles sharing one grid."""
+    """Consecutive days of measured power sharing one grid: `power` is a
+    read-only (num_days, samples_per_day) array in watts whose row i is
+    the day dated `start` + i days, with day index `first_index` + i."""
 
     grid: SamplingGrid
-    days: tuple[DayProfile, ...]
+    power: np.ndarray
+    start: Date
+    first_index: int = 0
 
     def __post_init__(self):
-        days = tuple(self.days)
-        object.__setattr__(self, "days", days)
+        power = _freeze(self.power)
         m = self.grid.samples_per_day
-        for day in days:
-            if day.samples.size != m:
-                raise ValueError(
-                    f"day {day.date.isoformat()} has {day.samples.size} samples, "
-                    f"grid expects {m}"
-                )
-        for prev, cur in zip(days, days[1:]):
-            if (cur.date - prev.date).days != 1:
-                raise ValueError(
-                    f"days must be consecutive: gap between {prev.date} and {cur.date}"
-                )
-            if cur.day_index != prev.day_index + 1:
-                raise ValueError("day indices must increase by 1 per day")
+        if power.ndim != 2 or power.shape[1] != m:
+            raise ValueError(f"power shape {power.shape} is not days x {m} slots")
+        if self.start.toordinal() + len(power) - 1 > Date.max.toordinal():
+            raise ValueError(f"{len(power)} days from {self.start} run past {Date.max}")
+        for bad, kind in ((~np.isfinite(power), "non-finite"), (power < 0, "negative")):
+            if bad.any():
+                day = self.start + timedelta(days=int(bad.any(axis=1).argmax()))
+                raise ValueError(f"{kind} sample in day {day.isoformat()}")
+        object.__setattr__(self, "power", power)
 
     @property
     def num_days(self) -> int:
-        return len(self.days)
-
-    @property
-    def first_index(self) -> int:
-        return self.days[0].day_index
+        return len(self.power)
 
     @property
     def last_index(self) -> int:
-        return self.days[-1].day_index
+        return self.first_index + self.num_days - 1
+
+    @cached_property
+    def days(self) -> tuple[DayProfile, ...]:
+        """One DayProfile per row, sharing the row's memory."""
+        return tuple(
+            DayProfile(self.first_index + i, self.start + timedelta(days=i), row)
+            for i, row in enumerate(self.power)
+        )
 
     def day_by_index(self, day_index: int) -> DayProfile:
         pos = day_index - self.first_index
-        if not self.days or pos < 0 or pos >= len(self.days):
+        if pos < 0 or pos >= self.num_days:
             raise KeyError(f"day index {day_index} not in series")
         return self.days[pos]
 
     def day_by_date(self, date: Date) -> DayProfile:
-        pos = (date - self.days[0].date).days if self.days else -1
-        if pos < 0 or pos >= len(self.days):
+        pos = (date - self.start).days
+        if pos < 0 or pos >= self.num_days:
             raise KeyError(f"date {date.isoformat()} not in series")
         return self.days[pos]
 
-    def power_matrix(self) -> np.ndarray:
-        """(num_days, samples_per_day) array of measured power."""
-        return np.stack([d.samples for d in self.days])
-
     def max_power(self) -> float:
-        return float(max(float(d.samples.max()) for d in self.days))
+        return float(self.power.max())
 
     def subseries(self, start: int, stop: int) -> "SolarSeries":
-        """Days at positions [start, stop) with original day indices kept."""
-        return SolarSeries(self.grid, self.days[start:stop])
+        """Days at positions [start, stop), 0 <= start <= stop <= num_days,
+        with original day indices kept."""
+        return SolarSeries(
+            self.grid, self.power[start:stop],
+            self.start + timedelta(days=start), self.first_index + start,
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class DatasetSplit:
-    """Chronological train/tune/test partition of one series."""
+    """Chronological train/tune/test partition of `series`."""
 
+    series: SolarSeries
     train: SolarSeries
     tune: SolarSeries
     test: SolarSeries
@@ -159,18 +168,15 @@ class DatasetSplit:
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        if self.train.days and self.tune.days:
-            if self.train.days[-1].date >= self.tune.days[0].date:
-                raise ValueError("train days must all precede tune days")
-        if self.tune.days and self.test.days:
-            if self.tune.days[-1].date >= self.test.days[0].date:
-                raise ValueError("tune days must all precede test days")
+        for earlier, later in ((self.train, self.tune), (self.tune, self.test)):
+            if earlier.num_days and later.num_days and (
+                earlier.last_index >= later.first_index
+            ):
+                raise ValueError("split partitions must be in time order")
 
     def full_series(self) -> SolarSeries:
-        """Original series reassembled from the three partitions."""
-        return SolarSeries(
-            self.train.grid, self.train.days + self.tune.days + self.test.days
-        )
+        """The series the partitions were cut from."""
+        return self.series
 
 
 def _parse_timestamp(text: str, line_no: int) -> datetime:
@@ -250,30 +256,29 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     if not per_day:
         raise EmptyInput("no data rows after the header")
 
+    # Walk the dates present in order: the first one that is not the next
+    # calendar day, or that lacks a slot, names the first incomplete day.
     dates = sorted(per_day)
-    span_days = (dates[-1] - dates[0]).days + 1
-    profiles = []
-    for offset in range(span_days):
-        day = dates[0] + timedelta(days=offset)
-        slots = per_day.get(day)
-        if slots is None or len(slots) != grid.samples_per_day:
+    m = grid.samples_per_day
+    rows = []
+    for offset, day in enumerate(dates):
+        expected = dates[0] + timedelta(days=offset)
+        if day != expected:
+            raise IncompleteDay(expected)
+        slots = per_day[day]
+        if len(slots) != m:
             raise IncompleteDay(day)
-        profiles.append(
-            DayProfile(
-                day_index=offset,
-                date=day,
-                samples=[slots[i] for i in range(grid.samples_per_day)],
-            )
-        )
-    return SolarSeries(grid, tuple(profiles))
+        rows.append([slots[i] for i in range(m)])
+    return SolarSeries(grid, np.array(rows), dates[0])
 
 
 def export_csv(series: SolarSeries, sink: IO) -> None:
     """Write the mirror of `ingest_csv`: power values round-trip bit-exactly
     (shortest decimal representation that reparses to the same double)."""
     sink.write(CSV_HEADER + "\n")
-    for day in series.days:
-        for stamp, value in zip(series.grid.sample_times(day.date), day.samples):
+    for offset, row in enumerate(series.power):
+        day = series.start + timedelta(days=offset)
+        for stamp, value in zip(series.grid.sample_times(day), row):
             sink.write(f"{stamp.isoformat()},{float(value)!r}\n")
 
 
@@ -304,6 +309,7 @@ def split_chronological(
             f"({n_train}/{n_tune}/{n_test})"
         )
     return DatasetSplit(
+        series=series,
         train=series.subseries(0, n_train),
         tune=series.subseries(n_train, n_train + n_tune),
         test=series.subseries(n_train + n_tune, n),
@@ -314,8 +320,9 @@ def split_chronological(
 def day_context(
     series: SolarSeries, target_day: int, depth_days: int
 ) -> np.ndarray:
-    """Concatenate the `depth_days` full days before `target_day`, oldest
-    first. Length is depth_days * samples_per_day.
+    """The `depth_days` full days before `target_day`, oldest first, as one
+    vector: the matching rows of `series.power`, raveled. Length is
+    depth_days * samples_per_day.
 
     `target_day` may be one past the last stored day (forecasting the next
     unseen day from the freshest history).
@@ -328,7 +335,5 @@ def day_context(
             f"day {target_day} needs days {first_needed}..{target_day - 1}; "
             f"series covers {series.first_index}..{series.last_index}"
         )
-    chunks = [
-        series.day_by_index(i).samples for i in range(first_needed, target_day)
-    ]
-    return np.concatenate(chunks)
+    pos = first_needed - series.first_index
+    return series.power[pos : pos + depth_days].ravel()

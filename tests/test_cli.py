@@ -73,6 +73,15 @@ class TestSynth:
     def test_zero_days_is_usage_error(self, capsys):
         assert cli.main(["synth", "--days", "0"]) == 2
 
+    def test_days_past_date_max_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["synth", "--synth-start-date", "9999-12-30", "--days", "5",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 5 days from 9999-12-30 run past 9999-12-31\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["synth", "--out", str(a)]) == 0
@@ -141,6 +150,18 @@ class TestIngest:
         bad = tmp_path / "short.csv"
         bad.write_text("\n".join(lines[:-1]) + "\n")
         assert cli.main(["ingest", "--data", str(bad)]) == 3
+
+    def test_first_and_last_date_csv_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "ends.csv"
+        bad.write_text(
+            "timestamp,power_w\n"
+            "0001-01-01T00:00:00,0.0\n"
+            "9999-12-31T00:00:00,0.0\n"
+        )
+        assert cli.main(["ingest", "--data", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "0001-01-01" in err
+        assert err.count("\n") == 1
 
     def test_header_only_csv_exit_4(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -69,11 +69,43 @@ class TestDayProfile:
 
 
 class TestSolarSeries:
-    def test_rejects_date_gap(self):
-        a = DayProfile(0, Date(2015, 2, 15), [0.0] * 4)
-        b = DayProfile(1, Date(2015, 2, 17), [0.0] * 4)
+    GRID = SamplingGrid(sample_interval_seconds=21600)
+
+    def test_rejects_wrong_row_length(self):
+        with pytest.raises(ValueError, match="not days x 4 slots"):
+            SolarSeries(self.GRID, np.zeros((2, 5)), Date(2015, 2, 15))
+        with pytest.raises(ValueError, match="not days x 4 slots"):
+            SolarSeries(self.GRID, np.zeros(4), Date(2015, 2, 15))
+
+    def test_rejects_nan_naming_its_day(self):
+        power = np.zeros((3, 4))
+        power[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite sample in day 2015-02-16"):
+            SolarSeries(self.GRID, power, Date(2015, 2, 15))
+
+    def test_rejects_negative_naming_its_day(self):
+        power = np.zeros((3, 4))
+        power[2, 0] = -1e-9
+        with pytest.raises(ValueError, match="negative sample in day 2015-02-17"):
+            SolarSeries(self.GRID, power, Date(2015, 2, 15))
+
+    def test_rejects_end_past_date_max(self):
+        with pytest.raises(ValueError, match="run past 9999-12-31"):
+            SolarSeries(self.GRID, np.zeros((3, 4)), Date(9999, 12, 30))
+        last = SolarSeries(self.GRID, np.zeros((2, 4)), Date(9999, 12, 30))
+        assert last.days[-1].date == Date(9999, 12, 31)
+
+    def test_rows_are_read_only_day_views(self):
+        power = np.arange(8, dtype=float).reshape(2, 4)
+        series = SolarSeries(self.GRID, power, Date(2015, 2, 15), first_index=3)
+        power[0, 0] = 99.0  # the series keeps its own copy
+        assert series.power[0, 0] == 0.0
         with pytest.raises(ValueError):
-            SolarSeries(SamplingGrid(sample_interval_seconds=21600), (a, b))
+            series.power[0, 0] = 5.0
+        day = series.day_by_index(4)
+        assert (day.day_index, day.date) == (4, Date(2015, 2, 16))
+        assert np.shares_memory(day.samples, series.power)
+        assert series.days is series.days
 
     def test_day_lookup_by_index_and_date(self):
         series = make_series([[1, 2, 3, 4], [5, 6, 7, 8]], interval_seconds=21600)
@@ -136,6 +168,20 @@ class TestIngest:
         with pytest.raises(NegativePower):
             ingest_csv(io.StringIO(csv_for(rows)), SamplingGrid())
 
+    @pytest.mark.parametrize("rows_per_day", [1, 96])
+    def test_first_and_last_representable_dates(self, rows_per_day):
+        # a span of 3.65 million days: the missing day is found at once,
+        # before any span-sized allocation
+        grid = SamplingGrid()
+        lines = ["timestamp,power_w"]
+        for day in (Date(1, 1, 1), Date(9999, 12, 31)):
+            stamps = grid.sample_times(day)[:rows_per_day]
+            lines += [f"{t.isoformat()},0.0" for t in stamps]
+        with pytest.raises(IncompleteDay) as err:
+            ingest_csv("\n".join(lines) + "\n", grid)
+        expected = "0001-01-01" if rows_per_day == 1 else "0001-01-02"
+        assert expected in str(err.value)
+
     def test_accepts_bytes(self):
         text = csv_for([range(96)])
         series = ingest_csv(io.BytesIO(text.encode()), SamplingGrid())
@@ -190,7 +236,13 @@ class TestSplit:
         series = make_series(np.arange(10 * 96).reshape(10, 96))
         split = split_chronological(series, (0.6, 0.2, 0.2))
         full = split.full_series()
-        assert np.array_equal(full.power_matrix(), series.power_matrix())
+        assert np.array_equal(full.power, series.power)
+        parts = (split.train, split.tune, split.test)
+        assert np.array_equal(np.concatenate([p.power for p in parts]), full.power)
+        assert [p.first_index for p in parts] == [0, 6, 8]
+        assert [p.start for p in parts] == [
+            Date(2015, 2, 15), Date(2015, 2, 21), Date(2015, 2, 23)
+        ]
 
 
 class TestDayContext:
