@@ -28,7 +28,7 @@ from .errors import (
     TwoTierError,
     Underdetermined,
 )
-from .timeseries import day_context, export_csv, ingest_csv, split_chronological
+from .timeseries import export_csv, ingest_csv, read_text, split_chronological
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,10 +75,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
     """The text of a data or model file; undecodable bytes raise error."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
+    return read_text(path.read_bytes(), error, str(path))
 
 
 def _read_series(path: str, grid):
@@ -227,33 +224,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         target = series.day_by_date(args.day)
     except KeyError:
-        raise UnknownDate(
-            f"{args.day.isoformat()} is not in {args.data}"
-        ) from None
-    index = target.day_index
-    context = day_context(series, index, knn_model.config.depth_days)
-    try:
-        prev = series.day_by_index(index - 1)
-        prev_prev = series.day_by_index(index - 2)
-    except KeyError:
-        raise InsufficientHistory(
-            f"{args.day.isoformat()} lacks the two preceding days"
-        ) from None
-    forecasts = {
-        "knn": knn.predict_day(knn_model, context),
-        "nn": nn.predict_day(nn_model, prev, prev_prev),
-    }
+        raise UnknownDate(f"{args.day.isoformat()} is not in {args.data}") from None
+    sims = evaluation.replay_day(
+        series, target.day_index, knn_model, nn_model, window, harmonics
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, global_day in forecasts.items():
-        sim = correction.simulate_day(
-            global_day, target.samples, window, harmonics
-        )
+    for label, sim in sims.items():
         path = out_dir / f"trace-{label}-{args.day.isoformat()}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as sink:
             correction.write_trace_csv(sim, sink)
-        global_rmse = evaluation.rmse(global_day, target.samples)
-        corrected_rmse = evaluation.rmse(sim.corrected_series(), target.samples)
+        global_rmse = evaluation.rmse(sim.global_w, sim.measured_w)
+        corrected_rmse = evaluation.rmse(sim.corrected_w, sim.measured_w)
         gain = evaluation.improvement(global_rmse, corrected_rmse)
         shown = "n/a" if gain is None else f"{gain:.2f}%"
         print(

@@ -5,6 +5,10 @@ grid search against the tune split and reports per-axis tables whose
 worst (largest) entry is normalized to 1, the convention used when the
 tables are printed. Comparison replays the test split with each method
 and reports per-day scores, averages, and relative improvements.
+
+Each model's `forecast_day` reads the history it needs. `replay_day` is
+the one per-day path: both global forecasts of a day, each corrected by
+the local tier. Comparison and `simulate` replay days through it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     InsufficientTrainingDays,
     LengthMismatch,
 )
-from .timeseries import DatasetSplit, SolarSeries, day_context
+from .timeseries import DatasetSplit, SolarSeries
 
 METHOD_KNN = "knn"
 METHOD_NN = "nn"
@@ -115,15 +119,6 @@ class KnnTuneResult:
     cell_rmse: tuple  # ((depth, neighbors, rmse-or-None), ...) in grid order
 
 
-def _series_history_days(full: SolarSeries, day_index: int, depth: int):
-    """Context vector for one day, or raise InsufficientHistory."""
-    if day_index - depth < full.first_index:
-        raise InsufficientHistory(
-            f"day {day_index} lacks {depth} preceding days"
-        )
-    return day_context(full, day_index, depth)
-
-
 def _knn_cell(full: SolarSeries, train: SolarSeries, tune: SolarSeries,
               depth: int, neighbors: int):
     config = knn.KnnConfig(depth_days=depth, neighbors=neighbors)
@@ -131,14 +126,13 @@ def _knn_cell(full: SolarSeries, train: SolarSeries, tune: SolarSeries,
         model = knn.fit(train, config)
     except InsufficientTrainingDays:
         return None
-    scores = []
-    for day in tune.days:
-        try:
-            context = _series_history_days(full, day.day_index, depth)
-        except InsufficientHistory:
-            return None
-        predicted = knn.predict_day(model, context)
-        scores.append(rmse(predicted, day.samples))
+    try:
+        scores = [
+            rmse(knn.forecast_day(model, full, day.day_index), day.samples)
+            for day in tune.days
+        ]
+    except InsufficientHistory:
+        return None
     return sum(scores) / len(scores)
 
 
@@ -157,7 +151,7 @@ def tune_knn(
     neighbor_candidates = tuple(neighbor_candidates)
     if not depth_candidates or not neighbor_candidates:
         raise EmptyInput("candidate lists must be non-empty")
-    if tune_is_empty(split):
+    if split.tune.num_days == 0:
         raise EmptyInput("tune split has no days")
     full = split.full_series()
     cells = {}
@@ -200,10 +194,6 @@ def tune_knn(
     )
 
 
-def tune_is_empty(split: DatasetSplit) -> bool:
-    return split.tune.num_days == 0
-
-
 def tune_nn(
     split: DatasetSplit,
     hidden_candidates=DEFAULT_HIDDEN_CANDIDATES,
@@ -217,7 +207,7 @@ def tune_nn(
     hidden_candidates = tuple(hidden_candidates)
     if not hidden_candidates:
         raise EmptyInput("candidate list must be non-empty")
-    if tune_is_empty(split):
+    if split.tune.num_days == 0:
         raise EmptyInput("tune split has no days")
     if config is None:
         config = nn.NnConfig()
@@ -229,19 +219,12 @@ def tune_nn(
             restart_scores = []
             for model, _ in nn.fit_restarts(split.train, candidate_config):
                 scores = [
-                    rmse(
-                        nn.predict_day(
-                            model,
-                            full.day_by_index(day.day_index - 1),
-                            full.day_by_index(day.day_index - 2),
-                        ),
-                        day.samples,
-                    )
+                    rmse(nn.forecast_day(model, full, day.day_index), day.samples)
                     for day in split.tune.days
                 ]
                 restart_scores.append(sum(scores) / len(scores))
             raw.append(sum(restart_scores) / len(restart_scores))
-        except (InsufficientTrainingDays, KeyError):
+        except (InsufficientTrainingDays, InsufficientHistory):
             raw.append(None)
     return make_grid("hidden_neurons", hidden_candidates, raw)
 
@@ -267,6 +250,25 @@ def improvement(baseline: float, improved: float):
     return 100.0 * (baseline - improved) / baseline
 
 
+def replay_day(
+    series: SolarSeries, day_index: int, knn_model: knn.KnnModel, nn_model: nn.NnModel,
+    window_length: int = correction.DEFAULT_WINDOW,
+    harmonics: int = correction.DEFAULT_HARMONICS,
+) -> dict:
+    """Replay one day of `series` with both global tiers, each corrected
+    by the local tier: {"knn": DaySimulation, "nn": DaySimulation}.
+    Raises InsufficientHistory when either model lacks its history."""
+    measured = series.day_by_index(day_index).samples
+    forecasts = {
+        METHOD_KNN: knn.forecast_day(knn_model, series, day_index),
+        METHOD_NN: nn.forecast_day(nn_model, series, day_index),
+    }
+    return {
+        label: correction.simulate_day(forecast, measured, window_length, harmonics)
+        for label, forecast in forecasts.items()
+    }
+
+
 def compare_methods(
     full: SolarSeries,
     test: SolarSeries,
@@ -276,37 +278,24 @@ def compare_methods(
     harmonics: int = correction.DEFAULT_HARMONICS,
 ) -> EvalReport:
     """Replay every test day with both global tiers and their two-tier
-    counterparts. Days without enough preceding history are skipped and
-    listed in the report."""
+    counterparts. Days without enough preceding history for either model
+    are skipped and listed in the report with the reason."""
     if test.num_days == 0:
         raise EmptyInput("test split has no days")
-    depth = knn_model.config.depth_days
     rows = []
     skipped = []
     for day in test.days:
         try:
-            context = _series_history_days(full, day.day_index, max(depth, 2))
+            sims = replay_day(full, day.day_index, knn_model, nn_model,
+                              window_length, harmonics)
         except InsufficientHistory as exc:
             skipped.append((day.date, str(exc)))
             continue
-        knn_context = context[-depth * full.grid.samples_per_day :]
-        global_knn = knn.predict_day(knn_model, knn_context)
-        global_nn = nn.predict_day(
-            nn_model,
-            full.day_by_index(day.day_index - 1),
-            full.day_by_index(day.day_index - 2),
-        )
-        measured = day.samples
-        local_knn = correction.simulate_day(
-            global_knn, measured, window_length, harmonics
-        ).corrected_series()
-        local_nn = correction.simulate_day(
-            global_nn, measured, window_length, harmonics
-        ).corrected_series()
-        rows.append((day.date, METHOD_KNN, rmse(global_knn, measured)))
-        rows.append((day.date, METHOD_NN, rmse(global_nn, measured)))
-        rows.append((day.date, METHOD_KNN_LOCAL, rmse(local_knn, measured)))
-        rows.append((day.date, METHOD_NN_LOCAL, rmse(local_nn, measured)))
+        # METHOD_LABELS order: both global tiers, then both corrected
+        forecasts = [sim.global_w for sim in sims.values()]
+        forecasts += [sim.corrected_w for sim in sims.values()]
+        for label, forecast in zip(METHOD_LABELS, forecasts):
+            rows.append((day.date, label, rmse(forecast, day.samples)))
     if not rows:
         raise InsufficientHistory("every test day lacked usable history")
     averaged = {}
@@ -363,10 +352,7 @@ def write_grid_csv(grid: TuneGrid, sink) -> None:
 
 def render_report(report: EvalReport) -> str:
     lines = ["per-day RMSE (watts)"]
-    dates = []
-    for day, _, _ in report.per_day_rmse:
-        if day not in dates:
-            dates.append(day)
+    dates = dict.fromkeys(day for day, _, _ in report.per_day_rmse)
     width = max(len(label) for label in METHOD_LABELS)
     header = "date".ljust(10) + "  " + "  ".join(
         label.rjust(max(width, 9)) for label in METHOD_LABELS

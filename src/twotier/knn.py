@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientTrainingDays, UnsortedDistances
-from .timeseries import SolarSeries
+from .timeseries import SolarSeries, day_context
 
 
 @dataclass(frozen=True)
@@ -135,3 +135,9 @@ def predict_day(model: KnnModel, context) -> np.ndarray:
     weights = neighbor_weights(distances[order[: k + 1]])
     blend = weights @ model.targets[order[:k]] / weights.sum()
     return blend
+
+
+def forecast_day(model: KnnModel, series: SolarSeries, day_index: int) -> np.ndarray:
+    """Forecast day `day_index` from the D days of `series` before it;
+    raises InsufficientHistory when any of them is missing."""
+    return predict_day(model, day_context(series, day_index, model.config.depth_days))

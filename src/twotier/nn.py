@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InsufficientTrainingDays, SingularStep
+from .errors import GridMismatch, InsufficientHistory, InsufficientTrainingDays, SingularStep
 from .rng import SplitMix64, derive_seed
 from .timeseries import DayProfile, SolarSeries
 
@@ -454,3 +454,13 @@ def predict_day(
     inputs = np.stack([prev_day.samples, prev_prev_day.samples], axis=1) / model.scale_max
     outputs = _forward_batch(_pack(model), model.config.hidden_neurons, inputs)
     return np.maximum(outputs * model.scale_max, 0.0)
+
+
+def forecast_day(model: NnModel, series: SolarSeries, day_index: int) -> np.ndarray:
+    """Forecast day `day_index` from the two days of `series` before it;
+    raises InsufficientHistory when either of them is missing."""
+    try:
+        days = series.day_by_index(day_index - 1), series.day_by_index(day_index - 2)
+    except KeyError:
+        raise InsufficientHistory(f"day {day_index} lacks the two preceding days") from None
+    return predict_day(model, *days)

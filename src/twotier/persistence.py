@@ -28,6 +28,7 @@ from .errors import (
 )
 from .knn import KnnConfig, KnnModel
 from .nn import NnConfig, NnModel
+from .timeseries import read_text
 
 FORMAT_VERSION = 1
 MAGIC = "htm-model"
@@ -156,11 +157,15 @@ def _load_knn(scanner: _Scanner) -> KnnModel:
     target_length = scanner.keyed_int("target_length")
     if pairs < 1 or context_length < 1 or target_length < 1:
         raise InvariantViolation("pair table dimensions must be positive")
-    contexts = np.empty((pairs, context_length))
-    targets = np.empty((pairs, target_length))
-    for row in range(pairs):
-        contexts[row] = scanner.keyed_floats("context", context_length)
-        targets[row] = scanner.keyed_floats("target", target_length)
+    # trust the header's sizes only as far as the lines back them
+    if len(scanner.lines) - scanner.pos < 2 * pairs:
+        raise MalformedModelFile(f"file truncated: header promises {pairs} pairs")
+    rows = [
+        (scanner.keyed_floats("context", context_length),
+         scanner.keyed_floats("target", target_length))
+        for _ in range(pairs)
+    ]
+    contexts, targets = zip(*rows)
     scanner.done()
     try:
         config = KnnConfig(depth_days=depth, neighbors=neighbors)
@@ -210,15 +215,13 @@ def _load_nn(scanner: _Scanner) -> NnModel:
 
 
 def load_model(source):
-    """Parse a model document (string, or anything with .read).
+    """Parse a model document: a str, bytes, or a text or binary stream.
 
-    The checksum is verified before any payload parsing; nothing is
-    returned unless the whole file validates.
+    Bytes that are not UTF-8 raise MalformedModelFile. The checksum is
+    verified before any payload parsing; nothing is returned unless the
+    whole file validates.
     """
-    text = source if isinstance(source, str) else source.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
+    lines = read_text(source, MalformedModelFile).splitlines()
     scanner = _Scanner(lines)
 
     magic_line = scanner.next_line()

@@ -28,6 +28,7 @@ from .errors import (
     MalformedRow,
     NegativePower,
     TooFewDays,
+    TwoTierError,
 )
 
 SECONDS_PER_DAY = 86400
@@ -179,6 +180,18 @@ class DatasetSplit:
         return self.series
 
 
+def read_text(source, error: type[TwoTierError], name: str = "input") -> str:
+    """The text of a str, UTF-8 bytes, or a text or binary stream. Bytes
+    that are not UTF-8 raise `error` naming `name` and the bad byte."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8 text: byte {exc.start} is invalid") from None
+
+
 def _parse_timestamp(text: str, line_no: int) -> datetime:
     try:
         stamp = datetime.fromisoformat(text.strip())
@@ -193,16 +206,14 @@ def _parse_timestamp(text: str, line_no: int) -> datetime:
 def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     """Read the standard CSV schema into a validated SolarSeries.
 
-    `source` is a text or binary stream. Only complete days are accepted:
+    `source` is a str, bytes, or a text or binary stream; bytes that are
+    not UTF-8 raise MalformedRow. Only complete days are accepted:
     a day inside the covered date span with any slot missing (or never
     present at all) raises IncompleteDay naming that date. Readings in
     [-1 W, 0) clamp to zero; anything below -1 W raises NegativePower.
     A header with no data rows raises EmptyInput.
     """
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    text_lines = data.splitlines()
+    text_lines = read_text(source, MalformedRow).splitlines()
 
     step = grid.sample_interval_seconds
     per_day: dict[Date, dict[int, float]] = {}

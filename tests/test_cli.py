@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import replace_payload_line
 from twotier import cli, persistence
 from twotier.config import RunConfig, parse_config
 from twotier.knn import KnnModel
@@ -326,6 +327,22 @@ class TestSimulate:
         )
         assert code == 4
 
+    def test_nn_history_missing_exit_4(self, pipeline, tmp_path, capsys):
+        # with D = 1 the k-NN rule holds on the second day; the NN's does not
+        models = tmp_path / "models"
+        code = cli.main(
+            ["train", "--knn-depth-days", "1", "--nn-restarts", "1",
+             "--data", str(pipeline["data"]), "--out", str(models)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        code = cli.main(
+            ["simulate", "--models", str(models), "--data", str(pipeline["data"]),
+             "--day", "2015-02-16", "--out", str(tmp_path)]
+        )
+        assert code == 4
+        assert capsys.readouterr().err == "error: day 1 lacks the two preceding days\n"
+
     def test_models_from_other_grid_exit_3(self, pipeline, tmp_path, capsys):
         check_other_grid_exit_3(
             "simulate", pipeline, tmp_path, capsys,
@@ -375,6 +392,24 @@ class TestEvaluate:
              "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("old, new", [
+        ("pairs 25", "pairs 1000000000000"),
+        ("context_length 480", "context_length 10000000000"),
+        ("target_length 96", "target_length 10000000000"),
+    ])
+    def test_oversized_knn_header_exit_3(self, pipeline, tmp_path, capsys, old, new):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        path = models / "knn.htm-model"
+        path.write_text(replace_payload_line(path.read_text(), old, new))
+        code = cli.main(
+            ["evaluate", "--models", str(models),
+             "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_utf8_model_exit_3(self, pipeline, tmp_path, capsys):
         models = tmp_path / "models"

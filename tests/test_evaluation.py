@@ -1,13 +1,14 @@
 """RMSE, tuning grids, and the four-method comparison report."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_series
-from twotier import knn, nn
-from twotier.errors import EmptyInput, LengthMismatch
+from twotier import correction, knn, nn
+from twotier.errors import EmptyInput, InsufficientHistory, LengthMismatch
 from twotier.evaluation import (
     DEFAULT_DEPTH_CANDIDATES,
     DEFAULT_HIDDEN_CANDIDATES,
@@ -21,6 +22,7 @@ from twotier.evaluation import (
     make_grid,
     render_grid,
     render_report,
+    replay_day,
     rmse,
     tune_knn,
     tune_nn,
@@ -236,6 +238,86 @@ class TestCompareMethods:
         assert report.improvement_percent[(METHOD_KNN, METHOD_KNN_LOCAL)] is None
 
 
+class TestReplayDay:
+    def test_global_forecasts_corrected_by_local_tier(self, synth_split, fitted_models):
+        split, _ = synth_split
+        km, nm = fitted_models
+        full = split.full_series()
+        day = split.test.days[3]
+        sims = replay_day(full, day.day_index, km, nm, 8, 2)
+        forecasts = {
+            "knn": knn.forecast_day(km, full, day.day_index),
+            "nn": nn.forecast_day(nm, full, day.day_index),
+        }
+        assert list(sims) == list(forecasts)
+        for label, sim in sims.items():
+            forecast = forecasts[label]
+            want = correction.simulate_day(forecast, day.samples, 8, 2)
+            assert np.array_equal(sim.global_w, forecast)
+            assert np.array_equal(sim.measured_w, day.samples)
+            assert np.array_equal(sim.corrected_w, want.corrected_w)
+
+    def test_compare_methods_scores_replayed_days(self, synth_split, fitted_models):
+        split, _ = synth_split
+        km, nm = fitted_models
+        full = split.full_series()
+        report = compare_methods(full, split.test, km, nm)
+        rows = iter(report.per_day_rmse)
+        for day in split.test.days:
+            sims = replay_day(full, day.day_index, km, nm)
+            forecasts = [sims["knn"].global_w, sims["nn"].global_w,
+                         sims["knn"].corrected_w, sims["nn"].corrected_w]
+            for label, forecast in zip(
+                (METHOD_KNN, METHOD_NN, METHOD_KNN_LOCAL, METHOD_NN_LOCAL), forecasts
+            ):
+                assert next(rows) == (day.date, label, rmse(forecast, day.samples))
+
+
+class TestCompareMethodsSkips:
+    """Test days lacking a model's history are skipped with that model's
+    reason; 12 days of 4 slots split 7/2/3, test days 9-11."""
+
+    @pytest.fixture(scope="class")
+    def series_and_nn(self):
+        rows = np.random.default_rng(65).uniform(0, 900, (12, 4))
+        series = make_series(rows, interval_seconds=21600)
+        nm = nn.build(nn.NnConfig(hidden_neurons=3), seed=3, samples_per_day=4,
+                      scale_max=900.0)
+        return series, split_chronological(series, (0.6, 0.2, 0.2)), nm
+
+    def test_day_lacking_knn_history_skipped(self, series_and_nn):
+        series, split, nm = series_and_nn
+        km = knn.fit(series, knn.KnnConfig(depth_days=6, neighbors=2))
+        full = series.subseries(4, 12)  # day 9 needs days 3..8
+        report = compare_methods(full, split.test, km, nm)
+        reason = "day 9 needs days 3..8; series covers 4..11"
+        assert report.skipped_days == ((split.test.days[0].date, reason),)
+        with pytest.raises(InsufficientHistory) as err:
+            knn.forecast_day(km, full, 9)
+        assert str(err.value) == reason
+        scored = [day for day, _, _ in report.per_day_rmse]
+        assert scored == [d.date for d in split.test.days[1:] for _ in range(4)]
+        assert f"skipped 2015-02-24: {reason}" in render_report(report).splitlines()
+        buf = io.StringIO()
+        write_report_csv(report, buf)
+        assert buf.getvalue().splitlines()[-1] == f"skipped,2015-02-24,{reason}"
+
+    def test_day_lacking_nn_history_skipped(self, series_and_nn):
+        series, split, nm = series_and_nn
+        km = knn.fit(series, knn.KnnConfig(depth_days=1, neighbors=2))
+        full = series.subseries(8, 12)  # day 9 has day 8 but not day 7
+        report = compare_methods(full, split.test, km, nm)
+        reason = "day 9 lacks the two preceding days"
+        assert report.skipped_days == ((split.test.days[0].date, reason),)
+        assert len(report.per_day_rmse) == 2 * 4
+
+    def test_every_day_skipped_raises(self, series_and_nn):
+        series, split, nm = series_and_nn
+        km = knn.fit(series, knn.KnnConfig(depth_days=6, neighbors=2))
+        with pytest.raises(InsufficientHistory, match="every test day"):
+            compare_methods(series.subseries(8, 12), split.test, km, nm)
+
+
 class TestRendering:
     def test_render_grid_contains_footnote(self):
         grid = make_grid("hidden neurons", (3, 4), (2499.54, 3100.0))
@@ -245,8 +327,6 @@ class TestRendering:
         assert "best" in text
 
     def test_report_csv_round_trip_arithmetic(self, synth_split, fitted_models):
-        import io
-
         split, _ = synth_split
         km, nm = fitted_models
         report = compare_methods(split.full_series(), split.test, km, nm)

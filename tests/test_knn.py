@@ -11,10 +11,19 @@ import pytest
 from conftest import make_series
 from twotier.errors import (
     DimensionMismatch,
+    InsufficientHistory,
     InsufficientTrainingDays,
     UnsortedDistances,
 )
-from twotier.knn import KnnConfig, KnnModel, fit, neighbor_weights, predict_day
+from twotier.knn import (
+    KnnConfig,
+    KnnModel,
+    fit,
+    forecast_day,
+    neighbor_weights,
+    predict_day,
+)
+from twotier.timeseries import day_context
 
 
 def oracle_predict(contexts, targets, query, k):
@@ -186,3 +195,24 @@ class TestPredict:
             query * 3.5,
         )
         assert set(np.nonzero(base)[0]) == set(np.nonzero(scaled)[0])
+
+
+class TestForecastDay:
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_equals_predict_on_day_context(self, depth):
+        rows = np.random.default_rng(14).uniform(0, 900, (12, 4))
+        series = make_series(rows, interval_seconds=21600, first_index=3)
+        model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
+        # every day with D preceding days, and the day after the last one
+        for day in range(3 + depth, 3 + 12 + 1):
+            want = predict_day(model, day_context(series, day, depth))
+            assert np.array_equal(forecast_day(model, series, day), want)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_first_day_without_d_preceding_days_raises(self, depth):
+        rows = np.random.default_rng(15).uniform(0, 900, (12, 4))
+        series = make_series(rows, interval_seconds=21600, first_index=3)
+        model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
+        forecast_day(model, series, 3 + depth)
+        with pytest.raises(InsufficientHistory, match=f"day {2 + depth} needs"):
+            forecast_day(model, series, 2 + depth)

@@ -12,7 +12,12 @@ import pytest
 
 from conftest import make_series
 from twotier import nn
-from twotier.errors import GridMismatch, InsufficientTrainingDays, SingularStep
+from twotier.errors import (
+    GridMismatch,
+    InsufficientHistory,
+    InsufficientTrainingDays,
+    SingularStep,
+)
 from twotier.nn import (
     DAMPING_CAP,
     NnConfig,
@@ -524,3 +529,28 @@ class TestPredictDay:
         series = make_series(np.zeros((2, 4)), interval_seconds=21600)
         with pytest.raises(GridMismatch):
             predict_day(model, series.days[1], series.days[0])
+
+
+class TestForecastDay:
+    @pytest.fixture(scope="class")
+    def model_and_series(self):
+        rows = np.random.default_rng(24).uniform(0, 900, (8, 4))
+        series = make_series(rows, interval_seconds=21600, first_index=5)
+        model = build(NnConfig(hidden_neurons=3), seed=2, samples_per_day=4,
+                      scale_max=900.0)
+        return model, series
+
+    def test_equals_predict_on_two_preceding_days(self, model_and_series):
+        model, series = model_and_series
+        for day in range(7, 5 + 8 + 1):
+            want = predict_day(
+                model, series.day_by_index(day - 1), series.day_by_index(day - 2)
+            )
+            assert np.array_equal(nn.forecast_day(model, series, day), want)
+
+    @pytest.mark.parametrize("day", [5, 6, 5 + 8 + 1])
+    def test_missing_preceding_day_raises(self, model_and_series, day):
+        # 6 lacks day 4, 5 lacks 3 and 4, 14 lacks day 13
+        model, series = model_and_series
+        with pytest.raises(InsufficientHistory, match=f"day {day} lacks"):
+            nn.forecast_day(model, series, day)

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import replace_payload_line
 from twotier.errors import (
     ChecksumMismatch,
     InvariantViolation,
     MalformedModelFile,
+    PersistenceError,
     UnsupportedVersion,
 )
 from twotier.knn import KnnConfig, KnnModel
@@ -100,18 +102,8 @@ class TestIntegrity:
             load_model(io.StringIO(text.replace("kind knn", "kind svm")))
 
     def test_negative_field_rejected(self):
-        import hashlib
-
         text = render_model(small_knn_model())
-        lines = text.splitlines()
-        payload_start = 3
-        payload = [
-            line.replace("depth_days 2", "depth_days -2")
-            for line in lines[payload_start:]
-        ]
-        body = "\n".join(payload) + "\n"
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        rebuilt = "\n".join(lines[:2] + [f"sha256 {digest}"] + payload) + "\n"
+        rebuilt = replace_payload_line(text, "depth_days 2", "depth_days -2")
         with pytest.raises(InvariantViolation):
             load_model(io.StringIO(rebuilt))
 
@@ -123,6 +115,32 @@ class TestIntegrity:
     def test_empty_file(self):
         with pytest.raises(MalformedModelFile):
             load_model(io.StringIO(""))
+
+    @pytest.mark.parametrize("old, new", [
+        ("pairs 3", "pairs 1000000000000"),
+        ("context_length 2", "context_length 10000000000"),
+        ("target_length 1", "target_length 10000000000"),
+    ])
+    def test_oversized_knn_header_rejected_without_allocating(self, old, new):
+        # a small file with a valid checksum whose header promises a huge
+        # pair table is rejected from its lines, not by a failed allocation
+        text = replace_payload_line(render_model(small_knn_model()), old, new)
+        assert len(text) < 300
+        with pytest.raises(PersistenceError):
+            load_model(text)
+
+    def test_bytes_and_binary_stream_load(self):
+        text = render_model(small_knn_model())
+        for source in (text.encode("utf-8"), io.BytesIO(text.encode("utf-8"))):
+            assert np.array_equal(load_model(source).contexts, small_knn_model().contexts)
+
+    def test_non_utf8_bytes_name_the_offset(self):
+        data = render_model(small_knn_model()).encode("utf-8")
+        bad = data[:20] + b"\xff" + data[20:]
+        for source in (bad, io.BytesIO(bad)):
+            with pytest.raises(MalformedModelFile) as err:
+                load_model(source)
+            assert str(err.value) == "input is not UTF-8 text: byte 20 is invalid"
 
 
 class TestGoldenFixture:

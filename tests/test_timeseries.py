@@ -186,6 +186,15 @@ class TestIngest:
         text = csv_for([range(96)])
         series = ingest_csv(io.BytesIO(text.encode()), SamplingGrid())
         assert series.num_days == 1
+        assert ingest_csv(text.encode(), SamplingGrid()).num_days == 1
+
+    def test_non_utf8_bytes_name_the_offset(self):
+        # the header and timestamp take bytes 0-37, so byte 38 is 0xff
+        data = b"timestamp,power_w\n2015-02-15T00:00:00,\xff\n"
+        for source in (data, io.BytesIO(data)):
+            with pytest.raises(MalformedRow) as err:
+                ingest_csv(source, SamplingGrid())
+            assert str(err.value) == "input is not UTF-8 text: byte 38 is invalid"
 
 
 def test_export_ingest_identity():
