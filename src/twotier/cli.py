@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date as Date
+from datetime import date as Date, timedelta
 from pathlib import Path
 
 from . import correction, evaluation, knn, nn, persistence, synth
@@ -138,8 +138,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _run_config(args)
     series = _read_series(args.data, config.grid())
-    first = series.days[0].date
-    last = series.days[-1].date
+    first = series.start
+    last = series.start + timedelta(days=series.num_days - 1)
     print(
         f"{series.num_days} days from {first.isoformat()} to {last.isoformat()}, "
         f"{series.grid.samples_per_day} samples/day, "

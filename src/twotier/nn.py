@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InsufficientHistory, InsufficientTrainingDays, SingularStep
+from .errors import GridMismatch, InsufficientTrainingDays, SingularStep
 from .rng import SplitMix64, derive_seed
-from .timeseries import DayProfile, SolarSeries
+from .timeseries import DayProfile, SolarSeries, require_history
 
 INPUT_WIDTH = 2
 DAMPING_CAP = 1e10
@@ -459,8 +459,7 @@ def predict_day(
 def forecast_day(model: NnModel, series: SolarSeries, day_index: int) -> np.ndarray:
     """Forecast day `day_index` from the two days of `series` before it;
     raises InsufficientHistory when either of them is missing."""
-    try:
-        days = series.day_by_index(day_index - 1), series.day_by_index(day_index - 2)
-    except KeyError:
-        raise InsufficientHistory(f"day {day_index} lacks the two preceding days") from None
-    return predict_day(model, *days)
+    require_history(series, day_index, 2)
+    return predict_day(
+        model, series.day_by_index(day_index - 1), series.day_by_index(day_index - 2)
+    )

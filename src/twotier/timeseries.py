@@ -125,25 +125,28 @@ class SolarSeries:
     def last_index(self) -> int:
         return self.first_index + self.num_days - 1
 
+    def _day(self, pos: int) -> DayProfile:
+        """Row `pos` as a DayProfile sharing the row's memory."""
+        return DayProfile(
+            self.first_index + pos, self.start + timedelta(days=pos), self.power[pos]
+        )
+
     @cached_property
     def days(self) -> tuple[DayProfile, ...]:
         """One DayProfile per row, sharing the row's memory."""
-        return tuple(
-            DayProfile(self.first_index + i, self.start + timedelta(days=i), row)
-            for i, row in enumerate(self.power)
-        )
+        return tuple(self._day(pos) for pos in range(self.num_days))
 
     def day_by_index(self, day_index: int) -> DayProfile:
         pos = day_index - self.first_index
         if pos < 0 or pos >= self.num_days:
             raise KeyError(f"day index {day_index} not in series")
-        return self.days[pos]
+        return self._day(pos)
 
     def day_by_date(self, date: Date) -> DayProfile:
         pos = (date - self.start).days
         if pos < 0 or pos >= self.num_days:
             raise KeyError(f"date {date.isoformat()} not in series")
-        return self.days[pos]
+        return self._day(pos)
 
     def max_power(self) -> float:
         return float(self.power.max())
@@ -203,6 +206,16 @@ def _parse_timestamp(text: str, line_no: int) -> datetime:
     return stamp
 
 
+def _clock(grid: SamplingGrid) -> list[str]:
+    """The `THH:MM:SS,` that follows the date in each slot's CSV line, in
+    slot order: the one definition of the canonical line's time part."""
+    return [stamp.isoformat()[10:] + "," for stamp in grid.sample_times(Date(2000, 1, 1))]
+
+
+# Besides "\n", the ASCII characters `str.splitlines` breaks a line on.
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
 def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     """Read the standard CSV schema into a validated SolarSeries.
 
@@ -212,8 +225,64 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     present at all) raises IncompleteDay naming that date. Readings in
     [-1 W, 0) clamp to zero; anything below -1 W raises NegativePower.
     A header with no data rows raises EmptyInput.
+
+    Text in `export_csv`'s exact form is read a whole day at a time; any
+    other text goes through the per-line parser, with the same result.
     """
-    text_lines = read_text(source, MalformedRow).splitlines()
+    text = read_text(source, MalformedRow)
+    series = _ingest_canonical(text, grid)
+    return series if series is not None else _ingest_lines(text, grid)
+
+
+def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
+    """The series of `text` when it is in `export_csv`'s exact form and
+    every value is accepted, else None. Where it returns a series,
+    `_ingest_lines` returns an equal one."""
+    head = CSV_HEADER + "\n"
+    rows = text.count("\n") - 1
+    m = grid.samples_per_day
+    if (
+        rows <= 0
+        or rows % m
+        or not text.startswith(head)
+        or not text.endswith("\n")
+        # an early out: a canonical line has one comma, at column 19
+        or text.count(",") != rows + 1
+        or not text.isascii()
+        or any(char in text for char in _OTHER_LINE_BREAKS)
+    ):
+        return None
+    num_days = rows // m
+    try:
+        start = Date.fromisoformat(text[len(head) : len(head) + 10])
+    except ValueError:
+        return None
+    if start.toordinal() + num_days - 1 > Date.max.toordinal():
+        return None
+
+    lines = text[len(head) : -1].split("\n")
+    clock = _clock(grid)
+    power = np.empty((num_days, m))
+    for offset in range(num_days):
+        day = Date.fromordinal(start.toordinal() + offset).isoformat()
+        chunk = lines[offset * m : (offset + 1) * m]
+        if [line[:20] for line in chunk] != [day + time for time in clock]:
+            return None
+        values = [line[20:] for line in chunk]
+        try:
+            power[offset] = np.fromiter(map(float, values), float, m)
+        except ValueError:
+            return None
+    if not np.isfinite(power).all() or (power < -NEGATIVE_POWER_TOLERANCE_W).any():
+        return None
+    power[power < 0] = 0.0  # keeps -0.0, as max(-0.0, 0.0) does
+    return SolarSeries(grid, power, start)
+
+
+def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
+    """`ingest_csv` one line at a time: the path for every input, and the
+    reference that the whole-day path must agree with."""
+    text_lines = text.splitlines()
 
     step = grid.sample_interval_seconds
     per_day: dict[Date, dict[int, float]] = {}
@@ -285,12 +354,14 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
 
 def export_csv(series: SolarSeries, sink: IO) -> None:
     """Write the mirror of `ingest_csv`: power values round-trip bit-exactly
-    (shortest decimal representation that reparses to the same double)."""
+    (shortest decimal representation that reparses to the same double).
+    This exact form is the one `ingest_csv` reads a whole day at a time."""
     sink.write(CSV_HEADER + "\n")
+    clock = _clock(series.grid)
     for offset, row in enumerate(series.power):
-        day = series.start + timedelta(days=offset)
-        for stamp, value in zip(series.grid.sample_times(day), row):
-            sink.write(f"{stamp.isoformat()},{float(value)!r}\n")
+        day = (series.start + timedelta(days=offset)).isoformat()
+        lines = (f"{day}{time}{value!r}\n" for time, value in zip(clock, row.tolist()))
+        sink.write("".join(lines))
 
 
 def split_chronological(
@@ -340,11 +411,30 @@ def day_context(
     """
     if depth_days < 1:
         raise ValueError("depth_days must be >= 1")
+    require_history(series, target_day, depth_days)
+    pos = target_day - depth_days - series.first_index
+    return series.power[pos : pos + depth_days].ravel()
+
+
+def require_history(series: SolarSeries, target_day: int, depth_days: int) -> None:
+    """Raise InsufficientHistory, naming dates, unless `series` holds the
+    `depth_days` days before day `target_day`."""
     first_needed = target_day - depth_days
     if first_needed < series.first_index or target_day - 1 > series.last_index:
+        days = (target_day, first_needed, target_day - 1, series.first_index, series.last_index)
         raise InsufficientHistory(
-            f"day {target_day} needs days {first_needed}..{target_day - 1}; "
-            f"series covers {series.first_index}..{series.last_index}"
+            "{} needs {}..{}; series covers {}..{}".format(
+                *(_date_text(series, day) for day in days)
+            )
         )
-    pos = first_needed - series.first_index
-    return series.power[pos : pos + depth_days].ravel()
+
+
+def _date_text(series: SolarSeries, day_index: int) -> str:
+    """The ISO date of day `day_index`, which may lie outside the series;
+    off the calendar, how far before 0001-01-01 or after 9999-12-31."""
+    ordinal = series.start.toordinal() + day_index - series.first_index
+    if ordinal < 1:
+        return f"{1 - ordinal} day(s) before {Date.min.isoformat()}"
+    if ordinal > Date.max.toordinal():
+        return f"{ordinal - Date.max.toordinal()} day(s) after {Date.max.isoformat()}"
+    return Date.fromordinal(ordinal).isoformat()

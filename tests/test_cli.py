@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
+import hashlib
 import shlex
 import shutil
 import time
@@ -94,6 +95,16 @@ class TestSynth:
         assert cli.main(["synth", "--out", str(a), "--seed", "1"]) == 0
         assert cli.main(["synth", "--out", str(b), "--seed", "2"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("days, digest", [
+        ([], "f641af16498e3942dc2b21a4a480ab8107e54896be596fba49611c72efa65ee3"),
+        (["--days", "365"], "86f75190f63f81677819dfa7242a1a61201131f51ea37967c1f1889beb4744d6"),
+    ])
+    def test_seed_1_bytes_pinned(self, tmp_path, days, digest):
+        # the exported CSV's exact bytes, as written by the per-sample writer
+        out = tmp_path / "d.csv"
+        assert cli.main(["synth", "--seed", "1", *days, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestConfigHandling:
@@ -341,7 +352,10 @@ class TestSimulate:
              "--day", "2015-02-16", "--out", str(tmp_path)]
         )
         assert code == 4
-        assert capsys.readouterr().err == "error: day 1 lacks the two preceding days\n"
+        assert capsys.readouterr().err == (
+            "error: 2015-02-16 needs 2015-02-14..2015-02-15; "
+            "series covers 2015-02-15..2015-04-05\n"
+        )
 
     def test_models_from_other_grid_exit_3(self, pipeline, tmp_path, capsys):
         check_other_grid_exit_3(

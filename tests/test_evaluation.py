@@ -290,7 +290,7 @@ class TestCompareMethodsSkips:
         km = knn.fit(series, knn.KnnConfig(depth_days=6, neighbors=2))
         full = series.subseries(4, 12)  # day 9 needs days 3..8
         report = compare_methods(full, split.test, km, nm)
-        reason = "day 9 needs days 3..8; series covers 4..11"
+        reason = "2015-02-24 needs 2015-02-18..2015-02-23; series covers 2015-02-19..2015-02-26"
         assert report.skipped_days == ((split.test.days[0].date, reason),)
         with pytest.raises(InsufficientHistory) as err:
             knn.forecast_day(km, full, 9)
@@ -307,7 +307,7 @@ class TestCompareMethodsSkips:
         km = knn.fit(series, knn.KnnConfig(depth_days=1, neighbors=2))
         full = series.subseries(8, 12)  # day 9 has day 8 but not day 7
         report = compare_methods(full, split.test, km, nm)
-        reason = "day 9 lacks the two preceding days"
+        reason = "2015-02-24 needs 2015-02-22..2015-02-23; series covers 2015-02-23..2015-02-26"
         assert report.skipped_days == ((split.test.days[0].date, reason),)
         assert len(report.per_day_rmse) == 2 * 4
 

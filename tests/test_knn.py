@@ -214,5 +214,8 @@ class TestForecastDay:
         series = make_series(rows, interval_seconds=21600, first_index=3)
         model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
         forecast_day(model, series, 3 + depth)
-        with pytest.raises(InsufficientHistory, match=f"day {2 + depth} needs"):
+        with pytest.raises(InsufficientHistory) as err:
             forecast_day(model, series, 2 + depth)
+        needed = {1: "2015-02-18 needs 2015-02-17..2015-02-17",
+                  3: "2015-02-20 needs 2015-02-17..2015-02-19"}[depth]
+        assert str(err.value) == f"{needed}; series covers 2015-02-18..2015-03-01"

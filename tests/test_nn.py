@@ -6,6 +6,7 @@ straightforward LM loop that recomputes everything at every iteration.
 """
 
 import math
+from datetime import date as Date
 
 import numpy as np
 import pytest
@@ -552,5 +553,23 @@ class TestForecastDay:
     def test_missing_preceding_day_raises(self, model_and_series, day):
         # 6 lacks day 4, 5 lacks 3 and 4, 14 lacks day 13
         model, series = model_and_series
-        with pytest.raises(InsufficientHistory, match=f"day {day} lacks"):
+        with pytest.raises(InsufficientHistory) as err:
             nn.forecast_day(model, series, day)
+        needed = {5: "2015-02-20 needs 2015-02-18..2015-02-19",
+                  6: "2015-02-21 needs 2015-02-19..2015-02-20",
+                  14: "2015-03-01 needs 2015-02-27..2015-02-28"}[day]
+        assert str(err.value) == f"{needed}; series covers 2015-02-20..2015-02-27"
+
+    @pytest.mark.parametrize("start, day, message", [
+        (Date.min, 0, "0001-01-01 needs 2 day(s) before 0001-01-01..1 day(s) before "
+         "0001-01-01; series covers 0001-01-01..0001-01-08"),
+        (Date(9999, 12, 24), 9, "2 day(s) after 9999-12-31 needs 9999-12-31..1 day(s) "
+         "after 9999-12-31; series covers 9999-12-24..9999-12-31"),
+    ], ids=["before-date-min", "after-date-max"])
+    def test_dates_off_the_calendar_named(self, model_and_series, start, day, message):
+        model, series = model_and_series
+        edge = make_series(series.power, start=start, interval_seconds=21600)
+        nn.forecast_day(model, edge, 8)  # the day after the last has its history
+        with pytest.raises(InsufficientHistory) as err:
+            nn.forecast_day(model, edge, day)
+        assert str(err.value) == message

@@ -17,8 +17,11 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from twotier import correction, knn, nn, persistence  # noqa: E402
 from twotier.errors import NumericalFailure, TwoTierError  # noqa: E402
 from twotier.timeseries import (  # noqa: E402
+    CSV_HEADER,
     SamplingGrid,
     SolarSeries,
+    _ingest_canonical,
+    _ingest_lines,
     day_context,
     export_csv,
     ingest_csv,
@@ -153,6 +156,168 @@ def test_export_ingest_round_trip_is_bit_exact(series):
     assert back.power.tobytes() == series.power.tobytes()  # -0.0 included
     assert back.start == series.start
     assert back.num_days == series.num_days
+
+
+def export_per_sample(series, sink):
+    """Reference writer: one timestamp and one write per sample."""
+    sink.write(CSV_HEADER + "\n")
+    for offset, row in enumerate(series.power):
+        day = series.start + timedelta(days=offset)
+        for stamp, value in zip(series.grid.sample_times(day), row):
+            sink.write(f"{stamp.isoformat()},{float(value)!r}\n")
+
+
+@PROPERTY
+@given(solar_series(elements=st.floats(min_value=-0.0, allow_infinity=False)))
+def test_export_matches_per_sample_writer(series):
+    fast, reference = io.StringIO(), io.StringIO()
+    export_csv(series, fast)
+    export_per_sample(series, reference)
+    assert fast.getvalue() == reference.getvalue()
+
+
+# Values that a whole-day reader could get wrong: line breaks and
+# whitespace `float` or `str.splitlines` treat specially, forms only
+# Python's `float` accepts, the clamp and rejection bounds, non-finite.
+NAMED_VALUES = ["\r1.5", "\x0b1.5", "\x851.5", " 1.5", "1_0", "+1.5", "-0.0",
+                "-0.5", "-1.5", "nan", "inf", "1e400"]
+
+
+def ingest_outcome(parse, text, grid):
+    """What `parse` makes of `text`: the series' exact bits and start, or
+    the error's type and message."""
+    try:
+        series = parse(text, grid)
+    except TwoTierError as exc:
+        return type(exc), str(exc)
+    return series.power.tobytes(), series.start, series.num_days
+
+
+@st.composite
+def canonical_series(draw):
+    """A series whose export is canonical, at the calendar's edges too."""
+    grid = SamplingGrid(sample_interval_seconds=draw(st.sampled_from([900, 3600, 86400])))
+    days = draw(st.integers(min_value=1, max_value=4))
+    last_start = Date.max - timedelta(days=days - 1)
+    start = draw(st.one_of(
+        st.just(Date.min), st.just(last_start), st.dates(max_value=last_start)
+    ))
+    power = draw(arrays(float, (days, grid.samples_per_day), elements=non_negative))
+    return SolarSeries(grid, power, start)
+
+
+def exported(series):
+    sink = io.StringIO()
+    export_csv(series, sink)
+    return sink.getvalue()
+
+
+def replace_value(text, line, value):
+    lines = text.split("\n")
+    lines[line] = lines[line].split(",")[0] + "," + value
+    return "\n".join(lines)
+
+
+def swap_lines(text, i, j):
+    lines = text.split("\n")
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def delete_line(text, i):
+    lines = text.split("\n")
+    del lines[i]
+    return "\n".join(lines)
+
+
+def duplicate_line(text, i):
+    lines = text.split("\n")
+    lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+mutant_values = st.one_of(
+    st.sampled_from(NAMED_VALUES), st.floats().map(repr), st.text(max_size=6)
+)
+
+
+@st.composite
+def mutated_csv(draw):
+    """Canonical export text with a few random edits, and its grid."""
+    series = draw(canonical_series())
+    text = exported(series)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        lines = text.count("\n") + 1
+        position = draw(st.integers(min_value=0, max_value=len(text)))
+        line = draw(st.integers(min_value=0, max_value=lines - 1))
+        other = draw(st.integers(min_value=0, max_value=lines - 1))
+        text = draw(st.sampled_from([
+            lambda: text[:position] + draw(st.characters()) + text[position:],
+            lambda: text[:position] + text[position + 1:],
+            lambda: replace_value(text, line, draw(mutant_values)),
+            lambda: swap_lines(text, line, other),
+            lambda: delete_line(text, line),
+            lambda: duplicate_line(text, line),
+            lambda: text.replace("\n", "\r\n"),
+            lambda: text[:-1],
+            lambda: "\ufeff" + text,
+        ]))()
+    return text, series.grid
+
+
+@PROPERTY
+@given(mutated_csv())
+def test_ingest_equals_per_line_parser(case):
+    text, grid = case
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+
+
+@PROPERTY
+@given(canonical_series())
+def test_unmutated_export_takes_the_whole_day_path(series):
+    text = exported(series)
+    fast = _ingest_canonical(text, series.grid)
+    assert fast is not None
+    assert fast.power.tobytes() == series.power.tobytes()
+    assert fast.start == series.start
+
+
+# Edits of whole lines and line ends; -2 is the last row, -1 the empty
+# string after the final "\n".
+LINE_EDITS = {
+    "delete first row": lambda text: delete_line(text, 1),
+    "delete last row": lambda text: delete_line(text, -2),
+    "duplicate last row": lambda text: duplicate_line(text, -2),
+    "swap last two rows": lambda text: swap_lines(text, -3, -2),
+    "swap first and last row": lambda text: swap_lines(text, 1, -2),
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    "no final newline": lambda text: text[:-1],
+    "no final newline after a duplicated last row": lambda text: duplicate_line(text, -2)[:-1],
+    "blank last line": lambda text: text + "\n",
+    "text after the final newline": lambda text: text + "0",
+    "BOM": lambda text: "\ufeff" + text,
+    "space before the first row": lambda text: text.replace("\n", "\n ", 1),
+    "tab after the last value": lambda text: text[:-1] + "\t\n",
+}
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+@pytest.mark.parametrize("interval", [900, 3600, 86400])
+@pytest.mark.parametrize("start", [Date.min, Date(2015, 2, 15), Date.max - timedelta(days=2)])
+def test_line_edit_ingests_as_per_line_parser(edit, interval, start):
+    grid = SamplingGrid(sample_interval_seconds=interval)
+    series = SolarSeries(grid, np.arange(3.0 * grid.samples_per_day).reshape(3, -1), start)
+    text = LINE_EDITS[edit](exported(series))
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+
+
+@pytest.mark.parametrize("value", NAMED_VALUES)
+@pytest.mark.parametrize("line", [1, 2, 24])
+def test_named_value_ingests_as_per_line_parser(value, line):
+    grid = SamplingGrid(sample_interval_seconds=3600)
+    series = SolarSeries(grid, np.arange(48.0).reshape(2, 24), Date(2015, 2, 15))
+    text = replace_value(exported(series), line, value)
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
 
 
 @st.composite

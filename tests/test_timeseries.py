@@ -115,6 +115,7 @@ class TestSolarSeries:
             series.day_by_index(7)
         with pytest.raises(KeyError):
             series.day_by_date(Date(2020, 1, 1))
+        assert "days" not in vars(series)  # a lookup builds only its own day
 
 
 class TestIngest:
@@ -276,6 +277,21 @@ class TestDayContext:
         series = make_series(np.zeros((4, 4)), interval_seconds=21600)
         with pytest.raises(InsufficientHistory):
             day_context(series, 2, 3)
+
+    @pytest.mark.parametrize("start, target, depth, message", [
+        (Date(2015, 2, 15), 2, 3,
+         "2015-02-17 needs 2015-02-14..2015-02-16; series covers 2015-02-15..2015-02-18"),
+        (Date.min, 1, 3, "0001-01-02 needs 2 day(s) before 0001-01-01..0001-01-01; "
+         "series covers 0001-01-01..0001-01-04"),
+        (Date(9999, 12, 28), 5, 1, "2 day(s) after 9999-12-31 needs 1 day(s) after "
+         "9999-12-31..1 day(s) after 9999-12-31; series covers 9999-12-28..9999-12-31"),
+    ], ids=["in-calendar", "before-date-min", "after-date-max"])
+    def test_insufficient_history_names_dates(self, start, target, depth, message):
+        # dates off the calendar are named by their distance from its ends
+        series = make_series(np.zeros((4, 4)), start=start, interval_seconds=21600)
+        with pytest.raises(InsufficientHistory) as err:
+            day_context(series, target, depth)
+        assert str(err.value) == message
 
     def test_next_unseen_day_allowed(self):
         series = make_series(np.zeros((4, 4)), interval_seconds=21600)
