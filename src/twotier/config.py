@@ -74,7 +74,7 @@ class RunConfig:
 
     def ratios(self) -> tuple[float, float, float]:
         parts = (self.split_train, self.split_tune, self.split_test)
-        if any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
+        if not (all(p >= 0 for p in parts) and abs(sum(parts) - 1.0) <= 1e-9):
             raise ConfigError(f"split ratios {parts} must be >= 0 and sum to 1")
         return parts
 

@@ -119,21 +119,14 @@ class KnnTuneResult:
     cell_rmse: tuple  # ((depth, neighbors, rmse-or-None), ...) in grid order
 
 
-def _knn_cell(full: SolarSeries, train: SolarSeries, tune: SolarSeries,
-              depth: int, neighbors: int):
-    config = knn.KnnConfig(depth_days=depth, neighbors=neighbors)
-    try:
-        model = knn.fit(train, config)
-    except InsufficientTrainingDays:
-        return None
-    try:
-        scores = [
-            rmse(knn.forecast_day(model, full, day.day_index), day.samples)
-            for day in tune.days
-        ]
-    except InsufficientHistory:
-        return None
-    return sum(scores) / len(scores)
+def _distance_table(rows: np.ndarray, train: SolarSeries) -> np.ndarray:
+    """S[q, j] = squared Euclidean distance between `rows[q]` and train
+    day j, built one row at a time from direct differences."""
+    table = np.empty((len(rows), train.num_days))
+    for q, row in enumerate(rows):
+        diff = train.power - row
+        table[q] = np.einsum("ij,ij->i", diff, diff)
+    return table
 
 
 def tune_knn(
@@ -143,9 +136,18 @@ def tune_knn(
 ) -> KnnTuneResult:
     """Grid-search context depth and neighbor count on the tune split.
 
-    Each cell refits on the train split and scores the average daily RMSE
-    over tune days. The per-axis tables hold the best (minimum) cell in
-    each row or column. Ties prefer smaller depth, then fewer neighbors.
+    Each cell scores the average daily RMSE over tune days of the model
+    `knn.fit` would build on the train split, without building it: one
+    table S of squared distances between the days the tune contexts read
+    and the train days gives every depth's context distances, tune day t
+    to training pair j being sqrt(sum over i < D of S[t-D+i, j+i]), and
+    `knn.blend_nearest` turns them into forecasts for each neighbor count.
+    The distances are summed in another order than `knn.predict_day`'s,
+    so a cell can differ from scoring `knn.forecast_day` in its last
+    digits. A cell is None when the train split is shorter than
+    `KnnConfig.min_training_days`. The per-axis tables hold the best
+    (minimum) cell in each row or column. Ties prefer smaller depth, then
+    fewer neighbors.
     """
     depth_candidates = tuple(depth_candidates)
     neighbor_candidates = tuple(neighbor_candidates)
@@ -153,13 +155,32 @@ def tune_knn(
         raise EmptyInput("candidate lists must be non-empty")
     if split.tune.num_days == 0:
         raise EmptyInput("tune split has no days")
-    full = split.full_series()
-    cells = {}
-    for depth in depth_candidates:
-        for neighbors in neighbor_candidates:
-            cells[(depth, neighbors)] = _knn_cell(
-                full, split.train, split.tune, depth, neighbors
-            )
+    full, train, tune = split.full_series(), split.train, split.tune
+    trainable = [
+        (depth, neighbors)
+        for depth in depth_candidates
+        for neighbors in neighbor_candidates
+        if train.num_days
+        >= knn.KnnConfig(depth_days=depth, neighbors=neighbors).min_training_days
+    ]
+    cells = {(d, k): None for d in depth_candidates for k in neighbor_candidates}
+    # The partitions follow each other in `full`, so the tune days'
+    # contexts read its rows from `deepest` days before the first tune day
+    # up to the day before the last one.
+    deepest = max((depth for depth, _ in trainable), default=0)
+    start = tune.first_index - full.first_index
+    table = _distance_table(full.power[start - deepest : start + tune.num_days - 1], train)
+    distances = {}
+    for depth, neighbors in trainable:
+        if depth not in distances:
+            pairs, offset = train.num_days - depth, deepest - depth
+            distances[depth] = np.sqrt(sum(
+                table[offset + i : offset + i + tune.num_days, i : i + pairs]
+                for i in range(depth)
+            ))
+        forecasts = knn.blend_nearest(distances[depth], train.power[depth:], neighbors)
+        scores = [rmse(f, a) for f, a in zip(forecasts, tune.power)]
+        cells[depth, neighbors] = sum(scores) / len(scores)
 
     def marginal(axis_values, pick):
         row = []

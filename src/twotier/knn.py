@@ -30,6 +30,12 @@ class KnnConfig:
             # lookup, which is not a supported mode.
             raise ValueError("neighbors must be >= 2")
 
+    @property
+    def min_training_days(self) -> int:
+        """D + k + 1: enough days that every query reaches the (k+1)-th
+        distance."""
+        return self.depth_days + self.neighbors + 1
+
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
@@ -78,10 +84,9 @@ def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
     A series of N days yields N - D pairs: targets are rows D..N-1 of
     `train.power`, and column block j of the contexts is rows j..N-D-1+j,
     so each context is its target day's `day_context`. Training requires
-    at least D + k + 1 days so the predictor can always reach the (k+1)-th
-    distance.
+    at least `config.min_training_days` days.
     """
-    needed = config.depth_days + config.neighbors + 1
+    needed = config.min_training_days
     if train.num_days < needed:
         raise InsufficientTrainingDays(
             f"weighted k-NN with D={config.depth_days}, k={config.neighbors} "
@@ -109,20 +114,37 @@ def neighbor_weights(sorted_distances) -> np.ndarray:
         raise ValueError("distances must be non-negative")
     if np.any(np.diff(d) < 0):
         raise UnsortedDistances("distances must be in ascending order")
-    k = d.size - 1
-    span = d[k] - d[0]
-    if span == 0:
-        return np.ones(k)
-    return (d[k] - d[:k]) / span
+    return _weights(d[np.newaxis])[0]
+
+
+def _weights(sorted_distances: np.ndarray) -> np.ndarray:
+    """`neighbor_weights` of each row of a (rows, k+1) array, unchecked."""
+    k = sorted_distances.shape[1] - 1
+    farthest = sorted_distances[:, k:]
+    span = farthest - sorted_distances[:, :1]
+    flat = span[:, 0] == 0
+    weights = (farthest - sorted_distances[:, :k]) / np.where(flat[:, None], 1.0, span)
+    weights[flat] = 1.0
+    return weights
+
+
+def blend_nearest(distances: np.ndarray, targets: np.ndarray, neighbors: int) -> np.ndarray:
+    """One forecast per row of a (queries, pairs) distance array.
+
+    Each row's distances are ranked ascending with ties broken by earlier
+    pair (stable sort over chronologically stored pairs); the `neighbors`
+    nearest targets are blended by normalized `neighbor_weights`.
+    """
+    order = np.argsort(distances, axis=1, kind="stable")[:, : neighbors + 1]
+    weights = _weights(np.take_along_axis(distances, order, axis=1))
+    nearest = targets[order[:, :neighbors]]
+    blend = np.matmul(weights[:, np.newaxis, :], nearest)[:, 0, :]
+    return blend / weights.sum(axis=1, keepdims=True)
 
 
 def predict_day(model: KnnModel, context) -> np.ndarray:
-    """Forecast one day from a query context.
-
-    Distances to every stored context are ranked ascending with ties broken
-    by earlier day index (stable sort over chronologically stored pairs);
-    the k nearest targets are blended by normalized neighbor weights.
-    """
+    """Forecast one day from a query context: `blend_nearest` over the
+    Euclidean distances to every stored context."""
     query = np.asarray(context, dtype=float)
     if query.ndim != 1 or query.size != model.context_length:
         raise DimensionMismatch(
@@ -130,11 +152,7 @@ def predict_day(model: KnnModel, context) -> np.ndarray:
             f"{model.context_length}"
         )
     distances = np.sqrt(np.sum((model.contexts - query) ** 2, axis=1))
-    order = np.argsort(distances, kind="stable")
-    k = model.config.neighbors
-    weights = neighbor_weights(distances[order[: k + 1]])
-    blend = weights @ model.targets[order[:k]] / weights.sum()
-    return blend
+    return blend_nearest(distances[np.newaxis], model.targets, model.config.neighbors)[0]
 
 
 def forecast_day(model: KnnModel, series: SolarSeries, day_index: int) -> np.ndarray:

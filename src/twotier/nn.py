@@ -49,14 +49,16 @@ class NnConfig:
             raise ValueError("hidden_neurons must be in [1, 64]")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.lm_initial_damping <= 0:
-            raise ValueError("lm_initial_damping must be positive")
-        if self.lm_damping_factor <= 1:
-            raise ValueError("lm_damping_factor must be > 1")
+        # Written so that NaN fails: a NaN damping never passes DAMPING_CAP,
+        # so the proposal loop would never end.
+        if not (math.isfinite(self.lm_initial_damping) and self.lm_initial_damping > 0):
+            raise ValueError("lm_initial_damping must be positive and finite")
+        if not (math.isfinite(self.lm_damping_factor) and self.lm_damping_factor > 1):
+            raise ValueError("lm_damping_factor must be finite and > 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.loss_tolerance <= 0:
-            raise ValueError("loss_tolerance must be positive")
+        if not (math.isfinite(self.loss_tolerance) and self.loss_tolerance > 0):
+            raise ValueError("loss_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ differ in the last ulp of sin().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import IO
@@ -50,14 +51,14 @@ class SynthConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
-        if self.peak_power_w <= 0:
-            raise ValueError("peak_power_w must be positive")
+        if not (math.isfinite(self.peak_power_w) and self.peak_power_w > 0):
+            raise ValueError("peak_power_w must be positive and finite")
         if not 0 <= self.sunrise_sample < self.sunset_sample:
             raise ValueError("need 0 <= sunrise_sample < sunset_sample")
         if not 0.0 <= self.cloudiness <= 1.0:
             raise ValueError("cloudiness must be in [0, 1]")
-        if self.cloud_event_rate < 0:
-            raise ValueError("cloud_event_rate must be >= 0")
+        if not (math.isfinite(self.cloud_event_rate) and self.cloud_event_rate >= 0):
+            raise ValueError("cloud_event_rate must be finite and >= 0")
         lo, hi = self.cloud_depth
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError("cloud_depth range must satisfy 0 <= lo <= hi <= 1")

@@ -374,7 +374,7 @@ def split_chronological(
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ValueError("need exactly three split ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = series.num_days
     if n < 5:

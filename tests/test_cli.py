@@ -13,7 +13,8 @@ from conftest import replace_payload_line
 from twotier import cli, persistence
 from twotier.config import RunConfig, parse_config
 from twotier.knn import KnnModel
-from twotier.nn import NnModel
+from twotier.nn import NnConfig, NnModel
+from twotier.synth import SynthConfig
 
 CLOUDY_DEMO_DAY = "2015-04-02"   # labeled cloudy, lands in the test split
 CLEAR_DEMO_DAY = "2015-03-31"    # labeled sunny, lands in the test split
@@ -438,6 +439,46 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {models / 'knn.htm-model'} is not UTF-8 text")
         assert err.count("\n") == 1
+
+
+def check_one_error_line(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for part in parts:
+        assert part in err
+
+
+class TestNonFiniteSettings:
+    """Each library check is asserted before the command runs, so that a
+    regression fails instead of training or generating forever."""
+
+    @pytest.mark.parametrize("flag", ["--nn-lm-initial-damping", "--nn-lm-damping-factor",
+                                      "--nn-loss-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_lm_setting_exit_2(self, pipeline, tmp_path, capsys, flag, value):
+        field = flag[len("--nn-"):].replace("-", "_")
+        with pytest.raises(ValueError, match=field):
+            NnConfig(**{field: float(value)})
+        argv = ["train", "--nn-only", "--nn-restarts", "1", flag, value,
+                "--data", str(pipeline["data"]), "--out", str(tmp_path / "m")]
+        assert cli.main(argv) == 2
+        check_one_error_line(capsys, field)
+
+    @pytest.mark.parametrize("flag", ["--synth-peak-power-w", "--synth-cloud-event-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_synth_knob_exit_2(self, tmp_path, capsys, flag, value):
+        field = flag[len("--synth-"):].replace("-", "_")
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**{field: float(value)})
+        assert cli.main(["synth", flag, value, "--out", str(tmp_path / "d.csv")]) == 2
+        check_one_error_line(capsys, field)
+
+    @pytest.mark.parametrize("flag", ["--split-train", "--split-tune", "--split-test"])
+    def test_nan_split_ratio_exit_2(self, pipeline, tmp_path, capsys, flag):
+        argv = ["tune", "--knn-only", flag, "nan", "--data", str(pipeline["data"]),
+                "--out", str(tmp_path / "tuned.cfg")]
+        assert cli.main(argv) == 2
+        check_one_error_line(capsys, "must be >= 0 and sum to 1")
 
 
 def readme_quick_start():

@@ -5,6 +5,8 @@ locally to search further.
 """
 
 import io
+import math
+import re
 from datetime import date as Date, datetime, timedelta
 
 import numpy as np
@@ -14,8 +16,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from twotier import correction, knn, nn, persistence  # noqa: E402
-from twotier.errors import NumericalFailure, TwoTierError  # noqa: E402
+from conftest import replace_payload_line  # noqa: E402
+from twotier import correction, evaluation, knn, nn, persistence  # noqa: E402
+from twotier.errors import (  # noqa: E402
+    InsufficientTrainingDays,
+    NumericalFailure,
+    PersistenceError,
+    TwoTierError,
+)
 from twotier.timeseries import (  # noqa: E402
     CSV_HEADER,
     SamplingGrid,
@@ -25,6 +33,7 @@ from twotier.timeseries import (  # noqa: E402
     day_context,
     export_csv,
     ingest_csv,
+    split_chronological,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -425,3 +434,213 @@ def test_ingest_returns_series_or_raises_twotier_error(case):
     assert series.power.shape == (series.num_days, grid.samples_per_day)
     assert series.num_days >= 1
     assert np.all(np.isfinite(series.power)) and np.all(series.power >= 0)
+
+
+def predict_day_reference(model, query):
+    """The single-query k-NN forecast as one expression: distances, a
+    stable ranking, the neighbor weights and the blend."""
+    distances = np.sqrt(np.sum((model.contexts - query) ** 2, axis=1))
+    order = np.argsort(distances, kind="stable")
+    k = model.config.neighbors
+    d = distances[order[: k + 1]]
+    span = d[k] - d[0]
+    weights = np.ones(k) if span == 0 else (d[k] - d[:k]) / span
+    return weights @ model.targets[order[:k]] / weights.sum()
+
+
+# Few distinct values, so that days repeat and distances tie.
+watts = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 1000.0]),
+    st.floats(min_value=0.0, max_value=35000.0),
+)
+
+
+@st.composite
+def knn_queries(draw):
+    """A model and a query; the query is often a stored context, and rows
+    are often repeats, so ties at zero and elsewhere are common."""
+    neighbors = draw(st.integers(min_value=2, max_value=4))
+    pairs = draw(st.integers(min_value=neighbors + 1, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(arrays(float, (draw(st.integers(1, pairs)), width), elements=watts))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=pairs, max_size=pairs))
+    model = knn.KnnModel(
+        config=knn.KnnConfig(depth_days=1, neighbors=neighbors),
+        contexts=pool[rows],
+        targets=draw(arrays(float, (pairs, draw(st.integers(1, 4))), elements=watts)),
+    )
+    query = draw(st.one_of(
+        st.sampled_from(list(model.contexts)), arrays(float, width, elements=watts)
+    ))
+    return model, query
+
+
+@PROPERTY
+@given(knn_queries())
+def test_predict_day_bit_equal_to_single_query_expression(case):
+    model, query = case
+    assert knn.predict_day(model, query).tobytes() == predict_day_reference(model, query).tobytes()
+
+
+def tune_cells_reference(split, depths, neighbor_counts):
+    """Per-cell tuning: fit each (D, k) model on the train split and
+    score `forecast_day` on every tune day.
+
+    Also returns each cell's condition number: how much a relative change
+    in the distances can move the cell, relatively. The blend weights
+    divide by the span d(k+1) - d(1), so a relative change e in the
+    distances moves a forecast by up to about e d(k+1) / span times the
+    largest target, and the cell by that over its RMSE. It is 0 where
+    every forecast is exact (the k+1 nearest distances are all 0, or every
+    target is 0) and infinite where a span of 0 is not."""
+    full = split.full_series()
+    largest = np.max(split.train.power)
+    cells, condition = {}, {}
+    for depth in depths:
+        for neighbors in neighbor_counts:
+            try:
+                model = knn.fit(split.train, knn.KnnConfig(depth, neighbors))
+            except InsufficientTrainingDays:
+                cells[depth, neighbors] = None
+                continue
+            scores, stretch = [], 0.0
+            for day in split.tune.days:
+                query = day_context(full, day.day_index, depth)
+                distances = np.sort(np.sqrt(np.sum((model.contexts - query) ** 2, axis=1)))
+                farthest = distances[neighbors]
+                span = farthest - distances[0]
+                if farthest > 0:
+                    stretch = max(stretch, farthest / span if span > 0 else math.inf)
+                forecast = knn.forecast_day(model, full, day.day_index)
+                scores.append(evaluation.rmse(forecast, day.samples))
+            cell = sum(scores) / len(scores)
+            cells[depth, neighbors] = cell
+            if stretch == 0 or largest == 0:
+                condition[depth, neighbors] = 0.0
+            else:
+                condition[depth, neighbors] = stretch * largest / cell if cell > 0 else math.inf
+    return cells, condition
+
+
+@st.composite
+def tune_cases(draw):
+    """A split of random, repeating or constant days, with ascending
+    candidate tuples."""
+    grid = SamplingGrid(sample_interval_seconds=draw(st.sampled_from([21600, 43200, 86400])))
+    days = draw(st.integers(min_value=5, max_value=40))
+    shape = (days, grid.samples_per_day)
+    kind = draw(st.sampled_from(["random", "repeating", "constant"]))
+    if kind == "random":
+        power = draw(arrays(float, shape, elements=watts))
+    elif kind == "repeating":
+        pool = draw(arrays(float, (draw(st.integers(1, 4)), shape[1]), elements=watts))
+        power = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=days, max_size=days))]
+    else:
+        power = np.full(shape, draw(watts))
+    series = SolarSeries(grid, power, Date(2015, 2, 15), draw(st.integers(0, 1000)))
+    tune = draw(st.integers(min_value=1, max_value=max(1, (days - 2) // 3)))
+    test = draw(st.integers(min_value=1, max_value=min(3, days - tune - 1)))
+    train = days - tune - test
+    split = split_chronological(series, (train / days, tune / days, test / days))
+    depths = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
+    neighbor_counts = sorted(draw(st.sets(st.integers(2, 5), min_size=1, max_size=3)))
+    return split, tuple(depths), tuple(neighbor_counts)
+
+
+CONDITION_LIMIT = 1e3
+
+
+def reference_grids(cells, depths, neighbor_counts):
+    """`make_grid` over each candidate's best reference cell, as
+    `tune_knn` builds its two tables."""
+    for axis, candidates, pick in (("depth_days", depths, 0), ("neighbors", neighbor_counts, 1)):
+        evaluation.make_grid(axis, candidates, [
+            min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
+            for c in candidates
+        ])
+
+
+@PROPERTY
+@given(tune_cases())
+def test_tune_knn_matches_per_cell_fits(case):
+    split, depths, neighbor_counts = case
+    want, condition = tune_cells_reference(split, depths, neighbor_counts)
+    try:
+        result = evaluation.tune_knn(split, depths, neighbor_counts)
+    except (InsufficientTrainingDays, ValueError) as exc:
+        # no cell can be scored, or a table cannot be normalized
+        if all(c <= CONDITION_LIMIT for c in condition.values()):
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                reference_grids(want, depths, neighbor_counts)
+        return
+    got = {(d, k): v for d, k, v in result.cell_rmse}
+    assert list(got) == list(want)
+    assert [v is None for v in got.values()] == [v is None for v in want.values()]
+    # Summation order moves the distances by a few 1e-16 relative, so a
+    # cell whose condition number is at most CONDITION_LIMIT moves by less
+    # than 1e-12 relative. Beyond it the order may decide the weights.
+    scored = {key: v for key, v in want.items() if v is not None}
+    for key, value in scored.items():
+        if condition[key] <= CONDITION_LIMIT:
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0)
+    if all(condition[key] <= CONDITION_LIMIT for key in scored):
+        reference_grids(want, depths, neighbor_counts)
+        # the same best cell, unless cells tie with it to within 1e-12
+        best = min(scored.values())
+        ties = [key for key, value in scored.items() if value <= best * (1 + 1e-12)]
+        assert (result.best_depth, result.best_neighbors) in ties
+
+
+def rendered(model):
+    sink = io.StringIO()
+    persistence.save_model(model, sink)
+    return sink.getvalue()
+
+
+MODEL_FILES = (
+    rendered(knn.KnnModel(
+        knn.KnnConfig(depth_days=2, neighbors=2),
+        contexts=[[1.5, 2.5], [3.25, 0.125], [10.0, 0.5]],
+        targets=[[100.0], [200.5], [50.25]],
+    )),
+    rendered(nn.build(nn.NnConfig(hidden_neurons=2), seed=3, scale_max=35000.0)),
+)
+
+# Field values a loader could mishandle: signs, zero, non-finite, huge,
+# non-numeric and empty.
+MUTANT_FIELDS = ["0", "-1", "1e400", "nan", "-inf", "inf", "-0.0", "1.5", "10000000000",
+                 "99999999999999999999", "0x10", "1_0", "", " ", "knn", "\x00"]
+
+
+@st.composite
+def mutated_model_files(draw):
+    """A valid k-NN or NN file with one payload field or one character
+    replaced, inserted or deleted, and its checksum recomputed."""
+    text = draw(st.sampled_from(MODEL_FILES))
+    old = draw(st.sampled_from(text.splitlines()[3:]))
+    characters = st.characters(codec="utf-8")  # a model file is UTF-8 text
+    if draw(st.booleans()):
+        fields = old.split(" ")
+        position = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        fields[position] = draw(st.one_of(
+            st.sampled_from(MUTANT_FIELDS), st.floats().map(repr), st.integers().map(str),
+            st.text(characters, max_size=8),
+        ))
+        new = " ".join(fields)
+    else:
+        # insert, replace or delete one character
+        position = draw(st.integers(min_value=0, max_value=len(old)))
+        rest = draw(st.sampled_from([position, position + 1]))
+        new = old[:position] + draw(st.one_of(st.just(""), characters)) + old[rest:]
+    hypothesis.assume(new != old)
+    return replace_payload_line(text, old, new)
+
+
+@PROPERTY
+@given(mutated_model_files())
+def test_mutated_model_file_loads_or_raises_persistence_error(text):
+    try:
+        model = persistence.load_model(text)
+    except PersistenceError:
+        return
+    assert isinstance(model, (knn.KnnModel, nn.NnModel))

@@ -1,6 +1,7 @@
 """Data model, CSV round-trip, splitting, and context extraction."""
 
 import io
+import math
 from datetime import date as Date
 
 import numpy as np
@@ -241,6 +242,13 @@ class TestSplit:
         series = make_series(np.zeros((10, 96)))
         with pytest.raises(ValueError):
             split_chronological(series, (0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.2, 0.2), (0.6, math.nan, 0.2),
+                                        (0.6, 0.2, math.nan)])
+    def test_nan_ratio_rejected(self, ratios):
+        series = make_series(np.zeros((10, 96)))
+        with pytest.raises(ValueError, match="must sum to 1"):
+            split_chronological(series, ratios)
 
     def test_full_series_reassembles(self):
         series = make_series(np.arange(10 * 96).reshape(10, 96))
