@@ -55,7 +55,8 @@ def rmse(predicted, actual) -> float:
 class TuneGrid:
     """One axis of a grid search. raw_rmse entries are None where the
     candidate could not be evaluated; those are skipped when normalizing.
-    reference_rmse is the raw value mapped to exactly 1."""
+    reference_rmse is the raw value mapped to exactly 1. Normalized values
+    lie in [0, 1], or are all 1 when every raw entry is 0 (reference 0)."""
 
     axis_label: str
     candidates: tuple
@@ -72,8 +73,12 @@ class TuneGrid:
         available = [v for v in self.normalized if v is not None]
         if not available:
             raise EmptyInput(f"no evaluable candidate on axis {self.axis_label}")
-        if max(available) != 1.0 or min(available) <= 0.0:
-            raise ValueError("normalized grid must lie in (0, 1] with max 1")
+        # A candidate that forecasts the tune days exactly normalizes to 0;
+        # an all-zero row has no positive reference and is all ones.
+        low = min(available)
+        in_range = low > 0.0 or (low == 0.0 and self.reference_rmse > 0)
+        if max(available) != 1.0 or not in_range:
+            raise ValueError("normalized grid must lie in [0, 1] with max 1")
 
     def footnote(self) -> str:
         return f"RMSE {self.reference_rmse:.1f} is normalized to 1"

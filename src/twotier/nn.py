@@ -16,10 +16,21 @@ parameter vector yields its hidden activations, residual and loss; when
 a step is accepted those become the next iteration's state, so the
 Jacobian is built from the cached activations and the network is never
 evaluated twice at the same parameters.
+
+Inside training everything is parameter-major: the parameters are in
+neuron-major order (per hidden neuron w_k0, w_k1, b_k, then the output
+weights and bias), n input pairs are the (3, n) design matrix
+[x0; x1; 1], so the pre-activations are one (H, 3) @ (3, n) product, and
+the Jacobian is stored transposed, one contiguous row per parameter.
+Models and the public functions keep the _pack order. There is one
+forward kernel (_hidden_batch, _output_batch): forward, predict_day,
+jacobian and the training loop all use it, so a network's own outputs
+give a training loss of exactly 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -185,19 +196,43 @@ def _unpack(theta: np.ndarray, base: NnModel) -> NnModel:
     )
 
 
-def _hidden_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
-    """Hidden activations tanh(inputs W1' + b1), shape (n, H)."""
-    w1 = theta[: 2 * h].reshape(h, INPUT_WIDTH)
-    b1 = theta[2 * h : 3 * h]
-    return np.tanh(inputs @ w1.T + b1)
+@functools.cache
+def _neuron_major(h: int) -> np.ndarray:
+    """Position in _pack order of each neuron-major parameter: for each
+    hidden neuron k (w_k0, w_k1, b_k), then the H output weights and the
+    output bias. theta[order] is neuron-major; out[order] = params undoes
+    it. Cached, and so read-only: predict_day asks for it on every call."""
+    neuron = np.arange(h)
+    per_neuron = np.column_stack([2 * neuron, 2 * neuron + 1, 2 * h + neuron])
+    order = np.concatenate([per_neuron.ravel(), np.arange(3 * h, 4 * h + 1)])
+    order.flags.writeable = False
+    return order
 
 
-def _output_batch(theta: np.ndarray, h: int, hidden: np.ndarray) -> np.ndarray:
-    return hidden @ theta[3 * h : 4 * h] + theta[4 * h]
+def _design(inputs: np.ndarray) -> np.ndarray:
+    """The (3, n) design matrix [x0; x1; 1] of n input pairs."""
+    design = np.empty((INPUT_WIDTH + 1, inputs.shape[0]))
+    design[:INPUT_WIDTH] = inputs.T
+    design[INPUT_WIDTH] = 1.0
+    return design
+
+
+def _hidden_batch(params: np.ndarray, h: int, design: np.ndarray) -> np.ndarray:
+    """Hidden activations tanh([W1 b1] @ design), shape (H, n), for
+    neuron-major params."""
+    hidden = params[: 3 * h].reshape(h, INPUT_WIDTH + 1) @ design
+    return np.tanh(hidden, out=hidden)
+
+
+def _output_batch(params: np.ndarray, h: int, hidden: np.ndarray) -> np.ndarray:
+    return params[3 * h : 4 * h] @ hidden + params[4 * h]
 
 
 def _forward_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
-    return _output_batch(theta, h, _hidden_batch(theta, h, inputs))
+    """Outputs on n input pairs for theta in _pack order, computed by the
+    training loop's kernels, so they are bit-equal to the loop's."""
+    params = theta[_neuron_major(h)]
+    return _output_batch(params, h, _hidden_batch(params, h, _design(inputs)))
 
 
 def forward(model: NnModel, inputs) -> float:
@@ -209,17 +244,22 @@ def forward(model: NnModel, inputs) -> float:
 
 
 def _jacobian_batch(
-    theta: np.ndarray, h: int, inputs: np.ndarray, hidden: np.ndarray
+    params: np.ndarray,
+    h: int,
+    design: np.ndarray,
+    hidden: np.ndarray,
+    root: np.ndarray,
+    jac: np.ndarray,
 ) -> np.ndarray:
-    """Jacobian at theta, given hidden = _hidden_batch(theta, h, inputs)."""
-    w2 = theta[3 * h : 4 * h]
-    gate = w2 * (1.0 - hidden**2)                 # (n, H): d out / d preactivation
-    jac = np.empty((inputs.shape[0], 4 * h + 1))
-    jac[:, 0 : 2 * h : 2] = gate * inputs[:, :1]  # input weights, row-major
-    jac[:, 1 : 2 * h : 2] = gate * inputs[:, 1:]
-    jac[:, 2 * h : 3 * h] = gate
-    jac[:, 3 * h : 4 * h] = hidden
-    jac[:, 4 * h] = 1.0
+    """Fill rows 0..4H-1 of jac, the (4H+1, n) transposed Jacobian at the
+    neuron-major params with every column scaled by root, given hidden =
+    _hidden_batch(params, h, design). Row 4H, d out / d output bias = root,
+    does not depend on params and is left to the caller."""
+    gate = 1.0 - hidden**2                       # (H, n): d out / d preactivation
+    gate *= params[3 * h : 4 * h, None]
+    gate *= root
+    np.multiply(gate[:, None, :], design, out=jac[: 3 * h].reshape(h, INPUT_WIDTH + 1, -1))
+    np.multiply(hidden, root, out=jac[3 * h : 4 * h])
     return jac
 
 
@@ -235,9 +275,17 @@ def jacobian(model: NnModel, batch) -> np.ndarray:
         raise ValueError("batch must be non-empty")
     if inputs.shape[1] != INPUT_WIDTH:
         raise ValueError(f"inputs must be pairs, got shape {inputs.shape}")
-    theta = _pack(model)
     h = model.config.hidden_neurons
-    return _jacobian_batch(theta, h, inputs, _hidden_batch(theta, h, inputs))
+    order = _neuron_major(h)
+    params = _pack(model)[order]
+    design = _design(inputs)
+    ones = np.ones(inputs.shape[0])
+    jac = np.empty((4 * h + 1, inputs.shape[0]))
+    jac[4 * h] = ones
+    _jacobian_batch(params, h, design, _hidden_batch(params, h, design), ones, jac)
+    packed = np.empty((inputs.shape[0], 4 * h + 1))
+    packed[:, order] = jac.T
+    return packed
 
 
 def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainTrace]:
@@ -252,11 +300,6 @@ def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainT
 
     Every sample is one row of weight 1. fit_day_ahead minimizes the same
     objective over distinct rows weighted by their counts.
-
-    Each iteration reuses the accepted step's hidden activations and
-    residual: the Jacobian at theta is built from the cached activations,
-    and only proposed steps run the network. The arithmetic is the same
-    as recomputing both at every iteration, so results are bit-identical.
     """
     if len(samples) < 1:
         raise ValueError("need at least one training sample")
@@ -278,31 +321,45 @@ def _train_lm_arrays(
     config: NnConfig,
 ) -> tuple[np.ndarray, TrainTrace]:
     """LM on sum(counts * (output - targets)**2): row r stands for
-    counts[r] identical rows. Residuals and Jacobian rows are scaled by
-    sqrt(counts), so J'J and J'e keep their unweighted form; with unit
-    counts the scaling multiplies by 1.0 and changes no bit."""
-    root = np.sqrt(counts)
+    counts[r] identical rows. theta is in _pack order on entry and on
+    return.
 
-    def evaluate(t: np.ndarray):
-        hidden = _hidden_batch(t, h, inputs)
-        err = (_output_batch(t, h, hidden) - targets) * root
+    Every array the loop touches is parameter-major and contiguous: the
+    parameters in neuron-major order (see _neuron_major), the inputs as
+    the (3, n) design matrix [x0; x1; 1], the hidden activations as (H, n)
+    and the Jacobian as one (4H+1, n) buffer holding J', one row per
+    parameter, so J'J = jac @ jac.T and J'e = jac @ err. Residuals and
+    Jacobian columns are scaled by sqrt(counts), so J'J and J'e keep their
+    unweighted form; with unit counts the scaling multiplies by 1.0 and
+    changes no bit. Reusing an accepted step's evaluation gives the same
+    bits as recomputing it at every iteration.
+    """
+    order = _neuron_major(h)
+    params = theta[order]
+    design = _design(inputs)
+    root = np.sqrt(counts)
+    jac = np.empty((4 * h + 1, targets.size))
+    jac[4 * h] = root
+
+    def evaluate(p: np.ndarray):
+        hidden = _hidden_batch(p, h, design)
+        err = (_output_batch(p, h, hidden) - targets) * root
         return hidden, err, float(err @ err)
 
-    # hidden, err and loss always belong to the current theta: an accepted
+    # hidden, err and loss always belong to the current params: an accepted
     # candidate's evaluation becomes the next iteration's state.
-    hidden, err, loss = evaluate(theta)
+    hidden, err, loss = evaluate(params)
     initial_loss = loss
     damping = config.lm_initial_damping
-    identity = np.eye(theta.size)
+    identity = np.eye(params.size)
     losses: list[float] = []
     accepted: list[bool] = []
     stop_reason = "budget"
 
     for _ in range(config.max_iterations):
-        jac = _jacobian_batch(theta, h, inputs, hidden)
-        jac *= root[:, None]
-        descent = -(jac.T @ err)
-        gauss_newton = jac.T @ jac
+        _jacobian_batch(params, h, design, hidden, root, jac)
+        descent = -(jac @ err)
+        gauss_newton = jac @ jac.T
 
         improvement = None
         while True:
@@ -311,7 +368,7 @@ def _train_lm_arrays(
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                candidate = theta + delta
+                candidate = params + delta
                 candidate_state = evaluate(candidate)
                 candidate_loss = candidate_state[2]
             else:
@@ -322,7 +379,7 @@ def _train_lm_arrays(
                 losses.append(candidate_loss)
                 accepted.append(True)
                 improvement = loss - candidate_loss
-                theta = candidate
+                params = candidate
                 hidden, err, loss = candidate_state
                 damping = damping / config.lm_damping_factor
                 break
@@ -352,7 +409,9 @@ def _train_lm_arrays(
         final_damping=damping,
         stop_reason=stop_reason,
     )
-    return theta, trace
+    packed = np.empty_like(params)
+    packed[order] = params
+    return packed, trace
 
 
 def day_ahead_samples(train: SolarSeries, scale_max: float) -> tuple[np.ndarray, np.ndarray]:

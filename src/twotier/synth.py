@@ -35,6 +35,8 @@ CLOUDY = "cloudy"
 # spell, and the much smaller step between segment knots within one day.
 LEVEL_STEP = 0.2
 SEGMENT_STEP = 0.05
+# generate rounds samples to 1e-6 W, which overflows above about 1.8e302 W
+MAX_PEAK_POWER_W = 1e302
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class SynthConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.peak_power_w) and self.peak_power_w > 0):
-            raise ValueError("peak_power_w must be positive and finite")
+        if not 0 < self.peak_power_w <= MAX_PEAK_POWER_W:  # NaN fails too
+            raise ValueError(f"peak_power_w must be in (0, {MAX_PEAK_POWER_W:g}]")
         if not 0 <= self.sunrise_sample < self.sunset_sample:
             raise ValueError("need 0 <= sunrise_sample < sunset_sample")
         if not 0.0 <= self.cloudiness <= 1.0:

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 import hashlib
+import io
 from datetime import date as Date, timedelta
 
 import numpy as np
 
+from twotier import persistence
 from twotier.timeseries import SamplingGrid, SolarSeries
 
 
@@ -29,3 +31,10 @@ def replace_payload_line(model_text, old, new):
     body = "".join(line + "\n" for line in payload)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return "\n".join(lines[:2] + [f"sha256 {digest}"]) + "\n" + body
+
+
+def rendered(model):
+    """The text persistence.save_model writes for model."""
+    sink = io.StringIO()
+    persistence.save_model(model, sink)
+    return sink.getvalue()

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import replace_payload_line
+from conftest import make_series, replace_payload_line
 from twotier import cli, persistence
 from twotier.config import RunConfig, parse_config
 from twotier.knn import KnnModel
 from twotier.nn import NnConfig, NnModel
-from twotier.synth import SynthConfig
+from twotier.synth import SynthConfig, generate
+from twotier.timeseries import export_csv
 
 CLOUDY_DEMO_DAY = "2015-04-02"   # labeled cloudy, lands in the test split
 CLEAR_DEMO_DAY = "2015-03-31"    # labeled sunny, lands in the test split
@@ -279,6 +280,23 @@ class TestTune:
         assert "depth_days" in text and "neighbors" in text
 
 
+    def test_exact_candidate_normalizes_to_zero(self, tmp_path, capsys):
+        # one day repeated 50 times: some k-NN cells forecast the tune days
+        # exactly, so their RMSE is 0 next to positive ones
+        day = generate(SynthConfig(), 1).series.power[0]
+        data = tmp_path / "repeat.csv"
+        with open(data, "w", encoding="utf-8", newline="\n") as sink:
+            export_csv(make_series(np.tile(day, (50, 1))), sink)
+        code = cli.main(
+            ["tune", "--knn-only", "--data", str(data), "--out", str(tmp_path / "t.cfg")]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        rows = [line.split() for line in captured.out.splitlines()
+                if line.startswith("normalized RMSE")]
+        assert any("0.000" in row for row in rows)
+
+
 class TestSimulate:
     def test_cloudy_day_improves_both_methods(self, pipeline, tmp_path, capsys):
         code = cli.main(
@@ -472,6 +490,13 @@ class TestNonFiniteSettings:
             SynthConfig(**{field: float(value)})
         assert cli.main(["synth", flag, value, "--out", str(tmp_path / "d.csv")]) == 2
         check_one_error_line(capsys, field)
+
+    def test_synth_peak_power_past_rounding_limit_exit_2(self, tmp_path, capsys):
+        # 1e308 W overflowed the 1e-6 W rounding: numpy printed a warning,
+        # then the non-finite sample failed
+        argv = ["synth", "--synth-peak-power-w", "1e308", "--out", str(tmp_path / "d.csv")]
+        assert cli.main(argv) == 2
+        check_one_error_line(capsys, "peak_power_w")
 
     @pytest.mark.parametrize("flag", ["--split-train", "--split-tune", "--split-test"])
     def test_nan_split_ratio_exit_2(self, pipeline, tmp_path, capsys, flag):

@@ -1,0 +1,230 @@
+"""Fuzzed command lines: every outcome of `cli.main` is a documented exit code.
+
+Each example runs one of `synth` (at most 20 days), `ingest`, `tune
+--knn-only`, `simulate` or `evaluate` in-process, with fuzzed flags,
+flag values, config files, data files and model files. The run must end
+in exit code 0, 2, 3, 4 or 5; argparse's own usage errors count as 2.
+No exception may escape. Examples are derandomized, so a run is
+reproducible; widen max_examples locally to search further.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from conftest import rendered, replace_payload_line  # noqa: E402
+from twotier import cli, knn, nn, persistence  # noqa: E402
+from twotier.config import RunConfig, render_config  # noqa: E402
+from twotier.synth import SynthConfig, generate  # noqa: E402
+from twotier.timeseries import export_csv, split_chronological  # noqa: E402
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+EXIT_CODES = {0, 2, 3, 4, 5}
+DATA_DIR = Path(__file__).parent / "data"
+DAYS = 20
+
+# Hypothesis leans towards the first choice and small values, so each
+# strategy lists the usual case first and draws an odd case rarely.
+rarely = st.sampled_from([False] * 4 + [True])
+
+# Values a parser or a check could mishandle: signs, zero, non-finite,
+# huge, dates at the calendar's ends and non-numeric text.
+VALUES = ["0", "1", "-1", "2", "3", "0.5", "1e-3", "1e308", "nan", "inf", "-inf", "",
+          "x", "2015-03-01", "9999-12-31", "0001-01-01"]
+# synth's work grows with samples per day: keep intervals coarse or invalid.
+INTERVALS = ["900", "1800", "3600", "86400", "0", "-900", "7", "nan", "x"]
+DAYS_TO_SIMULATE = ["2015-03-01", "2015-02-15", "2015-02-16", "2015-03-06", "2015-03-07",
+                    "1999-01-01", "9999-12-31", "bad"]
+# Every config key and its default value as a config file writes it.
+DEFAULTS = dict(line.split(" = ", 1) for line in render_config(RunConfig()).splitlines())
+
+
+def valid_files():
+    """A valid 20-day data file's text and k-NN and NN model files fit
+    to it; the NN is untrained, which the file format allows."""
+    series = generate(SynthConfig(), DAYS).series
+    data = io.StringIO()
+    export_csv(series, data)
+    train = split_chronological(series, (0.6, 0.2, 0.2)).train
+    return {
+        "data": data.getvalue(),
+        "knn": rendered(knn.fit(train, knn.KnnConfig())),
+        "nn": rendered(nn.build(nn.NnConfig(), seed=1, scale_max=train.max_power())),
+        "golden-knn": (DATA_DIR / "golden-knn.htm-model").read_text(encoding="utf-8"),
+    }
+
+
+# Module-level, not strategy arguments: hypothesis warns about the repr
+# of large arguments, and the suite turns warnings into errors.
+VALID = valid_files()
+
+
+def mutated_lines(text, draw):
+    """text with one line replaced, deleted or duplicated."""
+    lines = text.splitlines()
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    edit = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if edit == "replace":
+        lines[i] = draw(st.one_of(
+            st.sampled_from(VALUES),
+            st.text(st.characters(codec="utf-8"), max_size=12),
+            st.just(lines[i]).map(lambda line: line.replace(",", ",-")),
+        ))
+    elif edit == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def file_contents(draw, name):
+    """VALID[name], its first lines, a one-line edit of it, or arbitrary
+    text or bytes."""
+    valid = VALID[name]
+    kind = draw(st.sampled_from(["valid", "valid", "head", "edited", "text", "bytes"]))
+    if kind == "valid":
+        return valid
+    if kind == "head":  # the first line and then whole days of data, or lines
+        step = 96 if name == "data" else 1
+        lines = valid.splitlines(keepends=True)
+        count = draw(st.integers(min_value=0, max_value=(len(lines) - 1) // step))
+        return "".join(lines[: 1 + count * step])
+    if kind == "edited":
+        return mutated_lines(valid, draw)
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    return draw(st.binary(max_size=40))
+
+
+@st.composite
+def model_files(draw):
+    """A (k-NN text, NN text) pair: fitted, golden, missing or one payload
+    line edited with the checksum recomputed."""
+
+    def one(name):
+        valid = VALID[name]
+        kind = draw(st.sampled_from(["valid"] * 3 + ["missing", "edited", "arbitrary"]))
+        if kind == "valid":
+            return valid
+        if kind == "missing":
+            return None
+        if kind == "arbitrary":
+            return draw(file_contents(name))
+        old = draw(st.sampled_from(valid.splitlines()[3:]))
+        new = mutated_lines(old, draw).rstrip("\n")
+        hypothesis.assume(new != old and "\n" not in new)
+        return replace_payload_line(valid, old, new)
+
+    knn_text = VALID["golden-knn"] if draw(rarely) else one("knn")
+    return knn_text, one("nn")
+
+
+def setting_values(key):
+    """Text for a config key's value: its default or one from the pool."""
+    if key == "synth_days":  # synth's work grows with the day count
+        return st.sampled_from([str(DAYS), "3", "1", "0", "-1", "x"])
+    pool = INTERVALS if key == "sample_interval_seconds" else VALUES
+    return st.one_of(st.just(DEFAULTS[key]), st.sampled_from(pool))
+
+
+@st.composite
+def overrides(draw):
+    """Config flags with fuzzed values, and maybe a stray argument."""
+    argv = []
+    for key in draw(st.lists(st.sampled_from(list(DEFAULTS)), max_size=2)):
+        argv += ["--" + key.replace("_", "-"), draw(setting_values(key))]
+    if draw(rarely):
+        argv.append(draw(st.sampled_from(["--bogus", "x", "--help", "--data"])))
+    return argv
+
+
+@st.composite
+def config_files(draw):
+    """A `key = value` file, or None for no --config flag."""
+    if not draw(st.booleans()):
+        return None
+    lines = [
+        f"{key} = {draw(setting_values(key))}"
+        for key in draw(st.lists(st.sampled_from(list(DEFAULTS)), max_size=2))
+    ]
+    if draw(rarely):
+        lines.append(draw(st.one_of(st.sampled_from(["unknown_key = 1", "= 1", "seed"]),
+                                    st.text(max_size=12))))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def invocations(draw):
+    """(argv, files): the command line, run in the example's directory,
+    and the files to write there first, keyed by relative path."""
+    command = draw(st.sampled_from(["synth", "ingest", "tune", "simulate", "evaluate"]))
+    files = {}
+    argv = [command]
+    if command == "synth":
+        argv += ["--days", str(draw(st.integers(min_value=-1, max_value=DAYS)))]
+        out = draw(st.sampled_from([None, "out.csv", "missing/out.csv", "."]))
+        if out is not None:
+            argv += ["--out", out]
+    else:
+        data = draw(st.sampled_from(["data.csv"] * 4 + ["missing.csv", "."]))
+        if data == "data.csv":
+            files["data.csv"] = draw(file_contents("data"))
+        argv += ["--data", data]
+    if command == "ingest" and draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["copy.csv", "missing/copy.csv"]))]
+    if command == "tune":
+        argv += ["--knn-only", "--out", draw(st.sampled_from(["t.cfg", "missing/t.cfg"]))]
+        if draw(st.booleans()):
+            argv += ["--report", "grid.csv"]
+        if draw(rarely):
+            argv.append("--nn-only")
+    if command in ("simulate", "evaluate"):
+        knn_text, nn_text = draw(model_files())
+        for name, text in (("knn", knn_text), ("nn", nn_text)):
+            if text is not None:
+                files[f"models/{name}{persistence.MODEL_SUFFIX}"] = text
+        argv += ["--models", "models"]
+    if command == "simulate":
+        argv += ["--day", draw(st.sampled_from(DAYS_TO_SIMULATE)), "--out", "traces"]
+    if command == "evaluate":
+        argv += ["--out", draw(st.sampled_from(["report.csv", "missing/report.csv"]))]
+    config = draw(config_files())
+    if config is not None:
+        files["run.cfg"] = config
+        argv += ["--config", "run.cfg"]
+    argv += draw(overrides())
+    return argv, files
+
+
+def run_in(directory: Path, argv, files) -> int:
+    """Write files into directory, then run argv there; the exit code."""
+    for name, content in files.items():
+        path = directory / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8", newline="\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(directory), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            return cli.main(argv)
+        except SystemExit as exit_:  # argparse's usage errors and --help
+            return exit_.code
+
+
+@FUZZ
+@given(invocations())
+def test_every_outcome_is_a_documented_exit_code(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as directory:
+        code = run_in(Path(directory), argv, files)
+    assert code in EXIT_CODES, (argv, code)

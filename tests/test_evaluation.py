@@ -17,6 +17,7 @@ from twotier.evaluation import (
     METHOD_KNN_LOCAL,
     METHOD_NN,
     METHOD_NN_LOCAL,
+    TuneGrid,
     compare_methods,
     improvement,
     make_grid,
@@ -105,6 +106,20 @@ class TestTuneGridShape:
         assert grid.normalized[0] is None
         assert grid.normalized[1] == 1.0
         assert grid.best == 3
+
+    def test_exact_candidate_normalizes_to_zero(self):
+        grid = make_grid("k", (2, 3, 4), (0.0, 5.0, 2.5))
+        assert grid.normalized == (0.0, 1.0, 0.5)
+        assert grid.best == 2
+
+    def test_all_zero_row_is_flat_ones(self):
+        grid = make_grid("k", (2, 3), (0.0, 0.0))
+        assert grid.normalized == (1.0, 1.0)
+        assert grid.reference_rmse == 0.0
+
+    def test_zero_against_zero_reference_rejected(self):
+        with pytest.raises(ValueError):
+            TuneGrid("k", (2, 3), (0.0, 0.0), (0.0, 1.0), 2, 0.0)
 
     def test_footnote_format(self):
         grid = make_grid("D", (1,), (4943.61,))

@@ -2,7 +2,9 @@
 
 Oracles here are a hand-rolled forward evaluator (plain loops, no shared
 code with the module), a central finite-difference Jacobian, and a
-straightforward LM loop that recomputes everything at every iteration.
+straightforward LM loop that recomputes everything at every iteration,
+once in the module's neuron-major layout (bit for bit) and once in the
+row-major layout it replaced (to rounding).
 """
 
 import math
@@ -88,42 +90,23 @@ def fd_jacobian(model, batch, step=1e-6):
     return np.array(rows)
 
 
-def reference_lm(theta, h, inputs, targets, config):
+def lm_loop(theta, config, residual, jac_at):
     """LM as first written: every iteration evaluates the network at theta
-    twice (once inside the Jacobian, once for the residual) and every
-    proposal once more. Same operations, in the same order, as the
-    module's loop, so the two must agree bit for bit."""
-
-    def outputs(t):
-        w1 = t[: 2 * h].reshape(h, 2)
-        return np.tanh(inputs @ w1.T + t[2 * h : 3 * h]) @ t[3 * h : 4 * h] + t[4 * h]
-
-    def jac_at(t):
-        w1 = t[: 2 * h].reshape(h, 2)
-        w2 = t[3 * h : 4 * h]
-        hidden = np.tanh(inputs @ w1.T + t[2 * h : 3 * h])
-        gate = w2 * (1.0 - hidden**2)
-        n = inputs.shape[0]
-        jac = np.empty((n, 4 * h + 1))
-        jac[:, : 2 * h] = (gate[:, :, None] * inputs[:, None, :]).reshape(n, 2 * h)
-        jac[:, 2 * h : 3 * h] = gate
-        jac[:, 3 * h : 4 * h] = hidden
-        jac[:, 4 * h] = 1.0
-        return jac
+    twice (once inside jac_at, once for the residual) and every proposal
+    once more. jac_at(t) returns (J'J, J'e) at t. Returns the final theta
+    and the TrainTrace."""
 
     def sse(t):
-        err = outputs(t) - targets
+        err = residual(t)
         return float(err @ err)
 
     initial_loss = loss = sse(theta)
     damping = config.lm_initial_damping
     identity = np.eye(theta.size)
     losses, accepted = [], []
+    stop_reason = "budget"
     for _ in range(config.max_iterations):
-        jac = jac_at(theta)
-        err = outputs(theta) - targets
-        gradient = jac.T @ err
-        gauss_newton = jac.T @ jac
+        gauss_newton, gradient = jac_at(theta)
         improvement = None
         while True:
             try:
@@ -151,9 +134,78 @@ def reference_lm(theta, h, inputs, targets, config):
             if damping > DAMPING_CAP:
                 improvement = None
                 break
-        if improvement is None or improvement < config.loss_tolerance:
+        if improvement is None:
+            stop_reason = "damping_cap"
             break
-    return theta, initial_loss, tuple(losses), tuple(accepted), damping
+        if improvement < config.loss_tolerance:
+            stop_reason = "tolerance"
+            break
+    trace = TrainTrace(
+        initial_loss=initial_loss, losses=tuple(losses), accepted=tuple(accepted),
+        final_damping=damping, stop_reason=stop_reason,
+    )
+    return theta, trace
+
+
+def reference_lm(theta, h, inputs, targets, config):
+    """The module's arithmetic, recomputed at every iteration: parameters
+    in neuron-major order (per hidden neuron w_k0, w_k1, b_k; then the
+    output weights and bias), pre-activations [W1 b1] @ [x0; x1; 1], and
+    J' built as a (4H+1, n) array, so J'J = J' @ J'.T. Same operations on
+    the same layouts as the module's loop, so the two must agree bit for
+    bit. theta is in packed order on entry and on return."""
+    n = inputs.shape[0]
+    design = np.vstack([inputs.T, np.ones(n)])
+    order = np.concatenate(
+        [[2 * k, 2 * k + 1, 2 * h + k] for k in range(h)] + [range(3 * h, 4 * h + 1)]
+    ).astype(int)
+
+    def hidden_at(t):
+        return np.tanh(t[: 3 * h].reshape(h, 3) @ design)
+
+    def residual(t):
+        return t[3 * h : 4 * h] @ hidden_at(t) + t[4 * h] - targets
+
+    def jac_at(t):
+        hidden = hidden_at(t)
+        gate = t[3 * h : 4 * h, None] * (1.0 - hidden**2)
+        jac = np.empty((4 * h + 1, n))
+        jac[: 3 * h] = (gate[:, None, :] * design[None, :, :]).reshape(3 * h, n)
+        jac[3 * h : 4 * h] = hidden
+        jac[4 * h] = 1.0
+        return jac @ jac.T, jac @ residual(t)
+
+    params, trace = lm_loop(theta[order], config, residual, jac_at)
+    packed = np.empty_like(params)
+    packed[order] = params
+    return packed, trace
+
+
+def row_major_lm(theta, h, inputs, targets, config):
+    """The loop before the neuron-major layout: parameters in packed order,
+    pre-activations inputs @ W1' + b1 and J built as an (n, 4H+1) array.
+    Its rounding differs from the module's, so it is compared with
+    tolerances."""
+
+    def hidden_at(t):
+        w1 = t[: 2 * h].reshape(h, 2)
+        return np.tanh(inputs @ w1.T + t[2 * h : 3 * h])
+
+    def residual(t):
+        return hidden_at(t) @ t[3 * h : 4 * h] + t[4 * h] - targets
+
+    def jac_at(t):
+        hidden = hidden_at(t)
+        gate = t[3 * h : 4 * h] * (1.0 - hidden**2)
+        n = inputs.shape[0]
+        jac = np.empty((n, 4 * h + 1))
+        jac[:, : 2 * h] = (gate[:, :, None] * inputs[:, None, :]).reshape(n, 2 * h)
+        jac[:, 2 * h : 3 * h] = gate
+        jac[:, 3 * h : 4 * h] = hidden
+        jac[:, 4 * h] = 1.0
+        return jac.T @ jac, jac.T @ residual(t)
+
+    return lm_loop(theta, config, residual, jac_at)
 
 
 class TestBuild:
@@ -333,7 +385,8 @@ def default_train_inputs(default_train):
 
 class TestTrainMatchesReference:
     """The cached-activation LM loop reproduces the recompute-everything
-    loop exactly: same parameters, losses, accept flags and damping."""
+    loop exactly: same parameters, losses, accept flags, damping and stop
+    reason."""
 
     @staticmethod
     def check(inputs, targets, hidden, restart):
@@ -342,14 +395,9 @@ class TestTrainMatchesReference:
         theta, trace = nn._train_lm_arrays(
             start.copy(), hidden, inputs, targets, np.ones(targets.size), config
         )
-        ref_theta, initial, losses, accepted, damping = reference_lm(
-            start.copy(), hidden, inputs, targets, config
-        )
+        ref_theta, ref_trace = reference_lm(start.copy(), hidden, inputs, targets, config)
         assert np.array_equal(theta, ref_theta)
-        assert trace == TrainTrace(
-            initial_loss=initial, losses=losses, accepted=accepted,
-            final_damping=damping, stop_reason=trace.stop_reason,
-        )
+        assert trace == ref_trace
 
     @pytest.mark.parametrize("hidden", [1, 3, 6, 8])
     @pytest.mark.parametrize("restart", [0, 1, 2])
@@ -359,10 +407,60 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("hidden", [1, 3, 6, 8])
     @pytest.mark.parametrize("restart", [0, 1, 2])
     def test_random_samples(self, hidden, restart):
-        rng = np.random.default_rng(100 + restart)
-        inputs = rng.uniform(0, 1, (60, 2))
-        targets = np.sin(3 * inputs[:, 0]) * 0.5 + 0.3 * inputs[:, 1] ** 2
-        self.check(inputs, targets, hidden, restart)
+        self.check(*random_samples(restart), hidden, restart)
+
+
+def random_samples(restart):
+    rng = np.random.default_rng(100 + restart)
+    inputs = rng.uniform(0, 1, (60, 2))
+    targets = np.sin(3 * inputs[:, 0]) * 0.5 + 0.3 * inputs[:, 1] ** 2
+    return inputs, targets
+
+
+class TestTrainMatchesRowMajorLoop:
+    """The neuron-major layout changes only rounding: the row-major loop
+    takes the same steps to the same stop, with a final loss and weights
+    that agree to rounding."""
+
+    @staticmethod
+    def run_both(inputs, targets, hidden, restart):
+        config = NnConfig(hidden_neurons=hidden)
+        start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
+        theta, trace = nn._train_lm_arrays(
+            start.copy(), hidden, inputs, targets, np.ones(targets.size), config
+        )
+        return theta, trace, *row_major_lm(start.copy(), hidden, inputs, targets, config)
+
+    def check(self, inputs, targets, hidden, restart):
+        theta, trace, old_theta, old_trace = self.run_both(inputs, targets, hidden, restart)
+        assert trace.accepted == old_trace.accepted
+        assert trace.stop_reason == old_trace.stop_reason
+        assert trace.final_loss == pytest.approx(old_trace.final_loss, rel=1e-8)
+        assert np.max(np.abs(theta - old_theta)) <= 1e-6 * np.max(np.abs(old_theta))
+
+    @pytest.mark.parametrize("hidden", [1, 3, 6, 8])
+    @pytest.mark.parametrize("restart", [0, 1, 2])
+    def test_default_train_split(self, default_train_inputs, hidden, restart):
+        self.check(*default_train_inputs, hidden, restart)
+
+    @pytest.mark.parametrize("hidden, restart", [
+        (h, r) for h in (1, 3, 6, 8) for r in (0, 1, 2) if (h, r) != (1, 0)
+    ])
+    def test_random_samples(self, hidden, restart):
+        self.check(*random_samples(restart), hidden, restart)
+
+    def test_saturated_single_neuron_path_depends_on_rounding(self):
+        # Random samples, H = 1, restart 0: within six steps the one neuron
+        # saturates (input weights about -220 and 68, bias 127) and cond(J'J)
+        # reaches 1.6e15, so rounding decides how far the damped steps go.
+        # Both loops make the same decisions while both run and stop on
+        # tolerance at the same loss, a few steps apart, with weights that
+        # differ by about 5e-4 of max |theta|.
+        _, trace, _, old_trace = self.run_both(*random_samples(0), 1, 0)
+        both = min(len(trace.accepted), len(old_trace.accepted))
+        assert trace.accepted[:both] == old_trace.accepted[:both]
+        assert trace.stop_reason == old_trace.stop_reason == "tolerance"
+        assert trace.final_loss == pytest.approx(old_trace.final_loss, rel=1e-8)
 
 
 def first_normal_equations(monkeypatch, inputs, targets, counts, hidden):

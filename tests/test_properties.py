@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import replace_payload_line  # noqa: E402
+from conftest import rendered, replace_payload_line  # noqa: E402
 from twotier import correction, evaluation, knn, nn, persistence  # noqa: E402
 from twotier.errors import (  # noqa: E402
     InsufficientTrainingDays,
@@ -591,12 +591,6 @@ def test_tune_knn_matches_per_cell_fits(case):
         assert (result.best_depth, result.best_neighbors) in ties
 
 
-def rendered(model):
-    sink = io.StringIO()
-    persistence.save_model(model, sink)
-    return sink.getvalue()
-
-
 MODEL_FILES = (
     rendered(knn.KnnModel(
         knn.KnnConfig(depth_days=2, neighbors=2),
@@ -644,3 +638,104 @@ def test_mutated_model_file_loads_or_raises_persistence_error(text):
     except PersistenceError:
         return
     assert isinstance(model, (knn.KnnModel, nn.NnModel))
+
+
+# The NN's public functions, against the expressions they had before
+# training moved to the neuron-major layout. Only rounding may differ:
+# the pre-activation sums x0*w0 + x1*w1 + b in another order, and the
+# output sums over the hidden neurons in another order. So each value
+# is compared within 1e-14 of the magnitude of the terms it sums; a
+# plain relative error is unbounded where those terms cancel.
+
+weights = st.floats(min_value=-50.0, max_value=50.0)
+normalized = st.floats(min_value=0.0, max_value=1.5)
+
+
+@st.composite
+def nn_batches(draw):
+    """A model with moderate weights and a batch of normalized input pairs."""
+    hidden = draw(st.integers(min_value=1, max_value=8))
+    model = nn.NnModel(
+        hidden_weights=draw(arrays(float, (hidden, 2), elements=weights)),
+        hidden_biases=draw(arrays(float, hidden, elements=weights)),
+        output_weights=draw(arrays(float, hidden, elements=weights)),
+        output_bias=draw(weights),
+        scale_max=draw(st.floats(min_value=1.0, max_value=1e5)),
+        samples_per_day=4,
+        config=nn.NnConfig(hidden_neurons=hidden),
+    )
+    inputs = draw(arrays(float, (draw(st.integers(1, 40)), 2), elements=normalized))
+    return model, inputs
+
+
+def parent_hidden(model, inputs):
+    return np.tanh(inputs @ model.hidden_weights.T + model.hidden_biases)
+
+
+def parent_forward(model, inputs):
+    return parent_hidden(model, inputs) @ model.output_weights + model.output_bias
+
+
+def parent_jacobian(model, inputs):
+    h = model.config.hidden_neurons
+    hidden = parent_hidden(model, inputs)
+    gate = model.output_weights * (1.0 - hidden**2)
+    jac = np.empty((inputs.shape[0], 4 * h + 1))
+    jac[:, 0 : 2 * h : 2] = gate * inputs[:, :1]
+    jac[:, 1 : 2 * h : 2] = gate * inputs[:, 1:]
+    jac[:, 2 * h : 3 * h] = gate
+    jac[:, 3 * h : 4 * h] = hidden
+    jac[:, 4 * h] = 1.0
+    return jac
+
+
+def preactivation_terms(model, inputs):
+    """(n, H): 1 + |x0 w0| + |x1 w1| + |b|, bounding each hidden value's
+    and pre-activation's magnitude."""
+    return 1.0 + np.abs(inputs) @ np.abs(model.hidden_weights.T) + np.abs(model.hidden_biases)
+
+
+def output_terms(model, inputs):
+    return np.abs(model.output_bias) + preactivation_terms(model, inputs) @ np.abs(
+        model.output_weights
+    )
+
+
+@PROPERTY
+@given(nn_batches())
+def test_nn_forward_matches_parent_expression(case):
+    model, inputs = case
+    got = np.array([nn.forward(model, x) for x in inputs])
+    want = parent_forward(model, inputs)
+    assert np.all(np.abs(got - want) <= 1e-14 * output_terms(model, inputs))
+
+
+@PROPERTY
+@given(nn_batches())
+def test_nn_jacobian_matches_parent_expression_and_column_order(case):
+    model, inputs = case
+    h = model.config.hidden_neurons
+    terms = preactivation_terms(model, inputs)
+    gate_terms = np.abs(model.output_weights) * terms
+    bound = np.empty((inputs.shape[0], 4 * h + 1))
+    bound[:, 0 : 2 * h : 2] = gate_terms * inputs[:, :1]
+    bound[:, 1 : 2 * h : 2] = gate_terms * inputs[:, 1:]
+    bound[:, 2 * h : 3 * h] = gate_terms
+    bound[:, 3 * h : 4 * h] = terms
+    bound[:, 4 * h] = 0.0  # d out / d output bias is exactly 1
+    got = nn.jacobian(model, inputs)
+    assert got.shape == bound.shape
+    assert np.all(np.abs(got - parent_jacobian(model, inputs)) <= 1e-14 * bound)
+
+
+@PROPERTY
+@given(nn_batches(), arrays(float, (2, 4), elements=normalized))
+def test_nn_predict_day_matches_parent_expression(case, days):
+    model, _ = case
+    series = SolarSeries(SamplingGrid(21600), days * model.scale_max, Date(2015, 2, 15))
+    got = nn.predict_day(model, series.days[1], series.days[0])
+    inputs = np.stack([series.days[1].samples, series.days[0].samples], axis=1)
+    inputs = inputs / model.scale_max
+    want = np.maximum(parent_forward(model, inputs) * model.scale_max, 0.0)
+    bound = 1e-14 * output_terms(model, inputs) * model.scale_max
+    assert np.all(np.abs(got - want) <= bound)

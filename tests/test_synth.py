@@ -18,6 +18,18 @@ from twotier.synth import (
 from twotier.timeseries import SamplingGrid
 
 
+@pytest.mark.parametrize("peak", [1e303, 1e308])
+def test_peak_power_past_the_rounding_limit_rejected(peak):
+    # generate rounds samples to 1e-6 W, which overflows above ~1.8e302 W
+    with pytest.raises(ValueError, match="peak_power_w"):
+        SynthConfig(peak_power_w=peak)
+
+
+def test_largest_peak_power_generates_finite_days():
+    days = generate(SynthConfig(peak_power_w=1e302, cloudiness=0.5), 4).series.power
+    assert np.all(np.isfinite(days)) and days.max() <= 1e302
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(peak_power_w=-1)
