@@ -100,11 +100,11 @@ def _load_models(models_dir: str, grid):
     """The k-NN and NN models of a directory, checked against the data grid."""
     knn_model = _load_model(models_dir, "knn", knn.KnnModel)
     nn_model = _load_model(models_dir, "nn", nn.NnModel)
-    knn_per_day = knn_model.context_length / knn_model.config.depth_days
+    knn_per_day = knn_model.samples_per_day
     expected = grid.samples_per_day
     if knn_per_day != expected or nn_model.samples_per_day != expected:
         raise GridMismatch(
-            f"models in {models_dir} were trained at {knn_per_day:g} (k-NN) "
+            f"models in {models_dir} were trained at {knn_per_day} (k-NN) "
             f"and {nn_model.samples_per_day} (NN) samples per day, but the "
             f"data has {expected} ({grid.sample_interval_seconds} s interval)"
         )
@@ -125,6 +125,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(summary, file=sys.stderr)
         return EXIT_OK
     out = Path(args.out)
+    if not out.name:  # ".", "" or "/" name a directory
+        raise IsADirectoryError(f"--out {args.out!r} names no file")
     labels_path = out.with_suffix(".labels.csv")
     with open(out, "w", encoding="utf-8", newline="\n") as sink:
         export_csv(result.series, sink)

@@ -81,7 +81,11 @@ class TuneGrid:
             raise ValueError("normalized grid must lie in [0, 1] with max 1")
 
     def footnote(self) -> str:
-        return f"RMSE {self.reference_rmse:.1f} is normalized to 1"
+        shown = f"{self.reference_rmse:.1f}"
+        if shown == "0.0" and self.reference_rmse > 0:
+            # a positive reference must not read like the all-zero one
+            shown = f"{self.reference_rmse:.3g}"
+        return f"RMSE {shown} is normalized to 1"
 
 
 def make_grid(axis_label: str, candidates, raw_rmse) -> TuneGrid:
@@ -124,16 +128,6 @@ class KnnTuneResult:
     cell_rmse: tuple  # ((depth, neighbors, rmse-or-None), ...) in grid order
 
 
-def _distance_table(rows: np.ndarray, train: SolarSeries) -> np.ndarray:
-    """S[q, j] = squared Euclidean distance between `rows[q]` and train
-    day j, built one row at a time from direct differences."""
-    table = np.empty((len(rows), train.num_days))
-    for q, row in enumerate(rows):
-        diff = train.power - row
-        table[q] = np.einsum("ij,ij->i", diff, diff)
-    return table
-
-
 def tune_knn(
     split: DatasetSplit,
     depth_candidates=DEFAULT_DEPTH_CANDIDATES,
@@ -141,15 +135,14 @@ def tune_knn(
 ) -> KnnTuneResult:
     """Grid-search context depth and neighbor count on the tune split.
 
-    Each cell scores the average daily RMSE over tune days of the model
-    `knn.fit` would build on the train split, without building it: one
-    table S of squared distances between the days the tune contexts read
-    and the train days gives every depth's context distances, tune day t
-    to training pair j being sqrt(sum over i < D of S[t-D+i, j+i]), and
+    Each cell is exactly the average daily RMSE over tune days of the
+    `knn.forecast_day` forecasts of the model `knn.fit` would build on the
+    train split, computed without building it: one table S of
+    `knn.day_distances` between the days the tune contexts read and the
+    train days gives every depth's `knn.context_distances`, tune day t to
+    training pair j reading S[t-D+i, j+i] for i < D, and
     `knn.blend_nearest` turns them into forecasts for each neighbor count.
-    The distances are summed in another order than `knn.predict_day`'s,
-    so a cell can differ from scoring `knn.forecast_day` in its last
-    digits. A cell is None when the train split is shorter than
+    A cell is None when the train split is shorter than
     `KnnConfig.min_training_days`. The per-axis tables hold the best
     (minimum) cell in each row or column. Ties prefer smaller depth, then
     fewer neighbors.
@@ -161,62 +154,44 @@ def tune_knn(
     if split.tune.num_days == 0:
         raise EmptyInput("tune split has no days")
     full, train, tune = split.full_series(), split.train, split.tune
-    trainable = [
-        (depth, neighbors)
-        for depth in depth_candidates
-        for neighbors in neighbor_candidates
-        if train.num_days
-        >= knn.KnnConfig(depth_days=depth, neighbors=neighbors).min_training_days
-    ]
+    trainable = [(d, k) for d in depth_candidates for k in neighbor_candidates
+                 if train.num_days >= knn.KnnConfig(d, k).min_training_days]
     cells = {(d, k): None for d in depth_candidates for k in neighbor_candidates}
     # The partitions follow each other in `full`, so the tune days'
     # contexts read its rows from `deepest` days before the first tune day
-    # up to the day before the last one.
+    # up to the day before the last one. S is built one row at a time, so
+    # no rows x days x slots array is ever held.
     deepest = max((depth for depth, _ in trainable), default=0)
     start = tune.first_index - full.first_index
-    table = _distance_table(full.power[start - deepest : start + tune.num_days - 1], train)
+    rows = full.power[start - deepest : start + tune.num_days - 1]
+    table = np.array([knn.day_distances(train.power, row) for row in rows])
     distances = {}
     for depth, neighbors in trainable:
         if depth not in distances:
             pairs, offset = train.num_days - depth, deepest - depth
-            distances[depth] = np.sqrt(sum(
+            distances[depth] = knn.context_distances(
                 table[offset + i : offset + i + tune.num_days, i : i + pairs]
                 for i in range(depth)
-            ))
+            )
         forecasts = knn.blend_nearest(distances[depth], train.power[depth:], neighbors)
         scores = [rmse(f, a) for f, a in zip(forecasts, tune.power)]
         cells[depth, neighbors] = sum(scores) / len(scores)
 
-    def marginal(axis_values, pick):
-        row = []
-        for value in axis_values:
-            pool = [v for key, v in cells.items() if pick(key) == value and v is not None]
-            row.append(min(pool) if pool else None)
-        return row
+    def marginal(axis_label, candidates, pick):
+        return make_grid(axis_label, candidates, [
+            min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
+            for c in candidates
+        ])
 
-    depth_grid = make_grid(
-        "depth_days", depth_candidates,
-        marginal(depth_candidates, lambda key: key[0]),
-    )
-    neighbors_grid = make_grid(
-        "neighbors", neighbor_candidates,
-        marginal(neighbor_candidates, lambda key: key[1]),
-    )
+    depth_grid = marginal("depth_days", depth_candidates, 0)
+    neighbors_grid = marginal("neighbors", neighbor_candidates, 1)
     best_depth, best_neighbors = min(
         (key for key, v in cells.items() if v is not None),
         key=lambda key: (cells[key], key[0], key[1]),
     )
-    ordered = tuple(
-        (d, k, cells[(d, k)])
-        for d in depth_candidates
-        for k in neighbor_candidates
-    )
     return KnnTuneResult(
-        depth_grid=depth_grid,
-        neighbors_grid=neighbors_grid,
-        best_depth=best_depth,
-        best_neighbors=best_neighbors,
-        cell_rmse=ordered,
+        depth_grid, neighbors_grid, best_depth, best_neighbors,
+        cell_rmse=tuple((d, k, v) for (d, k), v in cells.items()),
     )
 
 

@@ -4,7 +4,11 @@ A query day is matched against stored (context, target) pairs, where the
 context is the concatenation of the D days preceding the target day. The
 k most similar contexts (Euclidean distance) are blended with weights
 that fall off linearly from the nearest match toward the (k+1)-th
-distance, then normalized to sum to one.
+distance, then normalized to sum to one. `predict_day` and the tuner in
+`evaluation` share one distance rule: a day's squared distance is the
+difference dotted with itself along the slot axis (`day_distances`), and
+a context's is the square root of its D day terms added oldest day
+first (`context_distances`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ class KnnConfig:
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     """Stored training pairs: contexts (P, D*M) and targets (P, M), both
-    in watts, rows in chronological order of the target day."""
+    in watts, rows in chronological order of the target day. A context
+    must split into D days of M slots."""
 
     config: KnnConfig
     contexts: np.ndarray
@@ -53,6 +58,9 @@ class KnnModel:
             raise ValueError("contexts and targets must be 2-D")
         if contexts.shape[0] != targets.shape[0]:
             raise ValueError("contexts and targets must have one row per pair")
+        if contexts.shape[1] % self.config.depth_days:
+            raise ValueError(f"context length {contexts.shape[1]} does not split "
+                             f"into depth_days = {self.config.depth_days} days")
         if contexts.shape[0] < self.config.neighbors + 1:
             raise ValueError(
                 f"need at least k+1 = {self.config.neighbors + 1} pairs, "
@@ -76,6 +84,10 @@ class KnnModel:
     @property
     def target_length(self) -> int:
         return self.targets.shape[1]
+
+    @property
+    def samples_per_day(self) -> int:
+        return self.context_length // self.config.depth_days
 
 
 def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
@@ -142,16 +154,28 @@ def blend_nearest(distances: np.ndarray, targets: np.ndarray, neighbors: int) ->
     return blend / weights.sum(axis=1, keepdims=True)
 
 
+def day_distances(days: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of each of `days` (..., M) to `day`."""
+    diff = days - day
+    return np.einsum("...m,...m->...", diff, diff)
+
+
+def context_distances(day_terms) -> np.ndarray:
+    """sqrt of the D per-day squared distances, added oldest day first."""
+    return np.sqrt(sum(day_terms))
+
+
 def predict_day(model: KnnModel, context) -> np.ndarray:
     """Forecast one day from a query context: `blend_nearest` over the
-    Euclidean distances to every stored context."""
+    `context_distances` to every stored context, read as (D, M) days."""
     query = np.asarray(context, dtype=float)
     if query.ndim != 1 or query.size != model.context_length:
         raise DimensionMismatch(
             f"query length {query.size} != stored context length "
             f"{model.context_length}"
         )
-    distances = np.sqrt(np.sum((model.contexts - query) ** 2, axis=1))
+    days = model.contexts.reshape(model.pair_count, model.config.depth_days, -1)
+    distances = context_distances(day_distances(days, query.reshape(days.shape[1:])).T)
     return blend_nearest(distances[np.newaxis], model.targets, model.config.neighbors)[0]
 
 

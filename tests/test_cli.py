@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
 import hashlib
+import re
 import shlex
 import shutil
 import time
@@ -97,6 +98,14 @@ class TestSynth:
         assert cli.main(["synth", "--out", str(a), "--seed", "1"]) == 0
         assert cli.main(["synth", "--out", str(b), "--seed", "2"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("out", [".", "", "{tmp}", "{tmp}/"])
+    def test_out_naming_no_file_exit_3(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--days", "2", "--out", out.format(tmp=tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("days, digest", [
         ([], "f641af16498e3942dc2b21a4a480ab8107e54896be596fba49611c72efa65ee3"),
@@ -280,9 +289,9 @@ class TestTune:
         assert "depth_days" in text and "neighbors" in text
 
 
-    def test_exact_candidate_normalizes_to_zero(self, tmp_path, capsys):
-        # one day repeated 50 times: some k-NN cells forecast the tune days
-        # exactly, so their RMSE is 0 next to positive ones
+    @staticmethod
+    def tune_repeated_day(tmp_path, capsys):
+        """`tune --knn-only` on one day repeated 50 times; its stdout."""
         day = generate(SynthConfig(), 1).series.power[0]
         data = tmp_path / "repeat.csv"
         with open(data, "w", encoding="utf-8", newline="\n") as sink:
@@ -292,9 +301,24 @@ class TestTune:
         )
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        rows = [line.split() for line in captured.out.splitlines()
+        return captured.out
+
+    def test_exact_candidate_normalizes_to_zero(self, tmp_path, capsys):
+        # one day repeated 50 times: some k-NN cells forecast the tune days
+        # exactly, so their RMSE is 0 next to positive ones
+        out = self.tune_repeated_day(tmp_path, capsys)
+        rows = [line.split() for line in out.splitlines()
                 if line.startswith("normalized RMSE")]
         assert any("0.000" in row for row in rows)
+
+    def test_tiny_reference_footnote_is_not_zero(self, tmp_path, capsys):
+        # the neighbors row is 0, a rounding-level RMSE, 0: its footnote
+        # must not read like the all-zero depth row's
+        tables = self.tune_repeated_day(tmp_path, capsys).split("\n\n")
+        assert tables[0].splitlines()[-1] == "RMSE 0.0 is normalized to 1"
+        assert tables[1].splitlines()[1].split()[2:] == ["0.000", "1.000", "0.000"]
+        assert re.fullmatch(r"RMSE \d\.\d\de-1\d is normalized to 1",
+                            tables[1].splitlines()[-1])
 
 
 class TestSimulate:
@@ -507,8 +531,9 @@ class TestNonFiniteSettings:
 
 
 def readme_quick_start():
-    """(argv, printed lines) for every `$ twotier ...` command in the
-    README's Quick start section, in order. `...` elisions are dropped."""
+    """(argv, shown lines) for every `$ twotier ...` command in the
+    README's Quick start section, in order. Shown lines keep blank lines
+    and `...` elisions but not the blank lines that end a command."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
@@ -517,27 +542,38 @@ def readme_quick_start():
         for line in block.splitlines():
             if line.startswith("$ twotier "):
                 commands.append((shlex.split(line)[2:], []))
-            elif commands and line.strip() not in ("", "..."):
+            elif commands:
                 commands[-1][1].append(line)
+    for _, shown in commands:
+        while shown and not shown[-1].strip():
+            shown.pop()
     return commands
+
+
+def fits(shown, printed):
+    """Whether `printed` is `shown` line for line, where each `...` line
+    of `shown` stands for any number of printed lines."""
+    if not shown:
+        return not printed
+    if shown[0] == "...":
+        return any(fits(shown[1:], printed[i:]) for i in range(len(printed) + 1))
+    return bool(printed) and printed[0] == shown[0] and fits(shown[1:], printed[1:])
 
 
 class TestReadmeQuickStart:
     def test_printed_lines_match(self, tmp_path, monkeypatch, capsys):
-        """The Quick start commands print the README's lines at the default
-        seed. tune runs with --knn-only: the README elides the NN table."""
+        """The Quick start and tune commands print exactly the README's
+        lines at the default seed, `...` standing for the elided ones. A
+        command the README shows no output for must succeed."""
         commands = readme_quick_start()
         assert [argv[0] for argv, _ in commands] == [
             "synth", "ingest", "train", "simulate", "evaluate", "tune", "train"
         ]
-        monkeypatch.chdir(tmp_path)
-        for argv, expected in commands:
-            if argv[0] == "tune":
-                argv = [*argv, "--knn-only"]
-            assert cli.main(argv) == 0, argv
-            printed = iter(capsys.readouterr().out.splitlines())
-            # each README line appears, in README order
-            for line in expected:
-                assert line in printed, (argv[0], line)
         assert "  nn         6223.9" in commands[4][1]
-        assert "  nn+local   2727.8" in commands[4][1]
+        assert commands[5][1][-2:] == ["...", "wrote tuned.cfg"]
+        monkeypatch.chdir(tmp_path)
+        for argv, shown in commands:
+            assert cli.main(argv) == 0, argv
+            printed = capsys.readouterr().out.splitlines()
+            if shown:
+                assert fits(shown, printed), (argv, shown, printed)

@@ -125,6 +125,16 @@ class TestTuneGridShape:
         grid = make_grid("D", (1,), (4943.61,))
         assert grid.footnote() == "RMSE 4943.6 is normalized to 1"
 
+    @pytest.mark.parametrize("raw, shown", [
+        ((0.0, 9.189197690664925e-13), "9.19e-13"),
+        ((0.0, 0.0499), "0.0499"),
+        ((0.0, 0.05), "0.1"),  # one decimal shows it as positive already
+        ((0.0, 0.0), "0.0"),
+    ])
+    def test_footnote_tells_tiny_reference_from_zero(self, raw, shown):
+        grid = make_grid("k", (2, 3), raw)
+        assert grid.footnote() == f"RMSE {shown} is normalized to 1"
+
 
 @pytest.fixture(scope="module")
 def synth_split():

@@ -55,6 +55,16 @@ class TestConfig:
             KnnConfig(depth_days=0, neighbors=2)
 
 
+class TestModel:
+    def test_context_must_split_into_days(self):
+        with pytest.raises(ValueError, match="does not split into depth_days = 2 days"):
+            KnnModel(KnnConfig(depth_days=2, neighbors=2), np.zeros((3, 5)), np.zeros((3, 2)))
+
+    def test_samples_per_day(self):
+        model = KnnModel(KnnConfig(depth_days=3, neighbors=2), np.zeros((3, 12)), np.zeros((3, 4)))
+        assert model.samples_per_day == 4
+
+
 class TestFit:
     def test_30_days_depth_5_gives_25_pairs(self):
         series = make_series(np.random.default_rng(0).uniform(0, 100, (30, 96)))

@@ -107,6 +107,13 @@ class TestIntegrity:
         with pytest.raises(InvariantViolation):
             load_model(io.StringIO(rebuilt))
 
+    def test_context_not_split_into_days_rejected(self):
+        # two context values cannot be three days of whole slots
+        text = render_model(small_knn_model())
+        rebuilt = replace_payload_line(text, "depth_days 2", "depth_days 3")
+        with pytest.raises(InvariantViolation, match="does not split into"):
+            load_model(rebuilt)
+
     def test_trailing_garbage_rejected(self):
         text = render_model(small_knn_model())
         with pytest.raises((MalformedModelFile, ChecksumMismatch)):

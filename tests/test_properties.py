@@ -5,7 +5,6 @@ locally to search further.
 """
 
 import io
-import math
 import re
 from datetime import date as Date, datetime, timedelta
 
@@ -437,9 +436,15 @@ def test_ingest_returns_series_or_raises_twotier_error(case):
 
 
 def predict_day_reference(model, query):
-    """The single-query k-NN forecast as one expression: distances, a
-    stable ranking, the neighbor weights and the blend."""
-    distances = np.sqrt(np.sum((model.contexts - query) ** 2, axis=1))
+    """The single-query k-NN forecast as one expression: the per-day
+    distance rule, a stable ranking, the neighbor weights and the blend."""
+    depth = model.config.depth_days
+    diff = (model.contexts - query).reshape(model.pair_count, depth, -1)
+    day_terms = np.einsum("pdm,pdm->pd", diff, diff)
+    distances = day_terms[:, 0]
+    for i in range(1, depth):  # oldest day first
+        distances = distances + day_terms[:, i]
+    distances = np.sqrt(distances)
     order = np.argsort(distances, kind="stable")
     k = model.config.neighbors
     d = distances[order[: k + 1]]
@@ -459,13 +464,14 @@ watts = st.one_of(
 def knn_queries(draw):
     """A model and a query; the query is often a stored context, and rows
     are often repeats, so ties at zero and elsewhere are common."""
+    depth = draw(st.integers(min_value=1, max_value=3))
     neighbors = draw(st.integers(min_value=2, max_value=4))
     pairs = draw(st.integers(min_value=neighbors + 1, max_value=12))
-    width = draw(st.integers(min_value=1, max_value=6))
+    width = depth * draw(st.integers(min_value=1, max_value=6))
     pool = draw(arrays(float, (draw(st.integers(1, pairs)), width), elements=watts))
     rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=pairs, max_size=pairs))
     model = knn.KnnModel(
-        config=knn.KnnConfig(depth_days=1, neighbors=neighbors),
+        config=knn.KnnConfig(depth_days=depth, neighbors=neighbors),
         contexts=pool[rows],
         targets=draw(arrays(float, (pairs, draw(st.integers(1, 4))), elements=watts)),
     )
@@ -484,18 +490,9 @@ def test_predict_day_bit_equal_to_single_query_expression(case):
 
 def tune_cells_reference(split, depths, neighbor_counts):
     """Per-cell tuning: fit each (D, k) model on the train split and
-    score `forecast_day` on every tune day.
-
-    Also returns each cell's condition number: how much a relative change
-    in the distances can move the cell, relatively. The blend weights
-    divide by the span d(k+1) - d(1), so a relative change e in the
-    distances moves a forecast by up to about e d(k+1) / span times the
-    largest target, and the cell by that over its RMSE. It is 0 where
-    every forecast is exact (the k+1 nearest distances are all 0, or every
-    target is 0) and infinite where a span of 0 is not."""
+    score `forecast_day` on every tune day."""
     full = split.full_series()
-    largest = np.max(split.train.power)
-    cells, condition = {}, {}
+    cells = {}
     for depth in depths:
         for neighbors in neighbor_counts:
             try:
@@ -503,23 +500,12 @@ def tune_cells_reference(split, depths, neighbor_counts):
             except InsufficientTrainingDays:
                 cells[depth, neighbors] = None
                 continue
-            scores, stretch = [], 0.0
-            for day in split.tune.days:
-                query = day_context(full, day.day_index, depth)
-                distances = np.sort(np.sqrt(np.sum((model.contexts - query) ** 2, axis=1)))
-                farthest = distances[neighbors]
-                span = farthest - distances[0]
-                if farthest > 0:
-                    stretch = max(stretch, farthest / span if span > 0 else math.inf)
-                forecast = knn.forecast_day(model, full, day.day_index)
-                scores.append(evaluation.rmse(forecast, day.samples))
-            cell = sum(scores) / len(scores)
-            cells[depth, neighbors] = cell
-            if stretch == 0 or largest == 0:
-                condition[depth, neighbors] = 0.0
-            else:
-                condition[depth, neighbors] = stretch * largest / cell if cell > 0 else math.inf
-    return cells, condition
+            scores = [
+                evaluation.rmse(knn.forecast_day(model, full, day.day_index), day.samples)
+                for day in split.tune.days
+            ]
+            cells[depth, neighbors] = sum(scores) / len(scores)
+    return cells
 
 
 @st.composite
@@ -547,48 +533,38 @@ def tune_cases(draw):
     return split, tuple(depths), tuple(neighbor_counts)
 
 
-CONDITION_LIMIT = 1e3
-
-
 def reference_grids(cells, depths, neighbor_counts):
     """`make_grid` over each candidate's best reference cell, as
     `tune_knn` builds its two tables."""
-    for axis, candidates, pick in (("depth_days", depths, 0), ("neighbors", neighbor_counts, 1)):
+    return tuple(
         evaluation.make_grid(axis, candidates, [
             min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
             for c in candidates
         ])
+        for axis, candidates, pick in (("depth_days", depths, 0), ("neighbors", neighbor_counts, 1))
+    )
 
 
 @PROPERTY
 @given(tune_cases())
 def test_tune_knn_matches_per_cell_fits(case):
     split, depths, neighbor_counts = case
-    want, condition = tune_cells_reference(split, depths, neighbor_counts)
+    want = tune_cells_reference(split, depths, neighbor_counts)
     try:
         result = evaluation.tune_knn(split, depths, neighbor_counts)
     except (InsufficientTrainingDays, ValueError) as exc:
         # no cell can be scored, or a table cannot be normalized
-        if all(c <= CONDITION_LIMIT for c in condition.values()):
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                reference_grids(want, depths, neighbor_counts)
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            reference_grids(want, depths, neighbor_counts)
         return
-    got = {(d, k): v for d, k, v in result.cell_rmse}
-    assert list(got) == list(want)
-    assert [v is None for v in got.values()] == [v is None for v in want.values()]
-    # Summation order moves the distances by a few 1e-16 relative, so a
-    # cell whose condition number is at most CONDITION_LIMIT moves by less
-    # than 1e-12 relative. Beyond it the order may decide the weights.
-    scored = {key: v for key, v in want.items() if v is not None}
-    for key, value in scored.items():
-        if condition[key] <= CONDITION_LIMIT:
-            assert got[key] == pytest.approx(value, rel=1e-12, abs=0)
-    if all(condition[key] <= CONDITION_LIMIT for key in scored):
-        reference_grids(want, depths, neighbor_counts)
-        # the same best cell, unless cells tie with it to within 1e-12
-        best = min(scored.values())
-        ties = [key for key, value in scored.items() if value <= best * (1 + 1e-12)]
-        assert (result.best_depth, result.best_neighbors) in ties
+    # the tuner and the forecaster share one distance rule: equal bits
+    assert [((d, k), v) for d, k, v in result.cell_rmse] == list(want.items())
+    assert (result.depth_grid, result.neighbors_grid) == reference_grids(
+        want, depths, neighbor_counts
+    )
+    scored = [key for key, v in want.items() if v is not None]
+    best = min(scored, key=lambda key: (want[key], key))
+    assert (result.best_depth, result.best_neighbors) == best
 
 
 MODEL_FILES = (
