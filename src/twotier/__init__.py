@@ -9,12 +9,9 @@ low-frequency content of the forecast residuals.
 from . import correction, evaluation, knn, nn, persistence, synth
 from .config import RunConfig, parse_config, render_config
 from .correction import (
-    CorrectedForecast,
     DaySimulation,
     DfsFit,
     ResidualWindow,
-    correct_remaining,
-    eval_dfs,
     fit_dfs,
     residual,
     simulate_day,
@@ -40,7 +37,6 @@ from .timeseries import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrectedForecast",
     "DatasetSplit",
     "DayProfile",
     "DaySimulation",
@@ -61,11 +57,9 @@ __all__ = [
     "TuneGrid",
     "TwoTierError",
     "compare_methods",
-    "correct_remaining",
     "correction",
     "day_context",
     "derive_seed",
-    "eval_dfs",
     "evaluation",
     "export_csv",
     "fit_day_ahead",

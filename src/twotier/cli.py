@@ -27,6 +27,7 @@ from .errors import (
     TooFewDays,
     TwoTierError,
     Underdetermined,
+    UnknownDate,
 )
 from .timeseries import export_csv, ingest_csv, read_text, split_chronological
 
@@ -43,10 +44,6 @@ _SHORTAGE_ERRORS = (
     EmptyInput,
     Underdetermined,
 )
-
-
-class UnknownDate(TwoTierError):
-    """Requested date is not present in the data set."""
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -227,12 +224,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         target = series.day_by_date(args.day)
     except KeyError:
         raise UnknownDate(f"{args.day.isoformat()} is not in {args.data}") from None
-    sims = evaluation.replay_day(
-        series, target.day_index, knn_model, nn_model, window, harmonics
+    sims = evaluation.replay_days(
+        series, [target.day_index], knn_model, nn_model, window, harmonics
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, sim in sims.items():
+    for label, block in sims.items():
+        sim = block.day(0)
         path = out_dir / f"trace-{label}-{args.day.isoformat()}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as sink:
             correction.write_trace_csv(sim, sink)

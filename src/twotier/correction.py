@@ -3,15 +3,15 @@
 As measurements arrive during the day, the gap between the global
 forecast and reality (the residual) is fitted over a short rolling
 window with a truncated discrete Fourier series. Extrapolating that fit
-a few slots ahead and subtracting it from the global forecast gives the
+one slot ahead and subtracting it from the global forecast gives the
 corrected prediction. A positive fitted residual means the global tier
 has been over-predicting, so the correction lowers the forecast.
 
 For a fixed window length n and harmonic count L the fit and its
 one-step extrapolation are a fixed linear map of the window, so the
 local tier is a one-step FIR filter of the last n residuals followed by
-a clamp at zero. `simulate_day` applies it to a whole day at once;
-`fit_dfs`, `eval_dfs` and `correct_remaining` are the per-slot form.
+a clamp at zero. `simulate_day` applies it to a day, or to a block of
+days at once; `fit_dfs` is the least-squares fit of one window.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class DfsFit:
         )
 
 
-@dataclass(frozen=True)
-class CorrectedForecast:
-    sample_indices: tuple[int, ...]
-    values: tuple[float, ...]
-    fit: DfsFit
-
-
 def residual(global_forecast, measured) -> np.ndarray:
     """Global-tier forecast minus measured power, elementwise."""
     g = np.asarray(global_forecast, dtype=float)
@@ -132,61 +125,12 @@ def fit_dfs(window: ResidualWindow, harmonics: int = DEFAULT_HARMONICS) -> DfsFi
     )
 
 
-def eval_dfs(fit: DfsFit, position: float) -> float:
-    """Evaluate the fitted series at a window position (1..n inside the
-    window, larger values extrapolate). The basis is n-periodic, so the
-    position is reduced modulo n first; eval at k and k + n agree exactly.
-    """
-    n = fit.window_length
-    reduced = position % n
-    total = fit.coefficients[0]
-    for i in range(1, fit.harmonics + 1):
-        angle = 2.0 * math.pi * i * reduced / n
-        total += fit.coefficients[2 * i - 1] * math.cos(angle)
-        total += fit.coefficients[2 * i] * math.sin(angle)
-    return total
-
-
-def correct_remaining(
-    global_day,
-    fit: DfsFit,
-    current_sample: int,
-    horizon: int | None = None,
-) -> CorrectedForecast:
-    """Corrected forecast for the slots after current_sample.
-
-    Slot l gets global(l) - eval(n + (l - current_sample)), clamped at
-    zero; the window's newest residual sits at position n, so the first
-    future slot is evaluated at n + 1.
-    """
-    day = np.asarray(global_day, dtype=float)
-    if day.ndim != 1 or day.size == 0:
-        raise EmptyInput("global_day must be a non-empty vector")
-    if not 0 <= current_sample < day.size - 1:
-        raise IndexOutOfDay(
-            f"sample {current_sample} leaves no later slot to correct "
-            f"in a day of {day.size}"
-        )
-    last = day.size - 1
-    if horizon is not None:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        last = min(last, current_sample + horizon)
-    indices = tuple(range(current_sample + 1, last + 1))
-    n = fit.window_length
-    values = tuple(
-        max(0.0, float(day[l]) - eval_dfs(fit, n + (l - current_sample)))
-        for l in indices
-    )
-    return CorrectedForecast(sample_indices=indices, values=values, fit=fit)
-
-
 @dataclass(frozen=True)
 class DaySimulation:
-    """A replayed day, one array element per slot.
+    """A replayed day or (days, slots) block, one array element per slot.
 
-    Row i of `coefficients` holds the fit [a0, a1, b1, ..., aL, bL] that
-    predicted slot i; rows before the first full window are NaN.
+    `coefficients` holds, per slot, the fit [a0, a1, b1, ..., aL, bL] that
+    predicted it; slots before the first full window hold NaN.
     """
 
     global_w: np.ndarray
@@ -197,6 +141,12 @@ class DaySimulation:
     def corrected_series(self) -> np.ndarray:
         return self.corrected_w
 
+    def day(self, i: int) -> "DaySimulation":
+        """Day i of a block, as a one-day simulation."""
+        return DaySimulation(
+            self.global_w[i], self.measured_w[i], self.corrected_w[i], self.coefficients[i]
+        )
+
 
 def simulate_day(
     global_day,
@@ -204,7 +154,8 @@ def simulate_day(
     window_length: int = DEFAULT_WINDOW,
     harmonics: int = DEFAULT_HARMONICS,
 ) -> DaySimulation:
-    """Replay a day with the one-step local correction, all slots at once.
+    """Replay a day, or each day of a (days, slots) block, with the
+    one-step local correction, all slots at once.
 
     Slot m + 1 (for m >= n - 1) is corrected from the DFS fit of the n
     residuals ending at slot m, extrapolated one step. Slots before the
@@ -219,20 +170,20 @@ def simulate_day(
     y = np.array(measured_day, dtype=float)
     if g.shape != y.shape:
         raise LengthMismatch(f"shape mismatch: {g.shape} vs {y.shape}")
-    if g.ndim != 1 or g.size == 0:
-        raise EmptyInput("day must be a non-empty vector")
+    if g.ndim not in (1, 2) or g.size == 0:
+        raise EmptyInput("expected a non-empty day or (days, slots) block")
     n = window_length
     corrected = g.copy()
-    coefficients = np.full((g.size, 2 * harmonics + 1), np.nan)
-    if g.size > n:
+    coefficients = np.full((*g.shape, 2 * harmonics + 1), np.nan)
+    if g.shape[-1] > n:
         matrix = design_matrix(n, harmonics)
-        windows = sliding_window_view((g - y)[:-1], n)
+        windows = sliding_window_view((g - y)[..., :-1], n, axis=-1)
         coef = windows @ np.linalg.pinv(matrix).T
         if not np.all(np.isfinite(coef)):
             raise NumericalFailure("DFS fit produced non-finite coefficients")
-        coefficients[n:] = coef
-        # fmax maps -0.0 and NaN to 0.0, as max(0.0, x) in correct_remaining does
-        corrected[n:] = np.fmax(0.0, g[n:] - coef @ matrix[0])
+        coefficients[..., n:, :] = coef
+        # fmax, not maximum: -0.0 and NaN map to 0.0
+        corrected[..., n:] = np.fmax(0.0, g[..., n:] - coef @ matrix[0])
     return DaySimulation(
         global_w=g, measured_w=y, corrected_w=corrected, coefficients=coefficients
     )

@@ -39,6 +39,10 @@ class InsufficientHistory(TwoTierError):
     """Target day lacks the required number of preceding days."""
 
 
+class UnknownDate(TwoTierError):
+    """Requested date is not present in the data set."""
+
+
 # --- model fitting / prediction ---
 
 class InsufficientTrainingDays(TwoTierError):

@@ -6,9 +6,10 @@ worst (largest) entry is normalized to 1, the convention used when the
 tables are printed. Comparison replays the test split with each method
 and reports per-day scores, averages, and relative improvements.
 
-Each model's `forecast_day` reads the history it needs. `replay_day` is
-the one per-day path: both global forecasts of a day, each corrected by
-the local tier. Comparison and `simulate` replay days through it.
+Each model's `forecast_days` reads its `history_days` days before each
+day. `replay_days` is the one replay path: both global forecasts of a
+(days, slots) block, each corrected by the local tier. Comparison and
+`simulate` replay through it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     InsufficientTrainingDays,
     LengthMismatch,
 )
-from .timeseries import DatasetSplit, SolarSeries
+from .timeseries import DatasetSplit, SolarSeries, require_history
 
 METHOD_KNN = "knn"
 METHOD_NN = "nn"
@@ -136,7 +137,7 @@ def tune_knn(
     """Grid-search context depth and neighbor count on the tune split.
 
     Each cell is exactly the average daily RMSE over tune days of the
-    `knn.forecast_day` forecasts of the model `knn.fit` would build on the
+    `knn.forecast_days` forecasts of the model `knn.fit` would build on the
     train split, computed without building it: one table S of
     `knn.day_distances` between the days the tune contexts read and the
     train days gives every depth's `knn.context_distances`, tune day t to
@@ -212,17 +213,16 @@ def tune_nn(
         raise EmptyInput("tune split has no days")
     if config is None:
         config = nn.NnConfig()
-    full = split.full_series()
+    full, tune = split.full_series(), split.tune
+    tune_days = range(tune.first_index, tune.last_index + 1)
     raw = []
     for hidden in hidden_candidates:
         candidate_config = replace(config, hidden_neurons=hidden)
         try:
             restart_scores = []
             for model, _ in nn.fit_restarts(split.train, candidate_config):
-                scores = [
-                    rmse(nn.forecast_day(model, full, day.day_index), day.samples)
-                    for day in split.tune.days
-                ]
+                forecasts = nn.forecast_days(model, full, tune_days)
+                scores = [rmse(f, a) for f, a in zip(forecasts, tune.power)]
                 restart_scores.append(sum(scores) / len(scores))
             raw.append(sum(restart_scores) / len(restart_scores))
         except (InsufficientTrainingDays, InsufficientHistory):
@@ -251,18 +251,19 @@ def improvement(baseline: float, improved: float):
     return 100.0 * (baseline - improved) / baseline
 
 
-def replay_day(
-    series: SolarSeries, day_index: int, knn_model: knn.KnnModel, nn_model: nn.NnModel,
+def replay_days(
+    series: SolarSeries, day_indices, knn_model: knn.KnnModel, nn_model: nn.NnModel,
     window_length: int = correction.DEFAULT_WINDOW,
     harmonics: int = correction.DEFAULT_HARMONICS,
 ) -> dict:
-    """Replay one day of `series` with both global tiers, each corrected
-    by the local tier: {"knn": DaySimulation, "nn": DaySimulation}.
-    Raises InsufficientHistory when either model lacks its history."""
-    measured = series.day_by_index(day_index).samples
+    """Replay days `day_indices` of `series` as one (days, slots) block
+    with both global tiers, each corrected by the local tier: {"knn":
+    DaySimulation, "nn": DaySimulation}. Raises InsufficientHistory when a
+    model lacks its history, UnknownDate when `series` lacks a day."""
+    measured = series.rows(day_indices)
     forecasts = {
-        METHOD_KNN: knn.forecast_day(knn_model, series, day_index),
-        METHOD_NN: nn.forecast_day(nn_model, series, day_index),
+        METHOD_KNN: knn.forecast_days(knn_model, series, day_indices),
+        METHOD_NN: nn.forecast_days(nn_model, series, day_indices),
     }
     return {
         label: correction.simulate_day(forecast, measured, window_length, harmonics)
@@ -279,26 +280,31 @@ def compare_methods(
     harmonics: int = correction.DEFAULT_HARMONICS,
 ) -> EvalReport:
     """Replay every test day with both global tiers and their two-tier
-    counterparts. Days without enough preceding history for either model
-    are skipped and listed in the report with the reason."""
+    counterparts, as one block. Days without enough preceding history for
+    either model are skipped and listed in the report with the reason."""
     if test.num_days == 0:
         raise EmptyInput("test split has no days")
-    rows = []
-    skipped = []
+    days, skipped = [], []
     for day in test.days:
         try:
-            sims = replay_day(full, day.day_index, knn_model, nn_model,
-                              window_length, harmonics)
+            for model in (knn_model, nn_model):
+                require_history(full, day.day_index, model.history_days)
         except InsufficientHistory as exc:
             skipped.append((day.date, str(exc)))
-            continue
-        # METHOD_LABELS order: both global tiers, then both corrected
-        forecasts = [sim.global_w for sim in sims.values()]
-        forecasts += [sim.corrected_w for sim in sims.values()]
-        for label, forecast in zip(METHOD_LABELS, forecasts):
-            rows.append((day.date, label, rmse(forecast, day.samples)))
-    if not rows:
+        else:
+            days.append(day)
+    if not days:
         raise InsufficientHistory("every test day lacked usable history")
+    sims = replay_days(full, [day.day_index for day in days], knn_model, nn_model,
+                       window_length, harmonics)
+    # METHOD_LABELS order: both global tiers, then both corrected
+    forecasts = [sim.global_w for sim in sims.values()]
+    forecasts += [sim.corrected_w for sim in sims.values()]
+    rows = [
+        (day.date, label, rmse(block[i], day.samples))
+        for i, day in enumerate(days)
+        for label, block in zip(METHOD_LABELS, forecasts)
+    ]
     averaged = {}
     for label in METHOD_LABELS:
         scores = [value for _, method, value in rows if method == label]

@@ -89,6 +89,11 @@ class KnnModel:
     def samples_per_day(self) -> int:
         return self.context_length // self.config.depth_days
 
+    @property
+    def history_days(self) -> int:
+        """How many days before a forecast day its forecast reads: D."""
+        return self.config.depth_days
+
 
 def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
     """Build one (context, target) pair per day with D full days of history.
@@ -179,7 +184,12 @@ def predict_day(model: KnnModel, context) -> np.ndarray:
     return blend_nearest(distances[np.newaxis], model.targets, model.config.neighbors)[0]
 
 
-def forecast_day(model: KnnModel, series: SolarSeries, day_index: int) -> np.ndarray:
-    """Forecast day `day_index` from the D days of `series` before it;
-    raises InsufficientHistory when any of them is missing."""
-    return predict_day(model, day_context(series, day_index, model.config.depth_days))
+def forecast_days(model: KnnModel, series: SolarSeries, day_indices) -> np.ndarray:
+    """One forecast row per day of `day_indices`, each `predict_day` on
+    the `history_days` days of `series` before it; raises
+    InsufficientHistory when any of them is missing."""
+    rows = [
+        predict_day(model, day_context(series, day, model.history_days))
+        for day in day_indices
+    ]
+    return np.array(rows).reshape(len(rows), model.target_length)

@@ -24,8 +24,8 @@ weights and bias), n input pairs are the (3, n) design matrix
 the Jacobian is stored transposed, one contiguous row per parameter.
 Models and the public functions keep the _pack order. There is one
 forward kernel (_hidden_batch, _output_batch): forward, predict_day,
-jacobian and the training loop all use it, so a network's own outputs
-give a training loss of exactly 0.
+forecast_days, jacobian and the training loop all use it, so a
+network's own outputs give a training loss of exactly 0.
 """
 
 from __future__ import annotations
@@ -114,6 +114,11 @@ class NnModel:
     def parameter_count(self) -> int:
         # H*2 input weights + H hidden biases + H output weights + 1 bias
         return 4 * self.config.hidden_neurons + 1
+
+    @property
+    def history_days(self) -> int:
+        """How many days before a forecast day its forecast reads: 2."""
+        return INPUT_WIDTH
 
 
 @dataclass(frozen=True)
@@ -504,23 +509,27 @@ def predict_day(
     Inputs and output are scaled by the model's training maximum; the
     denormalized forecast is clamped at zero.
     """
-    if (
-        prev_day.samples.size != model.samples_per_day
-        or prev_prev_day.samples.size != model.samples_per_day
-    ):
+    return _predict(model, prev_day.samples, prev_prev_day.samples)
+
+
+def forecast_days(model: NnModel, series: SolarSeries, day_indices) -> np.ndarray:
+    """One forecast row per day of `day_indices`, each from the
+    `history_days` days of `series` before it, in one forward pass;
+    raises InsufficientHistory when any of them is missing."""
+    for day in day_indices:
+        require_history(series, day, model.history_days)
+    days = np.asarray(day_indices, dtype=int)
+    return _predict(model, series.rows(days - 1), series.rows(days - 2))
+
+
+def _predict(model: NnModel, prev: np.ndarray, prev_prev: np.ndarray) -> np.ndarray:
+    """`predict_day` of each pair of (..., samples) rows of the two
+    preceding days, in one forward pass over every slot."""
+    if prev.shape[-1:] != (model.samples_per_day,) or prev_prev.shape != prev.shape:
         raise GridMismatch(
             f"model expects {model.samples_per_day} samples per day, got "
-            f"{prev_day.samples.size} and {prev_prev_day.samples.size}"
+            f"{prev.shape[-1]} and {prev_prev.shape[-1]}"
         )
-    inputs = np.stack([prev_day.samples, prev_prev_day.samples], axis=1) / model.scale_max
+    inputs = np.stack([prev, prev_prev], axis=-1).reshape(-1, INPUT_WIDTH) / model.scale_max
     outputs = _forward_batch(_pack(model), model.config.hidden_neurons, inputs)
-    return np.maximum(outputs * model.scale_max, 0.0)
-
-
-def forecast_day(model: NnModel, series: SolarSeries, day_index: int) -> np.ndarray:
-    """Forecast day `day_index` from the two days of `series` before it;
-    raises InsufficientHistory when either of them is missing."""
-    require_history(series, day_index, 2)
-    return predict_day(
-        model, series.day_by_index(day_index - 1), series.day_by_index(day_index - 2)
-    )
+    return np.maximum(outputs * model.scale_max, 0.0).reshape(prev.shape)

@@ -26,7 +26,8 @@ from typing import IO
 import numpy as np
 
 from .rng import SplitMix64
-from .timeseries import SamplingGrid, SolarSeries
+from .errors import MalformedRow
+from .timeseries import SamplingGrid, SolarSeries, read_text
 
 SUNNY = "sunny"
 CLOUDY = "cloudy"
@@ -174,14 +175,27 @@ def write_labels_csv(result: SynthResult, sink: IO) -> None:
         sink.write(f"{day.date.isoformat()},{label}\n")
 
 
-def read_labels_csv(source: IO) -> dict[Date, str]:
-    lines = source.read().splitlines()
+def read_labels_csv(source) -> dict[Date, str]:
+    """The labels of a `write_labels_csv` file, read from a str, UTF-8
+    bytes, or a text or binary stream. Blank lines are skipped. A bad
+    header, a row without two fields, a bad date or an unknown label
+    raises MalformedRow naming the line."""
+    lines = read_text(source, MalformedRow, "label file").splitlines()
     if not lines or lines[0].strip() != "date,label":
-        raise ValueError("label file must start with header 'date,label'")
+        raise MalformedRow("line 1: expected header 'date,label'")
     labels = {}
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        date_text, label = line.strip().split(",")
-        labels[Date.fromisoformat(date_text)] = label
+        fields = line.strip().split(",")
+        if len(fields) != 2:
+            raise MalformedRow(f"line {line_no}: expected 2 fields, got {len(fields)}")
+        date_text, label = fields
+        try:
+            day = Date.fromisoformat(date_text)
+        except ValueError:
+            raise MalformedRow(f"line {line_no}: bad date {date_text!r}") from None
+        if label not in (SUNNY, CLOUDY):
+            raise MalformedRow(f"line {line_no}: unknown label {label!r}")
+        labels[day] = label
     return labels

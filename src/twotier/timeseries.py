@@ -13,10 +13,11 @@ one row per sample, ISO-8601 local timestamps aligned to the grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import date as Date, datetime, timedelta
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     NegativePower,
     TooFewDays,
     TwoTierError,
+    UnknownDate,
 )
 
 SECONDS_PER_DAY = 86400
@@ -137,10 +139,20 @@ class SolarSeries:
         return tuple(self._day(pos) for pos in range(self.num_days))
 
     def day_by_index(self, day_index: int) -> DayProfile:
-        pos = day_index - self.first_index
+        pos = operator.index(day_index) - self.first_index
         if pos < 0 or pos >= self.num_days:
             raise KeyError(f"day index {day_index} not in series")
         return self._day(pos)
+
+    def rows(self, day_indices) -> np.ndarray:
+        """The power rows of days `day_indices`, one per index; a day the
+        series lacks raises UnknownDate naming its date."""
+        pos = np.asarray(day_indices, dtype=int) - self.first_index
+        outside = (pos < 0) | (pos >= self.num_days)
+        if outside.any():
+            day = self.first_index + int(pos[outside][0])
+            raise UnknownDate(f"{_date_text(self, day)} is not in the series")
+        return self.power[pos]
 
     def day_by_date(self, date: Date) -> DayProfile:
         pos = (date - self.start).days

@@ -9,6 +9,8 @@ import numpy as np
 from twotier import persistence
 from twotier.timeseries import SamplingGrid, SolarSeries
 
+pytest_plugins = ["pytester"]
+
 
 def make_series(rows, start=Date(2015, 2, 15), interval_seconds=900, first_index=0):
     """Build a SolarSeries from a 2-D array-like of per-day samples.

@@ -241,32 +241,6 @@ class TestTrain:
 
 
 class TestTune:
-    def test_full_tune_under_five_minutes(self, pipeline, tmp_path, capsys):
-        tuned = tmp_path / "tuned.cfg"
-        started = time.monotonic()
-        code = cli.main(
-            ["tune", "--data", str(pipeline["data"]), "--out", str(tuned)]
-        )
-        elapsed = time.monotonic() - started
-        assert code == 0
-        assert elapsed < 300
-        out = capsys.readouterr().out
-        assert "is normalized to 1" in out
-        assert "best depth_days" in out
-        assert "best hidden_neurons" in out
-        # the tuned file is a complete, reparseable run configuration
-        tuned_config = parse_config(tuned.read_text(), RunConfig())
-        assert 1 <= tuned_config.knn_depth_days <= 8
-        assert 2 <= tuned_config.knn_neighbors <= 4
-        assert 3 <= tuned_config.nn_hidden_neurons <= 8
-        # and cmd_train accepts it directly
-        models = tmp_path / "tuned-models"
-        code = cli.main(
-            ["train", "--config", str(tuned), "--data", str(pipeline["data"]),
-             "--out", str(models), "--knn-only"]
-        )
-        assert code == 0
-
     def test_knn_only_quick(self, pipeline, tmp_path, capsys):
         tuned = tmp_path / "t.cfg"
         code = cli.main(
@@ -571,9 +545,24 @@ class TestReadmeQuickStart:
         ]
         assert "  nn         6223.9" in commands[4][1]
         assert commands[5][1][-2:] == ["...", "wrote tuned.cfg"]
+        assert commands[6][0][:3] == ["train", "--config", "tuned.cfg"]
         monkeypatch.chdir(tmp_path)
         for argv, shown in commands:
+            started = time.monotonic()
             assert cli.main(argv) == 0, argv
-            printed = capsys.readouterr().out.splitlines()
+            elapsed = time.monotonic() - started
+            out = capsys.readouterr().out
             if shown:
-                assert fits(shown, printed), (argv, shown, printed)
+                assert fits(shown, out.splitlines()), (argv, shown, out)
+            if argv[0] == "tune":
+                # the full default tune, run once in the suite
+                assert elapsed < 300
+                assert "is normalized to 1" in out
+                assert "best depth_days" in out
+                assert "best hidden_neurons" in out
+                # the tuned file is a complete, reparseable run configuration,
+                # which the README's last command trains from
+                tuned_config = parse_config(Path("tuned.cfg").read_text(), RunConfig())
+                assert 1 <= tuned_config.knn_depth_days <= 8
+                assert 2 <= tuned_config.knn_neighbors <= 4
+                assert 3 <= tuned_config.nn_hidden_neurons <= 8

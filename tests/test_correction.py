@@ -3,6 +3,8 @@
 Oracle: coefficients from the normal equations, C = (F'F)^-1 F'S, with F
 built by direct trig loops. The library solves the same problem through a
 factorization, so the two answers come from genuinely different routes.
+`simulate_day` is checked against a per-slot replay: `fit_dfs` of each
+window, evaluated one slot ahead by `eval_dfs` below.
 """
 
 import io
@@ -14,9 +16,7 @@ import pytest
 from twotier.correction import (
     DfsFit,
     ResidualWindow,
-    correct_remaining,
     design_matrix,
-    eval_dfs,
     fit_dfs,
     residual,
     simulate_day,
@@ -25,7 +25,6 @@ from twotier.correction import (
 from twotier.errors import (
     EmptyInput,
     GridMismatch,
-    IndexOutOfDay,
     LengthMismatch,
     NumericalFailure,
     Underdetermined,
@@ -55,15 +54,30 @@ def window(values, last_index=None):
     return ResidualWindow(values=vals, last_sample_index=last_index)
 
 
+def eval_dfs(fit, position):
+    """The fitted series at a window position (1..n inside the window,
+    larger values extrapolate), reduced modulo n: the basis is n-periodic."""
+    n = fit.window_length
+    reduced = position % n
+    total = fit.coefficients[0]
+    for i in range(1, fit.harmonics + 1):
+        angle = 2.0 * math.pi * i * reduced / n
+        total += fit.coefficients[2 * i - 1] * math.cos(angle)
+        total += fit.coefficients[2 * i] * math.sin(angle)
+    return total
+
+
 def reference_simulation(global_day, measured, n, L):
-    """Per-slot replay through fit_dfs and correct_remaining."""
+    """Per-slot replay: slot m + 1 is the global forecast minus the
+    fit_dfs fit of the window ending at slot m, evaluated at position
+    n + 1, clamped at zero."""
     res = residual(global_day, measured)
     corrected = np.array(global_day, dtype=float)
     coefficients = np.full((corrected.size, 2 * L + 1), np.nan)
     for m in range(n - 1, corrected.size - 1):
         fit = fit_dfs(window(res[m - n + 1 : m + 1], m), harmonics=L)
         coefficients[m + 1] = fit.coefficients
-        corrected[m + 1] = correct_remaining(global_day, fit, m, horizon=1).values[0]
+        corrected[m + 1] = max(0.0, float(global_day[m + 1]) - eval_dfs(fit, n + 1))
     return corrected, coefficients
 
 
@@ -171,34 +185,6 @@ class TestEvalDfs:
         assert np.allclose(fitted, projection, atol=1e-9)
 
 
-class TestCorrectRemaining:
-    def test_zero_fit_is_identity(self):
-        day = np.linspace(0, 100, 10)
-        fit = DfsFit(coefficients=(0.0,) * 5, window_length=8, harmonics=2)
-        out = correct_remaining(day, fit, current_sample=7)
-        assert np.array_equal(out.values, day[8:])
-        assert list(out.sample_indices) == [8, 9]
-
-    def test_constant_residual_subtracted(self):
-        # global over-predicts by 200 W; every remaining slot drops by 200
-        day = np.full(12, 1000.0)
-        fit = fit_dfs(window([200.0] * 8), harmonics=2)
-        out = correct_remaining(day, fit, current_sample=7)
-        assert np.allclose(out.values, 800.0, atol=1e-9)
-
-    def test_clamped_at_zero(self):
-        day = np.full(12, 50.0)
-        fit = fit_dfs(window([200.0] * 8), harmonics=2)
-        out = correct_remaining(day, fit, current_sample=7)
-        assert all(v == 0.0 for v in out.values)
-
-    def test_beyond_day_end_rejected(self):
-        day = np.full(9, 10.0)
-        fit = fit_dfs(window([0.0] * 8), harmonics=2)
-        with pytest.raises(IndexOutOfDay):
-            correct_remaining(day, fit, current_sample=8)
-
-
 class TestSimulateDay:
     def test_perfect_forecast_identity(self):
         day = np.concatenate([np.zeros(3), np.linspace(0, 500, 10), np.zeros(3)])
@@ -240,11 +226,47 @@ class TestSimulateDay:
         with pytest.raises((GridMismatch, LengthMismatch)):
             simulate_day(np.zeros(10), np.zeros(12))
 
+    def test_clamped_at_zero(self):
+        # global over-predicts by 200 W on a 50 W forecast: nothing is left
+        sim = simulate_day(np.full(12, 50.0), np.full(12, -150.0))
+        assert np.array_equal(sim.corrected_w[8:], np.zeros(4))
+
     def test_record_count_equals_day_length(self):
         sim = simulate_day(np.zeros(96), np.zeros(96))
         assert len(sim.corrected_w) == 96
         assert sim.global_w.shape == sim.measured_w.shape == (96,)
         assert sim.coefficients.shape == (96, 5)
+
+
+class TestSimulateDayBlock:
+    """A (days, slots) block is replayed day by day, each row exactly as
+    a one-day call replays it."""
+
+    @pytest.mark.parametrize("n, L", [(8, 2), (5, 1)])
+    def test_rows_equal_one_day_calls(self, n, L):
+        rng = np.random.default_rng(80 + n)
+        global_f = np.stack([solar_like_day(rng) for _ in range(7)])
+        measured = np.stack([solar_like_day(rng) for _ in range(7)])
+        block = simulate_day(global_f, measured, n, L)
+        assert block.coefficients.shape == (7, 96, 2 * L + 1)
+        for i in range(7):
+            one = simulate_day(global_f[i], measured[i], n, L)
+            day = block.day(i)
+            for name in ("global_w", "measured_w", "corrected_w", "coefficients"):
+                assert np.array_equal(getattr(day, name), getattr(one, name), equal_nan=True)
+
+    def test_windows_do_not_cross_days(self):
+        # a huge residual on day 0 must not reach the first slots of day 1
+        global_f = np.full((2, 12), 500.0)
+        measured = np.full((2, 12), 500.0)
+        measured[0, -1] = -1e6
+        block = simulate_day(global_f, measured)
+        assert np.array_equal(block.corrected_w[1], global_f[1])
+
+    @pytest.mark.parametrize("shape", [(0, 96), (2, 0), (1, 2, 96)])
+    def test_empty_or_three_dimensional_rejected(self, shape):
+        with pytest.raises(EmptyInput):
+            simulate_day(np.zeros(shape), np.zeros(shape))
 
 
 class TestSimulateDayMatchesPerSlotReference:

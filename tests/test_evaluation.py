@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_series
 from twotier import correction, knn, nn
-from twotier.errors import EmptyInput, InsufficientHistory, LengthMismatch
+from twotier.errors import EmptyInput, InsufficientHistory, LengthMismatch, UnknownDate
 from twotier.evaluation import (
     DEFAULT_DEPTH_CANDIDATES,
     DEFAULT_HIDDEN_CANDIDATES,
@@ -23,7 +23,7 @@ from twotier.evaluation import (
     make_grid,
     render_grid,
     render_report,
-    replay_day,
+    replay_days,
     rmse,
     tune_knn,
     tune_nn,
@@ -268,19 +268,22 @@ class TestReplayDay:
         split, _ = synth_split
         km, nm = fitted_models
         full = split.full_series()
-        day = split.test.days[3]
-        sims = replay_day(full, day.day_index, km, nm, 8, 2)
+        days = [split.test.days[i] for i in (3, 1, 4)]
+        indices = [day.day_index for day in days]
+        sims = replay_days(full, indices, km, nm, 8, 2)
         forecasts = {
-            "knn": knn.forecast_day(km, full, day.day_index),
-            "nn": nn.forecast_day(nm, full, day.day_index),
+            "knn": knn.forecast_days(km, full, indices),
+            "nn": nn.forecast_days(nm, full, indices),
         }
         assert list(sims) == list(forecasts)
+        measured = np.stack([day.samples for day in days])
         for label, sim in sims.items():
             forecast = forecasts[label]
-            want = correction.simulate_day(forecast, day.samples, 8, 2)
             assert np.array_equal(sim.global_w, forecast)
-            assert np.array_equal(sim.measured_w, day.samples)
-            assert np.array_equal(sim.corrected_w, want.corrected_w)
+            assert np.array_equal(sim.measured_w, measured)
+            for i in range(len(days)):
+                want = correction.simulate_day(forecast[i], measured[i], 8, 2)
+                assert np.array_equal(sim.corrected_w[i], want.corrected_w)
 
     def test_compare_methods_scores_replayed_days(self, synth_split, fitted_models):
         split, _ = synth_split
@@ -289,13 +292,27 @@ class TestReplayDay:
         report = compare_methods(full, split.test, km, nm)
         rows = iter(report.per_day_rmse)
         for day in split.test.days:
-            sims = replay_day(full, day.day_index, km, nm)
+            sims = {label: sim.day(0) for label, sim in
+                    replay_days(full, [day.day_index], km, nm).items()}
             forecasts = [sims["knn"].global_w, sims["nn"].global_w,
                          sims["knn"].corrected_w, sims["nn"].corrected_w]
             for label, forecast in zip(
                 (METHOD_KNN, METHOD_NN, METHOD_KNN_LOCAL, METHOD_NN_LOCAL), forecasts
             ):
                 assert next(rows) == (day.date, label, rmse(forecast, day.samples))
+        assert next(rows, None) is None
+
+    def test_day_missing_from_series_named(self):
+        # 40 days split 24/8/8; the last test day is not in `full`
+        series = make_series(np.random.default_rng(66).uniform(0, 900, (40, 4)),
+                             interval_seconds=21600)
+        split = split_chronological(series, (0.6, 0.2, 0.2))
+        km = knn.fit(split.train, knn.KnnConfig(depth_days=1, neighbors=2))
+        nm = nn.build(nn.NnConfig(hidden_neurons=3), seed=3, samples_per_day=4,
+                      scale_max=900.0)
+        with pytest.raises(UnknownDate) as err:
+            compare_methods(series.subseries(0, 39), split.test, km, nm)
+        assert str(err.value) == "2015-03-26 is not in the series"
 
 
 class TestCompareMethodsSkips:
@@ -318,7 +335,7 @@ class TestCompareMethodsSkips:
         reason = "2015-02-24 needs 2015-02-18..2015-02-23; series covers 2015-02-19..2015-02-26"
         assert report.skipped_days == ((split.test.days[0].date, reason),)
         with pytest.raises(InsufficientHistory) as err:
-            knn.forecast_day(km, full, 9)
+            knn.forecast_days(km, full, [9])
         assert str(err.value) == reason
         scored = [day for day, _, _ in report.per_day_rmse]
         assert scored == [d.date for d in split.test.days[1:] for _ in range(4)]

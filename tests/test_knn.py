@@ -19,7 +19,7 @@ from twotier.knn import (
     KnnConfig,
     KnnModel,
     fit,
-    forecast_day,
+    forecast_days,
     neighbor_weights,
     predict_day,
 )
@@ -214,18 +214,19 @@ class TestForecastDay:
         series = make_series(rows, interval_seconds=21600, first_index=3)
         model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
         # every day with D preceding days, and the day after the last one
-        for day in range(3 + depth, 3 + 12 + 1):
-            want = predict_day(model, day_context(series, day, depth))
-            assert np.array_equal(forecast_day(model, series, day), want)
+        days = range(3 + depth, 3 + 12 + 1)
+        want = [predict_day(model, day_context(series, day, depth)) for day in days]
+        assert np.array_equal(forecast_days(model, series, days), want)
+        assert forecast_days(model, series, []).shape == (0, 4)
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_first_day_without_d_preceding_days_raises(self, depth):
         rows = np.random.default_rng(15).uniform(0, 900, (12, 4))
         series = make_series(rows, interval_seconds=21600, first_index=3)
         model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
-        forecast_day(model, series, 3 + depth)
+        forecast_days(model, series, [3 + depth])
         with pytest.raises(InsufficientHistory) as err:
-            forecast_day(model, series, 2 + depth)
+            forecast_days(model, series, [3 + depth, 2 + depth])
         needed = {1: "2015-02-18 needs 2015-02-17..2015-02-17",
                   3: "2015-02-20 needs 2015-02-17..2015-02-19"}[depth]
         assert str(err.value) == f"{needed}; series covers 2015-02-18..2015-03-01"

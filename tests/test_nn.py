@@ -641,18 +641,21 @@ class TestForecastDay:
 
     def test_equals_predict_on_two_preceding_days(self, model_and_series):
         model, series = model_and_series
-        for day in range(7, 5 + 8 + 1):
-            want = predict_day(
-                model, series.day_by_index(day - 1), series.day_by_index(day - 2)
-            )
-            assert np.array_equal(nn.forecast_day(model, series, day), want)
+        days = range(7, 5 + 8 + 1)
+        want = [
+            predict_day(model, series.day_by_index(day - 1), series.day_by_index(day - 2))
+            for day in days
+        ]
+        # one forward pass over the block gives each day's forecast bit for bit
+        assert np.array_equal(nn.forecast_days(model, series, days), want)
+        assert nn.forecast_days(model, series, []).shape == (0, 4)
 
     @pytest.mark.parametrize("day", [5, 6, 5 + 8 + 1])
     def test_missing_preceding_day_raises(self, model_and_series, day):
         # 6 lacks day 4, 5 lacks 3 and 4, 14 lacks day 13
         model, series = model_and_series
         with pytest.raises(InsufficientHistory) as err:
-            nn.forecast_day(model, series, day)
+            nn.forecast_days(model, series, [8, day])
         needed = {5: "2015-02-20 needs 2015-02-18..2015-02-19",
                   6: "2015-02-21 needs 2015-02-19..2015-02-20",
                   14: "2015-03-01 needs 2015-02-27..2015-02-28"}[day]
@@ -667,7 +670,7 @@ class TestForecastDay:
     def test_dates_off_the_calendar_named(self, model_and_series, start, day, message):
         model, series = model_and_series
         edge = make_series(series.power, start=start, interval_seconds=21600)
-        nn.forecast_day(model, edge, 8)  # the day after the last has its history
+        nn.forecast_days(model, edge, [8])  # the day after the last has its history
         with pytest.raises(InsufficientHistory) as err:
-            nn.forecast_day(model, edge, day)
+            nn.forecast_days(model, edge, [day])
         assert str(err.value) == message

@@ -490,7 +490,7 @@ def test_predict_day_bit_equal_to_single_query_expression(case):
 
 def tune_cells_reference(split, depths, neighbor_counts):
     """Per-cell tuning: fit each (D, k) model on the train split and
-    score `forecast_day` on every tune day."""
+    score `forecast_days` on the tune days."""
     full = split.full_series()
     cells = {}
     for depth in depths:
@@ -500,10 +500,9 @@ def tune_cells_reference(split, depths, neighbor_counts):
             except InsufficientTrainingDays:
                 cells[depth, neighbors] = None
                 continue
-            scores = [
-                evaluation.rmse(knn.forecast_day(model, full, day.day_index), day.samples)
-                for day in split.tune.days
-            ]
+            tune_days = [day.day_index for day in split.tune.days]
+            forecasts = knn.forecast_days(model, full, tune_days)
+            scores = [evaluation.rmse(f, a) for f, a in zip(forecasts, split.tune.power)]
             cells[depth, neighbors] = sum(scores) / len(scores)
     return cells
 

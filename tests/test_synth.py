@@ -6,6 +6,7 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
+from twotier.errors import MalformedRow
 from twotier.synth import (
     CLOUDY,
     SUNNY,
@@ -137,6 +138,29 @@ def test_labels_csv_round_trip():
     assert len(labels) == 8
     for day, label in zip(result.series.days, result.labels):
         assert labels[day.date] == label
+
+
+def test_labels_csv_reads_str_bytes_and_streams():
+    text = "date,label\n2015-02-15,sunny\n\n2015-02-16,cloudy\n"
+    want = {Date(2015, 2, 15): SUNNY, Date(2015, 2, 16): CLOUDY}
+    for source in (text, text.encode(), io.StringIO(text), io.BytesIO(text.encode())):
+        assert read_labels_csv(source) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: expected header 'date,label'"),
+    ("day,label\n2015-02-15,sunny\n", "line 1: expected header 'date,label'"),
+    ("date,label\n2015-02-15,sunny\n2015-02-16\n", "line 3: expected 2 fields, got 1"),
+    ("date,label\n2015-02-15,sunny,x\n", "line 2: expected 2 fields, got 3"),
+    ("date,label\nnot-a-date,sunny\n", "line 2: bad date 'not-a-date'"),
+    ("date,label\n2015-02-15,rainy\n", "line 2: unknown label 'rainy'"),
+    (b"date,label\n2015-02-15,sunny\xff\n",
+     "label file is not UTF-8 text: byte 27 is invalid"),
+], ids=["empty", "header", "one-field", "three-fields", "date", "label", "not-utf8"])
+def test_malformed_labels_csv_rejected(text, message):
+    with pytest.raises(MalformedRow) as err:
+        read_labels_csv(text)
+    assert str(err.value) == message
 
 
 def test_series_passes_solarseries_invariants():

@@ -114,6 +114,9 @@ class TestSolarSeries:
         assert series.day_by_date(Date(2015, 2, 16)).samples[3] == 8
         with pytest.raises(KeyError):
             series.day_by_index(7)
+        day = series.day_by_index(np.int64(1))  # numpy integers index too
+        assert (day.day_index, day.date) == (1, Date(2015, 2, 16))
+        assert type(day.day_index) is int
         with pytest.raises(KeyError):
             series.day_by_date(Date(2020, 1, 1))
         assert "days" not in vars(series)  # a lookup builds only its own day
