@@ -1,6 +1,8 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
+import contextlib
 import hashlib
+import io
 import re
 import shlex
 import shutil
@@ -241,6 +243,27 @@ class TestTrain:
 
 
 class TestTune:
+    def test_full_tune_under_five_minutes(self, readme_run):
+        """The README's full default tune, then its `train --config`."""
+        root, steps = readme_run
+        tunes = [step for step in steps if step[0][0] == "tune"]
+        assert len(tunes) == 1
+        argv, _, code, out, elapsed = tunes[0]
+        assert code == 0, argv
+        assert elapsed < 300
+        assert "is normalized to 1" in out
+        assert "best depth_days" in out
+        assert "best hidden_neurons" in out
+        # the tuned file is a complete, reparseable run configuration
+        tuned_config = parse_config((root / "tuned.cfg").read_text(), RunConfig())
+        assert 1 <= tuned_config.knn_depth_days <= 8
+        assert 2 <= tuned_config.knn_neighbors <= 4
+        assert 3 <= tuned_config.nn_hidden_neurons <= 8
+        # and cmd_train accepts it directly
+        argv, _, code, _, _ = steps[steps.index(tunes[0]) + 1]
+        assert argv[:3] == ["train", "--config", "tuned.cfg"]
+        assert code == 0, argv
+
     def test_knn_only_quick(self, pipeline, tmp_path, capsys):
         tuned = tmp_path / "t.cfg"
         code = cli.main(
@@ -534,35 +557,38 @@ def fits(shown, printed):
     return bool(printed) and printed[0] == shown[0] and fits(shown[1:], printed[1:])
 
 
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The README's Quick start commands, run once in order in a fresh
+    directory: that directory and, per command, (argv, shown lines, exit
+    code, stdout, seconds). The full default tune runs only here."""
+    root = tmp_path_factory.mktemp("readme")
+    steps = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for argv, shown in readme_quick_start():
+            started = time.monotonic()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(argv)
+            elapsed = time.monotonic() - started
+            steps.append((argv, shown, code, out.getvalue(), elapsed))
+    return root, steps
+
+
 class TestReadmeQuickStart:
-    def test_printed_lines_match(self, tmp_path, monkeypatch, capsys):
+    def test_printed_lines_match(self, readme_run):
         """The Quick start and tune commands print exactly the README's
         lines at the default seed, `...` standing for the elided ones. A
         command the README shows no output for must succeed."""
-        commands = readme_quick_start()
+        _, steps = readme_run
+        commands = [(argv, shown) for argv, shown, *_ in steps]
         assert [argv[0] for argv, _ in commands] == [
             "synth", "ingest", "train", "simulate", "evaluate", "tune", "train"
         ]
         assert "  nn         6223.9" in commands[4][1]
         assert commands[5][1][-2:] == ["...", "wrote tuned.cfg"]
         assert commands[6][0][:3] == ["train", "--config", "tuned.cfg"]
-        monkeypatch.chdir(tmp_path)
-        for argv, shown in commands:
-            started = time.monotonic()
-            assert cli.main(argv) == 0, argv
-            elapsed = time.monotonic() - started
-            out = capsys.readouterr().out
+        for argv, shown, code, out, _ in steps:
+            assert code == 0, argv
             if shown:
                 assert fits(shown, out.splitlines()), (argv, shown, out)
-            if argv[0] == "tune":
-                # the full default tune, run once in the suite
-                assert elapsed < 300
-                assert "is normalized to 1" in out
-                assert "best depth_days" in out
-                assert "best hidden_neurons" in out
-                # the tuned file is a complete, reparseable run configuration,
-                # which the README's last command trains from
-                tuned_config = parse_config(Path("tuned.cfg").read_text(), RunConfig())
-                assert 1 <= tuned_config.knn_depth_days <= 8
-                assert 2 <= tuned_config.knn_neighbors <= 4
-                assert 3 <= tuned_config.nn_hidden_neurons <= 8
