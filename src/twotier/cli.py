@@ -15,6 +15,8 @@ import sys
 from datetime import date as Date, timedelta
 from pathlib import Path
 
+import numpy as np
+
 from . import correction, evaluation, knn, nn, persistence, synth
 from .config import _FIELD_TYPES, RunConfig, apply_overrides, parse_config, render_config
 from .errors import (
@@ -236,7 +238,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             correction.write_trace_csv(sim, sink)
         global_rmse = evaluation.rmse(sim.global_w, sim.measured_w)
         corrected_rmse = evaluation.rmse(sim.corrected_w, sim.measured_w)
-        gain = evaluation.improvement(global_rmse, corrected_rmse)
+        scale = np.abs(sim.measured_w).max()
+        gain = evaluation.improvement(global_rmse, corrected_rmse, scale)
         shown = "n/a" if gain is None else f"{gain:.2f}%"
         print(
             f"{label}: global RMSE {global_rmse:.1f} W, "

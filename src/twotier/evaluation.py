@@ -138,10 +138,9 @@ def tune_knn(
 
     Each cell is exactly the average daily RMSE over tune days of the
     `knn.forecast_days` forecasts of the model `knn.fit` would build on the
-    train split, computed without building it: one table S of
-    `knn.day_distances` between the days the tune contexts read and the
-    train days gives every depth's `knn.context_distances`, tune day t to
-    training pair j reading S[t-D+i, j+i] for i < D, and
+    train split, computed without building it: one `knn.day_table` between
+    the days the tune contexts read and the train days (the pool of every
+    fitted depth) gives each depth's `knn.context_distances`, and
     `knn.blend_nearest` turns them into forecasts for each neighbor count.
     A cell is None when the train split is shorter than
     `KnnConfig.min_training_days`. The per-axis tables hold the best
@@ -160,19 +159,16 @@ def tune_knn(
     cells = {(d, k): None for d in depth_candidates for k in neighbor_candidates}
     # The partitions follow each other in `full`, so the tune days'
     # contexts read its rows from `deepest` days before the first tune day
-    # up to the day before the last one. S is built one row at a time, so
-    # no rows x days x slots array is ever held.
+    # up to the day before the last one.
     deepest = max((depth for depth, _ in trainable), default=0)
     start = tune.first_index - full.first_index
     rows = full.power[start - deepest : start + tune.num_days - 1]
-    table = np.array([knn.day_distances(train.power, row) for row in rows])
+    table = knn.day_table(rows, train.power)
     distances = {}
     for depth, neighbors in trainable:
         if depth not in distances:
-            pairs, offset = train.num_days - depth, deepest - depth
             distances[depth] = knn.context_distances(
-                table[offset + i : offset + i + tune.num_days, i : i + pairs]
-                for i in range(depth)
+                table[deepest - depth :], depth, train.num_days - depth
             )
         forecasts = knn.blend_nearest(distances[depth], train.power[depth:], neighbors)
         scores = [rmse(f, a) for f, a in zip(forecasts, tune.power)]
@@ -236,7 +232,7 @@ class EvalReport:
 
     per_day_rmse rows are (date, method label, rmse watts). Improvements
     compare each two-tier method against its own global tier; None means
-    the baseline was 0 and the ratio is undefined.
+    the baseline was below rounding level and the ratio is undefined.
     """
 
     per_day_rmse: tuple
@@ -245,8 +241,11 @@ class EvalReport:
     skipped_days: tuple
 
 
-def improvement(baseline: float, improved: float):
-    if baseline <= 0:
+def improvement(baseline: float, improved: float, scale: float = 0.0):
+    """Percent by which `improved` undercuts the `baseline` RMSE, or None
+    when the baseline is below one ulp of `scale`, the largest |measured|
+    value scored: a ratio of rounding errors means nothing."""
+    if baseline < np.spacing(scale):
         return None
     return 100.0 * (baseline - improved) / baseline
 
@@ -300,6 +299,7 @@ def compare_methods(
     # METHOD_LABELS order: both global tiers, then both corrected
     forecasts = [sim.global_w for sim in sims.values()]
     forecasts += [sim.corrected_w for sim in sims.values()]
+    scale = np.abs(sims[METHOD_KNN].measured_w).max()
     rows = [
         (day.date, label, rmse(block[i], day.samples))
         for i, day in enumerate(days)
@@ -311,10 +311,10 @@ def compare_methods(
         averaged[label] = sum(scores) / len(scores)
     improvements = {
         (METHOD_KNN, METHOD_KNN_LOCAL): improvement(
-            averaged[METHOD_KNN], averaged[METHOD_KNN_LOCAL]
+            averaged[METHOD_KNN], averaged[METHOD_KNN_LOCAL], scale
         ),
         (METHOD_NN, METHOD_NN_LOCAL): improvement(
-            averaged[METHOD_NN], averaged[METHOD_NN_LOCAL]
+            averaged[METHOD_NN], averaged[METHOD_NN_LOCAL], scale
         ),
     }
     return EvalReport(

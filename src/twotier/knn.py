@@ -4,21 +4,28 @@ A query day is matched against stored (context, target) pairs, where the
 context is the concatenation of the D days preceding the target day. The
 k most similar contexts (Euclidean distance) are blended with weights
 that fall off linearly from the nearest match toward the (k+1)-th
-distance, then normalized to sum to one. `predict_day` and the tuner in
-`evaluation` share one distance rule: a day's squared distance is the
-difference dotted with itself along the slot axis (`day_distances`), and
-a context's is the square root of its D day terms added oldest day
-first (`context_distances`).
+distance, then normalized to sum to one.
+
+`fit` reads its pairs from the training days through `from_days`, so a
+fitted model's N - D pairs hold each day up to D+1 times; such a model
+keeps the (N, M) day matrix as `days`, and its model file stores only
+that. There is one distance rule: `day_table` holds the squared distance
+of each query day to each day a stored context reads (`day_distances`,
+the difference dotted with itself along the slot axis), and
+`context_distances` adds a context's D terms from that table, oldest day
+first, and takes the square root. `predict_day`, `forecast_days` and the
+tuner in `evaluation` all go through both, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InsufficientTrainingDays, UnsortedDistances
-from .timeseries import SolarSeries, day_context
+from .timeseries import SolarSeries, require_history
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,13 @@ class KnnConfig:
 class KnnModel:
     """Stored training pairs: contexts (P, D*M) and targets (P, M), both
     in watts, rows in chronological order of the target day. A context
-    must split into D days of M slots."""
+    must split into D days of M slots. `days` is the (N, M) day matrix
+    when the pairs are bit for bit `from_days`' layout of it, else None."""
 
     config: KnnConfig
     contexts: np.ndarray
     targets: np.ndarray
+    days: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         contexts = np.array(self.contexts, dtype=float)
@@ -68,10 +77,11 @@ class KnnModel:
             )
         if not (np.all(np.isfinite(contexts)) and np.all(np.isfinite(targets))):
             raise ValueError("stored pairs must be finite")
-        contexts.flags.writeable = False
-        targets.flags.writeable = False
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "targets", targets)
+        days = _day_matrix(contexts, targets, self.config.depth_days)
+        for name, value in (("contexts", contexts), ("targets", targets), ("days", days)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def pair_count(self) -> int:
@@ -96,24 +106,51 @@ class KnnModel:
 
 
 def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
-    """Build one (context, target) pair per day with D full days of history.
+    """`from_days` of the training days: one (context, target) pair per
+    day with D full days of history. Training requires at least
+    `config.min_training_days` days."""
+    return from_days(config, train.power)
 
-    A series of N days yields N - D pairs: targets are rows D..N-1 of
-    `train.power`, and column block j of the contexts is rows j..N-D-1+j,
-    so each context is its target day's `day_context`. Training requires
-    at least `config.min_training_days` days.
-    """
+
+def from_days(config: KnnConfig, days) -> KnnModel:
+    """The model of N chronological days of M slots: N - D pairs, pair j
+    the target day j + D with the days j..j+D-1 as its context. Raises
+    InsufficientTrainingDays below `config.min_training_days` days."""
+    days = np.asarray(days, dtype=float)
+    if days.ndim != 2 or days.shape[1] < 1:
+        raise ValueError("days must be 2-D, with at least one slot")
     needed = config.min_training_days
-    if train.num_days < needed:
+    if len(days) < needed:
         raise InsufficientTrainingDays(
             f"weighted k-NN with D={config.depth_days}, k={config.neighbors} "
-            f"needs >= {needed} training days, have {train.num_days}"
+            f"needs >= {needed} training days, have {len(days)}"
         )
-    depth = config.depth_days
-    power = train.power
-    pairs = train.num_days - depth
-    contexts = np.hstack([power[j : j + pairs] for j in range(depth)])
-    return KnnModel(config=config, contexts=contexts, targets=power[depth:])
+    contexts, targets = _pairs(days, config.depth_days)
+    return KnnModel(config=config, contexts=contexts, targets=targets)
+
+
+def _pairs(days: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """`from_days`' layout, as views of `days`: context j is rows
+    j..j+D-1 raveled, target j is row j + D."""
+    per_day = days.shape[1]
+    windows = sliding_window_view(days.ravel(), depth * per_day)[::per_day]
+    return windows[: len(days) - depth], days[depth:]
+
+
+def _day_matrix(contexts: np.ndarray, targets: np.ndarray, depth: int):
+    """The days whose `_pairs` are `contexts` and `targets` bit for bit
+    (so a -0.0 never stands for a 0.0), or None. Candidates are the first
+    day of every context, the rest of the last context, and its target."""
+    per_day = targets.shape[1]
+    if per_day < 1 or contexts.shape[1] != depth * per_day:
+        return None
+    last = contexts[-1, per_day:].reshape(depth - 1, per_day)
+    days = np.concatenate([contexts[:, :per_day], last, targets[-1:]])
+    same = all(
+        np.array_equal(rebuilt.view(np.uint64), stored.view(np.uint64))
+        for rebuilt, stored in zip(_pairs(days, depth), (contexts, targets))
+    )
+    return days if same else None
 
 
 def neighbor_weights(sorted_distances) -> np.ndarray:
@@ -165,31 +202,67 @@ def day_distances(days: np.ndarray, day: np.ndarray) -> np.ndarray:
     return np.einsum("...m,...m->...", diff, diff)
 
 
-def context_distances(day_terms) -> np.ndarray:
-    """sqrt of the D per-day squared distances, added oldest day first."""
-    return np.sqrt(sum(day_terms))
+def day_table(query_days: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """T[r, s], the `day_distances` of query day r to pool day s, for
+    (R, M) query days and (S, M) pool days. Built one query day at a
+    time, so no R x S x M array is held."""
+    table = np.empty((len(query_days), len(pool)))
+    for row, day in enumerate(query_days):
+        table[row] = day_distances(pool, day)
+    return table
+
+
+def context_distances(table: np.ndarray, depth: int, pairs: int, stride: int = 1) -> np.ndarray:
+    """Context distances read from a (R, S) `day_table`, one row per
+    window of D consecutive query days (query r is rows r..r+D-1) and one
+    column per pair (pair j is columns j*stride..j*stride+D-1): the sqrt
+    of the D day terms added oldest day first."""
+    queries = table.shape[0] - depth + 1
+    return np.sqrt(sum(
+        table[i : i + queries, i : i + stride * pairs : stride] for i in range(depth)
+    ))
+
+
+def _distances(model: KnnModel, query_days: np.ndarray) -> np.ndarray:
+    """`context_distances` of every window of D consecutive `query_days`
+    to every stored context. The pool is `days` for a `from_days` model,
+    else each context's own D day slices."""
+    depth = model.config.depth_days
+    if model.days is not None:
+        pool, stride = model.days, 1
+    else:
+        pool, stride = model.contexts.reshape(-1, model.samples_per_day), depth
+    return context_distances(day_table(query_days, pool), depth, model.pair_count, stride)
+
+
+def _check_query_length(model: KnnModel, length: int, ndim: int = 1) -> None:
+    if ndim != 1 or length != model.context_length:
+        raise DimensionMismatch(
+            f"query length {length} != stored context length {model.context_length}"
+        )
 
 
 def predict_day(model: KnnModel, context) -> np.ndarray:
-    """Forecast one day from a query context: `blend_nearest` over the
-    `context_distances` to every stored context, read as (D, M) days."""
+    """Forecast one day from a query context, read as D days of M slots."""
     query = np.asarray(context, dtype=float)
-    if query.ndim != 1 or query.size != model.context_length:
-        raise DimensionMismatch(
-            f"query length {query.size} != stored context length "
-            f"{model.context_length}"
-        )
-    days = model.contexts.reshape(model.pair_count, model.config.depth_days, -1)
-    distances = context_distances(day_distances(days, query.reshape(days.shape[1:])).T)
-    return blend_nearest(distances[np.newaxis], model.targets, model.config.neighbors)[0]
+    _check_query_length(model, query.size, query.ndim)
+    distances = _distances(model, query.reshape(model.config.depth_days, -1))
+    return blend_nearest(distances, model.targets, model.config.neighbors)[0]
 
 
 def forecast_days(model: KnnModel, series: SolarSeries, day_indices) -> np.ndarray:
-    """One forecast row per day of `day_indices`, each `predict_day` on
-    the `history_days` days of `series` before it; raises
-    InsufficientHistory when any of them is missing."""
-    rows = [
-        predict_day(model, day_context(series, day, model.history_days))
-        for day in day_indices
-    ]
-    return np.array(rows).reshape(len(rows), model.target_length)
+    """One forecast row per day of `day_indices` (any order, repeats
+    allowed), each `predict_day` on the `history_days` days of `series`
+    before it, from one `day_table` of the series days from the first
+    one read to the last; raises InsufficientHistory when any of them is
+    missing."""
+    depth = model.history_days
+    for day in day_indices:
+        require_history(series, day, depth)
+    indices = np.asarray(day_indices, dtype=int).reshape(-1)
+    if not indices.size:
+        return np.empty((0, model.target_length))
+    _check_query_length(model, depth * series.grid.samples_per_day)
+    first = indices.min()
+    distances = _distances(model, series.rows(range(first - depth, indices.max())))
+    return blend_nearest(distances[indices - first], model.targets, model.config.neighbors)

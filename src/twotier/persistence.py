@@ -11,6 +11,11 @@ The payload is everything after the checksum line. Numbers are written
 with repr(), the shortest decimal string that round-trips, so a loaded
 model is bit-equal to the saved one on every platform. Unknown versions
 are rejected outright rather than migrated.
+
+A k-NN model whose pairs are `knn.from_days`' layout (every fitted one)
+is written as version 2, its day matrix, and loaded back through
+`knn.from_days`. Any other k-NN model is written as version 1, its
+pairs; NN models are version 1. The loader reads both versions.
 """
 
 from __future__ import annotations
@@ -21,16 +26,17 @@ import numpy as np
 
 from .errors import (
     ChecksumMismatch,
+    InsufficientTrainingDays,
     InvariantViolation,
     MalformedModelFile,
     SinkWriteFailure,
     UnsupportedVersion,
 )
-from .knn import KnnConfig, KnnModel
+from .knn import KnnConfig, KnnModel, from_days
 from .nn import NnConfig, NnModel
 from .timeseries import read_text
 
-FORMAT_VERSION = 1
+FORMAT_VERSIONS = (1, 2)
 MAGIC = "htm-model"
 MODEL_SUFFIX = ".htm-model"
 
@@ -42,7 +48,17 @@ def _floats(values) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
 
 
-def _knn_payload(model: KnnModel) -> list[str]:
+def _knn_days_payload(model: KnnModel) -> list[str]:
+    return [
+        f"depth_days {model.config.depth_days}",
+        f"neighbors {model.config.neighbors}",
+        f"days {len(model.days)}",
+        f"samples_per_day {model.samples_per_day}",
+        *(f"day {_floats(day)}" for day in model.days),
+    ]
+
+
+def _knn_pairs_payload(model: KnnModel) -> list[str]:
     lines = [
         f"depth_days {model.config.depth_days}",
         f"neighbors {model.config.neighbors}",
@@ -77,15 +93,17 @@ def _nn_payload(model: NnModel) -> list[str]:
 
 def render_model(model) -> str:
     """The complete file content for a model, checksum included."""
-    if isinstance(model, KnnModel):
-        kind, payload_lines = KIND_KNN, _knn_payload(model)
+    if isinstance(model, KnnModel) and model.days is not None:
+        version, kind, payload_lines = 2, KIND_KNN, _knn_days_payload(model)
+    elif isinstance(model, KnnModel):
+        version, kind, payload_lines = 1, KIND_KNN, _knn_pairs_payload(model)
     elif isinstance(model, NnModel):
-        kind, payload_lines = KIND_NN, _nn_payload(model)
+        version, kind, payload_lines = 1, KIND_NN, _nn_payload(model)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     payload = "".join(line + "\n" for line in payload_lines)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    header = f"{MAGIC} {FORMAT_VERSION}\nkind {kind}\nsha256 {digest}\n"
+    header = f"{MAGIC} {version}\nkind {kind}\nsha256 {digest}\n"
     return header + payload
 
 
@@ -138,7 +156,7 @@ class _Scanner:
                 f"{key}: expected {count} values, got {len(parts)}"
             )
         try:
-            return np.array([float(p) for p in parts])
+            return np.fromiter(map(float, parts), float, count)
         except ValueError:
             raise MalformedModelFile(f"{key}: non-numeric value") from None
 
@@ -149,7 +167,25 @@ class _Scanner:
             )
 
 
-def _load_knn(scanner: _Scanner) -> KnnModel:
+def _load_knn_days(scanner: _Scanner) -> KnnModel:
+    depth = scanner.keyed_int("depth_days")
+    neighbors = scanner.keyed_int("neighbors")
+    count = scanner.keyed_int("days")
+    per_day = scanner.keyed_int("samples_per_day")
+    if count < 1 or per_day < 1:
+        raise InvariantViolation("day matrix dimensions must be positive")
+    # trust the header's sizes only as far as the lines back them
+    if len(scanner.lines) - scanner.pos < count:
+        raise MalformedModelFile(f"file truncated: header promises {count} days")
+    days = [scanner.keyed_floats("day", per_day) for _ in range(count)]
+    scanner.done()
+    try:
+        return from_days(KnnConfig(depth_days=depth, neighbors=neighbors), days)
+    except (ValueError, InsufficientTrainingDays) as exc:
+        raise InvariantViolation(str(exc)) from exc
+
+
+def _load_knn_pairs(scanner: _Scanner) -> KnnModel:
     depth = scanner.keyed_int("depth_days")
     neighbors = scanner.keyed_int("neighbors")
     pairs = scanner.keyed_int("pairs")
@@ -214,6 +250,13 @@ def _load_nn(scanner: _Scanner) -> NnModel:
         raise InvariantViolation(str(exc)) from exc
 
 
+_LOADERS = {
+    (1, KIND_KNN): _load_knn_pairs,
+    (2, KIND_KNN): _load_knn_days,
+    (1, KIND_NN): _load_nn,
+}
+
+
 def load_model(source):
     """Parse a model document: a str, bytes, or a text or binary stream.
 
@@ -232,9 +275,9 @@ def load_model(source):
         version = int(version_text)
     except ValueError:
         raise MalformedModelFile(f"bad version field {version_text!r}") from None
-    if version != FORMAT_VERSION:
+    if version not in FORMAT_VERSIONS:
         raise UnsupportedVersion(
-            f"format version {version} (this build reads {FORMAT_VERSION})"
+            f"format version {version} (this build reads 1 and 2)"
         )
     kind = scanner.keyed("kind")
     stored_digest = scanner.keyed("sha256")
@@ -244,8 +287,9 @@ def load_model(source):
         raise ChecksumMismatch(
             f"payload hash {digest[:12]}... does not match header"
         )
-    if kind == KIND_KNN:
-        return _load_knn(scanner)
-    if kind == KIND_NN:
-        return _load_nn(scanner)
-    raise MalformedModelFile(f"unknown model kind {kind!r}")
+    if kind not in (KIND_KNN, KIND_NN):
+        raise MalformedModelFile(f"unknown model kind {kind!r}")
+    loader = _LOADERS.get((version, kind))
+    if loader is None:
+        raise UnsupportedVersion(f"format version {version} has no kind {kind}")
+    return loader(scanner)

@@ -24,12 +24,35 @@ def make_series(rows, start=Date(2015, 2, 15), interval_seconds=900, first_index
     return SolarSeries(grid, power, start + timedelta(days=first_index), first_index)
 
 
+def repeating_clear_days():
+    """40 days of 15 minutes: one clear-day profile, repeated, and six
+    cloudy days. The k-NN tier (D = 5, k = 2, fit on the first 24 days)
+    forecasts the clear day 2015-03-25, index 38, to about 1e-12 W: its
+    nearest contexts are clear days at different distances, so the blend
+    weighs copies of one profile unequally."""
+    clear = np.zeros(96)
+    clear[24:76] = np.round(30000 * np.sin(np.linspace(0, np.pi, 52)), 1)
+    rng = np.random.default_rng(3)
+    rows = [
+        clear if kind == "A" else np.round(clear * rng.uniform(0.2, 1.0, 96), 1)
+        for kind in "AAAAbAAAAAbbAAAAAAAAbAAAAAAAAAAAAAAAAbAA"
+    ]
+    return make_series(rows)
+
+
 def replace_payload_line(model_text, old, new):
     """A model file with payload line `old` replaced by `new` and the
     checksum recomputed, so only the payload's own checks can reject it."""
     lines = model_text.splitlines()
     payload = [new if line == old else line for line in lines[3:]]
     assert payload != lines[3:], f"no payload line {old!r}"
+    return with_payload(model_text, payload)
+
+
+def with_payload(model_text, payload):
+    """A model file with the header lines of `model_text`, the payload
+    lines `payload` and their checksum."""
+    lines = model_text.splitlines()
     body = "".join(line + "\n" for line in payload)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return "\n".join(lines[:2] + [f"sha256 {digest}"]) + "\n" + body

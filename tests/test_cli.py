@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_series, replace_payload_line
+from conftest import make_series, rendered, repeating_clear_days, replace_payload_line
 from twotier import cli, persistence
 from twotier.config import RunConfig, parse_config
 from twotier.knn import KnnModel
@@ -350,6 +350,22 @@ class TestSimulate:
         assert improvements
         assert all(v >= -1.0 for v in improvements)
 
+    def test_rounding_level_rmse_has_no_improvement(self, tmp_path, capsys):
+        # RMSEs of about 1e-12 W: their ratio is rounding noise, not a gain
+        data = tmp_path / "data.csv"
+        with open(data, "w", encoding="utf-8", newline="\n") as sink:
+            export_csv(repeating_clear_days(), sink)
+        models = tmp_path / "models"
+        code = cli.main(["train", "--data", str(data), "--out", str(models),
+                         "--nn-restarts", "1", "--nn-max-iterations", "2"])
+        assert code == 0
+        capsys.readouterr()
+        code = cli.main(["simulate", "--models", str(models), "--data", str(data),
+                         "--day", "2015-03-25", "--out", str(tmp_path)])
+        assert code == 0
+        knn_line = capsys.readouterr().out.splitlines()[0]
+        assert knn_line == "knn: global RMSE 0.0 W, corrected RMSE 0.0 W, improvement n/a"
+
     def test_trace_row_count(self, pipeline, tmp_path):
         code = cli.main(
             ["simulate", "--models", str(pipeline["models"]),
@@ -451,12 +467,22 @@ class TestEvaluate:
         ("pairs 25", "pairs 1000000000000"),
         ("context_length 480", "context_length 10000000000"),
         ("target_length 96", "target_length 10000000000"),
+        ("days 30", "days 1000000000000"),
+        ("samples_per_day 96", "samples_per_day 10000000000"),
     ])
     def test_oversized_knn_header_exit_3(self, pipeline, tmp_path, capsys, old, new):
         models = tmp_path / "models"
         shutil.copytree(pipeline["models"], models)
         path = models / "knn.htm-model"
-        path.write_text(replace_payload_line(path.read_text(), old, new))
+        text = path.read_text()
+        assert text.startswith("htm-model 2\n")
+        if old.split()[0] in ("pairs", "context_length", "target_length"):
+            # version 1: the fitted pairs in reverse order, which no day
+            # matrix lays out
+            fitted = persistence.load_model(text)
+            text = rendered(KnnModel(fitted.config, fitted.contexts[::-1], fitted.targets[::-1]))
+            assert text.startswith("htm-model 1\n")
+        path.write_text(replace_payload_line(text, old, new))
         code = cli.main(
             ["evaluate", "--models", str(models),
              "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]

@@ -1,11 +1,12 @@
 """Fuzzed command lines: every outcome of `cli.main` is a documented exit code.
 
 Each example runs one of `synth` (at most 20 days), `ingest`, `tune
---knn-only`, `simulate` or `evaluate` in-process, with fuzzed flags,
-flag values, config files, data files and model files. The run must end
-in exit code 0, 2, 3, 4 or 5; argparse's own usage errors count as 2.
-No exception may escape. Examples are derandomized, so a run is
-reproducible; widen max_examples locally to search further.
+--knn-only`, `simulate`, `evaluate` or `train` (one LM restart of 1-3
+iterations) in-process, with fuzzed flags, flag values, config files,
+data files and model files. The run must end in exit code 0, 2, 3, 4 or
+5; argparse's own usage errors count as 2. No exception may escape, and
+every model file `train` writes must load. Examples are derandomized, so
+a run is reproducible; widen max_examples locally to search further.
 """
 
 import contextlib
@@ -227,4 +228,36 @@ def test_every_outcome_is_a_documented_exit_code(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as directory:
         code = run_in(Path(directory), argv, files)
+    assert code in EXIT_CODES, (argv, code)
+
+
+@st.composite
+def train_invocations(draw):
+    """(argv, files) for `train` on the 20-day data file or a fuzzed one.
+    The LM budget flags come after every fuzzed flag, so each example
+    trains one restart of at most three iterations."""
+    files = {}
+    data = draw(st.sampled_from(["data.csv"] * 4 + ["missing.csv"]))
+    if data == "data.csv":
+        files["data.csv"] = VALID["data"] if draw(st.booleans()) else draw(file_contents("data"))
+    argv = ["train", "--data", data, "--out", draw(st.sampled_from(["models", "a/b", "data.csv"]))]
+    argv += draw(st.sampled_from([[]] * 3 + [["--knn-only"], ["--nn-only"], ["--knn-only", "--nn-only"]]))
+    config = draw(config_files())
+    if config is not None:
+        files["run.cfg"] = config
+        argv += ["--config", "run.cfg"]
+    if draw(st.booleans()):
+        argv += draw(overrides())
+    argv += ["--nn-restarts", "1", "--nn-max-iterations", str(draw(st.integers(1, 3)))]
+    return argv, files
+
+
+@settings(FUZZ, max_examples=100)
+@given(train_invocations())
+def test_train_outcome_is_a_documented_exit_code_and_its_models_load(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as directory:
+        code = run_in(Path(directory), argv, files)
+        for path in Path(directory).rglob(f"*{persistence.MODEL_SUFFIX}"):
+            persistence.load_model(path.read_bytes())
     assert code in EXIT_CODES, (argv, code)

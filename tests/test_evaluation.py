@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_series
+from conftest import make_series, repeating_clear_days
 from twotier import correction, knn, nn
 from twotier.errors import EmptyInput, InsufficientHistory, LengthMismatch, UnknownDate
 from twotier.evaluation import (
@@ -81,6 +81,23 @@ class TestImprovement:
 
     def test_degradation_goes_negative(self):
         assert improvement(100.0, 130.0) == pytest.approx(-30.0)
+
+    def test_baseline_below_one_ulp_of_scale_is_undefined(self):
+        ulp = np.spacing(35000.0)  # 7.3e-12 W
+        assert improvement(5.25e-13, 5.87e-13, 35000.0) is None
+        assert improvement(ulp * 0.99, 0.0, 35000.0) is None
+        assert improvement(ulp, 0.0, 35000.0) == 100.0
+
+    def test_rounding_level_average_has_no_improvement(self):
+        series = repeating_clear_days()
+        split = split_chronological(series, (0.6, 0.2, 0.2))
+        km = knn.fit(split.train, knn.KnnConfig())
+        nm = nn.build(nn.NnConfig(hidden_neurons=3), seed=3, scale_max=30000.0)
+        report = compare_methods(series, series.subseries(38, 39), km, nm)
+        assert 0 < report.averaged_rmse["knn"] < 1e-11
+        assert report.improvement_percent[("knn", "knn+local")] is None
+        assert report.improvement_percent[("nn", "nn+local")] is not None
+        assert "improvement knn+local vs knn: n/a" in render_report(report).splitlines()
 
 
 class TestTuneGridShape:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import replace_payload_line
+from conftest import rendered, replace_payload_line, with_payload
 from twotier.errors import (
     ChecksumMismatch,
     InvariantViolation,
@@ -14,7 +14,7 @@ from twotier.errors import (
     PersistenceError,
     UnsupportedVersion,
 )
-from twotier.knn import KnnConfig, KnnModel
+from twotier.knn import KnnConfig, KnnModel, from_days
 from twotier.nn import NnConfig, build, forward
 from twotier.persistence import load_model, render_model, save_model
 
@@ -25,6 +25,13 @@ def small_knn_model():
     contexts = np.array([[1.5, 2.5], [3.25, 0.125], [10.0, 0.5]])
     targets = np.array([[100.0], [200.5], [50.25]])
     return KnnModel(KnnConfig(depth_days=2, neighbors=2), contexts, targets)
+
+
+def small_fitted_model():
+    """`from_days` of five one-slot days with D = 2: three pairs, the
+    layout every fitted model has."""
+    days = [[1.5], [3.25], [10.0], [0.5], [50.25]]
+    return from_days(KnnConfig(depth_days=2, neighbors=2), days)
 
 
 def roundtrip(model):
@@ -85,7 +92,7 @@ class TestIntegrity:
 
     def test_future_version(self):
         text = render_model(small_knn_model())
-        bumped = text.replace("htm-model 1", "htm-model 2", 1)
+        bumped = text.replace("htm-model 1", "htm-model 3", 1)
         with pytest.raises(UnsupportedVersion):
             load_model(io.StringIO(bumped))
 
@@ -166,3 +173,79 @@ class TestGoldenFixture:
     def test_golden_knn_round_trips_to_same_bytes(self):
         text = (DATA_DIR / "golden-knn.htm-model").read_text()
         assert render_model(load_model(text)) == text
+
+
+class TestFormatVersions:
+    """Fitted k-NN models are written as their day matrix (version 2);
+    pair-built k-NN models and NN models stay version 1."""
+
+    def test_fitted_model_writes_its_days(self):
+        text = render_model(small_fitted_model())
+        assert text.splitlines()[:2] == ["htm-model 2", "kind knn"]
+        assert text.splitlines()[3:] == [
+            "depth_days 2", "neighbors 2", "days 5", "samples_per_day 1",
+            "day 1.5", "day 3.25", "day 10.0", "day 0.5", "day 50.25",
+        ]
+
+    def test_pair_built_and_nn_models_write_version_1(self):
+        assert small_knn_model().days is None
+        assert render_model(small_knn_model()).startswith("htm-model 1\nkind knn\n")
+        nn_model = build(NnConfig(hidden_neurons=2), seed=1)
+        assert render_model(nn_model).startswith("htm-model 1\nkind nn\n")
+
+    def test_version_1_file_of_a_fitted_model_resaves_as_version_2(self):
+        # written by the version 1 writer: fit on 12 days of 4 slots, D = 3
+        text = (DATA_DIR / "fit-knn-v1.htm-model").read_text()
+        assert text.startswith("htm-model 1\n")
+        model = load_model(text)
+        assert model.days.shape == (12, 4)
+        assert np.array_equal(model.days[:9], model.contexts[:, :4])
+        assert np.array_equal(model.days[3:], model.targets)
+        second = render_model(model)
+        assert second.startswith("htm-model 2\n")
+        back = load_model(second)
+        assert back.config == model.config
+        for name in ("days", "contexts", "targets"):
+            assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+        assert render_model(back) == second
+
+
+class TestVersion2Integrity:
+    @pytest.mark.parametrize("old, new", [
+        ("days 5", "days 1000000000000"),
+        ("samples_per_day 1", "samples_per_day 10000000000"),
+    ])
+    def test_oversized_header_rejected_without_allocating(self, old, new):
+        text = replace_payload_line(render_model(small_fitted_model()), old, new)
+        assert len(text) < 300
+        with pytest.raises(MalformedModelFile):
+            load_model(text)
+
+    def test_missing_day_line(self):
+        text = render_model(small_fitted_model())
+        truncated = with_payload(text, text.splitlines()[3:-1])
+        with pytest.raises(MalformedModelFile, match="header promises 5 days"):
+            load_model(truncated)
+
+    @pytest.mark.parametrize("line", ["day", "day 0.5 0.5", "day x"])
+    def test_malformed_day_line(self, line):
+        text = replace_payload_line(render_model(small_fitted_model()), "day 0.5", line)
+        with pytest.raises(MalformedModelFile):
+            load_model(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_day_value(self, value):
+        text = replace_payload_line(render_model(small_fitted_model()), "day 0.5", f"day {value}")
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            load_model(text)
+
+    def test_fewer_days_than_depth_and_neighbors_need(self):
+        text = render_model(small_fitted_model())
+        payload = ["days 4" if line == "days 5" else line for line in text.splitlines()[3:-1]]
+        with pytest.raises(InvariantViolation, match="needs >= 5 training days, have 4"):
+            load_model(with_payload(text, payload))
+
+    def test_nn_model_has_no_version_2(self):
+        text = rendered(build(NnConfig(hidden_neurons=2), seed=1))
+        with pytest.raises(UnsupportedVersion, match="format version 2 has no kind nn"):
+            load_model(text.replace("htm-model 1", "htm-model 2", 1))

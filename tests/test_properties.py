@@ -508,11 +508,10 @@ def tune_cells_reference(split, depths, neighbor_counts):
 
 
 @st.composite
-def tune_cases(draw):
-    """A split of random, repeating or constant days, with ascending
-    candidate tuples."""
+def series_of_kinds(draw, min_days, max_days):
+    """Random, repeating or constant days of 1-4 slots."""
     grid = SamplingGrid(sample_interval_seconds=draw(st.sampled_from([21600, 43200, 86400])))
-    days = draw(st.integers(min_value=5, max_value=40))
+    days = draw(st.integers(min_value=min_days, max_value=max_days))
     shape = (days, grid.samples_per_day)
     kind = draw(st.sampled_from(["random", "repeating", "constant"]))
     if kind == "random":
@@ -522,7 +521,86 @@ def tune_cases(draw):
         power = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=days, max_size=days))]
     else:
         power = np.full(shape, draw(watts))
-    series = SolarSeries(grid, power, Date(2015, 2, 15), draw(st.integers(0, 1000)))
+    return SolarSeries(grid, power, Date(2015, 2, 15), draw(st.integers(0, 1000)))
+
+
+@st.composite
+def forecast_cases(draw):
+    """A fitted or pair-built model, its series, and days to forecast:
+    unsorted, with repeats, up to the day after the last one, or none."""
+    depth = draw(st.integers(min_value=1, max_value=4))
+    neighbors = draw(st.integers(min_value=2, max_value=4))
+    series = draw(series_of_kinds(depth + neighbors + 1, 16))
+    model = knn.fit(series, knn.KnnConfig(depth, neighbors))
+    if draw(st.booleans()):
+        # the same pairs in another order: no day matrix when it moved any
+        order = draw(st.permutations(range(model.pair_count)))
+        model = knn.KnnModel(model.config, model.contexts[order], model.targets[order])
+    days = st.integers(series.first_index + depth, series.last_index + 1)
+    return model, series, draw(st.lists(days, max_size=8))
+
+
+@PROPERTY
+@given(forecast_cases())
+def test_forecast_days_equals_per_day_predict_day(case):
+    model, series, days = case
+    contexts = [day_context(series, day, model.history_days) for day in days]
+    want = [knn.predict_day(model, context) for context in contexts]
+    got = knn.forecast_days(model, series, days)
+    assert got.shape == (len(days), model.target_length)
+    assert np.array_equal(got, np.reshape(want, got.shape))
+    for forecast, context in zip(want, contexts):
+        assert forecast.tobytes() == predict_day_reference(model, context).tobytes()
+
+
+signed_watts = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+
+
+@st.composite
+def layout_cases(draw):
+    """`from_days` pairs, maybe one edit away from that layout: a value
+    replaced (a 0.0 by -0.0 among them) or two pairs swapped."""
+    depth = draw(st.integers(min_value=1, max_value=3))
+    neighbors = draw(st.integers(min_value=2, max_value=3))
+    count = draw(st.integers(depth + neighbors + 1, 8))
+    days = draw(arrays(float, (count, draw(st.integers(1, 3))), elements=signed_watts))
+    model = knn.from_days(knn.KnnConfig(depth, neighbors), days)
+    contexts, targets = np.array(model.contexts), np.array(model.targets)
+    edit = draw(st.sampled_from(["none", "value", "swap"]))
+    if edit == "value":
+        table = draw(st.sampled_from([contexts, targets]))
+        row = draw(st.integers(0, table.shape[0] - 1))
+        table[row, draw(st.integers(0, table.shape[1] - 1))] = draw(signed_watts)
+    elif edit == "swap":
+        pair = draw(st.lists(st.integers(0, len(targets) - 1), min_size=2, max_size=2))
+        contexts[pair], targets[pair] = contexts[pair[::-1]], targets[pair[::-1]]
+    return knn.KnnModel(model.config, contexts, targets)
+
+
+@PROPERTY
+@given(st.one_of(layout_cases(), knn_models()))
+def test_days_set_exactly_for_from_days_layout(model):
+    # the only candidate: the first context's days, then every target
+    depth = model.config.depth_days
+    days = None
+    if model.context_length == depth * model.target_length:
+        days = np.concatenate([model.contexts[0].reshape(depth, -1), model.targets])
+        pairs = range(model.pair_count)
+        if not all(model.contexts[j].tobytes() == days[j : j + depth].tobytes()
+                   and model.targets[j].tobytes() == days[j + depth].tobytes() for j in pairs):
+            days = None
+    if days is None:
+        assert model.days is None
+    else:
+        assert model.days.tobytes() == days.tobytes()
+
+
+@st.composite
+def tune_cases(draw):
+    """A split of random, repeating or constant days, with ascending
+    candidate tuples."""
+    series = draw(series_of_kinds(5, 40))
+    days = series.num_days
     tune = draw(st.integers(min_value=1, max_value=max(1, (days - 2) // 3)))
     test = draw(st.integers(min_value=1, max_value=min(3, days - tune - 1)))
     train = days - tune - test
@@ -573,6 +651,8 @@ MODEL_FILES = (
         targets=[[100.0], [200.5], [50.25]],
     )),
     rendered(nn.build(nn.NnConfig(hidden_neurons=2), seed=3, scale_max=35000.0)),
+    rendered(knn.from_days(knn.KnnConfig(depth_days=2, neighbors=2),
+                           [[1.5, 0.0], [3.25, 7.0], [10.0, 0.5], [0.5, 2.0], [50.25, 1.0]])),
 )
 
 # Field values a loader could mishandle: signs, zero, non-finite, huge,
