@@ -15,8 +15,6 @@ import sys
 from datetime import date as Date, timedelta
 from pathlib import Path
 
-import numpy as np
-
 from . import correction, evaluation, knn, nn, persistence, synth
 from .config import _FIELD_TYPES, RunConfig, apply_overrides, parse_config, render_config
 from .errors import (
@@ -39,12 +37,13 @@ EXIT_IO = 3
 EXIT_INSUFFICIENT = 4
 EXIT_BAD_REFERENCE = 5
 
-_SHORTAGE_ERRORS = (
-    TooFewDays,
-    InsufficientTrainingDays,
-    InsufficientHistory,
-    EmptyInput,
-    Underdetermined,
+# An error's exit code is that of the first entry it is an instance of.
+_EXIT_CODES = (
+    ((ConfigError, ValueError), EXIT_USAGE),
+    (UnknownDate, EXIT_BAD_REFERENCE),
+    ((TooFewDays, InsufficientTrainingDays, InsufficientHistory, EmptyInput,
+      Underdetermined), EXIT_INSUFFICIENT),
+    ((OSError, TwoTierError), EXIT_IO),
 )
 
 
@@ -195,25 +194,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--knn-only and --nn-only exclude each other")
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
+    # every model is configured and fitted before anything is written, so
+    # a usage error or a shortage leaves no directory and no file behind
+    fitters = {}
+    if not args.nn_only:
+        fitters["knn"] = (knn.fit, config.knn())
+    if not args.knn_only:
+        fitters["nn"] = (nn.fit_day_ahead, config.nn())
+    models = {name: fit(split.train, settings) for name, (fit, settings) in fitters.items()}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if not args.nn_only:
-        model = knn.fit(split.train, config.knn())
-        path = out_dir / f"knn{persistence.MODEL_SUFFIX}"
+    written = [out_dir / f"{name}{persistence.MODEL_SUFFIX}" for name in models]
+    for path, model in zip(written, models.values()):
         with open(path, "w", encoding="utf-8", newline="\n") as sink:
             persistence.save_model(model, sink)
-        written.append(path)
-    if not args.knn_only:
-        model = nn.fit_day_ahead(split.train, config.nn())
-        path = out_dir / f"nn{persistence.MODEL_SUFFIX}"
-        with open(path, "w", encoding="utf-8", newline="\n") as sink:
-            persistence.save_model(model, sink)
-        written.append(path)
-    print(
-        f"trained on {split.train.num_days} days; wrote "
-        + ", ".join(str(p) for p in written)
-    )
+    wrote = ", ".join(str(path) for path in written)
+    print(f"trained on {split.train.num_days} days; wrote {wrote}")
     return EXIT_OK
 
 
@@ -229,21 +225,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sims = evaluation.replay_days(
         series, [target.day_index], knn_model, nn_model, window, harmonics
     )
+    report = evaluation.score_replay([args.day], sims)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, block in sims.items():
-        sim = block.day(0)
+    for (label, local), gain in report.improvement_percent.items():
         path = out_dir / f"trace-{label}-{args.day.isoformat()}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as sink:
-            correction.write_trace_csv(sim, sink)
-        global_rmse = evaluation.rmse(sim.global_w, sim.measured_w)
-        corrected_rmse = evaluation.rmse(sim.corrected_w, sim.measured_w)
-        scale = np.abs(sim.measured_w).max()
-        gain = evaluation.improvement(global_rmse, corrected_rmse, scale)
-        shown = "n/a" if gain is None else f"{gain:.2f}%"
+            correction.write_trace_csv(sims[label].day(0), sink)
         print(
-            f"{label}: global RMSE {global_rmse:.1f} W, "
-            f"corrected RMSE {corrected_rmse:.1f} W, improvement {shown}"
+            f"{label}: global RMSE {report.averaged_rmse[label]:.1f} W, "
+            f"corrected RMSE {report.averaged_rmse[local]:.1f} W, "
+            f"improvement {evaluation.improvement_text(gain)}"
         )
         print(f"wrote {path}")
     return EXIT_OK
@@ -319,21 +311,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (OSError, ValueError, TwoTierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownDate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_REFERENCE
-    except _SHORTAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except (OSError, TwoTierError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

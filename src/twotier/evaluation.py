@@ -1,21 +1,22 @@
 """Accuracy metric, hyperparameter tuning grids, and method comparison.
 
-Everything here scores forecasts with daily RMSE in watts. Tuning runs a
-grid search against the tune split and reports per-axis tables whose
-worst (largest) entry is normalized to 1, the convention used when the
-tables are printed. Comparison replays the test split with each method
-and reports per-day scores, averages, and relative improvements.
+Everything here is scored by one rule: a day's RMSE in watts against the
+measured day, averaged over days in date order. `daily_rmse`, one
+batched dot product per (days, slots) block, is its one kernel. Tuning
+runs a grid search against the tune split and reports per-axis tables
+whose worst (largest) entry is normalized to 1, the convention used when
+the tables are printed. Comparison replays the test split with each
+method and reports per-day scores, averages, and relative improvements.
 
 Each model's `forecast_days` reads its `history_days` days before each
 day. `replay_days` is the one replay path: both global forecasts of a
 (days, slots) block, each corrected by the local tier. Comparison and
-`simulate` replay through it.
+`simulate` replay through it and score through `score_replay`.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,22 +35,43 @@ METHOD_NN = "nn"
 METHOD_KNN_LOCAL = "knn+local"
 METHOD_NN_LOCAL = "nn+local"
 METHOD_LABELS = (METHOD_KNN, METHOD_NN, METHOD_KNN_LOCAL, METHOD_NN_LOCAL)
+# each global tier and its two-tier counterpart, in report order
+TIERS = ((METHOD_KNN, METHOD_KNN_LOCAL), (METHOD_NN, METHOD_NN_LOCAL))
 
 DEFAULT_DEPTH_CANDIDATES = tuple(range(1, 9))
 DEFAULT_NEIGHBOR_CANDIDATES = (2, 3, 4)
 DEFAULT_HIDDEN_CANDIDATES = (3, 4, 5, 6, 7, 8)
 
 
-def rmse(predicted, actual) -> float:
-    """Root mean squared error, mean taken over the actual sample count."""
-    p = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
+def daily_rmse(forecasts, measured) -> np.ndarray:
+    """RMSE along the last axis of a (..., slots) block: one value per row.
+
+    Each row's sum of squares is one dot product of its difference with
+    itself, batched in one `np.matmul`, so every element is bit-equal to
+    the RMSE of that row alone.
+    """
+    p = np.asarray(forecasts, dtype=float)
+    a = np.asarray(measured, dtype=float)
     if p.shape != a.shape:
         raise LengthMismatch(f"shape mismatch: {p.shape} vs {a.shape}")
-    if p.size == 0:
+    if p.ndim == 0 or p.size == 0:
         raise EmptyInput("rmse needs at least one sample")
-    diff = p.ravel() - a.ravel()
-    return math.sqrt(float(diff @ diff) / diff.size)
+    diff = p - a
+    squares = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+    return np.sqrt(squares / diff.shape[-1])
+
+
+def rmse(predicted, actual) -> float:
+    """RMSE over every sample: `daily_rmse` of the flattened arrays."""
+    if np.shape(predicted) != np.shape(actual):
+        raise LengthMismatch(f"shape mismatch: {np.shape(predicted)} vs {np.shape(actual)}")
+    return float(daily_rmse(np.ravel(predicted), np.ravel(actual)))
+
+
+def _mean(values: list) -> float:
+    """The mean of a list of floats, summed left to right: per-day scores
+    are averaged in date order."""
+    return sum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -171,8 +193,7 @@ def tune_knn(
                 table[deepest - depth :], depth, train.num_days - depth
             )
         forecasts = knn.blend_nearest(distances[depth], train.power[depth:], neighbors)
-        scores = [rmse(f, a) for f, a in zip(forecasts, tune.power)]
-        cells[depth, neighbors] = sum(scores) / len(scores)
+        cells[depth, neighbors] = _mean(daily_rmse(forecasts, tune.power).tolist())
 
     def marginal(axis_label, candidates, pick):
         return make_grid(axis_label, candidates, [
@@ -215,12 +236,11 @@ def tune_nn(
     for hidden in hidden_candidates:
         candidate_config = replace(config, hidden_neurons=hidden)
         try:
-            restart_scores = []
-            for model, _ in nn.fit_restarts(split.train, candidate_config):
-                forecasts = nn.forecast_days(model, full, tune_days)
-                scores = [rmse(f, a) for f, a in zip(forecasts, tune.power)]
-                restart_scores.append(sum(scores) / len(scores))
-            raw.append(sum(restart_scores) / len(restart_scores))
+            restart_scores = [
+                _mean(daily_rmse(nn.forecast_days(model, full, tune_days), tune.power).tolist())
+                for model, _ in nn.fit_restarts(split.train, candidate_config)
+            ]
+            raw.append(_mean(restart_scores))
         except (InsufficientTrainingDays, InsufficientHistory):
             raw.append(None)
     return make_grid("hidden_neurons", hidden_candidates, raw)
@@ -270,6 +290,30 @@ def replay_days(
     }
 
 
+def score_replay(dates, sims: dict, skipped=()) -> EvalReport:
+    """Score a `replay_days` block whose rows fall on `dates`: each
+    method's `daily_rmse` per day, its day average, and each two-tier
+    method's improvement over its global tier, on the scale of the
+    block's largest |measured| value. `skipped` passes through."""
+    scores = {}
+    for base, local in TIERS:
+        sim = sims[base]
+        scores[base] = daily_rmse(sim.global_w, sim.measured_w).tolist()
+        scores[local] = daily_rmse(sim.corrected_w, sim.measured_w).tolist()
+    averaged = {label: _mean(scores[label]) for label in METHOD_LABELS}
+    scale = np.abs(sims[METHOD_KNN].measured_w).max()
+    rows = [(day, label, scores[label][i]) for i, day in enumerate(dates)
+            for label in METHOD_LABELS]
+    improvements = {(base, local): improvement(averaged[base], averaged[local], scale)
+                    for base, local in TIERS}
+    return EvalReport(tuple(rows), averaged, improvements, tuple(skipped))
+
+
+def improvement_text(percent) -> str:
+    """An improvement as printed: two decimals and a percent sign, or n/a."""
+    return "n/a" if percent is None else f"{percent:.2f}%"
+
+
 def compare_methods(
     full: SolarSeries,
     test: SolarSeries,
@@ -296,33 +340,7 @@ def compare_methods(
         raise InsufficientHistory("every test day lacked usable history")
     sims = replay_days(full, [day.day_index for day in days], knn_model, nn_model,
                        window_length, harmonics)
-    # METHOD_LABELS order: both global tiers, then both corrected
-    forecasts = [sim.global_w for sim in sims.values()]
-    forecasts += [sim.corrected_w for sim in sims.values()]
-    scale = np.abs(sims[METHOD_KNN].measured_w).max()
-    rows = [
-        (day.date, label, rmse(block[i], day.samples))
-        for i, day in enumerate(days)
-        for label, block in zip(METHOD_LABELS, forecasts)
-    ]
-    averaged = {}
-    for label in METHOD_LABELS:
-        scores = [value for _, method, value in rows if method == label]
-        averaged[label] = sum(scores) / len(scores)
-    improvements = {
-        (METHOD_KNN, METHOD_KNN_LOCAL): improvement(
-            averaged[METHOD_KNN], averaged[METHOD_KNN_LOCAL], scale
-        ),
-        (METHOD_NN, METHOD_NN_LOCAL): improvement(
-            averaged[METHOD_NN], averaged[METHOD_NN_LOCAL], scale
-        ),
-    }
-    return EvalReport(
-        per_day_rmse=tuple(rows),
-        averaged_rmse=averaged,
-        improvement_percent=improvements,
-        skipped_days=tuple(skipped),
-    )
+    return score_replay([day.date for day in days], sims, skipped)
 
 
 def render_grid(grid: TuneGrid) -> str:
@@ -378,8 +396,7 @@ def render_report(report: EvalReport) -> str:
         lines.append(f"  {label:<10} {report.averaged_rmse[label]:.1f}")
     lines.append("")
     for (base, improved), pct in report.improvement_percent.items():
-        shown = "n/a" if pct is None else f"{pct:.2f}%"
-        lines.append(f"improvement {improved} vs {base}: {shown}")
+        lines.append(f"improvement {improved} vs {base}: {improvement_text(pct)}")
     for day, reason in report.skipped_days:
         lines.append(f"skipped {day.isoformat()}: {reason}")
     return "\n".join(lines)

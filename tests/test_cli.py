@@ -241,6 +241,26 @@ class TestTrain:
         assert cli.main(["synth", "--days", "4", "--out", str(data)]) == 0
         assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "m")]) == 4
 
+    def test_bad_nn_setting_writes_no_model(self, pipeline, tmp_path, capsys):
+        # the k-NN model is valid, but nothing is written before the NN
+        # settings are checked
+        out = tmp_path / "m"
+        out.mkdir()
+        code = cli.main(["train", "--data", str(pipeline["data"]), "--out", str(out),
+                         "--nn-hidden-neurons", "0"])
+        assert code == 2
+        check_one_error_line(capsys, "hidden_neurons")
+        assert list(out.iterdir()) == []
+
+    def test_knn_shortage_creates_no_directory(self, pipeline, tmp_path, capsys):
+        # 30 training days cannot fit a 100-day context
+        out = tmp_path / "m"
+        code = cli.main(["train", "--data", str(pipeline["data"]), "--out", str(out),
+                         "--knn-depth-days", "100"])
+        assert code == 4
+        check_one_error_line(capsys, "needs >= 103 training days, have 30")
+        assert not out.exists()
+
 
 class TestTune:
     def test_full_tune_under_five_minutes(self, readme_run):

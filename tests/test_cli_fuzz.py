@@ -5,23 +5,27 @@ Each example runs one of `synth` (at most 20 days), `ingest`, `tune
 iterations) in-process, with fuzzed flags, flag values, config files,
 data files and model files. The run must end in exit code 0, 2, 3, 4 or
 5; argparse's own usage errors count as 2. No exception may escape, and
-every model file `train` writes must load. Examples are derandomized, so
-a run is reproducible; widen max_examples locally to search further.
+every model file `train` writes must load. A successful `tune --knn-only`
+on a drawn data set and split must write a tuned config and a full grid
+report. Examples are derandomized, so a run is reproducible; widen
+max_examples locally to search further.
 """
 
 import contextlib
+import csv
 import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import rendered, replace_payload_line  # noqa: E402
-from twotier import cli, knn, nn, persistence  # noqa: E402
-from twotier.config import RunConfig, render_config  # noqa: E402
+from conftest import make_series, rendered, replace_payload_line  # noqa: E402
+from twotier import cli, evaluation, knn, nn, persistence  # noqa: E402
+from twotier.config import RunConfig, parse_config, render_config  # noqa: E402
 from twotier.synth import SynthConfig, generate  # noqa: E402
 from twotier.timeseries import export_csv, split_chronological  # noqa: E402
 
@@ -261,3 +265,82 @@ def test_train_outcome_is_a_documented_exit_code_and_its_models_load(case):
         for path in Path(directory).rglob(f"*{persistence.MODEL_SUFFIX}"):
             persistence.load_model(path.read_bytes())
     assert code in EXIT_CODES, (argv, code)
+
+
+TUNE_DAYS = 60
+# train, tune and test ratios: valid ones (a small set may still leave a
+# partition empty), then one that always does and ones `RunConfig.ratios`
+# rejects
+VALID_SPLITS = [("0.6", "0.2", "0.2"), ("0.5", "0.25", "0.25"), ("0.8", "0.1", "0.1"),
+                ("0.1", "0.1", "0.8")]
+SPLITS = VALID_SPLITS + [("1", "0", "0"), ("0.6", "0.2", "0.3"), ("-0.2", "0.6", "0.6"),
+                         ("nan", "0.5", "0.5")]
+SYNTH_POWER = generate(SynthConfig(), TUNE_DAYS).series.power
+
+
+@st.composite
+def tune_data(draw):
+    """A data file of 1-60 days: synthetic days, one day repeated (some
+    k-NN cells forecast it exactly), all-dark days or uniform noise."""
+    days = TUNE_DAYS - draw(st.integers(min_value=0, max_value=TUNE_DAYS - 1))
+    kind = draw(st.sampled_from(["synth", "synth", "repeated", "dark", "noise"]))
+    if kind == "synth":
+        rows = SYNTH_POWER[:days]
+    elif kind == "repeated":
+        rows = np.tile(SYNTH_POWER[draw(st.integers(0, TUNE_DAYS - 1))], (days, 1))
+    elif kind == "dark":
+        rows = np.zeros((days, 96))
+    else:
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+        rows = rng.uniform(0.0, 35000.0, (days, 96)).round(1)
+    sink = io.StringIO()
+    export_csv(make_series(rows), sink)
+    return sink.getvalue()
+
+
+@st.composite
+def split_ratios(draw):
+    """Three split ratio flag values: a listed triple, or a drawn train and
+    tune share with test taking the rest."""
+    if not draw(rarely):
+        return draw(st.sampled_from(SPLITS))
+    train = draw(st.floats(min_value=0.0, max_value=1.0))
+    tune = draw(st.floats(min_value=0.0, max_value=1.0 - train))
+    return repr(train), repr(tune), repr(1.0 - train - tune)
+
+
+def grid_rows(report_text):
+    """The report CSV's rows, split into one list per grid at each header."""
+    grids = []
+    for row in csv.reader(io.StringIO(report_text)):
+        if row[1:] == ["rmse_w", "normalized"]:
+            grids.append([row[0]])
+        else:
+            grids[-1].append(row[0])
+    return grids
+
+
+@settings(FUZZ, max_examples=100)
+@given(tune_data(), split_ratios())
+def test_knn_tune_writes_candidate_config_and_full_report(data, ratios):
+    argv = ["tune", "--knn-only", "--data", "data.csv", "--out", "tuned.cfg",
+            "--report", "grids.csv"]
+    for key, value in zip(("--split-train", "--split-tune", "--split-test"), ratios):
+        argv += [key, value]
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        code = run_in(directory, argv, {"data.csv": data})
+        assert code in EXIT_CODES, (argv, code)
+        if ratios in VALID_SPLITS:
+            assert code in (0, 4), (argv, code)
+        if code != 0:
+            return
+        tuned = parse_config((directory / "tuned.cfg").read_text(encoding="utf-8"),
+                             RunConfig())
+        report = (directory / "grids.csv").read_text(encoding="utf-8")
+    assert tuned.knn_depth_days in evaluation.DEFAULT_DEPTH_CANDIDATES
+    assert tuned.knn_neighbors in evaluation.DEFAULT_NEIGHBOR_CANDIDATES
+    assert grid_rows(report) == [
+        ["depth_days", *map(str, evaluation.DEFAULT_DEPTH_CANDIDATES)],
+        ["neighbors", *map(str, evaluation.DEFAULT_NEIGHBOR_CANDIDATES)],
+    ]

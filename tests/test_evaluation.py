@@ -15,11 +15,14 @@ from twotier.evaluation import (
     DEFAULT_NEIGHBOR_CANDIDATES,
     METHOD_KNN,
     METHOD_KNN_LOCAL,
+    METHOD_LABELS,
     METHOD_NN,
     METHOD_NN_LOCAL,
     TuneGrid,
     compare_methods,
+    daily_rmse,
     improvement,
+    improvement_text,
     make_grid,
     render_grid,
     render_report,
@@ -70,6 +73,22 @@ class TestRmse:
             rmse([1.0], [1.0, 2.0])
         with pytest.raises(EmptyInput):
             rmse([], [])
+        with pytest.raises(LengthMismatch):
+            rmse(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_daily_rmse_scores_each_row_of_a_block(self):
+        rng = np.random.default_rng(64)
+        p, a = rng.uniform(0, 9, (2, 3, 7)), rng.uniform(0, 9, (2, 3, 7))
+        scores = daily_rmse(p, a)
+        assert scores.shape == (2, 3)
+        assert scores.tolist() == [[rmse(p[i, j], a[i, j]) for j in range(3)]
+                                   for i in range(2)]
+
+    def test_daily_rmse_mismatch_and_empty(self):
+        with pytest.raises(LengthMismatch):
+            daily_rmse(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(EmptyInput):
+            daily_rmse(np.zeros((2, 0)), np.zeros((2, 0)))
 
 
 class TestImprovement:
@@ -78,6 +97,11 @@ class TestImprovement:
 
     def test_zero_baseline_is_undefined(self):
         assert improvement(0.0, 5.0) is None
+
+    def test_text(self):
+        assert improvement_text(None) == "n/a"
+        assert improvement_text(67.1449) == "67.14%"
+        assert improvement_text(-3.0) == "-3.00%"
 
     def test_degradation_goes_negative(self):
         assert improvement(100.0, 130.0) == pytest.approx(-30.0)
@@ -318,6 +342,27 @@ class TestReplayDay:
             ):
                 assert next(rows) == (day.date, label, rmse(forecast, day.samples))
         assert next(rows, None) is None
+
+    def test_scores_equal_a_per_day_rmse_loop(self, synth_split, fitted_models):
+        # the block scorer's rows and averages, bit for bit, against one
+        # rmse call per day and method and a date-order sum per method
+        split, _ = synth_split
+        km, nm = fitted_models
+        full = split.full_series()
+        report = compare_methods(full, split.test, km, nm)
+        sims = replay_days(full, [day.day_index for day in split.test.days], km, nm)
+        rows, scores = [], {label: [] for label in METHOD_LABELS}
+        for i, day in enumerate(split.test.days):
+            forecasts = [sims["knn"].global_w[i], sims["nn"].global_w[i],
+                         sims["knn"].corrected_w[i], sims["nn"].corrected_w[i]]
+            for label, forecast in zip(METHOD_LABELS, forecasts):
+                score = rmse(forecast, day.samples)
+                rows.append((day.date, label, score))
+                scores[label].append(score)
+        assert report.per_day_rmse == tuple(rows)
+        assert report.averaged_rmse == {
+            label: sum(values) / len(values) for label, values in scores.items()
+        }
 
     def test_day_missing_from_series_named(self):
         # 40 days split 24/8/8; the last test day is not in `full`

@@ -5,6 +5,7 @@ locally to search further.
 """
 
 import io
+import math
 import re
 from datetime import date as Date, datetime, timedelta
 
@@ -72,6 +73,40 @@ def test_neighbor_weights_normalized(distances):
     assert weights.shape == (len(distances) - 1,)
     assert weights[0] == 1.0
     assert np.all((weights >= 0.0) & (weights <= 1.0))
+
+
+@st.composite
+def rmse_blocks(draw):
+    """A (days, slots) forecast block and its measurement, 1-200 slots of
+    values up to 35 kW in 0.1 W steps, or of hypothesis' own floats up to
+    35 kW; some rows are all zero and some forecast their day exactly."""
+    days = draw(st.integers(min_value=1, max_value=5))
+    slots = draw(st.integers(min_value=1, max_value=200))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        forecasts, measured = rng.uniform(0.0, 35000.0, (2, days, slots)).round(1)
+    else:
+        power = st.floats(min_value=0.0, max_value=35000.0)
+        forecasts, measured = (draw(arrays(float, (days, slots), elements=power))
+                               for _ in range(2))
+    rows = st.lists(st.integers(min_value=0, max_value=days - 1), max_size=days)
+    dark, exact = draw(rows), draw(rows)
+    measured[dark] = 0.0
+    forecasts[exact] = measured[exact]
+    return forecasts, measured
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rmse_blocks())
+def test_daily_rmse_rows_bit_equal_one_day_rmse(block):
+    forecasts, measured = block
+    scores = evaluation.daily_rmse(forecasts, measured)
+    assert scores.shape == forecasts.shape[:1]
+    for i, score in enumerate(scores.tolist()):
+        diff = forecasts[i] - measured[i]
+        assert score == evaluation.rmse(forecasts[i], measured[i])
+        # the formula of a one-day dot product, as every score once was
+        assert score == math.sqrt(float(diff @ diff) / diff.size)
 
 
 def _round_trip(model, arrays_of):
