@@ -11,6 +11,9 @@ configuration problem, 3 I/O or unusable file, 4 not enough data,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 from datetime import date as Date, timedelta
 from pathlib import Path
@@ -109,6 +112,17 @@ def _load_models(models_dir: str, grid):
     return knn_model, nn_model
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise what out_dir.mkdir(parents=True, exist_ok=True) raises when
+    out_dir or one of its parents is a file, without creating anything."""
+    try:
+        mode = out_dir.stat().st_mode  # a file parent raises NotADirectoryError
+    except FileNotFoundError:
+        return  # mkdir creates it and any missing parents
+    if not stat.S_ISDIR(mode):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _run_config(args)
     result = synth.generate(config.synth(), config.synth_days, grid=config.grid())
@@ -201,8 +215,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         fitters["knn"] = (knn.fit, config.knn())
     if not args.knn_only:
         fitters["nn"] = (nn.fit_day_ahead, config.nn())
-    models = {name: fit(split.train, settings) for name, (fit, settings) in fitters.items()}
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
+    models = {name: fit(split.train, settings) for name, (fit, settings) in fitters.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"{name}{persistence.MODEL_SUFFIX}" for name in models]
     for path, model in zip(written, models.values()):
@@ -263,12 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-tier solar generation forecasting pipeline.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # every subcommand shares these actions instead of building its own
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", default=None, help="key = value config file")
+    _add_config_flags(config_flags)
 
     def subcommand(name, handler, help_text):
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, parents=[config_flags])
         sub.set_defaults(handler=handler)
-        sub.add_argument("--config", default=None, help="key = value config file")
-        _add_config_flags(sub)
         return sub
 
     sub = subcommand("synth", cmd_synth, "generate a synthetic data set")

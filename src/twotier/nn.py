@@ -17,20 +17,20 @@ a step is accepted those become the next iteration's state, so the
 Jacobian is built from the cached activations and the network is never
 evaluated twice at the same parameters.
 
-Inside training everything is parameter-major: the parameters are in
-neuron-major order (per hidden neuron w_k0, w_k1, b_k, then the output
-weights and bias), n input pairs are the (3, n) design matrix
-[x0; x1; 1], so the pre-activations are one (H, 3) @ (3, n) product, and
-the Jacobian is stored transposed, one contiguous row per parameter.
-Models and the public functions keep the _pack order. There is one
-forward kernel (_hidden_batch, _output_batch): forward, predict_day,
+A parameter vector has one order, neuron-major: per hidden neuron w_k0,
+w_k1, b_k, then the output weights and bias (_params reads it from a
+model, _with_params builds a model from it). n input pairs are the
+(3, n) design matrix [x0; x1; 1], so the pre-activations are one
+(H, 3) @ (3, n) product, and the Jacobian is stored transposed, one
+contiguous row per parameter. Only the public jacobian regroups its
+columns, into its documented row-major order. There is one forward
+kernel (_hidden_batch, _output_batch): forward, predict_day,
 forecast_days, jacobian and the training loop all use it, so a
 network's own outputs give a training loss of exactly 0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -177,41 +177,26 @@ def build(
     )
 
 
-def _pack(model: NnModel) -> np.ndarray:
-    return np.concatenate(
-        [
-            model.hidden_weights.ravel(),
-            model.hidden_biases,
-            model.output_weights,
-            [model.output_bias],
-        ]
-    )
+def _params(model: NnModel) -> np.ndarray:
+    """The model's parameters in neuron-major order: (w_k0, w_k1, b_k) for
+    each hidden neuron k, then the H output weights and the output bias."""
+    per_neuron = np.column_stack([model.hidden_weights, model.hidden_biases])
+    return np.concatenate([per_neuron.ravel(), model.output_weights, [model.output_bias]])
 
 
-def _unpack(theta: np.ndarray, base: NnModel) -> NnModel:
+def _with_params(params: np.ndarray, base: NnModel) -> NnModel:
+    """base with its weights replaced by the neuron-major params."""
     h = base.config.hidden_neurons
+    per_neuron = params[: 3 * h].reshape(h, INPUT_WIDTH + 1)
     return NnModel(
-        hidden_weights=theta[: 2 * h].reshape(h, INPUT_WIDTH),
-        hidden_biases=theta[2 * h : 3 * h],
-        output_weights=theta[3 * h : 4 * h],
-        output_bias=float(theta[4 * h]),
+        hidden_weights=per_neuron[:, :INPUT_WIDTH],
+        hidden_biases=per_neuron[:, INPUT_WIDTH],
+        output_weights=params[3 * h : 4 * h],
+        output_bias=float(params[4 * h]),
         scale_max=base.scale_max,
         samples_per_day=base.samples_per_day,
         config=base.config,
     )
-
-
-@functools.cache
-def _neuron_major(h: int) -> np.ndarray:
-    """Position in _pack order of each neuron-major parameter: for each
-    hidden neuron k (w_k0, w_k1, b_k), then the H output weights and the
-    output bias. theta[order] is neuron-major; out[order] = params undoes
-    it. Cached, and so read-only: predict_day asks for it on every call."""
-    neuron = np.arange(h)
-    per_neuron = np.column_stack([2 * neuron, 2 * neuron + 1, 2 * h + neuron])
-    order = np.concatenate([per_neuron.ravel(), np.arange(3 * h, 4 * h + 1)])
-    order.flags.writeable = False
-    return order
 
 
 def _design(inputs: np.ndarray) -> np.ndarray:
@@ -223,8 +208,8 @@ def _design(inputs: np.ndarray) -> np.ndarray:
 
 
 def _hidden_batch(params: np.ndarray, h: int, design: np.ndarray) -> np.ndarray:
-    """Hidden activations tanh([W1 b1] @ design), shape (H, n), for
-    neuron-major params."""
+    """Hidden activations tanh([W1 b1] @ design), shape (H, n): the first
+    3H params, read as the (H, 3) matrix [W1 b1]."""
     hidden = params[: 3 * h].reshape(h, INPUT_WIDTH + 1) @ design
     return np.tanh(hidden, out=hidden)
 
@@ -233,10 +218,9 @@ def _output_batch(params: np.ndarray, h: int, hidden: np.ndarray) -> np.ndarray:
     return params[3 * h : 4 * h] @ hidden + params[4 * h]
 
 
-def _forward_batch(theta: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
-    """Outputs on n input pairs for theta in _pack order, computed by the
-    training loop's kernels, so they are bit-equal to the loop's."""
-    params = theta[_neuron_major(h)]
+def _forward_batch(params: np.ndarray, h: int, inputs: np.ndarray) -> np.ndarray:
+    """Outputs on n input pairs, computed by the training loop's kernels,
+    so they are bit-equal to the loop's."""
     return _output_batch(params, h, _hidden_batch(params, h, _design(inputs)))
 
 
@@ -245,7 +229,7 @@ def forward(model: NnModel, inputs) -> float:
     x = np.asarray(inputs, dtype=float)
     if x.shape != (INPUT_WIDTH,):
         raise ValueError(f"expected an input pair, got shape {x.shape}")
-    return float(_forward_batch(_pack(model), model.config.hidden_neurons, x[None, :])[0])
+    return float(_forward_batch(_params(model), model.config.hidden_neurons, x[None, :])[0])
 
 
 def _jacobian_batch(
@@ -272,7 +256,7 @@ def jacobian(model: NnModel, batch) -> np.ndarray:
     """Analytic derivative of the output w.r.t. every parameter.
 
     Row r, column c is d forward(batch[r]) / d theta_c with parameters
-    packed as [input weights row-major, hidden biases, output weights,
+    in the order [input weights row-major, hidden biases, output weights,
     output bias].
     """
     inputs = np.atleast_2d(np.asarray(batch, dtype=float))
@@ -281,16 +265,20 @@ def jacobian(model: NnModel, batch) -> np.ndarray:
     if inputs.shape[1] != INPUT_WIDTH:
         raise ValueError(f"inputs must be pairs, got shape {inputs.shape}")
     h = model.config.hidden_neurons
-    order = _neuron_major(h)
-    params = _pack(model)[order]
+    params = _params(model)
     design = _design(inputs)
     ones = np.ones(inputs.shape[0])
     jac = np.empty((4 * h + 1, inputs.shape[0]))
     jac[4 * h] = ones
     _jacobian_batch(params, h, design, _hidden_batch(params, h, design), ones, jac)
-    packed = np.empty((inputs.shape[0], 4 * h + 1))
-    packed[:, order] = jac.T
-    return packed
+    # J' has one neuron-major row per parameter; regroup them into the
+    # documented column order
+    per_neuron = jac[: 3 * h].reshape(h, INPUT_WIDTH + 1, -1)
+    return np.concatenate([
+        per_neuron[:, :INPUT_WIDTH].reshape(INPUT_WIDTH * h, -1),
+        per_neuron[:, INPUT_WIDTH],
+        jac[3 * h :],
+    ]).T
 
 
 def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainTrace]:
@@ -312,13 +300,13 @@ def train_lm(model: NnModel, samples, config: NnConfig) -> tuple[NnModel, TrainT
         raise ValueError("config hidden_neurons disagrees with the model")
     inputs = np.array([list(x) for x, _ in samples], dtype=float)
     targets = np.array([t for _, t in samples], dtype=float)
-    theta, trace = _train_lm_arrays(_pack(model), model.config.hidden_neurons,
-                                    inputs, targets, np.ones(targets.size), config)
-    return _unpack(theta, model), trace
+    params, trace = _train_lm_arrays(_params(model), model.config.hidden_neurons,
+                                     inputs, targets, np.ones(targets.size), config)
+    return _with_params(params, model), trace
 
 
 def _train_lm_arrays(
-    theta: np.ndarray,
+    params: np.ndarray,
     h: int,
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -326,21 +314,19 @@ def _train_lm_arrays(
     config: NnConfig,
 ) -> tuple[np.ndarray, TrainTrace]:
     """LM on sum(counts * (output - targets)**2): row r stands for
-    counts[r] identical rows. theta is in _pack order on entry and on
-    return.
+    counts[r] identical rows. Returns the trained neuron-major params and
+    the trace.
 
     Every array the loop touches is parameter-major and contiguous: the
-    parameters in neuron-major order (see _neuron_major), the inputs as
-    the (3, n) design matrix [x0; x1; 1], the hidden activations as (H, n)
-    and the Jacobian as one (4H+1, n) buffer holding J', one row per
-    parameter, so J'J = jac @ jac.T and J'e = jac @ err. Residuals and
-    Jacobian columns are scaled by sqrt(counts), so J'J and J'e keep their
-    unweighted form; with unit counts the scaling multiplies by 1.0 and
-    changes no bit. Reusing an accepted step's evaluation gives the same
-    bits as recomputing it at every iteration.
+    neuron-major params (see _params), the inputs as the (3, n) design
+    matrix [x0; x1; 1], the hidden activations as (H, n) and the Jacobian
+    as one (4H+1, n) buffer holding J', one row per parameter, so
+    J'J = jac @ jac.T and J'e = jac @ err. Residuals and Jacobian columns
+    are scaled by sqrt(counts), so J'J and J'e keep their unweighted form;
+    with unit counts the scaling multiplies by 1.0 and changes no bit.
+    Reusing an accepted step's evaluation gives the same bits as
+    recomputing it at every iteration.
     """
-    order = _neuron_major(h)
-    params = theta[order]
     design = _design(inputs)
     root = np.sqrt(counts)
     jac = np.empty((4 * h + 1, targets.size))
@@ -414,9 +400,7 @@ def _train_lm_arrays(
         final_damping=damping,
         stop_reason=stop_reason,
     )
-    packed = np.empty_like(params)
-    packed[order] = params
-    return packed, trace
+    return params, trace
 
 
 def day_ahead_samples(train: SolarSeries, scale_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -456,20 +440,6 @@ def _training_setup(train: SolarSeries):
     )
 
 
-def _run_restart(train, config, restart, scale_max, inputs, targets, counts):
-    seed = derive_seed(config.rng_seed, restart)
-    start = build(
-        config, seed, samples_per_day=train.grid.samples_per_day,
-        scale_max=scale_max,
-    )
-    theta, trace = _train_lm_arrays(
-        _pack(start), config.hidden_neurons, inputs, targets, counts, config
-    )
-    # RMSE over every training row, not over the distinct ones
-    rmse = math.sqrt(trace.final_loss / counts.sum())
-    return _unpack(theta, start), rmse
-
-
 def fit_restarts(
     train: SolarSeries, config: NnConfig
 ) -> Iterator[tuple[NnModel, float]]:
@@ -480,9 +450,15 @@ def fit_restarts(
     """
     scale_max, inputs, targets, counts = _training_setup(train)
     for restart in range(config.restarts):
-        yield _run_restart(
-            train, config, restart, scale_max, inputs, targets, counts
+        start = build(
+            config, derive_seed(config.rng_seed, restart),
+            samples_per_day=train.grid.samples_per_day, scale_max=scale_max,
         )
+        params, trace = _train_lm_arrays(
+            _params(start), config.hidden_neurons, inputs, targets, counts, config
+        )
+        # RMSE over every training row, not over the distinct ones
+        yield _with_params(params, start), math.sqrt(trace.final_loss / counts.sum())
 
 
 def fit_day_ahead(train: SolarSeries, config: NnConfig) -> NnModel:
@@ -531,5 +507,5 @@ def _predict(model: NnModel, prev: np.ndarray, prev_prev: np.ndarray) -> np.ndar
             f"{prev.shape[-1]} and {prev_prev.shape[-1]}"
         )
     inputs = np.stack([prev, prev_prev], axis=-1).reshape(-1, INPUT_WIDTH) / model.scale_max
-    outputs = _forward_batch(_pack(model), model.config.hidden_neurons, inputs)
+    outputs = _forward_batch(_params(model), model.config.hidden_neurons, inputs)
     return np.maximum(outputs * model.scale_max, 0.0).reshape(prev.shape)

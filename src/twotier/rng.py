@@ -52,13 +52,6 @@ class SplitMix64:
         """Uniform double in [low, high)."""
         return low + (high - low) * self.random()
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n). n must be positive and small
-        relative to 2**53 (the floor construction is exact there)."""
-        if n <= 0:
-            raise ValueError("randint needs n >= 1")
-        return int(self.random() * n)
-
     def poisson(self, lam: float) -> int:
         """Poisson sample via Knuth's product-of-uniforms method.
 

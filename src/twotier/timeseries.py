@@ -180,10 +180,8 @@ class DatasetSplit:
     train: SolarSeries
     tune: SolarSeries
     test: SolarSeries
-    ratios: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         for earlier, later in ((self.train, self.tune), (self.tune, self.test)):
             if earlier.num_days and later.num_days and (
                 earlier.last_index >= later.first_index
@@ -407,7 +405,6 @@ def split_chronological(
         train=series.subseries(0, n_train),
         tune=series.subseries(n_train, n_train + n_tune),
         test=series.subseries(n_train + n_tune, n),
-        ratios=ratios,
     )
 
 

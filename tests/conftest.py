@@ -24,6 +24,16 @@ def make_series(rows, start=Date(2015, 2, 15), interval_seconds=900, first_index
     return SolarSeries(grid, power, start + timedelta(days=first_index), first_index)
 
 
+def neuron_major_order(h):
+    """Position in row-major order ([input weights row-major, hidden
+    biases, output weights, output bias], build's draw order) of each
+    parameter in the network's neuron-major order ((w_k0, w_k1, b_k) for
+    each hidden neuron k, then the output weights and bias):
+    row_major[neuron_major_order(h)] is neuron-major."""
+    per_neuron = [[2 * k, 2 * k + 1, 2 * h + k] for k in range(h)]
+    return np.concatenate(per_neuron + [range(3 * h, 4 * h + 1)]).astype(int)
+
+
 def repeating_clear_days():
     """40 days of 15 minutes: one clear-day profile, repeated, and six
     cloudy days. The k-NN tier (D = 5, k = 2, fit on the first 24 days)

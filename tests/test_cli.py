@@ -261,6 +261,25 @@ class TestTrain:
         check_one_error_line(capsys, "needs >= 103 training days, have 30")
         assert not out.exists()
 
+    @pytest.mark.parametrize("out, message", [
+        ("data.csv", "[Errno 17] File exists: 'data.csv'"),
+        ("data.csv/models", "[Errno 20] Not a directory: 'data.csv/models'"),
+    ], ids=["existing-file", "under-a-file"])
+    def test_unusable_out_fails_before_fitting(
+        self, pipeline, tmp_path, monkeypatch, capsys, out, message
+    ):
+        # fitting would fail differently, so only a check made before it passes
+        def no_fit(*args):
+            raise AssertionError("fitted before checking --out")
+
+        monkeypatch.setattr("twotier.knn.fit", no_fit)
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(pipeline["data"], "data.csv")
+        code = cli.main(["train", "--data", "data.csv", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
+
 
 class TestTune:
     def test_full_tune_under_five_minutes(self, readme_run):

@@ -13,7 +13,7 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
-from conftest import make_series
+from conftest import make_series, neuron_major_order
 from twotier import nn
 from twotier.errors import (
     GridMismatch,
@@ -52,7 +52,8 @@ def reference_forward(model, x):
 
 
 def fd_jacobian(model, batch, step=1e-6):
-    """Central finite differences over the packed parameter vector."""
+    """Central finite differences over the row-major parameter vector,
+    the order of jacobian's columns."""
     base = NnConfig(hidden_neurons=model.config.hidden_neurons)
 
     def theta_of(m):
@@ -153,12 +154,9 @@ def reference_lm(theta, h, inputs, targets, config):
     output weights and bias), pre-activations [W1 b1] @ [x0; x1; 1], and
     J' built as a (4H+1, n) array, so J'J = J' @ J'.T. Same operations on
     the same layouts as the module's loop, so the two must agree bit for
-    bit. theta is in packed order on entry and on return."""
+    bit. theta is neuron-major on entry and on return."""
     n = inputs.shape[0]
     design = np.vstack([inputs.T, np.ones(n)])
-    order = np.concatenate(
-        [[2 * k, 2 * k + 1, 2 * h + k] for k in range(h)] + [range(3 * h, 4 * h + 1)]
-    ).astype(int)
 
     def hidden_at(t):
         return np.tanh(t[: 3 * h].reshape(h, 3) @ design)
@@ -175,16 +173,13 @@ def reference_lm(theta, h, inputs, targets, config):
         jac[4 * h] = 1.0
         return jac @ jac.T, jac @ residual(t)
 
-    params, trace = lm_loop(theta[order], config, residual, jac_at)
-    packed = np.empty_like(params)
-    packed[order] = params
-    return packed, trace
+    return lm_loop(theta, config, residual, jac_at)
 
 
 def row_major_lm(theta, h, inputs, targets, config):
-    """The loop before the neuron-major layout: parameters in packed order,
-    pre-activations inputs @ W1' + b1 and J built as an (n, 4H+1) array.
-    Its rounding differs from the module's, so it is compared with
+    """The loop before the neuron-major layout: parameters in row-major
+    order, pre-activations inputs @ W1' + b1 and J built as an (n, 4H+1)
+    array. Its rounding differs from the module's, so it is compared with
     tolerances."""
 
     def hidden_at(t):
@@ -359,7 +354,7 @@ class TestTrainLm:
         config = NnConfig(hidden_neurons=4)
         start = build(config, seed=12)
         xs = np.random.default_rng(3).uniform(0, 1, (30, 2))
-        own = nn._forward_batch(nn._pack(start), 4, xs)
+        own = nn._forward_batch(nn._params(start), 4, xs)
         samples = [((x[0], x[1]), t) for x, t in zip(xs, own)]
         model, trace = train_lm(start, samples, config)
         assert trace.initial_loss == 0.0
@@ -391,7 +386,7 @@ class TestTrainMatchesReference:
     @staticmethod
     def check(inputs, targets, hidden, restart):
         config = NnConfig(hidden_neurons=hidden)
-        start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
+        start = nn._params(build(config, derive_seed(config.rng_seed, restart)))
         theta, trace = nn._train_lm_arrays(
             start.copy(), hidden, inputs, targets, np.ones(targets.size), config
         )
@@ -424,12 +419,17 @@ class TestTrainMatchesRowMajorLoop:
 
     @staticmethod
     def run_both(inputs, targets, hidden, restart):
+        """Both loops' parameters, neuron-major, and traces."""
         config = NnConfig(hidden_neurons=hidden)
-        start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
+        start = nn._params(build(config, derive_seed(config.rng_seed, restart)))
         theta, trace = nn._train_lm_arrays(
             start.copy(), hidden, inputs, targets, np.ones(targets.size), config
         )
-        return theta, trace, *row_major_lm(start.copy(), hidden, inputs, targets, config)
+        order = neuron_major_order(hidden)
+        row_major_start = np.empty_like(start)
+        row_major_start[order] = start
+        old_theta, old_trace = row_major_lm(row_major_start, hidden, inputs, targets, config)
+        return theta, trace, old_theta[order], old_trace
 
     def check(self, inputs, targets, hidden, restart):
         theta, trace, old_theta, old_trace = self.run_both(inputs, targets, hidden, restart)
@@ -475,7 +475,7 @@ def first_normal_equations(monkeypatch, inputs, targets, counts, hidden):
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     config = NnConfig(hidden_neurons=hidden, max_iterations=1)
-    start = nn._pack(build(config, derive_seed(config.rng_seed, 0)))
+    start = nn._params(build(config, derive_seed(config.rng_seed, 0)))
     _, trace = nn._train_lm_arrays(start, hidden, inputs, targets, counts, config)
     monkeypatch.undo()
     return trace.initial_loss, *systems[0]
@@ -524,7 +524,7 @@ class TestDistinctRows:
         _, inputs, targets, counts = nn._training_setup(default_train)
         full_inputs, full_targets = default_train_inputs
         config = NnConfig(hidden_neurons=hidden)
-        start = nn._pack(build(config, derive_seed(config.rng_seed, restart)))
+        start = nn._params(build(config, derive_seed(config.rng_seed, restart)))
         _, trace = nn._train_lm_arrays(start, hidden, inputs, targets, counts, config)
         _, full_trace = nn._train_lm_arrays(
             start, hidden, full_inputs, full_targets, np.ones(full_targets.size), config
@@ -535,7 +535,7 @@ class TestDistinctRows:
         config = NnConfig(restarts=2, max_iterations=20)
         full_inputs, full_targets = default_train_inputs
         for model, rmse in nn.fit_restarts(default_train, config):
-            err = nn._forward_batch(nn._pack(model), 6, full_inputs) - full_targets
+            err = nn._forward_batch(nn._params(model), 6, full_inputs) - full_targets
             assert rmse == pytest.approx(math.sqrt(err @ err / err.size), rel=1e-12)
 
 

@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import rendered, replace_payload_line  # noqa: E402
+from conftest import neuron_major_order, rendered, replace_payload_line  # noqa: E402
 from twotier import correction, evaluation, knn, nn, persistence  # noqa: E402
 from twotier.errors import (  # noqa: E402
     InsufficientTrainingDays,
@@ -24,6 +24,7 @@ from twotier.errors import (  # noqa: E402
     PersistenceError,
     TwoTierError,
 )
+from twotier.rng import SplitMix64  # noqa: E402
 from twotier.timeseries import (  # noqa: E402
     CSV_HEADER,
     SamplingGrid,
@@ -173,6 +174,47 @@ def test_nn_save_load_save_byte_identical(model):
         m.hidden_weights, m.hidden_biases, m.output_weights,
         m.output_bias, m.scale_max, m.samples_per_day,
     ))
+
+
+@st.composite
+def nn_weight_sets(draw):
+    """An NnModel of 1-64 hidden neurons whose weights are drawn from
+    [-50, 50], ±0.0 and ±50 included, and a seed for build."""
+    hidden = draw(st.integers(min_value=1, max_value=64))
+    weights = st.one_of(
+        st.sampled_from([0.0, -0.0, 50.0, -50.0]), st.floats(min_value=-50.0, max_value=50.0)
+    )
+    model = nn.NnModel(
+        hidden_weights=draw(arrays(float, (hidden, 2), elements=weights)),
+        hidden_biases=draw(arrays(float, hidden, elements=weights)),
+        output_weights=draw(arrays(float, hidden, elements=weights)),
+        output_bias=draw(weights),
+        scale_max=1.0,
+        samples_per_day=96,
+        config=nn.NnConfig(hidden_neurons=hidden),
+    )
+    return model, draw(st.integers(min_value=0, max_value=2**64 - 1))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+@PROPERTY
+@given(nn_weight_sets())
+def test_neuron_major_params_round_trip_and_follow_draw_order(case):
+    model, seed = case
+    rebuilt = nn._with_params(nn._params(model), model)
+    for field in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
+        assert np.array_equal(_bits(getattr(rebuilt, field)), _bits(getattr(model, field)))
+    assert persistence.render_model(rebuilt) == persistence.render_model(model)
+    # build draws 4H+1 uniforms in row-major order; _params is their
+    # neuron-major permutation
+    h = model.config.hidden_neurons
+    rng = SplitMix64(seed)
+    drawn = np.array([rng.uniform(-0.5, 0.5) for _ in range(4 * h + 1)])
+    params = nn._params(nn.build(model.config, seed))
+    assert np.array_equal(_bits(params), _bits(drawn[neuron_major_order(h)]))
 
 
 # Intervals whose days have few enough slots for many-day examples.

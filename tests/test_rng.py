@@ -43,18 +43,6 @@ def test_uniform_respects_bounds():
         assert -2.5 <= v < 7.0
 
 
-def test_randint_range_and_errors():
-    rng = SplitMix64(5)
-    hits = {rng.randint(6) for _ in range(400)}
-    assert hits == {0, 1, 2, 3, 4, 5}
-    try:
-        rng.randint(0)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("randint(0) should raise")
-
-
 def test_poisson_zero_rate_and_mean():
     rng = SplitMix64(6)
     assert rng.poisson(0.0) == 0
