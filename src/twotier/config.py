@@ -11,6 +11,7 @@ import typing
 from dataclasses import dataclass, replace
 from datetime import date as Date
 
+from . import correction
 from .errors import ConfigError
 from .knn import KnnConfig
 from .nn import NnConfig
@@ -18,59 +19,59 @@ from .synth import SynthConfig
 from .timeseries import SamplingGrid
 
 
-def _parse_date(text: str) -> Date:
+# the error for a malformed value of each key type
+_BAD_VALUE = {
+    int: "bad integer {!r}",
+    float: "bad number {!r}",
+    Date: "bad date {!r} (want YYYY-MM-DD)",
+}
+
+
+def _read_value(kind, text: str):
+    """A value of type kind from its config file text."""
     try:
-        return Date.fromisoformat(text)
+        return Date.fromisoformat(text) if kind is Date else kind(text)
     except ValueError:
-        raise ConfigError(f"bad date {text!r} (want YYYY-MM-DD)") from None
+        raise ConfigError(_BAD_VALUE[kind].format(text)) from None
 
 
-def _parse_int(text: str) -> int:
+def _build(kind, **settings):
+    """kind(**settings), a rejected setting raised as ConfigError."""
     try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"bad integer {text!r}") from None
-
-
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"bad number {text!r}") from None
+        return kind(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    sample_interval_seconds: int = 900
+    sample_interval_seconds: int = SamplingGrid.sample_interval_seconds
     split_train: float = 0.6
     split_tune: float = 0.2
     split_test: float = 0.2
-    knn_depth_days: int = 5
-    knn_neighbors: int = 2
-    nn_hidden_neurons: int = 6
-    nn_restarts: int = 10
-    nn_lm_initial_damping: float = 1e-3
-    nn_lm_damping_factor: float = 10.0
-    nn_max_iterations: int = 200
-    nn_loss_tolerance: float = 1e-9
-    correction_window: int = 8
-    correction_harmonics: int = 2
-    seed: int = 1
+    knn_depth_days: int = KnnConfig.depth_days
+    knn_neighbors: int = KnnConfig.neighbors
+    nn_hidden_neurons: int = NnConfig.hidden_neurons
+    nn_restarts: int = NnConfig.restarts
+    nn_lm_initial_damping: float = NnConfig.lm_initial_damping
+    nn_lm_damping_factor: float = NnConfig.lm_damping_factor
+    nn_max_iterations: int = NnConfig.max_iterations
+    nn_loss_tolerance: float = NnConfig.loss_tolerance
+    correction_window: int = correction.DEFAULT_WINDOW
+    correction_harmonics: int = correction.DEFAULT_HARMONICS
+    seed: int = NnConfig.rng_seed
     synth_days: int = 50
-    synth_peak_power_w: float = 35000.0
-    synth_sunrise_sample: int = 26
-    synth_sunset_sample: int = 70
-    synth_cloudiness: float = 0.55
-    synth_cloud_event_rate: float = 1.0
-    synth_cloud_depth_low: float = 0.2
-    synth_cloud_depth_high: float = 0.75
-    synth_start_date: Date = Date(2015, 2, 15)
+    synth_peak_power_w: float = SynthConfig.peak_power_w
+    synth_sunrise_sample: int = SynthConfig.sunrise_sample
+    synth_sunset_sample: int = SynthConfig.sunset_sample
+    synth_cloudiness: float = SynthConfig.cloudiness
+    synth_cloud_event_rate: float = SynthConfig.cloud_event_rate
+    synth_cloud_depth_low: float = SynthConfig.cloud_depth[0]
+    synth_cloud_depth_high: float = SynthConfig.cloud_depth[1]
+    synth_start_date: Date = SynthConfig.start_date
 
     def grid(self) -> SamplingGrid:
-        try:
-            return SamplingGrid(sample_interval_seconds=self.sample_interval_seconds)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(SamplingGrid, sample_interval_seconds=self.sample_interval_seconds)
 
     def ratios(self) -> tuple[float, float, float]:
         parts = (self.split_train, self.split_tune, self.split_test)
@@ -79,41 +80,32 @@ class RunConfig:
         return parts
 
     def knn(self) -> KnnConfig:
-        try:
-            return KnnConfig(
-                depth_days=self.knn_depth_days, neighbors=self.knn_neighbors
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(KnnConfig, depth_days=self.knn_depth_days, neighbors=self.knn_neighbors)
 
     def nn(self) -> NnConfig:
-        try:
-            return NnConfig(
-                hidden_neurons=self.nn_hidden_neurons,
-                restarts=self.nn_restarts,
-                lm_initial_damping=self.nn_lm_initial_damping,
-                lm_damping_factor=self.nn_lm_damping_factor,
-                max_iterations=self.nn_max_iterations,
-                loss_tolerance=self.nn_loss_tolerance,
-                rng_seed=self.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(
+            NnConfig,
+            hidden_neurons=self.nn_hidden_neurons,
+            restarts=self.nn_restarts,
+            lm_initial_damping=self.nn_lm_initial_damping,
+            lm_damping_factor=self.nn_lm_damping_factor,
+            max_iterations=self.nn_max_iterations,
+            loss_tolerance=self.nn_loss_tolerance,
+            rng_seed=self.seed,
+        )
 
     def synth(self) -> SynthConfig:
-        try:
-            return SynthConfig(
-                peak_power_w=self.synth_peak_power_w,
-                sunrise_sample=self.synth_sunrise_sample,
-                sunset_sample=self.synth_sunset_sample,
-                cloudiness=self.synth_cloudiness,
-                cloud_event_rate=self.synth_cloud_event_rate,
-                cloud_depth=(self.synth_cloud_depth_low, self.synth_cloud_depth_high),
-                start_date=self.synth_start_date,
-                rng_seed=self.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(
+            SynthConfig,
+            peak_power_w=self.synth_peak_power_w,
+            sunrise_sample=self.synth_sunrise_sample,
+            sunset_sample=self.synth_sunset_sample,
+            cloudiness=self.synth_cloudiness,
+            cloud_event_rate=self.synth_cloud_event_rate,
+            cloud_depth=(self.synth_cloud_depth_low, self.synth_cloud_depth_high),
+            start_date=self.synth_start_date,
+            rng_seed=self.seed,
+        )
 
     def correction_params(self) -> tuple[int, int]:
         window, harmonics = self.correction_window, self.correction_harmonics
@@ -123,12 +115,6 @@ class RunConfig:
             )
         return window, harmonics
 
-
-_PARSERS = {
-    int: _parse_int,
-    float: _parse_float,
-    Date: _parse_date,
-}
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
@@ -153,7 +139,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         try:
-            updates[key] = _PARSERS[_FIELD_TYPES[key]](value)
+            updates[key] = _read_value(_FIELD_TYPES[key], value)
         except ConfigError as exc:
             raise ConfigError(f"line {line_no}: {key}: {exc}") from None
     return replace(config, **updates)

@@ -17,6 +17,7 @@ day. `replay_days` is the one replay path: both global forecasts of a
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,30 +79,44 @@ def _mean(values: list) -> float:
 class TuneGrid:
     """One axis of a grid search. raw_rmse entries are None where the
     candidate could not be evaluated; those are skipped when normalizing.
-    reference_rmse is the raw value mapped to exactly 1. Normalized values
-    lie in [0, 1], or are all 1 when every raw entry is 0 (reference 0)."""
+    At least one entry must be available; available ones are finite, >= 0."""
 
     axis_label: str
     candidates: tuple
     raw_rmse: tuple
-    normalized: tuple
-    best: object
-    reference_rmse: float
 
     def __post_init__(self):
-        if not (
-            len(self.candidates) == len(self.raw_rmse) == len(self.normalized)
-        ):
+        raw = tuple(None if v is None else float(v) for v in self.raw_rmse)
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        object.__setattr__(self, "raw_rmse", raw)
+        if len(self.candidates) != len(raw):
             raise LengthMismatch("grid columns disagree in length")
-        available = [v for v in self.normalized if v is not None]
-        if not available:
-            raise EmptyInput(f"no evaluable candidate on axis {self.axis_label}")
-        # A candidate that forecasts the tune days exactly normalizes to 0;
-        # an all-zero row has no positive reference and is all ones.
-        low = min(available)
-        in_range = low > 0.0 or (low == 0.0 and self.reference_rmse > 0)
-        if max(available) != 1.0 or not in_range:
-            raise ValueError("normalized grid must lie in [0, 1] with max 1")
+        if all(v is None for v in raw):
+            raise InsufficientTrainingDays(
+                f"every candidate on axis {self.axis_label} was untrainable"
+            )
+        if not all(0.0 <= v < math.inf for v in raw if v is not None):  # NaN fails too
+            raise ValueError(f"RMSE on axis {self.axis_label} must be finite and >= 0")
+
+    @property
+    def reference_rmse(self) -> float:
+        """The raw value normalized to 1: the largest, or 0 in an all-zero row."""
+        return max(0.0, *(v for v in self.raw_rmse if v is not None))
+
+    @property
+    def normalized(self) -> tuple:
+        """Each raw entry over the reference, so in [0, 1]. An all-zero row
+        cannot be scaled onto (0, 1] and reads as all ones."""
+        reference = self.reference_rmse
+        return tuple(None if v is None else v / reference if reference else 1.0
+                     for v in self.raw_rmse)
+
+    @property
+    def best(self):
+        """The candidate with the smallest raw RMSE; on an exact tie the
+        earlier candidate wins, so pass candidates in ascending order."""
+        _, index = min((v, i) for i, v in enumerate(self.raw_rmse) if v is not None)
+        return self.candidates[index]
 
     def footnote(self) -> str:
         shown = f"{self.reference_rmse:.1f}"
@@ -109,37 +124,6 @@ class TuneGrid:
             # a positive reference must not read like the all-zero one
             shown = f"{self.reference_rmse:.3g}"
         return f"RMSE {shown} is normalized to 1"
-
-
-def make_grid(axis_label: str, candidates, raw_rmse) -> TuneGrid:
-    """Normalize a raw RMSE row: divide by the largest available entry.
-
-    Best candidate is the smallest raw RMSE; on an exact tie the earlier
-    candidate wins, so pass candidates in ascending order.
-    """
-    candidates = tuple(candidates)
-    raw = tuple(None if v is None else float(v) for v in raw_rmse)
-    available = [(v, c) for c, v in zip(candidates, raw) if v is not None]
-    if not available:
-        raise InsufficientTrainingDays(
-            f"every candidate on axis {axis_label} was untrainable"
-        )
-    reference = max(v for v, _ in available)
-    if reference <= 0:
-        # an all-zero row cannot be scaled onto (0, 1]; report flat ones
-        normalized = tuple(None if v is None else 1.0 for v in raw)
-        reference = 0.0
-    else:
-        normalized = tuple(None if v is None else v / reference for v in raw)
-    best = min(available, key=lambda pair: (pair[0], candidates.index(pair[1])))[1]
-    return TuneGrid(
-        axis_label=axis_label,
-        candidates=candidates,
-        raw_rmse=raw,
-        normalized=normalized,
-        best=best,
-        reference_rmse=reference,
-    )
 
 
 @dataclass(frozen=True)
@@ -196,7 +180,7 @@ def tune_knn(
         cells[depth, neighbors] = _mean(daily_rmse(forecasts, tune.power).tolist())
 
     def marginal(axis_label, candidates, pick):
-        return make_grid(axis_label, candidates, [
+        return TuneGrid(axis_label, candidates, [
             min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
             for c in candidates
         ])
@@ -243,7 +227,7 @@ def tune_nn(
             raw.append(_mean(restart_scores))
         except (InsufficientTrainingDays, InsufficientHistory):
             raw.append(None)
-    return make_grid("hidden_neurons", hidden_candidates, raw)
+    return TuneGrid("hidden_neurons", hidden_candidates, raw)
 
 
 @dataclass(frozen=True)

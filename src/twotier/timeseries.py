@@ -386,6 +386,8 @@ def split_chronological(
         raise ValueError("need exactly three split ratios")
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
+    if min(ratios) < 0:
+        raise ValueError(f"split ratios must be >= 0, got {ratios}")
     n = series.num_days
     if n < 5:
         raise TooFewDays(f"need at least 5 days to split, have {n}")

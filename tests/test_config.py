@@ -1,11 +1,38 @@
 """RunConfig parsing, precedence, and rendering."""
 
+import dataclasses
+import re
 from datetime import date as Date
+from pathlib import Path
 
 import pytest
 
 from twotier.config import RunConfig, apply_overrides, parse_config, render_config
+from twotier.correction import DEFAULT_HARMONICS, DEFAULT_WINDOW
 from twotier.errors import ConfigError
+from twotier.knn import KnnConfig
+from twotier.nn import NnConfig
+from twotier.synth import SynthConfig
+from twotier.timeseries import SamplingGrid
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_table() -> str:
+    """The README's Configuration table as `key = value` lines; a row
+    naming several keys pairs them with its ` / `-separated defaults."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    lines = []
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        key_cell, default_cell = row.split("|")[1:3]
+        keys = re.findall(r"`(\w+)`", key_cell)
+        defaults = default_cell.strip().split(" / ")
+        assert len(keys) == len(defaults), row
+        lines += [f"{key} = {value}" for key, value in zip(keys, defaults)]
+    return "\n".join(lines) + "\n"
 
 
 def test_defaults_match_documented_values():
@@ -16,6 +43,17 @@ def test_defaults_match_documented_values():
     assert (c.nn_hidden_neurons, c.nn_restarts) == (6, 10)
     assert (c.correction_window, c.correction_harmonics) == (8, 2)
     assert c.seed == 1
+    # each default lives in the config it builds, and the README shows it
+    assert c.knn() == KnnConfig()
+    assert c.nn() == NnConfig()
+    assert c.synth() == SynthConfig()
+    assert c.grid() == SamplingGrid()
+    assert c.correction_params() == (DEFAULT_WINDOW, DEFAULT_HARMONICS)
+    table = readme_config_table()
+    keys = [line.split(" = ")[0] for line in table.splitlines()]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert len(keys) == 24
+    assert parse_config(table) == c
 
 
 def test_parse_overrides_defaults():

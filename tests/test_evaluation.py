@@ -1,5 +1,6 @@
 """RMSE, tuning grids, and the four-method comparison report."""
 
+import dataclasses
 import io
 import math
 
@@ -8,7 +9,13 @@ import pytest
 
 from conftest import make_series, repeating_clear_days
 from twotier import correction, knn, nn
-from twotier.errors import EmptyInput, InsufficientHistory, LengthMismatch, UnknownDate
+from twotier.errors import (
+    EmptyInput,
+    InsufficientHistory,
+    InsufficientTrainingDays,
+    LengthMismatch,
+    UnknownDate,
+)
 from twotier.evaluation import (
     DEFAULT_DEPTH_CANDIDATES,
     DEFAULT_HIDDEN_CANDIDATES,
@@ -23,7 +30,6 @@ from twotier.evaluation import (
     daily_rmse,
     improvement,
     improvement_text,
-    make_grid,
     render_grid,
     render_report,
     replay_days,
@@ -126,44 +132,59 @@ class TestImprovement:
 
 class TestTuneGridShape:
     def test_single_candidate_normalizes_to_one(self):
-        grid = make_grid("D", (5,), (1234.5,))
+        grid = TuneGrid("D", (5,), (1234.5,))
         assert grid.normalized == (1.0,)
         assert grid.best == 5
         assert grid.reference_rmse == 1234.5
 
     def test_max_normalized_exactly_one(self):
-        grid = make_grid("D", (1, 2, 3), (50.0, 80.0, 20.0))
+        grid = TuneGrid("D", (1, 2, 3), (50.0, 80.0, 20.0))
         assert max(grid.normalized) == 1.0
         assert grid.normalized[1] == 1.0
 
     def test_argmin_preserved(self):
         raw = (50.0, 80.0, 20.0, 35.0)
-        grid = make_grid("k", (2, 3, 4, 5), raw)
+        grid = TuneGrid("k", (2, 3, 4, 5), raw)
         assert grid.best == 4
         assert min(range(4), key=lambda i: raw[i]) == grid.normalized.index(min(grid.normalized))
 
     def test_unavailable_cells_skipped(self):
-        grid = make_grid("D", (1, 2, 3), (None, 60.0, 30.0))
+        grid = TuneGrid("D", (1, 2, 3), (None, 60.0, 30.0))
         assert grid.normalized[0] is None
         assert grid.normalized[1] == 1.0
         assert grid.best == 3
 
     def test_exact_candidate_normalizes_to_zero(self):
-        grid = make_grid("k", (2, 3, 4), (0.0, 5.0, 2.5))
+        grid = TuneGrid("k", (2, 3, 4), (0.0, 5.0, 2.5))
         assert grid.normalized == (0.0, 1.0, 0.5)
         assert grid.best == 2
 
     def test_all_zero_row_is_flat_ones(self):
-        grid = make_grid("k", (2, 3), (0.0, 0.0))
+        grid = TuneGrid("k", (2, 3), (0.0, 0.0))
         assert grid.normalized == (1.0, 1.0)
         assert grid.reference_rmse == 0.0
 
-    def test_zero_against_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            TuneGrid("k", (2, 3), (0.0, 0.0), (0.0, 1.0), 2, 0.0)
+    def test_stores_only_its_inputs(self):
+        assert [f.name for f in dataclasses.fields(TuneGrid)] == [
+            "axis_label", "candidates", "raw_rmse"]
+        grid = TuneGrid("k", [2, 3], [1, None])
+        assert (grid.candidates, grid.raw_rmse) == ((2, 3), (1.0, None))
+
+    def test_columns_must_agree_in_length(self):
+        with pytest.raises(LengthMismatch):
+            TuneGrid("k", (2, 3), (1.0,))
+
+    def test_every_candidate_untrainable_rejected(self):
+        with pytest.raises(InsufficientTrainingDays, match="axis k was untrainable"):
+            TuneGrid("k", (2, 3), (None, None))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_rmse_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            TuneGrid("k", (2, 3), (1.0, bad))
 
     def test_footnote_format(self):
-        grid = make_grid("D", (1,), (4943.61,))
+        grid = TuneGrid("D", (1,), (4943.61,))
         assert grid.footnote() == "RMSE 4943.6 is normalized to 1"
 
     @pytest.mark.parametrize("raw, shown", [
@@ -173,7 +194,7 @@ class TestTuneGridShape:
         ((0.0, 0.0), "0.0"),
     ])
     def test_footnote_tells_tiny_reference_from_zero(self, raw, shown):
-        grid = make_grid("k", (2, 3), raw)
+        grid = TuneGrid("k", (2, 3), raw)
         assert grid.footnote() == f"RMSE {shown} is normalized to 1"
 
 
@@ -424,7 +445,7 @@ class TestCompareMethodsSkips:
 
 class TestRendering:
     def test_render_grid_contains_footnote(self):
-        grid = make_grid("hidden neurons", (3, 4), (2499.54, 3100.0))
+        grid = TuneGrid("hidden neurons", (3, 4), (2499.54, 3100.0))
         text = render_grid(grid)
         assert "RMSE 3100.0 is normalized to 1" in text
         assert "hidden neurons" in text

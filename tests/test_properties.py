@@ -688,10 +688,10 @@ def tune_cases(draw):
 
 
 def reference_grids(cells, depths, neighbor_counts):
-    """`make_grid` over each candidate's best reference cell, as
+    """A `TuneGrid` of each candidate's best reference cell, as
     `tune_knn` builds its two tables."""
     return tuple(
-        evaluation.make_grid(axis, candidates, [
+        evaluation.TuneGrid(axis, candidates, [
             min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
             for c in candidates
         ])
@@ -707,7 +707,7 @@ def test_tune_knn_matches_per_cell_fits(case):
     try:
         result = evaluation.tune_knn(split, depths, neighbor_counts)
     except (InsufficientTrainingDays, ValueError) as exc:
-        # no cell can be scored, or a table cannot be normalized
+        # no cell can be scored, or a cell scores a non-finite RMSE
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             reference_grids(want, depths, neighbor_counts)
         return

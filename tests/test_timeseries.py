@@ -253,6 +253,13 @@ class TestSplit:
         with pytest.raises(ValueError, match="must sum to 1"):
             split_chronological(series, ratios)
 
+    @pytest.mark.parametrize("ratios", [(1.2, -0.4, 0.2), (-0.2, 0.6, 0.6),
+                                        (0.6, 0.6, -0.2)])
+    def test_negative_ratio_rejected(self, ratios):
+        series = make_series(np.zeros((50, 96)))
+        with pytest.raises(ValueError, match="must be >= 0"):
+            split_chronological(series, ratios)
+
     def test_full_series_reassembles(self):
         series = make_series(np.arange(10 * 96).reshape(10, 96))
         split = split_chronological(series, (0.6, 0.2, 0.2))
