@@ -84,7 +84,7 @@ def _read_series(path: str, grid):
 
 
 def _split(config: RunConfig, series):
-    return split_chronological(series, config.ratios())
+    return split_chronological(series, (config.split_train, config.split_tune, config.split_test))
 
 
 def _load_model(models_dir: str, name: str, expected):
@@ -172,23 +172,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise ConfigError("--knn-only and --nn-only exclude each other")
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
-    tuned = config
-    grids = []
+    grids = {}  # config key: the grid whose best is written to it
     if not args.nn_only:
         knn_result = evaluation.tune_knn(split)
-        grids += [knn_result.depth_grid, knn_result.neighbors_grid]
-        tuned = apply_overrides(
-            tuned,
-            {
-                "knn_depth_days": knn_result.best_depth,
-                "knn_neighbors": knn_result.best_neighbors,
-            },
-        )
+        grids["knn_depth_days"] = knn_result.depth_grid
+        grids["knn_neighbors"] = knn_result.neighbors_grid
     if not args.knn_only:
-        nn_grid = evaluation.tune_nn(split, config=config.nn())
-        grids.append(nn_grid)
-        tuned = apply_overrides(tuned, {"nn_hidden_neurons": nn_grid.best})
-    for grid in grids:
+        grids["nn_hidden_neurons"] = evaluation.tune_nn(split, config=config.nn())
+    tuned = apply_overrides(config, {key: grid.best for key, grid in grids.items()})
+    for grid in grids.values():
         print(evaluation.render_grid(grid))
         print()
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
@@ -196,7 +188,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8", newline="\n") as sink:
-            for grid in grids:
+            for grid in grids.values():
                 evaluation.write_grid_csv(grid, sink)
         print(f"wrote {args.report}")
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 
 from . import correction
-from .errors import ConfigError
+from .errors import ConfigError, Underdetermined
 from .knn import KnnConfig
 from .nn import NnConfig
 from .synth import SynthConfig
@@ -73,12 +73,6 @@ class RunConfig:
     def grid(self) -> SamplingGrid:
         return _build(SamplingGrid, sample_interval_seconds=self.sample_interval_seconds)
 
-    def ratios(self) -> tuple[float, float, float]:
-        parts = (self.split_train, self.split_tune, self.split_test)
-        if not (all(p >= 0 for p in parts) and abs(sum(parts) - 1.0) <= 1e-9):
-            raise ConfigError(f"split ratios {parts} must be >= 0 and sum to 1")
-        return parts
-
     def knn(self) -> KnnConfig:
         return _build(KnnConfig, depth_days=self.knn_depth_days, neighbors=self.knn_neighbors)
 
@@ -109,10 +103,12 @@ class RunConfig:
 
     def correction_params(self) -> tuple[int, int]:
         window, harmonics = self.correction_window, self.correction_harmonics
-        if window < 1 or harmonics < 1 or 2 * harmonics + 1 > window:
+        try:
+            correction.check_fit(window, harmonics)
+        except (ValueError, Underdetermined) as exc:
             raise ConfigError(
                 f"correction window {window} cannot fit {harmonics} harmonics"
-            )
+            ) from exc
         return window, harmonics
 
 

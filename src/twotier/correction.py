@@ -87,19 +87,24 @@ def residual(global_forecast, measured) -> np.ndarray:
     return g - m
 
 
-def design_matrix(window_length: int, harmonics: int) -> np.ndarray:
-    """Rows are window positions v = 1..n; columns are the DFS basis
-    [1, cos(2*pi*v/n), sin(2*pi*v/n), ..., cos(2*pi*L*v/n), sin(2*pi*L*v/n)].
-    """
+def check_fit(window_length: int, harmonics: int) -> None:
+    """Raise ValueError for a count below 1, Underdetermined when the
+    2 * harmonics + 1 coefficients outnumber the window's samples."""
     if window_length < 1:
         raise ValueError("window_length must be >= 1")
     if harmonics < 1:
         raise ValueError("harmonics must be >= 1")
     cols = 2 * harmonics + 1
     if cols > window_length:
-        raise Underdetermined(
-            f"{cols} coefficients cannot be fit from {window_length} samples"
-        )
+        raise Underdetermined(f"{cols} coefficients cannot be fit from {window_length} samples")
+
+
+def design_matrix(window_length: int, harmonics: int) -> np.ndarray:
+    """Rows are window positions v = 1..n; columns are the DFS basis
+    [1, cos(2*pi*v/n), sin(2*pi*v/n), ..., cos(2*pi*L*v/n), sin(2*pi*L*v/n)].
+    """
+    check_fit(window_length, harmonics)
+    cols = 2 * harmonics + 1
     v = np.arange(1, window_length + 1)
     matrix = np.ones((window_length, cols))
     for i in range(1, harmonics + 1):

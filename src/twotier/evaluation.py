@@ -75,15 +75,25 @@ def _mean(values: list) -> float:
     return sum(values) / len(values)
 
 
+def winner(cells: dict):
+    """The key of the smallest available (not None) value in `cells`, the
+    smaller key on an exact tie: the one rule that picks every tuned value."""
+    return min((key for key, v in cells.items() if v is not None),
+               key=lambda key: (cells[key], key))
+
+
 @dataclass(frozen=True)
 class TuneGrid:
     """One axis of a grid search. raw_rmse entries are None where the
     candidate could not be evaluated; those are skipped when normalizing.
-    At least one entry must be available; available ones are finite, >= 0."""
+    At least one entry must be available; available ones are finite, >= 0.
+    `best`, the candidate `tune` prints and writes, defaults to the row's
+    `winner`; one axis of a larger search names that search's winner."""
 
     axis_label: str
     candidates: tuple
     raw_rmse: tuple
+    best: object = None
 
     def __post_init__(self):
         raw = tuple(None if v is None else float(v) for v in self.raw_rmse)
@@ -97,6 +107,8 @@ class TuneGrid:
             )
         if not all(0.0 <= v < math.inf for v in raw if v is not None):  # NaN fails too
             raise ValueError(f"RMSE on axis {self.axis_label} must be finite and >= 0")
+        if self.best is None:
+            object.__setattr__(self, "best", winner(dict(zip(self.candidates, raw))))
 
     @property
     def reference_rmse(self) -> float:
@@ -111,13 +123,6 @@ class TuneGrid:
         return tuple(None if v is None else v / reference if reference else 1.0
                      for v in self.raw_rmse)
 
-    @property
-    def best(self):
-        """The candidate with the smallest raw RMSE; on an exact tie the
-        earlier candidate wins, so pass candidates in ascending order."""
-        _, index = min((v, i) for i, v in enumerate(self.raw_rmse) if v is not None)
-        return self.candidates[index]
-
     def footnote(self) -> str:
         shown = f"{self.reference_rmse:.1f}"
         if shown == "0.0" and self.reference_rmse > 0:
@@ -128,10 +133,10 @@ class TuneGrid:
 
 @dataclass(frozen=True)
 class KnnTuneResult:
+    """One table per axis, each `best` a coordinate of the winning cell."""
+
     depth_grid: TuneGrid
     neighbors_grid: TuneGrid
-    best_depth: int
-    best_neighbors: int
     cell_rmse: tuple  # ((depth, neighbors, rmse-or-None), ...) in grid order
 
 
@@ -150,8 +155,9 @@ def tune_knn(
     `knn.blend_nearest` turns them into forecasts for each neighbor count.
     A cell is None when the train split is shorter than
     `KnnConfig.min_training_days`. The per-axis tables hold the best
-    (minimum) cell in each row or column. Ties prefer smaller depth, then
-    fewer neighbors.
+    (minimum) cell in each row or column. The winning cell is the `winner`
+    of all cells (ties prefer smaller depth, then fewer neighbors), and
+    each table's `best` is its coordinate on that axis.
     """
     depth_candidates = tuple(depth_candidates)
     neighbor_candidates = tuple(neighbor_candidates)
@@ -178,21 +184,18 @@ def tune_knn(
             )
         forecasts = knn.blend_nearest(distances[depth], train.power[depth:], neighbors)
         cells[depth, neighbors] = _mean(daily_rmse(forecasts, tune.power).tolist())
+    # with no trainable cell there is no winner, and TuneGrid raises
+    best = winner(cells) if trainable else (None, None)
 
     def marginal(axis_label, candidates, pick):
         return TuneGrid(axis_label, candidates, [
             min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
             for c in candidates
-        ])
+        ], best[pick])
 
-    depth_grid = marginal("depth_days", depth_candidates, 0)
-    neighbors_grid = marginal("neighbors", neighbor_candidates, 1)
-    best_depth, best_neighbors = min(
-        (key for key, v in cells.items() if v is not None),
-        key=lambda key: (cells[key], key[0], key[1]),
-    )
     return KnnTuneResult(
-        depth_grid, neighbors_grid, best_depth, best_neighbors,
+        marginal("depth_days", depth_candidates, 0),
+        marginal("neighbors", neighbor_candidates, 1),
         cell_rmse=tuple((d, k, v) for (d, k), v in cells.items()),
     )
 

@@ -36,7 +36,6 @@ from .knn import KnnConfig, KnnModel, from_days
 from .nn import NnConfig, NnModel
 from .timeseries import read_text
 
-FORMAT_VERSIONS = (1, 2)
 MAGIC = "htm-model"
 MODEL_SUFFIX = ".htm-model"
 
@@ -275,10 +274,10 @@ def load_model(source):
         version = int(version_text)
     except ValueError:
         raise MalformedModelFile(f"bad version field {version_text!r}") from None
-    if version not in FORMAT_VERSIONS:
-        raise UnsupportedVersion(
-            f"format version {version} (this build reads 1 and 2)"
-        )
+    versions = sorted({known for known, _ in _LOADERS})
+    if version not in versions:
+        readable = " and ".join(map(str, versions))
+        raise UnsupportedVersion(f"format version {version} (this build reads {readable})")
     kind = scanner.keyed("kind")
     stored_digest = scanner.keyed("sha256")
     payload = "".join(line + "\n" for line in lines[scanner.pos :])
@@ -287,7 +286,7 @@ def load_model(source):
         raise ChecksumMismatch(
             f"payload hash {digest[:12]}... does not match header"
         )
-    if kind not in (KIND_KNN, KIND_NN):
+    if kind not in {known for _, known in _LOADERS}:
         raise MalformedModelFile(f"unknown model kind {kind!r}")
     loader = _LOADERS.get((version, kind))
     if loader is None:

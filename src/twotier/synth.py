@@ -136,17 +136,14 @@ def _cloud_attenuation(
 
 
 def generate(
-    config: SynthConfig,
-    num_days: int,
-    seed: int | None = None,
-    grid: SamplingGrid | None = None,
+    config: SynthConfig, num_days: int, grid: SamplingGrid | None = None
 ) -> SynthResult:
     """Generate `num_days` labeled synthetic days starting at
-    config.start_date. `seed` defaults to config.rng_seed."""
+    config.start_date, drawn from config.rng_seed."""
     if num_days < 1:
         raise ValueError("num_days must be >= 1")
     grid = grid or SamplingGrid()
-    rng = SplitMix64(config.rng_seed if seed is None else seed)
+    rng = SplitMix64(config.rng_seed)
     bell = clear_sky_profile(config, grid)
 
     rows = []

@@ -50,6 +50,15 @@ def _freeze(values) -> np.ndarray:
     return arr
 
 
+def _check_samples(power: np.ndarray, start: Date) -> None:
+    """Raise ValueError naming the first day of a (days, slots) block,
+    dated from `start`, that holds a non-finite or a negative sample."""
+    for bad, kind in ((~np.isfinite(power), "non-finite"), (power < 0, "negative")):
+        if bad.any():
+            day = start + timedelta(days=int(bad.any(axis=1).argmax()))
+            raise ValueError(f"{kind} sample in day {day.isoformat()}")
+
+
 @dataclass(frozen=True)
 class SamplingGrid:
     """Uniform intra-day sampling: interval T_s, derived samples per day."""
@@ -88,10 +97,7 @@ class DayProfile:
         arr = _freeze(self.samples)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite sample in day {self.date.isoformat()}")
-        if np.any(arr < 0):
-            raise ValueError(f"negative sample in day {self.date.isoformat()}")
+        _check_samples(arr[None], self.date)
         object.__setattr__(self, "samples", arr)
 
 
@@ -113,10 +119,7 @@ class SolarSeries:
             raise ValueError(f"power shape {power.shape} is not days x {m} slots")
         if self.start.toordinal() + len(power) - 1 > Date.max.toordinal():
             raise ValueError(f"{len(power)} days from {self.start} run past {Date.max}")
-        for bad, kind in ((~np.isfinite(power), "non-finite"), (power < 0, "negative")):
-            if bad.any():
-                day = self.start + timedelta(days=int(bad.any(axis=1).argmax()))
-                raise ValueError(f"{kind} sample in day {day.isoformat()}")
+        _check_samples(power, self.start)
         object.__setattr__(self, "power", power)
 
     @property

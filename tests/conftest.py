@@ -68,6 +68,14 @@ def with_payload(model_text, payload):
     return "\n".join(lines[:2] + [f"sha256 {digest}"]) + "\n" + body
 
 
+def printed_best(stdout):
+    """{axis label: value} of every `best <axis>: <value>` line that
+    `tune` prints."""
+    lines = (line[len("best "):].split(": ") for line in stdout.splitlines()
+             if line.startswith("best "))
+    return {axis: int(value) for axis, value in lines}
+
+
 def rendered(model):
     """The text persistence.save_model writes for model."""
     sink = io.StringIO()

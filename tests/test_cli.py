@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_series, rendered, repeating_clear_days, replace_payload_line
+from conftest import (
+    make_series, printed_best, rendered, repeating_clear_days, replace_payload_line
+)
 from twotier import cli, persistence
 from twotier.config import RunConfig, parse_config
 from twotier.knn import KnnModel
@@ -298,6 +300,12 @@ class TestTune:
         assert 1 <= tuned_config.knn_depth_days <= 8
         assert 2 <= tuned_config.knn_neighbors <= 4
         assert 3 <= tuned_config.nn_hidden_neurons <= 8
+        # each printed best is the value written
+        assert printed_best(out) == {
+            "depth_days": tuned_config.knn_depth_days,
+            "neighbors": tuned_config.knn_neighbors,
+            "hidden_neurons": tuned_config.nn_hidden_neurons,
+        }
         # and cmd_train accepts it directly
         argv, _, code, _, _ = steps[steps.index(tunes[0]) + 1]
         assert argv[:3] == ["train", "--config", "tuned.cfg"]
@@ -324,6 +332,25 @@ class TestTune:
         text = report.read_text()
         assert "depth_days" in text and "neighbors" in text
 
+    def test_printed_best_is_the_written_winner_on_a_tie(self, tmp_path, capsys):
+        # 33 days of two repeating patterns, split 30/1/2: cells (2, 4) and
+        # (3, 2) tie exactly at 14.153 W. The winner is the smaller depth,
+        # and the neighbors table must name its 4, not the 2 of (3, 2).
+        rng = np.random.default_rng(53)
+        days = rng.integers(12, 41)
+        pool = rng.integers(0, 100, (rng.integers(2, 5), 4))
+        rows = pool[rng.integers(0, len(pool), days)]
+        data = tmp_path / "ties.csv"
+        with open(data, "w", encoding="utf-8", newline="\n") as sink:
+            export_csv(make_series(rows, interval_seconds=21600), sink)
+        tuned = tmp_path / "t.cfg"
+        argv = ["tune", "--knn-only", "--sample-interval-seconds", "21600",
+                "--split-train", "0.91", "--split-tune", "0.031", "--split-test", "0.059",
+                "--data", str(data), "--out", str(tuned)]
+        assert cli.main(argv) == 0
+        assert printed_best(capsys.readouterr().out) == {"depth_days": 2, "neighbors": 4}
+        config = parse_config(tuned.read_text(), RunConfig())
+        assert (config.knn_depth_days, config.knn_neighbors) == (2, 4)
 
     @staticmethod
     def tune_repeated_day(tmp_path, capsys):
@@ -589,7 +616,29 @@ class TestNonFiniteSettings:
         argv = ["tune", "--knn-only", flag, "nan", "--data", str(pipeline["data"]),
                 "--out", str(tmp_path / "tuned.cfg")]
         assert cli.main(argv) == 2
-        check_one_error_line(capsys, "must be >= 0 and sum to 1")
+        check_one_error_line(capsys, "split ratios must sum to 1, got nan")
+
+
+@pytest.mark.parametrize("command", ["tune", "train", "evaluate"])
+@pytest.mark.parametrize("ratios, message", [
+    (("1.2", "-0.4", "0.2"), "split ratios must be >= 0, got (1.2, -0.4, 0.2)"),
+    (("0.9", "0.2", "0.2"), "split ratios must sum to 1, got 1.3"),
+    (("0.6", "nan", "0.2"), "split ratios must sum to 1, got nan"),
+], ids=["negative", "sum", "nan"])
+def test_bad_split_ratios_exit_2_writing_nothing(pipeline, tmp_path, capsys, command,
+                                                 ratios, message):
+    out = str(tmp_path / "out")
+    argv = {
+        "tune": ["tune", "--out", out],
+        "train": ["train", "--out", out],
+        "evaluate": ["evaluate", "--models", str(pipeline["models"]), "--out", out],
+    }[command]
+    for flag, value in zip(("--split-train", "--split-tune", "--split-test"), ratios):
+        argv += [flag, value]
+    assert cli.main([*argv, "--data", str(pipeline["data"])]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def readme_quick_start():

@@ -1,13 +1,14 @@
 """Fuzzed command lines: every outcome of `cli.main` is a documented exit code.
 
 Each example runs one of `synth` (at most 20 days), `ingest`, `tune
---knn-only`, `simulate`, `evaluate` or `train` (one LM restart of 1-3
-iterations) in-process, with fuzzed flags, flag values, config files,
-data files and model files. The run must end in exit code 0, 2, 3, 4 or
-5; argparse's own usage errors count as 2. No exception may escape, and
-every model file `train` writes must load. A successful `tune --knn-only`
-on a drawn data set and split must write a tuned config and a full grid
-report. Examples are derandomized, so a run is reproducible; widen
+--knn-only`, `simulate`, `evaluate`, `train` or `tune --nn-only` (one LM
+restart of 1-3 iterations per network) in-process, with fuzzed flags,
+flag values, config files, data files and model files. The run must end
+in exit code 0, 2, 3, 4 or 5; argparse's own usage errors count as 2. No
+exception may escape, and every model file `train` writes must load. A
+successful `tune` on a drawn data set and split must write a tuned config
+whose values are the `best` ones it printed, and `tune --knn-only` a full
+grid report. Examples are derandomized, so a run is reproducible; widen
 max_examples locally to search further.
 """
 
@@ -23,7 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import make_series, rendered, replace_payload_line  # noqa: E402
+from conftest import make_series, printed_best, rendered, replace_payload_line  # noqa: E402
 from twotier import cli, evaluation, knn, nn, persistence  # noqa: E402
 from twotier.config import RunConfig, parse_config, render_config  # noqa: E402
 from twotier.synth import SynthConfig, generate  # noqa: E402
@@ -208,8 +209,9 @@ def invocations(draw):
     return argv, files
 
 
-def run_in(directory: Path, argv, files) -> int:
-    """Write files into directory, then run argv there; the exit code."""
+def run_in(directory: Path, argv, files) -> tuple[int, str]:
+    """Write files into directory, then run argv there; the exit code and
+    stdout."""
     for name, content in files.items():
         path = directory / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -221,9 +223,10 @@ def run_in(directory: Path, argv, files) -> int:
     with contextlib.chdir(directory), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         try:
-            return cli.main(argv)
+            code = cli.main(argv)
         except SystemExit as exit_:  # argparse's usage errors and --help
-            return exit_.code
+            code = exit_.code
+    return code, out.getvalue()
 
 
 @FUZZ
@@ -231,7 +234,7 @@ def run_in(directory: Path, argv, files) -> int:
 def test_every_outcome_is_a_documented_exit_code(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as directory:
-        code = run_in(Path(directory), argv, files)
+        code, _ = run_in(Path(directory), argv, files)
     assert code in EXIT_CODES, (argv, code)
 
 
@@ -261,7 +264,7 @@ def train_invocations(draw):
 def test_train_outcome_is_a_documented_exit_code_and_its_models_load(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as directory:
-        code = run_in(Path(directory), argv, files)
+        code, _ = run_in(Path(directory), argv, files)
         for path in Path(directory).rglob(f"*{persistence.MODEL_SUFFIX}"):
             persistence.load_model(path.read_bytes())
     assert code in EXIT_CODES, (argv, code)
@@ -269,7 +272,7 @@ def test_train_outcome_is_a_documented_exit_code_and_its_models_load(case):
 
 TUNE_DAYS = 60
 # train, tune and test ratios: valid ones (a small set may still leave a
-# partition empty), then one that always does and ones `RunConfig.ratios`
+# partition empty), then one that always does and ones `split_chronological`
 # rejects
 VALID_SPLITS = [("0.6", "0.2", "0.2"), ("0.5", "0.25", "0.25"), ("0.8", "0.1", "0.1"),
                 ("0.1", "0.1", "0.8")]
@@ -309,6 +312,12 @@ def split_ratios(draw):
     return repr(train), repr(tune), repr(1.0 - train - tune)
 
 
+def split_flags(ratios):
+    """The three split ratio flags with their values."""
+    pairs = zip(("--split-train", "--split-tune", "--split-test"), ratios)
+    return [part for pair in pairs for part in pair]
+
+
 def grid_rows(report_text):
     """The report CSV's rows, split into one list per grid at each header."""
     grids = []
@@ -324,12 +333,10 @@ def grid_rows(report_text):
 @given(tune_data(), split_ratios())
 def test_knn_tune_writes_candidate_config_and_full_report(data, ratios):
     argv = ["tune", "--knn-only", "--data", "data.csv", "--out", "tuned.cfg",
-            "--report", "grids.csv"]
-    for key, value in zip(("--split-train", "--split-tune", "--split-test"), ratios):
-        argv += [key, value]
+            "--report", "grids.csv", *split_flags(ratios)]
     with tempfile.TemporaryDirectory() as directory:
         directory = Path(directory)
-        code = run_in(directory, argv, {"data.csv": data})
+        code, out = run_in(directory, argv, {"data.csv": data})
         assert code in EXIT_CODES, (argv, code)
         if ratios in VALID_SPLITS:
             assert code in (0, 4), (argv, code)
@@ -340,7 +347,43 @@ def test_knn_tune_writes_candidate_config_and_full_report(data, ratios):
         report = (directory / "grids.csv").read_text(encoding="utf-8")
     assert tuned.knn_depth_days in evaluation.DEFAULT_DEPTH_CANDIDATES
     assert tuned.knn_neighbors in evaluation.DEFAULT_NEIGHBOR_CANDIDATES
+    assert printed_best(out) == {"depth_days": tuned.knn_depth_days,
+                                 "neighbors": tuned.knn_neighbors}
     assert grid_rows(report) == [
         ["depth_days", *map(str, evaluation.DEFAULT_DEPTH_CANDIDATES)],
         ["neighbors", *map(str, evaluation.DEFAULT_NEIGHBOR_CANDIDATES)],
     ]
+
+
+@st.composite
+def nn_tune_invocations(draw):
+    """(argv, files) for `tune --nn-only` on a drawn data set and split,
+    with fuzzed flags and config. The LM budget flags come last, so each
+    hidden size trains one restart of at most three iterations."""
+    files = {"data.csv": draw(tune_data())}
+    argv = ["tune", "--nn-only", "--data", "data.csv", "--out", "tuned.cfg",
+            *split_flags(draw(split_ratios()))]
+    config = draw(config_files())
+    if config is not None:
+        files["run.cfg"] = config
+        argv += ["--config", "run.cfg"]
+    if draw(st.booleans()):
+        argv += draw(overrides())
+    argv += ["--nn-restarts", "1", "--nn-max-iterations", str(draw(st.integers(1, 3)))]
+    return argv, files
+
+
+@settings(FUZZ, max_examples=40)
+@given(nn_tune_invocations())
+def test_nn_tune_outcome_is_a_documented_exit_code_and_writes_its_winner(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        code, out = run_in(directory, argv, files)
+        assert code in EXIT_CODES, (argv, code)
+        if code != 0 or "--help" in argv:
+            return
+        tuned = parse_config((directory / "tuned.cfg").read_text(encoding="utf-8"),
+                             RunConfig())
+    assert tuned.nn_hidden_neurons in evaluation.DEFAULT_HIDDEN_CANDIDATES
+    assert printed_best(out) == {"hidden_neurons": tuned.nn_hidden_neurons}

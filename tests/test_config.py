@@ -5,8 +5,11 @@ import re
 from datetime import date as Date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import make_series
+from twotier import cli
 from twotier.config import RunConfig, apply_overrides, parse_config, render_config
 from twotier.correction import DEFAULT_HARMONICS, DEFAULT_WINDOW
 from twotier.errors import ConfigError
@@ -116,9 +119,10 @@ def test_render_round_trips():
 
 
 def test_ratios_validated():
+    # the split ratios reach `split_chronological`, the one check of them
     c = apply_overrides(RunConfig(), {"split_train": 0.9})
-    with pytest.raises(ConfigError):
-        c.ratios()
+    with pytest.raises(ValueError, match=r"split ratios must sum to 1, got 1\.3$"):
+        cli._split(c, make_series(np.zeros((10, 96))))
 
 
 def test_sub_config_construction():
@@ -129,6 +133,16 @@ def test_sub_config_construction():
     assert c.nn().rng_seed == 1
     assert c.synth().cloudiness == 0.55
     assert c.correction_params() == (8, 2)
+
+
+@pytest.mark.parametrize("window, harmonics", [(4, 2), (0, 2), (8, 0)])
+def test_correction_params_reject_what_correction_rejects(window, harmonics):
+    c = apply_overrides(
+        RunConfig(), {"correction_window": window, "correction_harmonics": harmonics}
+    )
+    with pytest.raises(ConfigError,
+                       match=f"^correction window {window} cannot fit {harmonics} harmonics$"):
+        c.correction_params()
 
 
 def test_invalid_sub_config_becomes_config_error():

@@ -165,10 +165,18 @@ class TestTuneGridShape:
         assert grid.reference_rmse == 0.0
 
     def test_stores_only_its_inputs(self):
+        # best is the one stored result: the winner tune prints and writes
         assert [f.name for f in dataclasses.fields(TuneGrid)] == [
-            "axis_label", "candidates", "raw_rmse"]
+            "axis_label", "candidates", "raw_rmse", "best"]
         grid = TuneGrid("k", [2, 3], [1, None])
-        assert (grid.candidates, grid.raw_rmse) == ((2, 3), (1.0, None))
+        assert (grid.candidates, grid.raw_rmse, grid.best) == ((2, 3), (1.0, None), 2)
+
+    def test_given_best_is_kept(self):
+        # one axis of a larger search names that search's winner
+        assert TuneGrid("k", (2, 3), (1.0, 1.0), best=3).best == 3
+
+    def test_tie_goes_to_smaller_candidate(self):
+        assert TuneGrid("k", (4, 2, 3), (1.0, 1.0, 2.0)).best == 2
 
     def test_columns_must_agree_in_length(self):
         with pytest.raises(LengthMismatch):
@@ -233,7 +241,7 @@ class TestTuneKnn:
             (cell for cell in result.cell_rmse if cell[2] is not None),
             key=lambda cell: (cell[2], cell[0], cell[1]),
         )
-        assert (result.best_depth, result.best_neighbors) == (best[0], best[1])
+        assert (result.depth_grid.best, result.neighbors_grid.best) == (best[0], best[1])
 
     def test_unavailable_cells_marked(self):
         # 6 train days cannot fit depth 8 with k 4 (needs 13 days)

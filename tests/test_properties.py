@@ -687,14 +687,23 @@ def tune_cases(draw):
     return split, tuple(depths), tuple(neighbor_counts)
 
 
+def reference_winner(cells):
+    """The cell with the smallest RMSE, the smaller depth and then fewer
+    neighbors on an exact tie; (None, None) when no cell scored."""
+    scored = [key for key, v in cells.items() if v is not None]
+    return min(scored, key=lambda key: (cells[key], key), default=(None, None))
+
+
 def reference_grids(cells, depths, neighbor_counts):
     """A `TuneGrid` of each candidate's best reference cell, as
-    `tune_knn` builds its two tables."""
+    `tune_knn` builds its two tables, each naming its coordinate of the
+    winning cell as its best."""
+    best = reference_winner(cells)
     return tuple(
         evaluation.TuneGrid(axis, candidates, [
             min((v for key, v in cells.items() if key[pick] == c and v is not None), default=None)
             for c in candidates
-        ])
+        ], best[pick])
         for axis, candidates, pick in (("depth_days", depths, 0), ("neighbors", neighbor_counts, 1))
     )
 
@@ -716,9 +725,7 @@ def test_tune_knn_matches_per_cell_fits(case):
     assert (result.depth_grid, result.neighbors_grid) == reference_grids(
         want, depths, neighbor_counts
     )
-    scored = [key for key, v in want.items() if v is not None]
-    best = min(scored, key=lambda key: (want[key], key))
-    assert (result.best_depth, result.best_neighbors) == best
+    assert (result.depth_grid.best, result.neighbors_grid.best) == reference_winner(want)
 
 
 MODEL_FILES = (

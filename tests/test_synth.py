@@ -57,49 +57,48 @@ def test_clear_sky_bell_shape():
 
 
 def test_cloudiness_zero_gives_exact_bell_every_day():
-    config = SynthConfig(cloudiness=0.0)
+    config = SynthConfig(cloudiness=0.0, rng_seed=99)
     bell = np.round(clear_sky_profile(config, SamplingGrid()), 6)
-    result = generate(config, 5, seed=99)
+    result = generate(config, 5)
     assert all(lab == SUNNY for lab in result.labels)
     for day in result.series.days:
         assert np.array_equal(day.samples, bell)
 
 
 def test_clear_days_identical_across_seeds():
-    config = SynthConfig(cloudiness=0.0)
-    a = generate(config, 3, seed=1)
-    b = generate(config, 3, seed=2)
+    a = generate(SynthConfig(cloudiness=0.0, rng_seed=1), 3)
+    b = generate(SynthConfig(cloudiness=0.0, rng_seed=2), 3)
     for da, db in zip(a.series.days, b.series.days):
         assert np.array_equal(da.samples, db.samples)
 
 
 def test_samples_within_physical_bounds():
-    config = SynthConfig(cloudiness=1.0)
-    result = generate(config, 20, seed=11)
+    config = SynthConfig(cloudiness=1.0, rng_seed=11)
+    result = generate(config, 20)
     for day in result.series.days:
         assert np.all(day.samples >= 0.0)
         assert np.all(day.samples <= config.peak_power_w + 1e-6)
 
 
 def test_night_samples_exactly_zero():
-    config = SynthConfig(cloudiness=1.0)
-    result = generate(config, 10, seed=5)
+    config = SynthConfig(cloudiness=1.0, rng_seed=5)
+    result = generate(config, 10)
     for day in result.series.days:
         assert np.all(day.samples[: config.sunrise_sample] == 0.0)
         assert np.all(day.samples[config.sunset_sample + 1 :] == 0.0)
 
 
 def test_same_seed_bit_identical():
-    config = SynthConfig()
-    a = generate(config, 15, seed=123)
-    b = generate(config, 15, seed=123)
+    config = SynthConfig(rng_seed=123)
+    a = generate(config, 15)
+    b = generate(config, 15)
     assert a.labels == b.labels
     for da, db in zip(a.series.days, b.series.days):
         assert np.array_equal(da.samples, db.samples)
 
 
 def test_cloudy_days_attenuated():
-    result = generate(SynthConfig(), 30, seed=1)
+    result = generate(SynthConfig(rng_seed=1), 30)
     bell = np.round(clear_sky_profile(SynthConfig(), SamplingGrid()), 6)
     for day, label in zip(result.series.days, result.labels):
         if label == CLOUDY:
@@ -109,8 +108,8 @@ def test_cloudy_days_attenuated():
 def test_attenuation_level_respects_depth_range():
     # depth range (0.2, 0.75) bounds daylight attenuation to [0.25, 0.8];
     # check at solar noon where the bell is far from zero
-    config = SynthConfig(cloudiness=1.0)
-    result = generate(config, 40, seed=7)
+    config = SynthConfig(cloudiness=1.0, rng_seed=7)
+    result = generate(config, 40)
     bell = clear_sky_profile(config, SamplingGrid())
     noon = int(np.argmax(bell))
     for day in result.series.days:
@@ -124,14 +123,14 @@ def test_generate_rejects_zero_days():
 
 
 def test_label_lookup():
-    result = generate(SynthConfig(), 5, seed=1)
+    result = generate(SynthConfig(rng_seed=1), 5)
     assert result.label_for(Date(2015, 2, 15)) in (SUNNY, CLOUDY)
     with pytest.raises(KeyError):
         result.label_for(Date(1999, 1, 1))
 
 
 def test_labels_csv_round_trip():
-    result = generate(SynthConfig(), 8, seed=3)
+    result = generate(SynthConfig(rng_seed=3), 8)
     buf = io.StringIO()
     write_labels_csv(result, buf)
     labels = read_labels_csv(io.StringIO(buf.getvalue()))
@@ -166,6 +165,6 @@ def test_malformed_labels_csv_rejected(text, message):
 def test_series_passes_solarseries_invariants():
     # construction succeeding is the check: SolarSeries validates dates,
     # indices, and grid length on build
-    result = generate(SynthConfig(), 12, seed=2)
+    result = generate(SynthConfig(rng_seed=2), 12)
     assert result.series.num_days == 12
     assert result.series.grid.samples_per_day == 96
