@@ -102,6 +102,9 @@ class RunConfig:
         )
 
     def correction_params(self) -> tuple[int, int]:
+        """The correction window and harmonics, when the window can fit
+        the harmonics and is shorter than a day, so that it corrects at
+        least the day's last slot."""
         window, harmonics = self.correction_window, self.correction_harmonics
         try:
             correction.check_fit(window, harmonics)
@@ -109,6 +112,11 @@ class RunConfig:
             raise ConfigError(
                 f"correction window {window} cannot fit {harmonics} harmonics"
             ) from exc
+        slots = self.grid().samples_per_day
+        if window >= slots:
+            raise ConfigError(
+                f"correction window {window} must be shorter than a day of {slots} samples"
+            )
         return window, harmonics
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from datetime import timedelta
 
 import numpy as np
 
@@ -314,20 +315,21 @@ def compare_methods(
     either model are skipped and listed in the report with the reason."""
     if test.num_days == 0:
         raise EmptyInput("test split has no days")
-    days, skipped = [], []
-    for day in test.days:
+    days, dates, skipped = [], [], []
+    for day in range(test.first_index, test.last_index + 1):
+        date = full.start + timedelta(days=day - full.first_index)
         try:
             for model in (knn_model, nn_model):
-                require_history(full, day.day_index, model.history_days)
+                require_history(full, day, model.history_days)
         except InsufficientHistory as exc:
-            skipped.append((day.date, str(exc)))
+            skipped.append((date, str(exc)))
         else:
             days.append(day)
+            dates.append(date)
     if not days:
         raise InsufficientHistory("every test day lacked usable history")
-    sims = replay_days(full, [day.day_index for day in days], knn_model, nn_model,
-                       window_length, harmonics)
-    return score_replay([day.date for day in days], sims, skipped)
+    sims = replay_days(full, days, knn_model, nn_model, window_length, harmonics)
+    return score_replay(dates, sims, skipped)
 
 
 def render_grid(grid: TuneGrid) -> str:

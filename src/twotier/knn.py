@@ -6,10 +6,11 @@ k most similar contexts (Euclidean distance) are blended with weights
 that fall off linearly from the nearest match toward the (k+1)-th
 distance, then normalized to sum to one.
 
-`fit` reads its pairs from the training days through `from_days`, so a
-fitted model's N - D pairs hold each day up to D+1 times; such a model
-keeps the (N, M) day matrix as `days`, and its model file stores only
-that. There is one distance rule: `day_table` holds the squared distance
+A fitted model is its training days: `from_days` keeps the (N, M) day
+matrix as `days`, and its N - D pairs are read-only views of that
+matrix, so each day is held once and its model file stores only the
+matrix. A model built from its own pairs has no day matrix. There is
+one distance rule: `day_table` holds the squared distance
 of each query day to each day a stored context reads (`day_distances`,
 the difference dotted with itself along the slot axis), and
 `context_distances` adds a context's D terms from that table, oldest day
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InsufficientTrainingDays, UnsortedDistances
-from .timeseries import SolarSeries, require_history
+from .timeseries import SolarSeries, _freeze, require_history
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,18 @@ class KnnConfig:
 class KnnModel:
     """Stored training pairs: contexts (P, D*M) and targets (P, M), both
     in watts, rows in chronological order of the target day. A context
-    must split into D days of M slots. `days` is the (N, M) day matrix
-    when the pairs are bit for bit `from_days`' layout of it, else None."""
+    must split into D days of M slots. Both are read-only, copied unless
+    they already are read-only float arrays. `days` is the (N, M) day
+    matrix of a `from_days` model, whose pairs are views of it, and None
+    for a model built from its own pairs."""
 
     config: KnnConfig
     contexts: np.ndarray
     targets: np.ndarray
-    days: np.ndarray | None = field(init=False, repr=False)
+    days: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        contexts = np.array(self.contexts, dtype=float)
-        targets = np.array(self.targets, dtype=float)
+        contexts, targets = _freeze(self.contexts), _freeze(self.targets)
         if contexts.ndim != 2 or targets.ndim != 2:
             raise ValueError("contexts and targets must be 2-D")
         if contexts.shape[0] != targets.shape[0]:
@@ -77,11 +79,8 @@ class KnnModel:
             )
         if not (np.all(np.isfinite(contexts)) and np.all(np.isfinite(targets))):
             raise ValueError("stored pairs must be finite")
-        days = _day_matrix(contexts, targets, self.config.depth_days)
-        for name, value in (("contexts", contexts), ("targets", targets), ("days", days)):
-            if value is not None:
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "targets", targets)
 
     @property
     def pair_count(self) -> int:
@@ -114,9 +113,10 @@ def fit(train: SolarSeries, config: KnnConfig) -> KnnModel:
 
 def from_days(config: KnnConfig, days) -> KnnModel:
     """The model of N chronological days of M slots: N - D pairs, pair j
-    the target day j + D with the days j..j+D-1 as its context. Raises
-    InsufficientTrainingDays below `config.min_training_days` days."""
-    days = np.asarray(days, dtype=float)
+    the target day j + D with the days j..j+D-1 as its context, all views
+    of the read-only day matrix kept as `days` (copied unless it is one).
+    Raises InsufficientTrainingDays below `config.min_training_days` days."""
+    days = _freeze(days)
     if days.ndim != 2 or days.shape[1] < 1:
         raise ValueError("days must be 2-D, with at least one slot")
     needed = config.min_training_days
@@ -125,8 +125,9 @@ def from_days(config: KnnConfig, days) -> KnnModel:
             f"weighted k-NN with D={config.depth_days}, k={config.neighbors} "
             f"needs >= {needed} training days, have {len(days)}"
         )
-    contexts, targets = _pairs(days, config.depth_days)
-    return KnnModel(config=config, contexts=contexts, targets=targets)
+    model = KnnModel(config, *_pairs(days, config.depth_days))
+    object.__setattr__(model, "days", days)
+    return model
 
 
 def _pairs(days: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,22 +136,6 @@ def _pairs(days: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     per_day = days.shape[1]
     windows = sliding_window_view(days.ravel(), depth * per_day)[::per_day]
     return windows[: len(days) - depth], days[depth:]
-
-
-def _day_matrix(contexts: np.ndarray, targets: np.ndarray, depth: int):
-    """The days whose `_pairs` are `contexts` and `targets` bit for bit
-    (so a -0.0 never stands for a 0.0), or None. Candidates are the first
-    day of every context, the rest of the last context, and its target."""
-    per_day = targets.shape[1]
-    if per_day < 1 or contexts.shape[1] != depth * per_day:
-        return None
-    last = contexts[-1, per_day:].reshape(depth - 1, per_day)
-    days = np.concatenate([contexts[:, :per_day], last, targets[-1:]])
-    same = all(
-        np.array_equal(rebuilt.view(np.uint64), stored.view(np.uint64))
-        for rebuilt, stored in zip(_pairs(days, depth), (contexts, targets))
-    )
-    return days if same else None
 
 
 def neighbor_weights(sorted_distances) -> np.ndarray:

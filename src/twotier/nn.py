@@ -71,6 +71,12 @@ class NnConfig:
         if not (math.isfinite(self.loss_tolerance) and self.loss_tolerance > 0):
             raise ValueError("loss_tolerance must be positive and finite")
 
+    @property
+    def weight_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of each weight array of a model with this config."""
+        h = self.hidden_neurons
+        return {"hidden_weights": (h, INPUT_WIDTH), "hidden_biases": (h,), "output_weights": (h,)}
+
 
 @dataclass(frozen=True, eq=False)
 class NnModel:
@@ -83,29 +89,21 @@ class NnModel:
     config: NnConfig
 
     def __post_init__(self):
-        w1 = np.array(self.hidden_weights, dtype=float)
-        b1 = np.array(self.hidden_biases, dtype=float)
-        w2 = np.array(self.output_weights, dtype=float)
-        h = self.config.hidden_neurons
-        if w1.shape != (h, INPUT_WIDTH) or b1.shape != (h,) or w2.shape != (h,):
+        shapes = self.config.weight_shapes
+        weights = {name: np.array(getattr(self, name), dtype=float) for name in shapes}
+        if any(weights[name].shape != shape for name, shape in shapes.items()):
             raise ValueError(
-                f"weight shapes inconsistent with {h} hidden neurons: "
-                f"{w1.shape}, {b1.shape}, {w2.shape}"
+                f"weight shapes inconsistent with {self.config.hidden_neurons} hidden "
+                f"neurons: {', '.join(str(w.shape) for w in weights.values())}"
             )
-        finite = (
-            np.all(np.isfinite(w1))
-            and np.all(np.isfinite(b1))
-            and np.all(np.isfinite(w2))
-            and math.isfinite(self.output_bias)
-        )
-        if not finite:
+        if not (all(np.all(np.isfinite(w)) for w in weights.values())
+                and math.isfinite(self.output_bias)):
             raise ValueError("all weights must be finite")
         if not (math.isfinite(self.scale_max) and self.scale_max > 0):
             raise ValueError("scale_max must be positive and finite")
         if self.samples_per_day < 1:
             raise ValueError("samples_per_day must be >= 1")
-        for name, arr in (("hidden_weights", w1), ("hidden_biases", b1),
-                          ("output_weights", w2)):
+        for name, arr in weights.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "output_bias", float(self.output_bias))

@@ -12,15 +12,21 @@ with repr(), the shortest decimal string that round-trips, so a loaded
 model is bit-equal to the saved one on every platform. Unknown versions
 are rejected outright rather than migrated.
 
-A k-NN model whose pairs are `knn.from_days`' layout (every fitted one)
-is written as version 2, its day matrix, and loaded back through
-`knn.from_days`. Any other k-NN model is written as version 1, its
-pairs; NN models are version 1. The loader reads both versions.
+The payload opens with one `name value` line per field of the model's
+config dataclass, in field order, written and read from that class's
+fields. A k-NN model built by `knn.from_days` (every fitted one) is
+written as version 2, its day matrix, and loaded back through
+`knn.from_days`. A k-NN model built from its own pairs is written as
+version 1, its pairs, and loaded back as one; NN models are version 1.
+Either way a loaded model re-saves to the bytes it was read from.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
+import typing
 
 import numpy as np
 
@@ -43,14 +49,27 @@ KIND_KNN = "knn"
 KIND_NN = "nn"
 
 
+# Each config class's fields and their types, in field order: the
+# settings lines that open a payload.
+_SETTINGS = {
+    kind: {f.name: typing.get_type_hints(kind)[f.name] for f in dataclasses.fields(kind)}
+    for kind in (KnnConfig, NnConfig)
+}
+# what a malformed value of each type is not
+_NOT_A = {int: "an integer", float: "a number"}
+
+
 def _floats(values) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
 
 
+def _settings(config) -> list[str]:
+    return [f"{name} {getattr(config, name)!r}" for name in _SETTINGS[type(config)]]
+
+
 def _knn_days_payload(model: KnnModel) -> list[str]:
     return [
-        f"depth_days {model.config.depth_days}",
-        f"neighbors {model.config.neighbors}",
+        *_settings(model.config),
         f"days {len(model.days)}",
         f"samples_per_day {model.samples_per_day}",
         *(f"day {_floats(day)}" for day in model.days),
@@ -59,8 +78,7 @@ def _knn_days_payload(model: KnnModel) -> list[str]:
 
 def _knn_pairs_payload(model: KnnModel) -> list[str]:
     lines = [
-        f"depth_days {model.config.depth_days}",
-        f"neighbors {model.config.neighbors}",
+        *_settings(model.config),
         f"pairs {model.pair_count}",
         f"context_length {model.context_length}",
         f"target_length {model.target_length}",
@@ -72,20 +90,11 @@ def _knn_pairs_payload(model: KnnModel) -> list[str]:
 
 
 def _nn_payload(model: NnModel) -> list[str]:
-    cfg = model.config
     return [
-        f"hidden_neurons {cfg.hidden_neurons}",
-        f"restarts {cfg.restarts}",
-        f"lm_initial_damping {cfg.lm_initial_damping!r}",
-        f"lm_damping_factor {cfg.lm_damping_factor!r}",
-        f"max_iterations {cfg.max_iterations}",
-        f"loss_tolerance {cfg.loss_tolerance!r}",
-        f"rng_seed {cfg.rng_seed}",
+        *_settings(model.config),
         f"samples_per_day {model.samples_per_day}",
         f"scale_max {model.scale_max!r}",
-        f"hidden_weights {_floats(model.hidden_weights)}",
-        f"hidden_biases {_floats(model.hidden_biases)}",
-        f"output_weights {_floats(model.output_weights)}",
+        *(f"{name} {_floats(getattr(model, name))}" for name in model.config.weight_shapes),
         f"output_bias {model.output_bias!r}",
     ]
 
@@ -115,6 +124,14 @@ def save_model(model, sink) -> None:
         raise SinkWriteFailure(f"could not write model: {exc}") from exc
 
 
+def _build(build, *args, **kwargs):
+    """build(*args, **kwargs), a rejected value raised as InvariantViolation."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, InsufficientTrainingDays) as exc:
+        raise InvariantViolation(str(exc)) from exc
+
+
 class _Scanner:
     def __init__(self, lines):
         self.lines = lines
@@ -134,19 +151,18 @@ class _Scanner:
             raise MalformedModelFile(f"expected '{key} ...', got {line!r}")
         return rest
 
-    def keyed_int(self, key: str) -> int:
+    def typed(self, key: str, kind: type):
+        """The value of a `key` line, read as an int or a float."""
         text = self.keyed(key)
         try:
-            return int(text)
+            return kind(text)
         except ValueError:
-            raise MalformedModelFile(f"{key}: not an integer: {text!r}") from None
+            raise MalformedModelFile(f"{key}: not {_NOT_A[kind]}: {text!r}") from None
 
-    def keyed_float(self, key: str) -> float:
-        text = self.keyed(key)
-        try:
-            return float(text)
-        except ValueError:
-            raise MalformedModelFile(f"{key}: not a number: {text!r}") from None
+    def settings(self, kind: type):
+        """A `kind` config from one line per field, in field order."""
+        return _build(kind, **{name: self.typed(name, field_type)
+                               for name, field_type in _SETTINGS[kind].items()})
 
     def keyed_floats(self, key: str, count: int) -> np.ndarray:
         parts = self.keyed(key).split()
@@ -167,10 +183,9 @@ class _Scanner:
 
 
 def _load_knn_days(scanner: _Scanner) -> KnnModel:
-    depth = scanner.keyed_int("depth_days")
-    neighbors = scanner.keyed_int("neighbors")
-    count = scanner.keyed_int("days")
-    per_day = scanner.keyed_int("samples_per_day")
+    config = scanner.settings(KnnConfig)
+    count = scanner.typed("days", int)
+    per_day = scanner.typed("samples_per_day", int)
     if count < 1 or per_day < 1:
         raise InvariantViolation("day matrix dimensions must be positive")
     # trust the header's sizes only as far as the lines back them
@@ -178,18 +193,14 @@ def _load_knn_days(scanner: _Scanner) -> KnnModel:
         raise MalformedModelFile(f"file truncated: header promises {count} days")
     days = [scanner.keyed_floats("day", per_day) for _ in range(count)]
     scanner.done()
-    try:
-        return from_days(KnnConfig(depth_days=depth, neighbors=neighbors), days)
-    except (ValueError, InsufficientTrainingDays) as exc:
-        raise InvariantViolation(str(exc)) from exc
+    return _build(from_days, config, days)
 
 
 def _load_knn_pairs(scanner: _Scanner) -> KnnModel:
-    depth = scanner.keyed_int("depth_days")
-    neighbors = scanner.keyed_int("neighbors")
-    pairs = scanner.keyed_int("pairs")
-    context_length = scanner.keyed_int("context_length")
-    target_length = scanner.keyed_int("target_length")
+    config = scanner.settings(KnnConfig)
+    pairs = scanner.typed("pairs", int)
+    context_length = scanner.typed("context_length", int)
+    target_length = scanner.typed("target_length", int)
     if pairs < 1 or context_length < 1 or target_length < 1:
         raise InvariantViolation("pair table dimensions must be positive")
     # trust the header's sizes only as far as the lines back them
@@ -202,51 +213,19 @@ def _load_knn_pairs(scanner: _Scanner) -> KnnModel:
     ]
     contexts, targets = zip(*rows)
     scanner.done()
-    try:
-        config = KnnConfig(depth_days=depth, neighbors=neighbors)
-        return KnnModel(config=config, contexts=contexts, targets=targets)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
+    return _build(KnnModel, config, contexts, targets)
 
 
 def _load_nn(scanner: _Scanner) -> NnModel:
-    hidden = scanner.keyed_int("hidden_neurons")
-    restarts = scanner.keyed_int("restarts")
-    initial_damping = scanner.keyed_float("lm_initial_damping")
-    damping_factor = scanner.keyed_float("lm_damping_factor")
-    max_iterations = scanner.keyed_int("max_iterations")
-    loss_tolerance = scanner.keyed_float("loss_tolerance")
-    rng_seed = scanner.keyed_int("rng_seed")
-    samples_per_day = scanner.keyed_int("samples_per_day")
-    scale_max = scanner.keyed_float("scale_max")
-    if hidden < 1:
-        raise InvariantViolation("hidden_neurons must be positive")
-    w1 = scanner.keyed_floats("hidden_weights", 2 * hidden).reshape(hidden, 2)
-    b1 = scanner.keyed_floats("hidden_biases", hidden)
-    w2 = scanner.keyed_floats("output_weights", hidden)
-    b2 = scanner.keyed_float("output_bias")
+    config = scanner.settings(NnConfig)
+    samples_per_day = scanner.typed("samples_per_day", int)
+    scale_max = scanner.typed("scale_max", float)
+    weights = {name: scanner.keyed_floats(name, math.prod(shape)).reshape(shape)
+               for name, shape in config.weight_shapes.items()}
+    output_bias = scanner.typed("output_bias", float)
     scanner.done()
-    try:
-        config = NnConfig(
-            hidden_neurons=hidden,
-            restarts=restarts,
-            lm_initial_damping=initial_damping,
-            lm_damping_factor=damping_factor,
-            max_iterations=max_iterations,
-            loss_tolerance=loss_tolerance,
-            rng_seed=rng_seed,
-        )
-        return NnModel(
-            hidden_weights=w1,
-            hidden_biases=b1,
-            output_weights=w2,
-            output_bias=b2,
-            scale_max=scale_max,
-            samples_per_day=samples_per_day,
-            config=config,
-        )
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
+    return _build(NnModel, **weights, output_bias=output_bias, scale_max=scale_max,
+                  samples_per_day=samples_per_day, config=config)
 
 
 _LOADERS = {

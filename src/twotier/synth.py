@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date
+from datetime import date as Date, timedelta
 from typing import IO
 
 import numpy as np
@@ -73,10 +73,10 @@ class SynthResult:
     labels: tuple[str, ...]   # one of SUNNY/CLOUDY per day, aligned with days
 
     def label_for(self, date: Date) -> str:
-        for day, label in zip(self.series.days, self.labels):
-            if day.date == date:
-                return label
-        raise KeyError(f"date {date.isoformat()} not generated")
+        pos = (date - self.series.start).days
+        if not 0 <= pos < len(self.labels):
+            raise KeyError(f"date {date.isoformat()} not generated")
+        return self.labels[pos]
 
 
 def clear_sky_profile(config: SynthConfig, grid: SamplingGrid) -> np.ndarray:
@@ -168,8 +168,8 @@ def generate(
 def write_labels_csv(result: SynthResult, sink: IO) -> None:
     """Sidecar label file: `date,label`, one row per generated day."""
     sink.write("date,label\n")
-    for day, label in zip(result.series.days, result.labels):
-        sink.write(f"{day.date.isoformat()},{label}\n")
+    for pos, label in enumerate(result.labels):
+        sink.write(f"{(result.series.start + timedelta(days=pos)).isoformat()},{label}\n")
 
 
 def read_labels_csv(source) -> dict[Date, str]:

@@ -579,6 +579,26 @@ def check_one_error_line(capsys, *parts):
         assert part in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("window, code", [(95, 0), (96, 2), (97, 2)])
+def test_correction_window_as_long_as_a_day_exit_2(pipeline, tmp_path, capsys,
+                                                   command, window, code):
+    """A window of a day's 96 samples or more would correct no slot, so the
+    run stops with one error line naming both numbers and writes nothing;
+    a window of 95 still corrects the last slot."""
+    out = tmp_path / "out"
+    day = ["--day", CLOUDY_DEMO_DAY] if command == "simulate" else []
+    argv = [command, "--correction-window", str(window), "--models", str(pipeline["models"]),
+            "--data", str(pipeline["data"]), *day, "--out", str(out)]
+    assert cli.main(argv) == code
+    if code:
+        check_one_error_line(
+            capsys, f"correction window {window} must be shorter than a day of 96 samples")
+        assert not out.exists()
+    else:
+        assert out.exists()
+
+
 class TestNonFiniteSettings:
     """Each library check is asserted before the command runs, so that a
     regression fails instead of training or generating forever."""

@@ -145,6 +145,18 @@ def test_correction_params_reject_what_correction_rejects(window, harmonics):
         c.correction_params()
 
 
+@pytest.mark.parametrize("interval, window", [(900, 96), (900, 97), (1800, 48)])
+def test_correction_window_must_be_shorter_than_a_day(interval, window):
+    slots = 86400 // interval
+    c = apply_overrides(RunConfig(), {"sample_interval_seconds": interval,
+                                      "correction_window": slots - 1})
+    assert c.correction_params() == (slots - 1, 2)
+    c = dataclasses.replace(c, correction_window=window)
+    with pytest.raises(ConfigError, match=f"^correction window {window} must be shorter "
+                                          f"than a day of {slots} samples$"):
+        c.correction_params()
+
+
 def test_invalid_sub_config_becomes_config_error():
     c = apply_overrides(RunConfig(), {"knn_neighbors": 1})
     with pytest.raises(ConfigError):

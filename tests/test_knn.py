@@ -65,7 +65,26 @@ class TestModel:
         assert model.samples_per_day == 4
 
 
+    def test_pairs_copied_unless_already_read_only(self):
+        config = KnnConfig(depth_days=2, neighbors=2)
+        contexts, targets = np.zeros((3, 4)), np.zeros((3, 2))
+        model = KnnModel(config, contexts, targets)
+        contexts[0, 0] = targets[0, 0] = 1.0
+        assert not model.contexts.any() and not model.targets.any()
+        assert not (model.contexts.flags.writeable or model.targets.flags.writeable)
+        again = KnnModel(config, model.contexts, model.targets)
+        assert again.contexts is model.contexts and again.targets is model.targets
+        assert model.days is None and again.days is None
+
+
 class TestFit:
+    def test_fitted_model_holds_each_day_once(self):
+        series = make_series(np.random.default_rng(3).uniform(0, 9, (12, 96)))
+        model = fit(series, KnnConfig(depth_days=5, neighbors=2))
+        assert model.days.tobytes() == series.power.tobytes()
+        for pairs in (model.contexts, model.targets):
+            assert np.shares_memory(model.days, pairs) and not pairs.flags.writeable
+
     def test_30_days_depth_5_gives_25_pairs(self):
         series = make_series(np.random.default_rng(0).uniform(0, 100, (30, 96)))
         model = fit(series, KnnConfig(depth_days=5, neighbors=2))

@@ -1,5 +1,6 @@
 """Model file format: round-trips, integrity checks, golden fixture."""
 
+import dataclasses
 import io
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from twotier.errors import (
     PersistenceError,
     UnsupportedVersion,
 )
-from twotier.knn import KnnConfig, KnnModel, from_days
+from twotier.knn import KnnConfig, KnnModel, from_days, predict_day
 from twotier.nn import NnConfig, build, forward
 from twotier.persistence import load_model, render_model, save_model
 
@@ -143,6 +144,19 @@ class TestIntegrity:
         with pytest.raises(PersistenceError):
             load_model(text)
 
+    @pytest.mark.parametrize("hidden", ["0", "65"])
+    def test_nn_hidden_neurons_checked_before_weights(self, hidden):
+        text = rendered(build(NnConfig(hidden_neurons=2), seed=1))
+        rebuilt = replace_payload_line(text, "hidden_neurons 2", f"hidden_neurons {hidden}")
+        with pytest.raises(InvariantViolation, match=r"^hidden_neurons must be in \[1, 64\]$"):
+            load_model(rebuilt)
+
+    def test_bad_setting_reported_before_truncated_days(self):
+        text = render_model(small_fitted_model())
+        payload = ["depth_days -2"] + text.splitlines()[4:-2]
+        with pytest.raises(InvariantViolation, match="depth_days must be >= 1"):
+            load_model(with_payload(text, payload))
+
     def test_bytes_and_binary_stream_load(self):
         text = render_model(small_knn_model())
         for source in (text.encode("utf-8"), io.BytesIO(text.encode("utf-8"))):
@@ -174,6 +188,18 @@ class TestGoldenFixture:
         text = (DATA_DIR / "golden-knn.htm-model").read_text()
         assert render_model(load_model(text)) == text
 
+    def test_golden_nn_loads_to_its_weights_and_round_trips_to_same_bytes(self):
+        text = (DATA_DIR / "golden-nn.htm-model").read_text()
+        want = build(NnConfig(hidden_neurons=2), seed=1, samples_per_day=4, scale_max=35000.0)
+        model = load_model(text)
+        assert model.config == want.config
+        for name in ("hidden_weights", "hidden_biases", "output_weights"):
+            assert getattr(model, name).tobytes() == getattr(want, name).tobytes()
+        assert np.float64(model.output_bias).tobytes() == np.float64(want.output_bias).tobytes()
+        assert (model.scale_max, model.samples_per_day) == (35000.0, 4)
+        assert render_model(model) == text
+        assert render_model(want) == text
+
 
 class TestFormatVersions:
     """Fitted k-NN models are written as their day matrix (version 2);
@@ -187,27 +213,34 @@ class TestFormatVersions:
             "day 1.5", "day 3.25", "day 10.0", "day 0.5", "day 50.25",
         ]
 
+    def test_settings_lines_are_the_config_fields_in_order(self):
+        for model in (small_fitted_model(), small_knn_model(),
+                      build(NnConfig(hidden_neurons=2, restarts=3), seed=1)):
+            fields = dataclasses.fields(model.config)
+            lines = render_model(model).splitlines()[3:3 + len(fields)]
+            assert lines == [f"{f.name} {getattr(model.config, f.name)!r}" for f in fields]
+
     def test_pair_built_and_nn_models_write_version_1(self):
         assert small_knn_model().days is None
         assert render_model(small_knn_model()).startswith("htm-model 1\nkind knn\n")
         nn_model = build(NnConfig(hidden_neurons=2), seed=1)
         assert render_model(nn_model).startswith("htm-model 1\nkind nn\n")
 
-    def test_version_1_file_of_a_fitted_model_resaves_as_version_2(self):
+    def test_version_1_file_of_fitted_model_resaves_to_own_bytes(self):
         # written by the version 1 writer: fit on 12 days of 4 slots, D = 3
         text = (DATA_DIR / "fit-knn-v1.htm-model").read_text()
         assert text.startswith("htm-model 1\n")
         model = load_model(text)
-        assert model.days.shape == (12, 4)
-        assert np.array_equal(model.days[:9], model.contexts[:, :4])
-        assert np.array_equal(model.days[3:], model.targets)
-        second = render_model(model)
-        assert second.startswith("htm-model 2\n")
-        back = load_model(second)
-        assert back.config == model.config
-        for name in ("days", "contexts", "targets"):
-            assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
-        assert render_model(back) == second
+        assert model.days is None
+        assert render_model(model) == text
+        # the same pairs as the model of its days, forecasting bit for bit alike
+        days = np.concatenate([model.contexts[0].reshape(3, 4), model.targets])
+        fitted = from_days(model.config, days)
+        assert fitted.contexts.tobytes() == model.contexts.tobytes()
+        assert fitted.targets.tobytes() == model.targets.tobytes()
+        queries = np.random.default_rng(17).uniform(0.0, 900.0, (200, 12))
+        for query in queries:
+            assert predict_day(model, query).tobytes() == predict_day(fitted, query).tobytes()
 
 
 class TestVersion2Integrity:

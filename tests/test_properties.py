@@ -610,7 +610,7 @@ def forecast_cases(draw):
     series = draw(series_of_kinds(depth + neighbors + 1, 16))
     model = knn.fit(series, knn.KnnConfig(depth, neighbors))
     if draw(st.booleans()):
-        # the same pairs in another order: no day matrix when it moved any
+        # the same pairs in another order, built as pairs: no day matrix
         order = draw(st.permutations(range(model.pair_count)))
         model = knn.KnnModel(model.config, model.contexts[order], model.targets[order])
     days = st.integers(series.first_index + depth, series.last_index + 1)
@@ -630,46 +630,54 @@ def test_forecast_days_equals_per_day_predict_day(case):
         assert forecast.tobytes() == predict_day_reference(model, context).tobytes()
 
 
-signed_watts = st.sampled_from([0.0, -0.0, 1.0, 2.5])
-
-
 @st.composite
-def layout_cases(draw):
-    """`from_days` pairs, maybe one edit away from that layout: a value
-    replaced (a 0.0 by -0.0 among them) or two pairs swapped."""
+def saved_models(draw):
+    """A `from_days` model, a model built from its pairs (laid out as
+    `from_days` lays them out, or reordered), or an `nn.build` model."""
+    kind = draw(st.sampled_from(["days", "pairs", "reordered", "nn"]))
+    if kind == "nn":
+        config = nn.NnConfig(hidden_neurons=draw(st.integers(1, 8)))
+        return kind, nn.build(config, draw(st.integers(0, 2**64 - 1)),
+                              draw(st.integers(1, 96)), draw(positive))
     depth = draw(st.integers(min_value=1, max_value=3))
     neighbors = draw(st.integers(min_value=2, max_value=3))
     count = draw(st.integers(depth + neighbors + 1, 8))
-    days = draw(arrays(float, (count, draw(st.integers(1, 3))), elements=signed_watts))
+    days = draw(arrays(float, (count, draw(st.integers(1, 3))), elements=finite))
     model = knn.from_days(knn.KnnConfig(depth, neighbors), days)
-    contexts, targets = np.array(model.contexts), np.array(model.targets)
-    edit = draw(st.sampled_from(["none", "value", "swap"]))
-    if edit == "value":
-        table = draw(st.sampled_from([contexts, targets]))
-        row = draw(st.integers(0, table.shape[0] - 1))
-        table[row, draw(st.integers(0, table.shape[1] - 1))] = draw(signed_watts)
-    elif edit == "swap":
-        pair = draw(st.lists(st.integers(0, len(targets) - 1), min_size=2, max_size=2))
-        contexts[pair], targets[pair] = contexts[pair[::-1]], targets[pair[::-1]]
-    return knn.KnnModel(model.config, contexts, targets)
+    if kind != "days":
+        order = list(range(model.pair_count))
+        if kind == "reordered":
+            order = draw(st.permutations(order))
+        model = knn.KnnModel(model.config, model.contexts[order], model.targets[order])
+    return kind, model
+
+
+def model_arrays(model):
+    if isinstance(model, nn.NnModel):
+        return (model.hidden_weights, model.hidden_biases, model.output_weights,
+                np.float64(model.output_bias), np.float64(model.scale_max))
+    return model.contexts, model.targets, model.days
 
 
 @PROPERTY
-@given(st.one_of(layout_cases(), knn_models()))
-def test_days_set_exactly_for_from_days_layout(model):
-    # the only candidate: the first context's days, then every target
-    depth = model.config.depth_days
-    days = None
-    if model.context_length == depth * model.target_length:
-        days = np.concatenate([model.contexts[0].reshape(depth, -1), model.targets])
-        pairs = range(model.pair_count)
-        if not all(model.contexts[j].tobytes() == days[j : j + depth].tobytes()
-                   and model.targets[j].tobytes() == days[j + depth].tobytes() for j in pairs):
-            days = None
-    if days is None:
-        assert model.days is None
-    else:
-        assert model.days.tobytes() == days.tobytes()
+@given(saved_models())
+def test_model_file_reloads_to_its_bytes_arrays_and_version(case):
+    kind, model = case
+    text = persistence.render_model(model)
+    loaded = persistence.load_model(text)
+    assert persistence.render_model(loaded) == text
+    assert loaded.config == model.config
+    for saved, restored in zip(model_arrays(model), model_arrays(loaded)):
+        assert (saved is None) == (restored is None)
+        if saved is not None:
+            assert saved.shape == restored.shape and saved.tobytes() == restored.tobytes()
+    assert text.startswith("htm-model 2\n") == (kind == "days")
+    for each in (model, loaded):
+        if kind == "days":
+            assert all(np.shares_memory(each.days, pairs)
+                       for pairs in (each.contexts, each.targets))
+        elif kind != "nn":
+            assert each.days is None
 
 
 @st.composite

@@ -124,9 +124,11 @@ def test_generate_rejects_zero_days():
 
 def test_label_lookup():
     result = generate(SynthConfig(rng_seed=1), 5)
-    assert result.label_for(Date(2015, 2, 15)) in (SUNNY, CLOUDY)
-    with pytest.raises(KeyError):
-        result.label_for(Date(1999, 1, 1))
+    for day, label in zip(result.series.days, result.labels):
+        assert result.label_for(day.date) == label
+    for outside in (Date(1999, 1, 1), Date(2015, 2, 14), Date(2015, 2, 20)):
+        with pytest.raises(KeyError, match=f"date {outside.isoformat()} not generated"):
+            result.label_for(outside)
 
 
 def test_labels_csv_round_trip():
