@@ -152,8 +152,9 @@ def tune_knn(
     `knn.forecast_days` forecasts of the model `knn.fit` would build on the
     train split, computed without building it: one `knn.day_table` between
     the days the tune contexts read and the train days (the pool of every
-    fitted depth) gives each depth's `knn.context_distances`, and
-    `knn.blend_nearest` turns them into forecasts for each neighbor count.
+    fitted depth) gives each depth's `knn.context_distances`, ranked once
+    by `knn.rank_nearest`, and `knn.blend_nearest` turns them into
+    forecasts for each neighbor count.
     A cell is None when the train split is shorter than
     `KnnConfig.min_training_days`. The per-axis tables hold the best
     (minimum) cell in each row or column. The winning cell is the `winner`
@@ -177,13 +178,15 @@ def tune_knn(
     start = tune.first_index - full.first_index
     rows = full.power[start - deepest : start + tune.num_days - 1]
     table = knn.day_table(rows, train.power)
-    distances = {}
+    ranked = {}  # depth -> its context distances and their ranking
     for depth, neighbors in trainable:
-        if depth not in distances:
-            distances[depth] = knn.context_distances(
+        if depth not in ranked:
+            distances = knn.context_distances(
                 table[deepest - depth :], depth, train.num_days - depth
             )
-        forecasts = knn.blend_nearest(distances[depth], train.power[depth:], neighbors)
+            ranked[depth] = distances, knn.rank_nearest(distances)
+        distances, order = ranked[depth]
+        forecasts = knn.blend_nearest(distances, train.power[depth:], neighbors, order)
         cells[depth, neighbors] = _mean(daily_rmse(forecasts, tune.power).tolist())
     # with no trainable cell there is no winner, and TuneGrid raises
     best = winner(cells) if trainable else (None, None)

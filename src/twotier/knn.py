@@ -167,14 +167,25 @@ def _weights(sorted_distances: np.ndarray) -> np.ndarray:
     return weights
 
 
-def blend_nearest(distances: np.ndarray, targets: np.ndarray, neighbors: int) -> np.ndarray:
+def rank_nearest(distances: np.ndarray) -> np.ndarray:
+    """Each row's pair positions, nearest first, ties broken by earlier
+    pair (stable sort over chronologically stored pairs)."""
+    return np.argsort(distances, axis=1, kind="stable")
+
+
+def blend_nearest(
+    distances: np.ndarray, targets: np.ndarray, neighbors: int, order: np.ndarray | None = None
+) -> np.ndarray:
     """One forecast per row of a (queries, pairs) distance array.
 
-    Each row's distances are ranked ascending with ties broken by earlier
-    pair (stable sort over chronologically stored pairs); the `neighbors`
-    nearest targets are blended by normalized `neighbor_weights`.
+    Each row's distances are ranked by `rank_nearest`; the `neighbors`
+    nearest targets are blended by normalized `neighbor_weights`. `order`
+    is that ranking when the caller already holds it, so several neighbor
+    counts can read one sort.
     """
-    order = np.argsort(distances, axis=1, kind="stable")[:, : neighbors + 1]
+    if order is None:
+        order = rank_nearest(distances)
+    order = order[:, : neighbors + 1]
     weights = _weights(np.take_along_axis(distances, order, axis=1))
     nearest = targets[order[:, :neighbors]]
     blend = np.matmul(weights[:, np.newaxis, :], nearest)[:, 0, :]

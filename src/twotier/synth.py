@@ -27,7 +27,7 @@ import numpy as np
 
 from .rng import SplitMix64
 from .errors import MalformedRow
-from .timeseries import SamplingGrid, SolarSeries, read_text
+from .timeseries import MAX_POWER_W, SamplingGrid, SolarSeries, read_text
 
 SUNNY = "sunny"
 CLOUDY = "cloudy"
@@ -36,8 +36,6 @@ CLOUDY = "cloudy"
 # spell, and the much smaller step between segment knots within one day.
 LEVEL_STEP = 0.2
 SEGMENT_STEP = 0.05
-# generate rounds samples to 1e-6 W, which overflows above about 1.8e302 W
-MAX_PEAK_POWER_W = 1e302
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,8 @@ class SynthConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
-        if not 0 < self.peak_power_w <= MAX_PEAK_POWER_W:  # NaN fails too
-            raise ValueError(f"peak_power_w must be in (0, {MAX_PEAK_POWER_W:g}]")
+        if not 0 < self.peak_power_w <= MAX_POWER_W:  # NaN fails too
+            raise ValueError(f"peak_power_w must be in (0, {MAX_POWER_W:g}]")
         if not 0 <= self.sunrise_sample < self.sunset_sample:
             raise ValueError("need 0 <= sunrise_sample < sunset_sample")
         if not 0.0 <= self.cloudiness <= 1.0:

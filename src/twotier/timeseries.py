@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import IO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInput,
@@ -39,6 +40,9 @@ CSV_HEADER = "timestamp,power_w"
 # Readings in [-1 W, 0) are sensor noise and clamp to zero; below that the
 # row is rejected as physically impossible.
 NEGATIVE_POWER_TOLERANCE_W = 1.0
+# The largest reading accepted. Squared sums of a day's differences (k-NN
+# distances, RMSE) stay far from overflow below it, even on a 1 s grid.
+MAX_POWER_W = 1e12
 
 
 def _freeze(values) -> np.ndarray:
@@ -236,11 +240,15 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     not UTF-8 raise MalformedRow. Only complete days are accepted:
     a day inside the covered date span with any slot missing (or never
     present at all) raises IncompleteDay naming that date. Readings in
-    [-1 W, 0) clamp to zero; anything below -1 W raises NegativePower.
+    [-1 W, 0) clamp to zero; anything below -1 W raises NegativePower,
+    and anything above MAX_POWER_W raises MalformedRow.
     A header with no data rows raises EmptyInput.
 
-    Text in `export_csv`'s exact form is read a whole day at a time; any
-    other text goes through the per-line parser, with the same result.
+    Text in `export_csv`'s exact form (ASCII, LF line ends, every row's
+    20-character `YYYY-MM-DDTHH:MM:SS,` prefix naming the next slot in
+    order, every value in range) is checked and parsed as one byte array;
+    any other text goes through the per-line parser, with the same result
+    or the same error.
     """
     text = read_text(source, MalformedRow)
     series = _ingest_canonical(text, grid)
@@ -250,7 +258,11 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
 def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     """The series of `text` when it is in `export_csv`'s exact form and
     every value is accepted, else None. Where it returns a series,
-    `_ingest_lines` returns an equal one."""
+    `_ingest_lines` returns an equal one.
+
+    Each of the 20 prefix columns is compared, for every row at once,
+    with the (days x slots) bytes the row must hold there; the rest of
+    each row is parsed by Python's `float`, as `_ingest_lines` does."""
     head = CSV_HEADER + "\n"
     rows = text.count("\n") - 1
     m = grid.samples_per_day
@@ -273,28 +285,56 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     if start.toordinal() + num_days - 1 > Date.max.toordinal():
         return None
 
-    lines = text[len(head) : -1].split("\n")
-    clock = _clock(grid)
-    power = np.empty((num_days, m))
-    for offset in range(num_days):
-        day = Date.fromordinal(start.toordinal() + offset).isoformat()
-        chunk = lines[offset * m : (offset + 1) * m]
-        if [line[:20] for line in chunk] != [day + time for time in clock]:
-            return None
-        values = [line[20:] for line in chunk]
-        try:
-            power[offset] = np.fromiter(map(float, values), float, m)
-        except ValueError:
-            return None
-    if not np.isfinite(power).all() or (power < -NEGATIVE_POWER_TOLERANCE_W).any():
+    values = _value_column(text, len(head), start, (num_days, m), grid)
+    if values is None:
         return None
+    try:
+        power = np.array(values.split("\n"), dtype=float).reshape(num_days, m)
+    except ValueError:
+        return None
+    if not ((power >= -NEGATIVE_POWER_TOLERANCE_W) & (power <= MAX_POWER_W)).all():
+        return None  # NaN fails too
     power[power < 0] = 0.0  # keeps -0.0, as max(-0.0, 0.0) does
     return SolarSeries(grid, power, start)
 
 
+_PREFIX = 20  # len("YYYY-MM-DDTHH:MM:SS,"): a canonical row's date and clock
+
+
+def _value_column(
+    text: str, skip: int, start: Date, shape: tuple[int, int], grid: SamplingGrid
+) -> str | None:
+    """The values of the ASCII `text`'s rows after its first `skip`
+    characters, joined by "\n", if each row starts with the prefix of its
+    slot in a (days, slots) `shape` block dated from `start`; else None.
+    Its byte arrays are freed on return, before the caller splits."""
+    num_days, m = shape
+    dates = "".join(
+        Date.fromordinal(start.toordinal() + offset).isoformat() for offset in range(num_days)
+    )
+    days = np.frombuffer(dates.encode("ascii"), np.uint8).reshape(num_days, 1, 10)
+    clock = np.frombuffer("".join(_clock(grid)).encode("ascii"), np.uint8).reshape(m, 10)
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = ends[:-1] + 1
+    if (ends[1:] - starts).min() < _PREFIX:
+        return None  # a row too short to hold its prefix
+    # Every row's prefix bytes as one (days, slots, 20) block, gathered
+    # through a window view: an index array of them would take 8x the bytes.
+    prefixes = sliding_window_view(data, _PREFIX)[starts].reshape(*shape, _PREFIX)
+    if (prefixes[..., :10] != days).any() or (prefixes[..., 10:] != clock).any():
+        return None
+    del prefixes  # freed before the value bytes are copied out
+    keep = np.ones(len(data), bool)
+    keep[:skip] = False
+    # every window written holds the same False, so their overlap is harmless
+    sliding_window_view(keep, _PREFIX, writeable=True)[starts] = False
+    return data[keep][:-1].tobytes().decode("ascii")
+
+
 def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
     """`ingest_csv` one line at a time: the path for every input, and the
-    reference that the whole-day path must agree with."""
+    reference that the whole-file path must agree with."""
     text_lines = text.splitlines()
 
     step = grid.sample_interval_seconds
@@ -326,6 +366,10 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
             ) from None
         if not math.isfinite(power):
             raise MalformedRow(f"line {line_no}: non-finite power {parts[1]!r}")
+        if power > MAX_POWER_W:
+            raise MalformedRow(
+                f"line {line_no}: power {parts[1]!r} above the {MAX_POWER_W:g} W limit"
+            )
 
         second_of_day = stamp.hour * 3600 + stamp.minute * 60 + stamp.second
         if stamp.microsecond != 0 or second_of_day % step != 0:
@@ -368,7 +412,7 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
 def export_csv(series: SolarSeries, sink: IO) -> None:
     """Write the mirror of `ingest_csv`: power values round-trip bit-exactly
     (shortest decimal representation that reparses to the same double).
-    This exact form is the one `ingest_csv` reads a whole day at a time."""
+    This exact form is the one `ingest_csv` reads as one byte array."""
     sink.write(CSV_HEADER + "\n")
     clock = _clock(series.grid)
     for offset, row in enumerate(series.power):

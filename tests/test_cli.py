@@ -7,6 +7,7 @@ import re
 import shlex
 import shutil
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,27 @@ class TestIngest:
         assert cli.main(["ingest", "--data", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {bad} is not UTF-8 text: byte 38 is invalid\n"
+
+    @pytest.mark.parametrize("command", ["tune", "train", "evaluate"])
+    def test_power_above_the_limit_exit_3(self, pipeline, tmp_path, capsys, command):
+        """A reading above MAX_POWER_W is a data error naming its line, not
+        a numpy warning: at 1e160 W the squared k-NN distances overflowed."""
+        lines = pipeline["data"].read_text().splitlines()
+        lines[50] = lines[50].split(",")[0] + ",1e13"
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        extra = {
+            "tune": ["--knn-only", "--out", str(tmp_path / "tuned.cfg")],
+            "train": ["--out", str(tmp_path / "models")],
+            "evaluate": ["--models", str(pipeline["models"]),
+                         "--out", str(tmp_path / "report.csv")],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--data", str(data), *extra]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        check_one_error_line(capsys, "line 51: power '1e13' above the 1e+12 W limit")
+        assert [path.name for path in tmp_path.iterdir()] == ["huge.csv"]
 
 
 class TestTrain:

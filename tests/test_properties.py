@@ -27,6 +27,7 @@ from twotier.errors import (  # noqa: E402
 from twotier.rng import SplitMix64  # noqa: E402
 from twotier.timeseries import (  # noqa: E402
     CSV_HEADER,
+    MAX_POWER_W,
     SamplingGrid,
     SolarSeries,
     _ingest_canonical,
@@ -42,6 +43,8 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# the readings ingest accepts, -0.0 included
+readings = st.floats(min_value=-0.0, max_value=MAX_POWER_W)
 
 
 @st.composite
@@ -233,7 +236,7 @@ def solar_series(draw, min_days=1, max_days=8, elements=non_negative):
 
 
 @PROPERTY
-@given(solar_series(elements=st.floats(min_value=-0.0, allow_infinity=False)))
+@given(solar_series(elements=readings))
 def test_export_ingest_round_trip_is_bit_exact(series):
     sink = io.StringIO()
     export_csv(series, sink)
@@ -261,11 +264,13 @@ def test_export_matches_per_sample_writer(series):
     assert fast.getvalue() == reference.getvalue()
 
 
-# Values that a whole-day reader could get wrong: line breaks and
+# Values that a whole-file reader could get wrong: line breaks and
 # whitespace `float` or `str.splitlines` treat specially, forms only
-# Python's `float` accepts, the clamp and rejection bounds, non-finite.
+# Python's `float` accepts, the clamp and rejection bounds, non-finite,
+# a second comma and an empty value.
 NAMED_VALUES = ["\r1.5", "\x0b1.5", "\x851.5", " 1.5", "1_0", "+1.5", "-0.0",
-                "-0.5", "-1.5", "nan", "inf", "1e400"]
+                "-0.5", "-1.5", "nan", "inf", "1e400", "1e12", "1.0000000000000002e12",
+                "1,5", ""]
 
 
 def ingest_outcome(parse, text, grid):
@@ -287,7 +292,7 @@ def canonical_series(draw):
     start = draw(st.one_of(
         st.just(Date.min), st.just(last_start), st.dates(max_value=last_start)
     ))
-    power = draw(arrays(float, (days, grid.samples_per_day), elements=non_negative))
+    power = draw(arrays(float, (days, grid.samples_per_day), elements=readings))
     return SolarSeries(grid, power, start)
 
 
@@ -312,6 +317,23 @@ def swap_lines(text, i, j):
 def delete_line(text, i):
     lines = text.split("\n")
     del lines[i]
+    return "\n".join(lines)
+
+
+def replace_char(text, line, column, char=None):
+    """`text` with the character at `column` of line `line` replaced by
+    `char`, by default by the next ASCII character."""
+    lines = text.split("\n")
+    row = lines[line]
+    lines[line] = row[:column] + (char or chr(ord(row[column]) + 1)) + row[column + 1:]
+    return "\n".join(lines)
+
+
+def move_comma(text):
+    """Row 1 without its comma, row 2 with a second one."""
+    lines = text.split("\n")
+    lines[1] = lines[1].replace(",", "")
+    lines[2] += ",0"
     return "\n".join(lines)
 
 
@@ -383,7 +405,15 @@ LINE_EDITS = {
     "BOM": lambda text: "\ufeff" + text,
     "space before the first row": lambda text: text.replace("\n", "\n ", 1),
     "tab after the last value": lambda text: text[:-1] + "\t\n",
+    "space for the T of the last row": lambda text: replace_char(text, -2, 10, " "),
+    "no comma in row 1, two in row 2": move_comma,
 }
+# One byte of the last row's `YYYY-MM-DDTHH:MM:SS,` prefix changed.
+LINE_EDITS.update({
+    f"next byte in prefix column {column}":
+        lambda text, column=column: replace_char(text, -2, column)
+    for column in range(20)
+})
 
 
 @pytest.mark.parametrize("edit", LINE_EDITS)

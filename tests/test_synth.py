@@ -16,19 +16,23 @@ from twotier.synth import (
     read_labels_csv,
     write_labels_csv,
 )
-from twotier.timeseries import SamplingGrid
+from twotier.timeseries import MAX_POWER_W, SamplingGrid, export_csv, ingest_csv
 
 
-@pytest.mark.parametrize("peak", [1e303, 1e308])
+@pytest.mark.parametrize("peak", [1e303, 1e308, np.nextafter(MAX_POWER_W, np.inf)])
 def test_peak_power_past_the_rounding_limit_rejected(peak):
-    # generate rounds samples to 1e-6 W, which overflows above ~1.8e302 W
+    # the bound is the largest reading ingest accepts, far below the
+    # ~1.8e302 W where rounding samples to 1e-6 W overflows
     with pytest.raises(ValueError, match="peak_power_w"):
         SynthConfig(peak_power_w=peak)
 
 
 def test_largest_peak_power_generates_finite_days():
-    days = generate(SynthConfig(peak_power_w=1e302, cloudiness=0.5), 4).series.power
-    assert np.all(np.isfinite(days)) and days.max() <= 1e302
+    series = generate(SynthConfig(peak_power_w=MAX_POWER_W, cloudiness=0.5), 4).series
+    assert np.all(np.isfinite(series.power)) and series.power.max() <= MAX_POWER_W
+    sink = io.StringIO()
+    export_csv(series, sink)
+    assert ingest_csv(sink.getvalue(), series.grid).power.tobytes() == series.power.tobytes()
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from datetime import date as Date
 
 import numpy as np
@@ -16,10 +17,14 @@ from twotier.errors import (
     NegativePower,
     TooFewDays,
 )
+from twotier.synth import SynthConfig, generate
 from twotier.timeseries import (
+    MAX_POWER_W,
     DayProfile,
     SamplingGrid,
     SolarSeries,
+    _ingest_canonical,
+    _ingest_lines,
     day_context,
     export_csv,
     ingest_csv,
@@ -193,6 +198,12 @@ class TestIngest:
         assert series.num_days == 1
         assert ingest_csv(text.encode(), SamplingGrid()).num_days == 1
 
+    def test_power_above_the_limit_names_the_line(self):
+        text = csv_for([[0.0] * 95 + [MAX_POWER_W]]).replace("1000000000000.0\n", "1e13\n")
+        with pytest.raises(MalformedRow) as err:
+            ingest_csv(text, SamplingGrid())
+        assert str(err.value) == "line 97: power '1e13' above the 1e+12 W limit"
+
     def test_non_utf8_bytes_name_the_offset(self):
         # the header and timestamp take bytes 0-37, so byte 38 is 0xff
         data = b"timestamp,power_w\n2015-02-15T00:00:00,\xff\n"
@@ -200,6 +211,37 @@ class TestIngest:
             with pytest.raises(MalformedRow) as err:
                 ingest_csv(source, SamplingGrid())
             assert str(err.value) == "input is not UTF-8 text: byte 38 is invalid"
+
+
+@pytest.fixture(scope="module")
+def year_text():
+    """The export of `synth --days 365` at the default seed."""
+    sink = io.StringIO()
+    export_csv(generate(SynthConfig(), 365).series, sink)
+    return sink.getvalue()
+
+
+def test_year_export_takes_the_whole_file_path(year_text):
+    # the benchmark's input: a silent fallback to the per-line parser
+    # would still pass every output check
+    fast = _ingest_canonical(year_text, SamplingGrid())
+    assert fast is not None
+    reference = _ingest_lines(year_text, SamplingGrid())
+    assert fast.power.tobytes() == reference.power.tobytes()
+    assert (fast.start, fast.num_days) == (reference.start, 365)
+
+
+def test_year_ingest_peak_memory_at_most_eight_times_the_text(year_text):
+    # the per-day reader peaked at 4.0x; an index array of every row's
+    # 20 prefix columns would take about 12x
+    ingest_csv(year_text, SamplingGrid())  # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        ingest_csv(year_text, SamplingGrid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(year_text)
 
 
 def test_export_ingest_identity():
