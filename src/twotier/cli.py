@@ -19,7 +19,9 @@ from datetime import date as Date, timedelta
 from pathlib import Path
 
 from . import correction, evaluation, knn, nn, persistence, synth
-from .config import _FIELD_TYPES, RunConfig, apply_overrides, parse_config, render_config
+from .config import (
+    KEY_TYPES, READERS, RunConfig, apply_overrides, parse_config, render_config
+)
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -53,13 +55,11 @@ _EXIT_CODES = (
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
     defaults = RunConfig()
-    for key, kind in _FIELD_TYPES.items():
-        flag = "--" + key.replace("_", "-")
-        reader = Date.fromisoformat if kind is Date else kind
+    for key, kind in KEY_TYPES.items():
         group.add_argument(
-            flag,
+            "--" + key.replace("_", "-"),
             dest=key,
-            type=reader,
+            type=READERS[kind][0],
             default=None,
             metavar=kind.__name__.upper(),
             help=f"default {getattr(defaults, key)}",
@@ -70,7 +70,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
         config = parse_config(Path(args.config).read_text(encoding="utf-8"), config)
-    overrides = {key: getattr(args, key) for key in _FIELD_TYPES}
+    overrides = {key: getattr(args, key) for key in KEY_TYPES}
     return apply_overrides(config, overrides)
 
 

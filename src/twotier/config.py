@@ -8,7 +8,7 @@ default.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 
 from . import correction
@@ -19,32 +19,38 @@ from .synth import SynthConfig
 from .timeseries import SamplingGrid
 
 
-# the error for a malformed value of each key type
-_BAD_VALUE = {
-    int: "bad integer {!r}",
-    float: "bad number {!r}",
-    Date: "bad date {!r} (want YYYY-MM-DD)",
+# Each key type's reader, of config file values and CLI flags alike, and
+# the error for a config file value it rejects.
+READERS = {
+    int: (int, "bad integer {!r}"),
+    float: (float, "bad number {!r}"),
+    Date: (Date.fromisoformat, "bad date {!r} (want YYYY-MM-DD)"),
 }
 
+# The component fields whose key is not `<prefix><field>`.
+_RENAMED = {"rng_seed": "seed"}
 
-def _read_value(kind, text: str):
-    """A value of type kind from its config file text."""
+
+def _build(kind, prefix: str, config: RunConfig, **given):
+    """kind built from config's key for each of its init fields, or from
+    `given` for those it names; a rejected setting raises ConfigError."""
+    settings = {
+        f.name: getattr(config, _RENAMED.get(f.name, prefix + f.name))
+        for f in fields(kind) if f.init and f.name not in given
+    }
     try:
-        return Date.fromisoformat(text) if kind is Date else kind(text)
-    except ValueError:
-        raise ConfigError(_BAD_VALUE[kind].format(text)) from None
-
-
-def _build(kind, **settings):
-    """kind(**settings), a rejected setting raised as ConfigError."""
-    try:
-        return kind(**settings)
+        return kind(**settings, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every run setting. A component setting's key is `<prefix><field>`
+    (no prefix for the grid, `knn_`, `nn_`, `synth_`), except `seed`, the
+    NN's and the generator's `rng_seed`, and the generator's `cloud_depth`
+    pair, `synth_cloud_depth_low` / `synth_cloud_depth_high`."""
+
     sample_interval_seconds: int = SamplingGrid.sample_interval_seconds
     split_train: float = 0.6
     split_tune: float = 0.2
@@ -71,35 +77,17 @@ class RunConfig:
     synth_start_date: Date = SynthConfig.start_date
 
     def grid(self) -> SamplingGrid:
-        return _build(SamplingGrid, sample_interval_seconds=self.sample_interval_seconds)
+        return _build(SamplingGrid, "", self)
 
     def knn(self) -> KnnConfig:
-        return _build(KnnConfig, depth_days=self.knn_depth_days, neighbors=self.knn_neighbors)
+        return _build(KnnConfig, "knn_", self)
 
     def nn(self) -> NnConfig:
-        return _build(
-            NnConfig,
-            hidden_neurons=self.nn_hidden_neurons,
-            restarts=self.nn_restarts,
-            lm_initial_damping=self.nn_lm_initial_damping,
-            lm_damping_factor=self.nn_lm_damping_factor,
-            max_iterations=self.nn_max_iterations,
-            loss_tolerance=self.nn_loss_tolerance,
-            rng_seed=self.seed,
-        )
+        return _build(NnConfig, "nn_", self)
 
     def synth(self) -> SynthConfig:
-        return _build(
-            SynthConfig,
-            peak_power_w=self.synth_peak_power_w,
-            sunrise_sample=self.synth_sunrise_sample,
-            sunset_sample=self.synth_sunset_sample,
-            cloudiness=self.synth_cloudiness,
-            cloud_event_rate=self.synth_cloud_event_rate,
-            cloud_depth=(self.synth_cloud_depth_low, self.synth_cloud_depth_high),
-            start_date=self.synth_start_date,
-            rng_seed=self.seed,
-        )
+        cloud_depth = (self.synth_cloud_depth_low, self.synth_cloud_depth_high)
+        return _build(SynthConfig, "synth_", self, cloud_depth=cloud_depth)
 
     def correction_params(self) -> tuple[int, int]:
         """The correction window and harmonics, when the window can fit
@@ -120,7 +108,8 @@ class RunConfig:
         return window, harmonics
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
+# every key and its type, in the order of a config file
+KEY_TYPES = typing.get_type_hints(RunConfig)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -140,12 +129,13 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in KEY_TYPES:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        reader, bad = READERS[KEY_TYPES[key]]
         try:
-            updates[key] = _read_value(_FIELD_TYPES[key], value)
-        except ConfigError as exc:
-            raise ConfigError(f"line {line_no}: {key}: {exc}") from None
+            updates[key] = reader(value)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: {key}: {bad.format(value)}") from None
     return replace(config, **updates)
 
 
@@ -155,7 +145,7 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         updates[key] = value
     return replace(config, **updates)
@@ -164,13 +154,8 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
 def render_config(config: RunConfig) -> str:
     """Config file text that parses back to exactly this config."""
     lines = []
-    for name in _FIELD_TYPES:
-        value = getattr(config, name)
-        if isinstance(value, Date):
-            shown = value.isoformat()
-        elif isinstance(value, float):
-            shown = repr(value)
-        else:
-            shown = str(value)
-        lines.append(f"{name} = {shown}")
+    for key in KEY_TYPES:
+        value = getattr(config, key)
+        shown = value.isoformat() if isinstance(value, Date) else repr(value)
+        lines.append(f"{key} = {shown}")
     return "\n".join(lines) + "\n"

@@ -175,8 +175,7 @@ def tune_knn(
     # contexts read its rows from `deepest` days before the first tune day
     # up to the day before the last one.
     deepest = max((depth for depth, _ in trainable), default=0)
-    start = tune.first_index - full.first_index
-    rows = full.power[start - deepest : start + tune.num_days - 1]
+    rows = full.rows(range(tune.first_index - deepest, tune.last_index))
     table = knn.day_table(rows, train.power)
     ranked = {}  # depth -> its context distances and their ranking
     for depth, neighbors in trainable:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InsufficientTrainingDays, UnsortedDistances
-from .timeseries import SolarSeries, _freeze, require_history
+from .timeseries import MAX_POWER_W, SolarSeries, _freeze, require_history
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,9 @@ class KnnConfig:
 class KnnModel:
     """Stored training pairs: contexts (P, D*M) and targets (P, M), both
     in watts, rows in chronological order of the target day. A context
-    must split into D days of M slots. Both are read-only, copied unless
-    they already are read-only float arrays. `days` is the (N, M) day
+    must split into D days of M slots, and no value may exceed
+    MAX_POWER_W in magnitude. Both are read-only, copied unless they
+    already are read-only float arrays. `days` is the (N, M) day
     matrix of a `from_days` model, whose pairs are views of it, and None
     for a model built from its own pairs."""
 
@@ -77,8 +78,11 @@ class KnnModel:
                 f"need at least k+1 = {self.config.neighbors + 1} pairs, "
                 f"have {contexts.shape[0]}"
             )
-        if not (np.all(np.isfinite(contexts)) and np.all(np.isfinite(targets))):
-            raise ValueError("stored pairs must be finite")
+        # NaN and infinities fail the comparison too
+        if not all(np.all(np.abs(arr) <= MAX_POWER_W) for arr in (contexts, targets)):
+            raise ValueError(
+                f"stored pairs must be finite, at most {MAX_POWER_W:g} W in magnitude"
+            )
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "targets", targets)
 

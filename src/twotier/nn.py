@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GridMismatch, InsufficientTrainingDays, SingularStep
 from .rng import SplitMix64, derive_seed
-from .timeseries import DayProfile, SolarSeries, require_history
+from .timeseries import MAX_POWER_W, DayProfile, SolarSeries, require_history
 
 INPUT_WIDTH = 2
 DAMPING_CAP = 1e10
@@ -99,8 +99,8 @@ class NnModel:
         if not (all(np.all(np.isfinite(w)) for w in weights.values())
                 and math.isfinite(self.output_bias)):
             raise ValueError("all weights must be finite")
-        if not (math.isfinite(self.scale_max) and self.scale_max > 0):
-            raise ValueError("scale_max must be positive and finite")
+        if not 0 < self.scale_max <= MAX_POWER_W:  # NaN fails too
+            raise ValueError(f"scale_max must be in (0, {MAX_POWER_W:g}]")
         if self.samples_per_day < 1:
             raise ValueError("samples_per_day must be >= 1")
         for name, arr in weights.items():

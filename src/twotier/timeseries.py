@@ -271,8 +271,6 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
         or rows % m
         or not text.startswith(head)
         or not text.endswith("\n")
-        # an early out: a canonical line has one comma, at column 19
-        or text.count(",") != rows + 1
         or not text.isascii()
         or any(char in text for char in _OTHER_LINE_BREAKS)
     ):

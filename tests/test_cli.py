@@ -579,6 +579,31 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, field, message", [
+        ("knn", "day", "stored pairs must be finite, at most 1e+12 W in magnitude"),
+        ("nn", "scale_max", "scale_max must be in (0, 1e+12]"),
+    ])
+    def test_model_value_above_the_power_limit_exit_3(self, pipeline, tmp_path, capsys,
+                                                      name, field, message):
+        """A model value above MAX_POWER_W is an unusable model file, not a
+        numpy warning: a 1e200 W k-NN day overflowed the distances."""
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        path = models / f"{name}{persistence.MODEL_SUFFIX}"
+        text = path.read_text()
+        old = next(line for line in text.splitlines() if line.startswith(field + " "))
+        values = old.split(" ")
+        values[-1] = "1e200"
+        path.write_text(replace_payload_line(text, old, " ".join(values)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["evaluate", "--models", str(models), "--data", str(pipeline["data"]),
+                             "--out", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        check_one_error_line(capsys, message)
+        assert not (tmp_path / "r.csv").exists()
+
     def test_non_utf8_model_exit_3(self, pipeline, tmp_path, capsys):
         models = tmp_path / "models"
         shutil.copytree(pipeline["models"], models)

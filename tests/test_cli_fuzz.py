@@ -8,7 +8,9 @@ in exit code 0, 2, 3, 4 or 5; argparse's own usage errors count as 2. No
 exception may escape, and every model file `train` writes must load. A
 successful `tune` on a drawn data set and split must write a tuned config
 whose values are the `best` ones it printed, and `tune --knn-only` a full
-grid report. Examples are derandomized, so a run is reproducible; widen
+grid report. A data set of readings anywhere in the accepted power range
+must tune, train and evaluate with exit code 0 and print only finite
+numbers. Examples are derandomized, so a run is reproducible; widen
 max_examples locally to search further.
 """
 
@@ -28,7 +30,7 @@ from conftest import make_series, printed_best, rendered, replace_payload_line  
 from twotier import cli, evaluation, knn, nn, persistence  # noqa: E402
 from twotier.config import RunConfig, parse_config, render_config  # noqa: E402
 from twotier.synth import SynthConfig, generate  # noqa: E402
-from twotier.timeseries import export_csv, split_chronological  # noqa: E402
+from twotier.timeseries import MAX_POWER_W, export_csv, split_chronological  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -387,3 +389,53 @@ def test_nn_tune_outcome_is_a_documented_exit_code_and_writes_its_winner(case):
                              RunConfig())
     assert tuned.nn_hidden_neurons in evaluation.DEFAULT_HIDDEN_CANDIDATES
     assert printed_best(out) == {"hidden_neurons": tuned.nn_hidden_neurons}
+
+
+@st.composite
+def full_range_data(draw):
+    """A 20-day, 3600 s data file of readings in [0, MAX_POWER_W]: noise
+    under a drawn peak, with a few drawn readings (the bounds among them)
+    in drawn slots."""
+    peak = draw(st.one_of(st.sampled_from([MAX_POWER_W, 1e6, 1.0, 0.0]),
+                          st.floats(min_value=0.0, max_value=MAX_POWER_W)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    rows = rng.uniform(0.0, peak, (DAYS, 24))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        slot = draw(st.integers(min_value=0, max_value=rows.size - 1))
+        rows.flat[slot] = draw(st.floats(min_value=0.0, max_value=MAX_POWER_W))
+    sink = io.StringIO()
+    export_csv(make_series(rows, interval_seconds=3600), sink)
+    return sink.getvalue()
+
+
+def printed_numbers(out):
+    """Every whitespace-separated token of out that reads as a float, a
+    trailing % dropped."""
+    numbers = []
+    for token in out.split():
+        try:
+            numbers.append(float(token.removesuffix("%")))
+        except ValueError:
+            pass
+    return numbers
+
+
+@settings(FUZZ, max_examples=25)
+@given(full_range_data())
+def test_every_accepted_power_range_tunes_trains_and_evaluates(data):
+    """Data anywhere in the accepted range runs the whole chain: each step
+    exits 0 and prints only finite numbers. The suite turns a numpy
+    warning, such as an overflow, into an error."""
+    grid = ["--sample-interval-seconds", "3600"]
+    steps = [
+        ["tune", "--knn-only", "--data", "data.csv", "--out", "tuned.cfg"],
+        ["train", "--data", "data.csv", "--out", "models",
+         "--nn-restarts", "1", "--nn-max-iterations", "3"],
+        ["evaluate", "--data", "data.csv", "--models", "models", "--out", "report.csv"],
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        for argv in steps:
+            code, out = run_in(Path(directory), argv + grid, {"data.csv": data})
+            assert code == 0, (argv, code)
+            assert all(np.isfinite(printed_numbers(out))), (argv, out)
+    assert "averaged RMSE" in out

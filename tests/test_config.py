@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_series
 from twotier import cli
-from twotier.config import RunConfig, apply_overrides, parse_config, render_config
+from twotier.config import KEY_TYPES, RunConfig, apply_overrides, parse_config, render_config
 from twotier.correction import DEFAULT_HARMONICS, DEFAULT_WINDOW
 from twotier.errors import ConfigError
 from twotier.knn import KnnConfig
@@ -133,6 +133,75 @@ def test_sub_config_construction():
     assert c.nn().rng_seed == 1
     assert c.synth().cloudiness == 0.55
     assert c.correction_params() == (8, 2)
+
+
+# A distinct, valid, non-default value of every key.
+DISTINCT = {
+    "sample_interval_seconds": 1800,
+    "split_train": 0.5,
+    "split_tune": 0.375,
+    "split_test": 0.125,
+    "knn_depth_days": 6,
+    "knn_neighbors": 4,
+    "nn_hidden_neurons": 7,
+    "nn_restarts": 9,
+    "nn_lm_initial_damping": 0.002,
+    "nn_lm_damping_factor": 12.5,
+    "nn_max_iterations": 150,
+    "nn_loss_tolerance": 3e-8,
+    "correction_window": 12,
+    "correction_harmonics": 3,
+    "seed": 77,
+    "synth_days": 30,
+    "synth_peak_power_w": 42000.0,
+    "synth_sunrise_sample": 13,
+    "synth_sunset_sample": 35,
+    "synth_cloudiness": 0.45,
+    "synth_cloud_event_rate": 2.5,
+    "synth_cloud_depth_low": 0.1,
+    "synth_cloud_depth_high": 0.6,
+    "synth_start_date": Date(2016, 3, 1),
+}
+# Each component config, its builder and the prefix of its keys.
+COMPONENTS = [
+    (SamplingGrid, RunConfig.grid, ""),
+    (KnnConfig, RunConfig.knn, "knn_"),
+    (NnConfig, RunConfig.nn, "nn_"),
+    (SynthConfig, RunConfig.synth, "synth_"),
+]
+# The component fields whose keys are not `<prefix><field>`.
+EXCEPTIONS = {
+    "rng_seed": ("seed",),
+    "cloud_depth": ("synth_cloud_depth_low", "synth_cloud_depth_high"),
+}
+# The keys that set no component field.
+RUN_KEYS = {"split_train", "split_tune", "split_test", "correction_window",
+            "correction_harmonics", "synth_days"}
+
+
+def test_every_key_sets_its_component_field():
+    assert list(DISTINCT) == list(KEY_TYPES)
+    assert len({repr(value) for value in DISTINCT.values()}) == len(DISTINCT)
+    defaults = RunConfig()
+    assert not [key for key, value in DISTINCT.items() if getattr(defaults, key) == value]
+    config = parse_config("".join(f"{key} = {value}\n" for key, value in DISTINCT.items()))
+    assert config == RunConfig(**DISTINCT)
+    assert parse_config(render_config(config)) == config
+    keyed = set()
+    for kind, build, prefix in COMPONENTS:
+        settings = {}
+        for field in dataclasses.fields(kind):
+            if not field.init:
+                continue
+            keys = EXCEPTIONS.get(field.name, (prefix + field.name,))
+            assert set(keys) <= set(DISTINCT), f"{kind.__name__}.{field.name} has no key"
+            values = tuple(DISTINCT[key] for key in keys)
+            settings[field.name] = values if len(keys) > 1 else values[0]
+            keyed.update(keys)
+        assert build(config) == kind(**settings)
+    assert keyed.isdisjoint(RUN_KEYS)
+    assert keyed | RUN_KEYS == set(KEY_TYPES)
+    assert config.correction_params() == (12, 3)
 
 
 @pytest.mark.parametrize("window, harmonics", [(4, 2), (0, 2), (8, 0)])

@@ -18,8 +18,11 @@ from twotier.errors import (
 from twotier.knn import KnnConfig, KnnModel, from_days, predict_day
 from twotier.nn import NnConfig, build, forward
 from twotier.persistence import load_model, render_model, save_model
+from twotier.timeseries import MAX_POWER_W
 
 DATA_DIR = Path(__file__).parent / "data"
+# the next float above MAX_POWER_W, the largest value a model file may hold
+ABOVE_MAX = float(np.nextafter(MAX_POWER_W, np.inf))
 
 
 def small_knn_model():
@@ -151,6 +154,16 @@ class TestIntegrity:
         with pytest.raises(InvariantViolation, match=r"^hidden_neurons must be in \[1, 64\]$"):
             load_model(rebuilt)
 
+    @pytest.mark.parametrize("value", [MAX_POWER_W, ABOVE_MAX, 1e200])
+    def test_nn_scale_max_at_most_the_power_limit(self, value):
+        text = rendered(build(NnConfig(hidden_neurons=2), seed=1, scale_max=35000.0))
+        rebuilt = replace_payload_line(text, "scale_max 35000.0", f"scale_max {value!r}")
+        if value <= MAX_POWER_W:
+            assert load_model(rebuilt).scale_max == value
+            return
+        with pytest.raises(InvariantViolation, match=r"^scale_max must be in \(0, 1e\+12\]$"):
+            load_model(rebuilt)
+
     def test_bad_setting_reported_before_truncated_days(self):
         text = render_model(small_fitted_model())
         payload = ["depth_days -2"] + text.splitlines()[4:-2]
@@ -270,6 +283,15 @@ class TestVersion2Integrity:
     def test_non_finite_day_value(self, value):
         text = replace_payload_line(render_model(small_fitted_model()), "day 0.5", f"day {value}")
         with pytest.raises(InvariantViolation, match="must be finite"):
+            load_model(text)
+
+    @pytest.mark.parametrize("value", [MAX_POWER_W, -MAX_POWER_W, ABOVE_MAX, -ABOVE_MAX, 1e200])
+    def test_day_value_at_most_the_power_limit(self, value):
+        text = replace_payload_line(render_model(small_fitted_model()), "day 0.5", f"day {value!r}")
+        if abs(value) <= MAX_POWER_W:
+            assert load_model(text).days[3, 0] == value
+            return
+        with pytest.raises(InvariantViolation, match="must be finite, at most 1e\\+12 W"):
             load_model(text)
 
     def test_fewer_days_than_depth_and_neighbors_need(self):

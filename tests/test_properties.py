@@ -45,6 +45,9 @@ non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # the readings ingest accepts, -0.0 included
 readings = st.floats(min_value=-0.0, max_value=MAX_POWER_W)
+# the k-NN values and NN scales a model file may hold
+model_values = st.floats(min_value=-MAX_POWER_W, max_value=MAX_POWER_W)
+model_scales = st.floats(min_value=0.0, exclude_min=True, max_value=MAX_POWER_W)
 
 
 @st.composite
@@ -134,8 +137,8 @@ def knn_models(draw):
     per_day = draw(st.integers(min_value=1, max_value=4))
     return knn.KnnModel(
         config=knn.KnnConfig(depth_days=depth, neighbors=neighbors),
-        contexts=draw(arrays(float, (pairs, depth * per_day), elements=finite)),
-        targets=draw(arrays(float, (pairs, per_day), elements=finite)),
+        contexts=draw(arrays(float, (pairs, depth * per_day), elements=model_values)),
+        targets=draw(arrays(float, (pairs, per_day), elements=model_values)),
     )
 
 
@@ -158,7 +161,7 @@ def nn_models(draw):
         hidden_biases=draw(arrays(float, hidden, elements=finite)),
         output_weights=draw(arrays(float, hidden, elements=finite)),
         output_bias=draw(finite),
-        scale_max=draw(positive),
+        scale_max=draw(model_scales),
         samples_per_day=draw(st.integers(min_value=1, max_value=1440)),
         config=config,
     )
@@ -461,7 +464,7 @@ def test_day_context_concatenates_day_rows(case):
 def knn_fit_cases(draw):
     depth = draw(st.integers(min_value=1, max_value=4))
     neighbors = draw(st.integers(min_value=2, max_value=3))
-    series = draw(solar_series(min_days=depth + neighbors + 1, max_days=12))
+    series = draw(solar_series(min_days=depth + neighbors + 1, max_days=12, elements=readings))
     return series, knn.KnnConfig(depth_days=depth, neighbors=neighbors)
 
 
@@ -668,11 +671,11 @@ def saved_models(draw):
     if kind == "nn":
         config = nn.NnConfig(hidden_neurons=draw(st.integers(1, 8)))
         return kind, nn.build(config, draw(st.integers(0, 2**64 - 1)),
-                              draw(st.integers(1, 96)), draw(positive))
+                              draw(st.integers(1, 96)), draw(model_scales))
     depth = draw(st.integers(min_value=1, max_value=3))
     neighbors = draw(st.integers(min_value=2, max_value=3))
     count = draw(st.integers(depth + neighbors + 1, 8))
-    days = draw(arrays(float, (count, draw(st.integers(1, 3))), elements=finite))
+    days = draw(arrays(float, (count, draw(st.integers(1, 3))), elements=model_values))
     model = knn.from_days(knn.KnnConfig(depth, neighbors), days)
     if kind != "days":
         order = list(range(model.pair_count))
