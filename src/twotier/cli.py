@@ -69,13 +69,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
-        config = parse_config(Path(args.config).read_text(encoding="utf-8"), config)
+        config = parse_config(_read_utf8(Path(args.config), ConfigError), config)
     overrides = {key: getattr(args, key) for key in KEY_TYPES}
     return apply_overrides(config, overrides)
 
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
-    """The text of a data or model file; undecodable bytes raise error."""
+    """The text of a data, model or config file; bad bytes raise error."""
     return read_text(path.read_bytes(), error, str(path))
 
 

@@ -76,17 +76,6 @@ class DfsFit:
         )
 
 
-def residual(global_forecast, measured) -> np.ndarray:
-    """Global-tier forecast minus measured power, elementwise."""
-    g = np.asarray(global_forecast, dtype=float)
-    m = np.asarray(measured, dtype=float)
-    if g.shape != m.shape:
-        raise LengthMismatch(f"shape mismatch: {g.shape} vs {m.shape}")
-    if g.size == 0:
-        raise EmptyInput("no samples to difference")
-    return g - m
-
-
 def check_fit(window_length: int, harmonics: int) -> None:
     """Raise ValueError for a count below 1, Underdetermined when the
     2 * harmonics + 1 coefficients outnumber the window's samples."""

@@ -49,10 +49,6 @@ class InsufficientTrainingDays(TwoTierError):
     """Training series too short for the model configuration."""
 
 
-class UnsortedDistances(TwoTierError):
-    """Neighbor distances must be given in ascending order."""
-
-
 class DimensionMismatch(TwoTierError):
     """Query vector length differs from the stored context length."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, InsufficientTrainingDays, UnsortedDistances
+from .errors import DimensionMismatch, InsufficientTrainingDays
 from .timeseries import MAX_POWER_W, SolarSeries, _freeze, require_history
 
 
@@ -142,26 +142,15 @@ def _pairs(days: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return windows[: len(days) - depth], days[depth:]
 
 
-def neighbor_weights(sorted_distances) -> np.ndarray:
-    """Blend weights for the k nearest of k+1 ascending distances.
+def _weights(sorted_distances: np.ndarray) -> np.ndarray:
+    """Each row's blend weights for its k nearest of k+1 ascending distances.
 
     w(l) = (d(k+1) - d(l)) / (d(k+1) - d(1)), so the nearest neighbor gets
     weight 1 and the weights fall to 0 at the (k+1)-th distance. When all
     k+1 distances coincide the formula is 0/0; the natural limit is a
-    uniform blend, so every weight is 1.
+    uniform blend, so every weight is 1. Unchecked: `blend_nearest`
+    ranks the distances before they reach it.
     """
-    d = np.asarray(sorted_distances, dtype=float)
-    if d.ndim != 1 or d.size < 2:
-        raise ValueError("need at least two distances (k >= 1 plus one)")
-    if np.any(d < 0):
-        raise ValueError("distances must be non-negative")
-    if np.any(np.diff(d) < 0):
-        raise UnsortedDistances("distances must be in ascending order")
-    return _weights(d[np.newaxis])[0]
-
-
-def _weights(sorted_distances: np.ndarray) -> np.ndarray:
-    """`neighbor_weights` of each row of a (rows, k+1) array, unchecked."""
     k = sorted_distances.shape[1] - 1
     farthest = sorted_distances[:, k:]
     span = farthest - sorted_distances[:, :1]
@@ -183,7 +172,7 @@ def blend_nearest(
     """One forecast per row of a (queries, pairs) distance array.
 
     Each row's distances are ranked by `rank_nearest`; the `neighbors`
-    nearest targets are blended by normalized `neighbor_weights`. `order`
+    nearest targets are blended by normalized `_weights`. `order`
     is that ranking when the caller already holds it, so several neighbor
     counts can read one sort.
     """

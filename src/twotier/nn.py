@@ -109,11 +109,6 @@ class NnModel:
         object.__setattr__(self, "output_bias", float(self.output_bias))
 
     @property
-    def parameter_count(self) -> int:
-        # H*2 input weights + H hidden biases + H output weights + 1 bias
-        return 4 * self.config.hidden_neurons + 1
-
-    @property
     def history_days(self) -> int:
         """How many days before a forecast day its forecast reads: 2."""
         return INPUT_WIDTH

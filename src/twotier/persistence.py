@@ -239,11 +239,11 @@ def load_model(source):
     """Parse a model document: a str, bytes, or a text or binary stream.
 
     Bytes that are not UTF-8 raise MalformedModelFile. The checksum is
-    verified before any payload parsing; nothing is returned unless the
-    whole file validates.
+    verified, over the payload as read, before any payload parsing;
+    nothing is returned unless the whole file validates.
     """
-    lines = read_text(source, MalformedModelFile).splitlines()
-    scanner = _Scanner(lines)
+    text = read_text(source, MalformedModelFile)
+    scanner = _Scanner(text.splitlines())
 
     magic_line = scanner.next_line()
     head, _, version_text = magic_line.partition(" ")
@@ -259,7 +259,7 @@ def load_model(source):
         raise UnsupportedVersion(f"format version {version} (this build reads {readable})")
     kind = scanner.keyed("kind")
     stored_digest = scanner.keyed("sha256")
-    payload = "".join(line + "\n" for line in lines[scanner.pos :])
+    payload = "".join(text.split("\n", 3)[3:])  # every byte after line 3, as read
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     if digest != stored_digest:
         raise ChecksumMismatch(

@@ -146,6 +146,13 @@ class TestConfigHandling:
         cfg.write_text("sede = 5\n")
         assert cli.main(["synth", "--config", str(cfg)]) == 2
 
+    def test_non_utf8_config_file_exit_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffsynth_days = 3\n")
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg} is not UTF-8 text: byte 0 is invalid\n"
+        assert not (tmp_path / "d.csv").exists()
+
     def test_missing_config_file_exit_3(self, tmp_path):
         assert cli.main(["synth", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -617,6 +624,21 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {models / 'knn.htm-model'} is not UTF-8 text")
         assert err.count("\n") == 1
+
+    def test_crlf_model_exit_3(self, pipeline, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        path = models / "knn.htm-model"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        code = cli.main(
+            ["evaluate", "--models", str(models),
+             "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: payload hash ") and err.endswith(" does not match header\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
 
 
 def check_one_error_line(capsys, *parts):

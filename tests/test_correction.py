@@ -18,7 +18,6 @@ from twotier.correction import (
     ResidualWindow,
     design_matrix,
     fit_dfs,
-    residual,
     simulate_day,
     write_trace_csv,
 )
@@ -71,7 +70,7 @@ def reference_simulation(global_day, measured, n, L):
     """Per-slot replay: slot m + 1 is the global forecast minus the
     fit_dfs fit of the window ending at slot m, evaluated at position
     n + 1, clamped at zero."""
-    res = residual(global_day, measured)
+    res = np.asarray(global_day, dtype=float) - measured
     corrected = np.array(global_day, dtype=float)
     coefficients = np.full((corrected.size, 2 * L + 1), np.nan)
     for m in range(n - 1, corrected.size - 1):
@@ -85,21 +84,6 @@ def solar_like_day(rng):
     day = np.zeros(96)
     day[26:71] = rng.uniform(0.0, 35000.0, size=45)
     return day
-
-
-class TestResidual:
-    def test_identical(self):
-        assert residual(np.array([100.0]), np.array([100.0]))[0] == 0.0
-
-    def test_over_prediction_positive(self):
-        assert residual(np.array([120.0]), np.array([100.0]))[0] == 20.0
-
-    def test_under_prediction_negative(self):
-        assert residual(np.array([0.0]), np.array([50.0]))[0] == -50.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            residual(np.zeros(3), np.zeros(4))
 
 
 class TestDesignMatrix:

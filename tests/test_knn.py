@@ -13,14 +13,13 @@ from twotier.errors import (
     DimensionMismatch,
     InsufficientHistory,
     InsufficientTrainingDays,
-    UnsortedDistances,
 )
 from twotier.knn import (
     KnnConfig,
     KnnModel,
+    _weights,
     fit,
     forecast_days,
-    neighbor_weights,
     predict_day,
 )
 from twotier.timeseries import day_context
@@ -116,31 +115,32 @@ class TestFit:
         assert np.array_equal(model.targets[-1], rows[9])
 
 
+def weights_of(distances):
+    """`_weights` of one row of k+1 ascending distances."""
+    return _weights(np.array([distances], dtype=float))[0]
+
+
 class TestNeighborWeights:
     def test_hand_example_1_2_4(self):
-        w = neighbor_weights([1.0, 2.0, 4.0])
+        w = weights_of([1.0, 2.0, 4.0])
         assert w == pytest.approx([1.0, 2.0 / 3.0], abs=1e-12)
 
     def test_degenerate_all_equal(self):
-        assert list(neighbor_weights([3.0, 3.0, 3.0])) == [1.0, 1.0]
+        assert list(weights_of([3.0, 3.0, 3.0])) == [1.0, 1.0]
 
     def test_hand_example_0_5_10(self):
-        w = neighbor_weights([0.0, 5.0, 10.0])
+        w = weights_of([0.0, 5.0, 10.0])
         assert w == pytest.approx([1.0, 0.5], abs=1e-12)
 
     def test_first_weight_is_one_and_nonincreasing(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             dist = np.sort(rng.uniform(0, 100, size=rng.integers(3, 8)))
-            w = neighbor_weights(dist)
+            w = weights_of(dist)
             if dist[-1] > dist[0]:
                 assert w[0] == pytest.approx(1.0)
             assert np.all(np.diff(w) <= 1e-12)
             assert np.all((0 <= w) & (w <= 1))
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(UnsortedDistances):
-            neighbor_weights([5.0, 2.0, 9.0])
 
 
 class TestPredict:

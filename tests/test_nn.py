@@ -219,7 +219,7 @@ class TestBuild:
 
     def test_h6_has_25_parameters(self):
         model = build(NnConfig(hidden_neurons=6), seed=1)
-        assert model.parameter_count == 25
+        assert nn._params(model).size == 25
 
     def test_weights_in_init_range(self):
         model = build(NnConfig(hidden_neurons=32), seed=3)

@@ -1,5 +1,7 @@
-"""The package root and how its modules import."""
+"""The package root, how its modules import, and the names the benchmark
+tracer wraps."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +43,16 @@ def test_each_module_imports_alone():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{len(MODULES)}\n"
+
+
+def test_every_traced_function_resolves():
+    # perfbench/tracer.py wraps its targets by name only when a traced run
+    # installs it, so a renamed or removed function would pass everything
+    # else here; load it from its file and look each one up.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, home, attr, _ in tracer.TARGETS:
+        assert callable(getattr(home, attr, None)), f"{name}: {home.__name__}.{attr} is gone"

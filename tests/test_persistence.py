@@ -107,6 +107,15 @@ class TestIntegrity:
         with pytest.raises((MalformedModelFile, ChecksumMismatch)):
             load_model(io.StringIO(shortened))
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:-1],
+        lambda text: text.replace("\n", "\r\n"),
+    ], ids=["final-newline-dropped", "crlf"])
+    def test_digest_covers_the_payload_bytes_as_read(self, edit):
+        # the header still parses, but the payload bytes are not the ones hashed
+        with pytest.raises(ChecksumMismatch):
+            load_model(edit(render_model(small_fitted_model())))
+
     def test_unknown_kind(self):
         text = render_model(small_knn_model())
         with pytest.raises((MalformedModelFile, ChecksumMismatch)):

@@ -76,7 +76,7 @@ def test_corrected_values_never_negative(case):
 @PROPERTY
 @given(st.lists(non_negative, min_size=2, max_size=12).map(sorted))
 def test_neighbor_weights_normalized(distances):
-    weights = knn.neighbor_weights(distances)
+    weights = knn._weights(np.array([distances]))[0]
     assert weights.shape == (len(distances) - 1,)
     assert weights[0] == 1.0
     assert np.all((weights >= 0.0) & (weights <= 1.0))
