@@ -153,8 +153,9 @@ def tune_knn(
     train split, computed without building it: one `knn.day_table` between
     the days the tune contexts read and the train days (the pool of every
     fitted depth) gives each depth's `knn.context_distances`, ranked once
-    by `knn.rank_nearest`, and `knn.blend_nearest` turns them into
-    forecasts for each neighbor count.
+    by `knn.rank_nearest` (the k+1 nearest for the largest neighbor
+    count), and `knn.blend_nearest` turns them into forecasts for each
+    neighbor count.
     A cell is None when the train split is shorter than
     `KnnConfig.min_training_days`. The per-axis tables hold the best
     (minimum) cell in each row or column. The winning cell is the `winner`
@@ -177,13 +178,14 @@ def tune_knn(
     deepest = max((depth for depth, _ in trainable), default=0)
     rows = full.rows(range(tune.first_index - deepest, tune.last_index))
     table = knn.day_table(rows, train.power)
-    ranked = {}  # depth -> its context distances and their ranking
+    ranked = {}  # depth -> its context distances and their nearest pairs
+    nearest = max(neighbor_candidates) + 1
     for depth, neighbors in trainable:
         if depth not in ranked:
             distances = knn.context_distances(
                 table[deepest - depth :], depth, train.num_days - depth
             )
-            ranked[depth] = distances, knn.rank_nearest(distances)
+            ranked[depth] = distances, knn.rank_nearest(distances, nearest)
         distances, order = ranked[depth]
         forecasts = knn.blend_nearest(distances, train.power[depth:], neighbors, order)
         cells[depth, neighbors] = _mean(daily_rmse(forecasts, tune.power).tolist())

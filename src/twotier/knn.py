@@ -4,7 +4,9 @@ A query day is matched against stored (context, target) pairs, where the
 context is the concatenation of the D days preceding the target day. The
 k most similar contexts (Euclidean distance) are blended with weights
 that fall off linearly from the nearest match toward the (k+1)-th
-distance, then normalized to sum to one.
+distance, then normalized to sum to one. Each query's k+1 nearest
+contexts come from one selection (`rank_nearest`) with the stable tie
+rule: of equal distances the earlier pair ranks first.
 
 A fitted model is its training days: `from_days` keeps the (N, M) day
 matrix as `days`, and its N - D pairs are read-only views of that
@@ -160,10 +162,23 @@ def _weights(sorted_distances: np.ndarray) -> np.ndarray:
     return weights
 
 
-def rank_nearest(distances: np.ndarray) -> np.ndarray:
-    """Each row's pair positions, nearest first, ties broken by earlier
-    pair (stable sort over chronologically stored pairs)."""
-    return np.argsort(distances, axis=1, kind="stable")
+def rank_nearest(distances: np.ndarray, count: int) -> np.ndarray:
+    """Each row's first `count` pair positions (all of them when it has
+    fewer), nearest first, ties broken by earlier pair: the first `count`
+    columns of a stable argsort over chronologically stored pairs.
+
+    One selection finds each row's count-th smallest distance; only the
+    pairs not above it are sorted, by row and then distance. That sort
+    is stable and the candidates come in pair order, so a tie goes to the
+    earlier pair. NaN ranks last, as in argsort: it is never above a
+    bound, and a NaN bound keeps the whole row.
+    """
+    count = min(count, distances.shape[1])
+    bound = np.partition(distances, count - 1, axis=1)[:, count - 1 : count]
+    row, col = np.nonzero(~(distances > bound))
+    ranked = np.lexsort((distances[row, col], row))
+    starts = np.searchsorted(row, np.arange(len(distances)))
+    return col[ranked][starts[:, np.newaxis] + np.arange(count)]
 
 
 def blend_nearest(
@@ -171,13 +186,14 @@ def blend_nearest(
 ) -> np.ndarray:
     """One forecast per row of a (queries, pairs) distance array.
 
-    Each row's distances are ranked by `rank_nearest`; the `neighbors`
-    nearest targets are blended by normalized `_weights`. `order`
-    is that ranking when the caller already holds it, so several neighbor
-    counts can read one sort.
+    Each row's `neighbors` + 1 nearest pairs are selected by
+    `rank_nearest` (stable tie rule); the `neighbors` nearest targets are
+    blended by normalized `_weights`. `order` is that ranking, at least
+    `neighbors` + 1 columns wide, when the caller already holds it, so
+    several neighbor counts can read one selection.
     """
     if order is None:
-        order = rank_nearest(distances)
+        order = rank_nearest(distances, neighbors + 1)
     order = order[:, : neighbors + 1]
     weights = _weights(np.take_along_axis(distances, order, axis=1))
     nearest = targets[order[:, :neighbors]]

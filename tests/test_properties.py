@@ -598,9 +598,32 @@ def test_predict_day_bit_equal_to_single_query_expression(case):
     assert knn.predict_day(model, query).tobytes() == predict_day_reference(model, query).tobytes()
 
 
+@st.composite
+def tied_distances(draw):
+    """A (rows, pairs) distance array full of ties, and a count of 1 to
+    pairs + 2: small integers, inf and NaN, with some rows all one value."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    pairs = draw(st.integers(min_value=1, max_value=12))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, math.nan])
+    distances = draw(arrays(float, (rows, pairs), elements=values))
+    for row in draw(st.sets(st.integers(0, rows - 1))):
+        distances[row] = draw(values)
+    return distances, draw(st.integers(min_value=1, max_value=pairs + 2))
+
+
+@PROPERTY
+@given(tied_distances())
+def test_rank_nearest_equals_stable_argsort(case):
+    distances, count = case
+    want = np.argsort(distances, axis=1, kind="stable")[:, :count]
+    got = knn.rank_nearest(distances, count)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def tune_cells_reference(split, depths, neighbor_counts):
     """Per-cell tuning: fit each (D, k) model on the train split and
-    score `forecast_days` on the tune days."""
+    score `predict_day_reference`, which ranks by a full stable argsort,
+    on the tune days."""
     full = split.full_series()
     cells = {}
     for depth in depths:
@@ -610,8 +633,10 @@ def tune_cells_reference(split, depths, neighbor_counts):
             except InsufficientTrainingDays:
                 cells[depth, neighbors] = None
                 continue
-            tune_days = [day.day_index for day in split.tune.days]
-            forecasts = knn.forecast_days(model, full, tune_days)
+            forecasts = [
+                predict_day_reference(model, day_context(full, day.day_index, depth))
+                for day in split.tune.days
+            ]
             scores = [evaluation.rmse(f, a) for f, a in zip(forecasts, split.tune.power)]
             cells[depth, neighbors] = sum(scores) / len(scores)
     return cells
