@@ -87,29 +87,25 @@ def _split(config: RunConfig, series):
     return split_chronological(series, (config.split_train, config.split_tune, config.split_test))
 
 
-def _load_model(models_dir: str, name: str, expected):
-    path = Path(models_dir) / f"{name}{persistence.MODEL_SUFFIX}"
-    model = persistence.load_model(_read_utf8(path, persistence.MalformedModelFile))
-    if not isinstance(model, expected):
-        raise persistence.MalformedModelFile(
-            f"{path} does not contain a {name} model"
-        )
-    return model
-
-
-def _load_models(models_dir: str, grid):
-    """The k-NN and NN models of a directory, checked against the data grid."""
-    knn_model = _load_model(models_dir, "knn", knn.KnnModel)
-    nn_model = _load_model(models_dir, "nn", nn.NnModel)
-    knn_per_day = knn_model.samples_per_day
+def _load_models(models_dir: str, grid) -> dict:
+    """Each global tier's model of a directory, {label: model} in
+    `evaluation.GLOBAL_TIERS` order, checked against the data grid. The
+    file `<label>.htm-model` must hold a model of a class the tier's
+    module defines."""
+    models = {}
+    for label, tier in evaluation.GLOBAL_TIERS.items():
+        path = Path(models_dir) / f"{label}{persistence.MODEL_SUFFIX}"
+        models[label] = persistence.load_model(_read_utf8(path, persistence.MalformedModelFile))
+        if type(models[label]).__module__ != tier.__name__:
+            raise persistence.MalformedModelFile(f"{path} does not contain a {label} model")
     expected = grid.samples_per_day
-    if knn_per_day != expected or nn_model.samples_per_day != expected:
+    if any(model.samples_per_day != expected for model in models.values()):
         raise GridMismatch(
-            f"models in {models_dir} were trained at {knn_per_day} (k-NN) "
-            f"and {nn_model.samples_per_day} (NN) samples per day, but the "
+            f"models in {models_dir} were trained at {models['knn'].samples_per_day} "
+            f"(k-NN) and {models['nn'].samples_per_day} (NN) samples per day, but the "
             f"data has {expected} ({grid.sample_interval_seconds} s interval)"
         )
-    return knn_model, nn_model
+    return models
 
 
 def _check_out_dir(out_dir: Path) -> None:
@@ -224,14 +220,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _run_config(args)
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
-    knn_model, nn_model = _load_models(args.models, series.grid)
+    models = _load_models(args.models, series.grid)
     try:
         target = series.day_by_date(args.day)
     except KeyError:
         raise UnknownDate(f"{args.day.isoformat()} is not in {args.data}") from None
-    sims = evaluation.replay_days(
-        series, [target.day_index], knn_model, nn_model, window, harmonics
-    )
+    sims = evaluation.replay_days(series, [target.day_index], models, window, harmonics)
     report = evaluation.score_replay([args.day], sims)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,9 +247,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
-    knn_model, nn_model = _load_models(args.models, series.grid)
+    models = _load_models(args.models, series.grid)
     report = evaluation.compare_methods(
-        split.full_series(), split.test, knn_model, nn_model, window, harmonics
+        split.full_series(), split.test, *models.values(), window, harmonics
     )
     print(evaluation.render_report(report))
     with open(args.out, "w", encoding="utf-8", newline="\n") as sink:

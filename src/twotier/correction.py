@@ -77,12 +77,13 @@ class DfsFit:
 
 
 def check_fit(window_length: int, harmonics: int) -> None:
-    """Raise ValueError for a count below 1, Underdetermined when the
-    2 * harmonics + 1 coefficients outnumber the window's samples."""
+    """Raise ValueError for a window below 1 or harmonics below 0,
+    Underdetermined when the 2 * harmonics + 1 coefficients outnumber the
+    window's samples. With 0 harmonics the fit is the window's mean."""
     if window_length < 1:
         raise ValueError("window_length must be >= 1")
-    if harmonics < 1:
-        raise ValueError("harmonics must be >= 1")
+    if harmonics < 0:
+        raise ValueError("harmonics must be >= 0")
     cols = 2 * harmonics + 1
     if cols > window_length:
         raise Underdetermined(f"{cols} coefficients cannot be fit from {window_length} samples")
@@ -158,8 +159,10 @@ def simulate_day(
     row A[0] (the basis is n-periodic), so the correction is a fixed
     one-step FIR filter of the last n residuals followed by a clamp at
     zero. For n=8, L=2 the taps, oldest residual first, are
-    [0.625, 0.302, -0.125, -0.052, 0.125, -0.052, -0.125, 0.302].
+    [0.625, 0.302, -0.125, -0.052, 0.125, -0.052, -0.125, 0.302]; with
+    L=0 each tap is 1/n, so n=1 subtracts the last residual.
     """
+    check_fit(window_length, harmonics)
     g = np.array(global_day, dtype=float)
     y = np.array(measured_day, dtype=float)
     if g.shape != y.shape:

@@ -8,10 +8,10 @@ whose worst (largest) entry is normalized to 1, the convention used when
 the tables are printed. Comparison replays the test split with each
 method and reports per-day scores, averages, and relative improvements.
 
-Each model's `forecast_days` reads its `history_days` days before each
-day. `replay_days` is the one replay path: both global forecasts of a
-(days, slots) block, each corrected by the local tier. Comparison and
-`simulate` replay through it and score through `score_replay`.
+`replay_days` is the one replay path: each `GLOBAL_TIERS` module's
+`forecast_days` of a (days, slots) block, corrected by the local tier.
+Comparison and `simulate` replay through it and score through
+`score_replay`.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ from .errors import (
 )
 from .timeseries import DatasetSplit, SolarSeries, require_history
 
-METHOD_KNN = "knn"
-METHOD_NN = "nn"
-METHOD_KNN_LOCAL = "knn+local"
-METHOD_NN_LOCAL = "nn+local"
-METHOD_LABELS = (METHOD_KNN, METHOD_NN, METHOD_KNN_LOCAL, METHOD_NN_LOCAL)
-# each global tier and its two-tier counterpart, in report order
-TIERS = ((METHOD_KNN, METHOD_KNN_LOCAL), (METHOD_NN, METHOD_NN_LOCAL))
+# Each global tier's label, in report order, and the module whose
+# `forecast_days` forecasts a block of days with that tier's model. A
+# tier corrected by the local tier is reported as "<label>+local".
+GLOBAL_TIERS = {"knn": knn, "nn": nn}
 
 DEFAULT_DEPTH_CANDIDATES = tuple(range(1, 9))
 DEFAULT_NEIGHBOR_CANDIDATES = (2, 3, 4)
@@ -240,9 +237,10 @@ def tune_nn(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Scores for the four methods over the test days actually evaluated.
+    """Scores for each method over the test days actually evaluated.
 
-    per_day_rmse rows are (date, method label, rmse watts). Improvements
+    per_day_rmse rows are (date, method label, rmse watts), the methods
+    of a day in `averaged_rmse` order, which reports follow. Improvements
     compare each two-tier method against its own global tier; None means
     the baseline was below rounding level and the ratio is undefined.
     """
@@ -263,19 +261,18 @@ def improvement(baseline: float, improved: float, scale: float = 0.0):
 
 
 def replay_days(
-    series: SolarSeries, day_indices, knn_model: knn.KnnModel, nn_model: nn.NnModel,
+    series: SolarSeries, day_indices, models: dict,
     window_length: int = correction.DEFAULT_WINDOW,
     harmonics: int = correction.DEFAULT_HARMONICS,
 ) -> dict:
     """Replay days `day_indices` of `series` as one (days, slots) block
-    with both global tiers, each corrected by the local tier: {"knn":
-    DaySimulation, "nn": DaySimulation}. Raises InsufficientHistory when a
-    model lacks its history, UnknownDate when `series` lacks a day."""
+    with each model of the ordered {`GLOBAL_TIERS` label: model} `models`,
+    corrected by the local tier: {label: DaySimulation} in that order.
+    Raises InsufficientHistory when a model lacks its history,
+    UnknownDate when `series` lacks a day."""
     measured = series.rows(day_indices)
-    forecasts = {
-        METHOD_KNN: knn.forecast_days(knn_model, series, day_indices),
-        METHOD_NN: nn.forecast_days(nn_model, series, day_indices),
-    }
+    forecasts = {label: GLOBAL_TIERS[label].forecast_days(model, series, day_indices)
+                 for label, model in models.items()}
     return {
         label: correction.simulate_day(forecast, measured, window_length, harmonics)
         for label, forecast in forecasts.items()
@@ -283,21 +280,22 @@ def replay_days(
 
 
 def score_replay(dates, sims: dict, skipped=()) -> EvalReport:
-    """Score a `replay_days` block whose rows fall on `dates`: each
-    method's `daily_rmse` per day, its day average, and each two-tier
-    method's improvement over its global tier, on the scale of the
-    block's largest |measured| value. `skipped` passes through."""
-    scores = {}
-    for base, local in TIERS:
-        sim = sims[base]
-        scores[base] = daily_rmse(sim.global_w, sim.measured_w).tolist()
-        scores[local] = daily_rmse(sim.corrected_w, sim.measured_w).tolist()
-    averaged = {label: _mean(scores[label]) for label in METHOD_LABELS}
-    scale = np.abs(sims[METHOD_KNN].measured_w).max()
-    rows = [(day, label, scores[label][i]) for i, day in enumerate(dates)
-            for label in METHOD_LABELS]
+    """Score a `replay_days` block whose rows fall on `dates`: each tier's
+    and then each "<tier>+local" method's `daily_rmse` per day and day
+    average, in block order, and each two-tier method's improvement over
+    its tier on the scale of the largest |measured| value. `skipped`
+    passes through."""
+    tiers = {label: f"{label}+local" for label in sims}
+    scores = {label: daily_rmse(sim.global_w, sim.measured_w).tolist()
+              for label, sim in sims.items()}
+    for label, sim in sims.items():
+        scores[tiers[label]] = daily_rmse(sim.corrected_w, sim.measured_w).tolist()
+    averaged = {label: _mean(values) for label, values in scores.items()}
+    scale = np.abs(next(iter(sims.values())).measured_w).max()
+    rows = [(day, label, values[i]) for i, day in enumerate(dates)
+            for label, values in scores.items()]
     improvements = {(base, local): improvement(averaged[base], averaged[local], scale)
-                    for base, local in TIERS}
+                    for base, local in tiers.items()}
     return EvalReport(tuple(rows), averaged, improvements, tuple(skipped))
 
 
@@ -314,16 +312,17 @@ def compare_methods(
     window_length: int = correction.DEFAULT_WINDOW,
     harmonics: int = correction.DEFAULT_HARMONICS,
 ) -> EvalReport:
-    """Replay every test day with both global tiers and their two-tier
+    """Replay every test day with both `GLOBAL_TIERS` and their two-tier
     counterparts, as one block. Days without enough preceding history for
     either model are skipped and listed in the report with the reason."""
     if test.num_days == 0:
         raise EmptyInput("test split has no days")
+    models = dict(zip(GLOBAL_TIERS, (knn_model, nn_model)))
     days, dates, skipped = [], [], []
     for day in range(test.first_index, test.last_index + 1):
         date = full.start + timedelta(days=day - full.first_index)
         try:
-            for model in (knn_model, nn_model):
+            for model in models.values():
                 require_history(full, day, model.history_days)
         except InsufficientHistory as exc:
             skipped.append((date, str(exc)))
@@ -332,7 +331,7 @@ def compare_methods(
             dates.append(date)
     if not days:
         raise InsufficientHistory("every test day lacked usable history")
-    sims = replay_days(full, days, knn_model, nn_model, window_length, harmonics)
+    sims = replay_days(full, days, models, window_length, harmonics)
     return score_replay(dates, sims, skipped)
 
 
@@ -371,22 +370,22 @@ def write_grid_csv(grid: TuneGrid, sink) -> None:
 def render_report(report: EvalReport) -> str:
     lines = ["per-day RMSE (watts)"]
     dates = dict.fromkeys(day for day, _, _ in report.per_day_rmse)
-    width = max(len(label) for label in METHOD_LABELS)
+    width = max(len(label) for label in report.averaged_rmse)
     header = "date".ljust(10) + "  " + "  ".join(
-        label.rjust(max(width, 9)) for label in METHOD_LABELS
+        label.rjust(max(width, 9)) for label in report.averaged_rmse
     )
     lines.append(header)
     by_key = {(d, m): v for d, m, v in report.per_day_rmse}
     for day in dates:
         cells = "  ".join(
             f"{by_key[(day, label)]:.1f}".rjust(max(width, 9))
-            for label in METHOD_LABELS
+            for label in report.averaged_rmse
         )
         lines.append(f"{day.isoformat()}  {cells}")
     lines.append("")
     lines.append("averaged RMSE (watts)")
-    for label in METHOD_LABELS:
-        lines.append(f"  {label:<10} {report.averaged_rmse[label]:.1f}")
+    for label, value in report.averaged_rmse.items():
+        lines.append(f"  {label:<10} {value:.1f}")
     lines.append("")
     for (base, improved), pct in report.improvement_percent.items():
         lines.append(f"improvement {improved} vs {base}: {improvement_text(pct)}")
@@ -400,8 +399,8 @@ def write_report_csv(report: EvalReport, sink) -> None:
     writer.writerow(["date", "method", "rmse_w"])
     for day, method, value in report.per_day_rmse:
         writer.writerow([day.isoformat(), method, repr(value)])
-    for label in METHOD_LABELS:
-        writer.writerow(["average", label, repr(report.averaged_rmse[label])])
+    for label, value in report.averaged_rmse.items():
+        writer.writerow(["average", label, repr(value)])
     for (base, improved), pct in report.improvement_percent.items():
         writer.writerow(
             [

@@ -229,9 +229,13 @@ def context_distances(table: np.ndarray, depth: int, pairs: int, stride: int = 1
 
 
 def _distances(model: KnnModel, query_days: np.ndarray) -> np.ndarray:
-    """`context_distances` of every window of D consecutive `query_days`
-    to every stored context. The pool is `days` for a `from_days` model,
-    else each context's own D day slices."""
+    """`context_distances` of every window of D consecutive `query_days`,
+    bounded as stored pairs are so that every distance is finite, to every
+    stored context. The pool is `days` for a `from_days` model, else each
+    context's own D day slices."""
+    # NaN and infinities fail the comparison too
+    if not np.all(np.abs(query_days) <= MAX_POWER_W):
+        raise ValueError(f"query days must be finite, at most {MAX_POWER_W:g} W in magnitude")
     depth = model.config.depth_days
     if model.days is not None:
         pool, stride = model.days, 1

@@ -611,6 +611,20 @@ class TestEvaluate:
         check_one_error_line(capsys, message)
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_swapped_model_files_exit_3(self, pipeline, tmp_path, capsys, command):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name, other in (("knn", "nn"), ("nn", "knn")):
+            shutil.copy(pipeline["models"] / f"{other}.htm-model", models / f"{name}.htm-model")
+        day = ["--day", CLOUDY_DEMO_DAY] if command == "simulate" else []
+        code = cli.main([command, "--models", str(models), "--data", str(pipeline["data"]),
+                         *day, "--out", str(tmp_path / "out")])
+        assert code == 3
+        check_one_error_line(capsys, f"error: {models / 'knn.htm-model'} does not contain "
+                                     "a knn model")
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_model_exit_3(self, pipeline, tmp_path, capsys):
         models = tmp_path / "models"
         shutil.copytree(pipeline["models"], models)
@@ -666,6 +680,36 @@ def test_correction_window_as_long_as_a_day_exit_2(pipeline, tmp_path, capsys,
         assert not out.exists()
     else:
         assert out.exists()
+
+
+def test_correction_without_harmonics_on_the_default_set(pipeline, tmp_path, capsys):
+    """With L = 0 the local tier subtracts the mean of the last n
+    residuals, the last one at n = 1. On the default set both beat the
+    paper's n = 8, L = 2, and n = 1 beats n = 4; the global tiers do not
+    move. A trace then holds a0 alone."""
+    averages = {}
+    for window, harmonics in ((8, 2), (4, 0), (1, 0)):
+        argv = ["evaluate", "--correction-window", str(window),
+                "--correction-harmonics", str(harmonics), "--models", str(pipeline["models"]),
+                "--data", str(pipeline["data"]), "--out", str(tmp_path / f"r{window}.csv")]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("averaged RMSE (watts)") + 1
+        averages[window] = dict(line.split() for line in lines[start : start + 4])
+    assert averages == {
+        8: {"knn": "3691.4", "nn": "6223.9", "knn+local": "1366.5", "nn+local": "2727.8"},
+        4: {"knn": "3691.4", "nn": "6223.9", "knn+local": "596.3", "nn+local": "1390.7"},
+        1: {"knn": "3691.4", "nn": "6223.9", "knn+local": "255.8", "nn+local": "780.6"},
+    }
+    argv = ["simulate", "--correction-window", "1", "--correction-harmonics", "0",
+            "--models", str(pipeline["models"]), "--data", str(pipeline["data"]),
+            "--day", CLOUDY_DEMO_DAY, "--out", str(tmp_path / "traces")]
+    assert cli.main(argv) == 0
+    for label in ("knn", "nn"):
+        trace = (tmp_path / "traces" / f"trace-{label}-{CLOUDY_DEMO_DAY}.csv").read_text()
+        header, first, second, *_ = trace.splitlines()
+        assert header == "sample_index,global_w,measured_w,corrected_w,a0"
+        assert first.endswith(",") and not second.endswith(",")
 
 
 class TestNonFiniteSettings:

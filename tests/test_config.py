@@ -204,7 +204,7 @@ def test_every_key_sets_its_component_field():
     assert config.correction_params() == (12, 3)
 
 
-@pytest.mark.parametrize("window, harmonics", [(4, 2), (0, 2), (8, 0)])
+@pytest.mark.parametrize("window, harmonics", [(4, 2), (0, 2), (8, -1)])
 def test_correction_params_reject_what_correction_rejects(window, harmonics):
     c = apply_overrides(
         RunConfig(), {"correction_window": window, "correction_harmonics": harmonics}

@@ -103,7 +103,7 @@ class TestDesignMatrix:
             design_matrix(4, 2)
 
     def test_matches_oracle_matrix(self):
-        for n, L in ((8, 2), (8, 3), (12, 2), (5, 1)):
+        for n, L in ((8, 2), (8, 3), (12, 2), (5, 1), (4, 0), (1, 0)):
             assert np.allclose(design_matrix(n, L), oracle_design(n, L), atol=1e-14)
 
 
@@ -133,7 +133,7 @@ class TestFitDfs:
         rng = np.random.default_rng(32)
         vals = rng.uniform(-100, 100, 12)
         norms = []
-        for L in (1, 2, 3, 4, 5):
+        for L in (0, 1, 2, 3, 4, 5):
             fit = fit_dfs(window(vals), harmonics=L)
             F = oracle_design(12, L)
             norms.append(np.linalg.norm(F @ fit.coefficients - vals))
@@ -254,7 +254,7 @@ class TestSimulateDayBlock:
 
 
 class TestSimulateDayMatchesPerSlotReference:
-    @pytest.mark.parametrize("n, L", [(8, 2), (8, 3), (12, 2), (5, 1)])
+    @pytest.mark.parametrize("n, L", [(8, 2), (8, 3), (12, 2), (5, 1), (4, 0), (1, 0)])
     def test_random_days(self, n, L):
         rng = np.random.default_rng(1000 * n + L)
         for _ in range(20):
@@ -270,7 +270,7 @@ class TestSimulateDayMatchesPerSlotReference:
                 np.abs(sim.coefficients[fitted] - coefficients[fitted])
             ) <= 1e-9
 
-    @pytest.mark.parametrize("n, L", [(8, 2), (5, 1), (4, 2)])
+    @pytest.mark.parametrize("n, L", [(8, 2), (5, 1), (1, 0)])
     def test_day_no_longer_than_window_passes_through(self, n, L):
         rng = np.random.default_rng(77)
         for size in range(1, n + 1):
@@ -290,6 +290,25 @@ class TestSimulateDayMatchesPerSlotReference:
     def test_underdetermined_on_long_day(self):
         with pytest.raises(Underdetermined):
             simulate_day(np.zeros(96), np.zeros(96), window_length=4, harmonics=2)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_fit_checked_whatever_the_day_length(self, size):
+        # a day no longer than the window corrects nothing, but an
+        # unfittable (n, L) is still refused
+        with pytest.raises(Underdetermined):
+            simulate_day(np.ones(size), np.zeros(size), 3, 2)
+        for n, L in ((0, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                simulate_day(np.ones(size), np.zeros(size), n, L)
+
+    def test_one_slot_window_without_harmonics_subtracts_last_residual(self):
+        rng = np.random.default_rng(79)
+        global_f, measured = solar_like_day(rng), solar_like_day(rng)
+        sim = simulate_day(global_f, measured, 1, 0)
+        residuals = global_f - measured
+        assert np.array_equal(sim.corrected_w[1:],
+                              np.fmax(0.0, global_f[1:] - residuals[:-1]))
+        assert np.array_equal(sim.coefficients[1:, 0], residuals[:-1])
 
 
 def test_trace_csv_layout():

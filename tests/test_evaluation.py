@@ -20,11 +20,7 @@ from twotier.evaluation import (
     DEFAULT_DEPTH_CANDIDATES,
     DEFAULT_HIDDEN_CANDIDATES,
     DEFAULT_NEIGHBOR_CANDIDATES,
-    METHOD_KNN,
-    METHOD_KNN_LOCAL,
-    METHOD_LABELS,
-    METHOD_NN,
-    METHOD_NN_LOCAL,
+    GLOBAL_TIERS,
     TuneGrid,
     compare_methods,
     daily_rmse,
@@ -34,12 +30,17 @@ from twotier.evaluation import (
     render_report,
     replay_days,
     rmse,
+    score_replay,
     tune_knn,
     tune_nn,
     write_report_csv,
 )
 from twotier.synth import SynthConfig, generate
 from twotier.timeseries import split_chronological
+
+
+# every method in report order, as `evaluate` prints them
+LABELS = ("knn", "nn", "knn+local", "nn+local")
 
 
 def rmse_oracle(p, a):
@@ -293,15 +294,15 @@ class TestCompareMethods:
         km, nm = fitted_models
         report = compare_methods(split.full_series(), split.test, km, nm)
         methods = {row[1] for row in report.per_day_rmse}
-        assert methods == {METHOD_KNN, METHOD_NN, METHOD_KNN_LOCAL, METHOD_NN_LOCAL}
+        assert methods == {"knn", "nn", "knn+local", "nn+local"}
         assert set(report.averaged_rmse) == methods
 
     def test_two_tier_beats_global_on_average(self, synth_split, fitted_models):
         split, _ = synth_split
         km, nm = fitted_models
         report = compare_methods(split.full_series(), split.test, km, nm)
-        assert report.averaged_rmse[METHOD_KNN_LOCAL] < report.averaged_rmse[METHOD_KNN]
-        assert report.averaged_rmse[METHOD_NN_LOCAL] < report.averaged_rmse[METHOD_NN]
+        assert report.averaged_rmse["knn+local"] < report.averaged_rmse["knn"]
+        assert report.averaged_rmse["nn+local"] < report.averaged_rmse["nn"]
 
     def test_improvements_recomputable(self, synth_split, fitted_models):
         split, _ = synth_split
@@ -329,8 +330,8 @@ class TestCompareMethods:
             split.train, nn.NnConfig(hidden_neurons=3, restarts=2, max_iterations=150)
         )
         report = compare_methods(split.full_series(), split.test, km, nm)
-        assert report.averaged_rmse[METHOD_KNN] == pytest.approx(0.0, abs=1e-6)
-        assert report.improvement_percent[(METHOD_KNN, METHOD_KNN_LOCAL)] is None
+        assert report.averaged_rmse["knn"] == pytest.approx(0.0, abs=1e-6)
+        assert report.improvement_percent[("knn", "knn+local")] is None
 
 
 class TestReplayDay:
@@ -340,7 +341,7 @@ class TestReplayDay:
         full = split.full_series()
         days = [split.test.days[i] for i in (3, 1, 4)]
         indices = [day.day_index for day in days]
-        sims = replay_days(full, indices, km, nm, 8, 2)
+        sims = replay_days(full, indices, {"knn": km, "nn": nm}, 8, 2)
         forecasts = {
             "knn": knn.forecast_days(km, full, indices),
             "nn": nn.forecast_days(nm, full, indices),
@@ -363,12 +364,10 @@ class TestReplayDay:
         rows = iter(report.per_day_rmse)
         for day in split.test.days:
             sims = {label: sim.day(0) for label, sim in
-                    replay_days(full, [day.day_index], km, nm).items()}
+                    replay_days(full, [day.day_index], {"knn": km, "nn": nm}).items()}
             forecasts = [sims["knn"].global_w, sims["nn"].global_w,
                          sims["knn"].corrected_w, sims["nn"].corrected_w]
-            for label, forecast in zip(
-                (METHOD_KNN, METHOD_NN, METHOD_KNN_LOCAL, METHOD_NN_LOCAL), forecasts
-            ):
+            for label, forecast in zip(LABELS, forecasts):
                 assert next(rows) == (day.date, label, rmse(forecast, day.samples))
         assert next(rows, None) is None
 
@@ -379,12 +378,13 @@ class TestReplayDay:
         km, nm = fitted_models
         full = split.full_series()
         report = compare_methods(full, split.test, km, nm)
-        sims = replay_days(full, [day.day_index for day in split.test.days], km, nm)
-        rows, scores = [], {label: [] for label in METHOD_LABELS}
+        sims = replay_days(full, [day.day_index for day in split.test.days],
+                           {"knn": km, "nn": nm})
+        rows, scores = [], {label: [] for label in LABELS}
         for i, day in enumerate(split.test.days):
             forecasts = [sims["knn"].global_w[i], sims["nn"].global_w[i],
                          sims["knn"].corrected_w[i], sims["nn"].corrected_w[i]]
-            for label, forecast in zip(METHOD_LABELS, forecasts):
+            for label, forecast in zip(LABELS, forecasts):
                 score = rmse(forecast, day.samples)
                 rows.append((day.date, label, score))
                 scores[label].append(score)
@@ -392,6 +392,39 @@ class TestReplayDay:
         assert report.averaged_rmse == {
             label: sum(values) / len(values) for label, values in scores.items()
         }
+
+    def test_report_follows_the_replayed_tiers(self, synth_split, fitted_models):
+        # any tiers replayed in any order are scored in that order, then
+        # their +local methods; every value equals the default replay's
+        split, _ = synth_split
+        km, nm = fitted_models
+        full = split.full_series()
+        days = [day.day_index for day in split.test.days]
+        dates = [day.date for day in split.test.days]
+        assert list(GLOBAL_TIERS) == ["knn", "nn"]
+        default = score_replay(dates, replay_days(full, days, {"knn": km, "nn": nm}))
+        assert list(default.averaged_rmse) == list(LABELS)
+        score = {(date, label): value for date, label, value in default.per_day_rmse}
+        for models in ({"nn": nm, "knn": km}, {"nn": nm}):
+            sims = replay_days(full, days, models)
+            assert list(sims) == list(models)
+            report = score_replay(dates, sims)
+            labels = [*models, *(f"{label}+local" for label in models)]
+            assert list(report.averaged_rmse) == labels
+            assert report.averaged_rmse == {label: default.averaged_rmse[label]
+                                            for label in labels}
+            assert report.per_day_rmse == tuple(
+                (date, label, score[date, label]) for date in dates for label in labels)
+            pairs = [(label, f"{label}+local") for label in models]
+            assert report.improvement_percent == {
+                pair: default.improvement_percent[pair] for pair in pairs}
+            assert list(report.improvement_percent) == pairs
+            assert render_report(report).splitlines()[1].split() == ["date", *labels]
+            sink = io.StringIO()
+            write_report_csv(report, sink)
+            averages = [row.split(",")[1] for row in sink.getvalue().splitlines()
+                        if row.startswith("average,")]
+            assert averages == labels
 
     def test_day_missing_from_series_named(self):
         # 40 days split 24/8/8; the last test day is not in `full`

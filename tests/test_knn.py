@@ -5,6 +5,8 @@ distances, take the k nearest, weight by the (k+1)-th distance) without
 touching the library internals, so the two routes stay independent.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,10 @@ from twotier.knn import (
     _weights,
     fit,
     forecast_days,
+    from_days,
     predict_day,
 )
-from twotier.timeseries import day_context
+from twotier.timeseries import MAX_POWER_W, day_context
 
 
 def oracle_predict(contexts, targets, query, k):
@@ -224,6 +227,39 @@ class TestPredict:
             query * 3.5,
         )
         assert set(np.nonzero(base)[0]) == set(np.nonzero(scaled)[0])
+
+
+class TestQueryBound:
+    """A query is bounded like the stored pairs, so no distance overflows
+    and no forecast is NaN; both query paths read it through one check."""
+
+    MESSAGE = "^" + re.escape(
+        f"query days must be finite, at most {MAX_POWER_W:g} W in magnitude") + "$"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+    def test_unscorable_query_raises(self, bad):
+        model = from_days(KnnConfig(2, 2), np.arange(20.0).reshape(10, 2))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            predict_day(model, [bad, 1.0, 2.0, 3.0])
+
+    def test_unscorable_series_day_raises(self):
+        rows = np.random.default_rng(16).uniform(0, 900, (12, 4))
+        model = fit(make_series(rows, interval_seconds=21600), KnnConfig(2, 2))
+        rows[9, 2] = 1e300
+        series = make_series(rows, interval_seconds=21600)
+        forecast_days(model, series, [9])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            forecast_days(model, series, [10])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_query_at_the_bound_forecasts_finite_values(self):
+        model = from_days(KnnConfig(2, 2), np.arange(20.0).reshape(10, 2))
+        for query in ([MAX_POWER_W, 1.0, 2.0, 3.0], [-MAX_POWER_W] * 4, [MAX_POWER_W] * 4):
+            assert np.all(np.isfinite(predict_day(model, query)))
+        rows = np.full((12, 4), MAX_POWER_W)
+        series = make_series(rows, interval_seconds=21600)
+        model = fit(series, KnnConfig(2, 2))
+        assert np.all(np.isfinite(forecast_days(model, series, range(2, 13))))
 
 
 class TestForecastDay:
