@@ -34,7 +34,7 @@ from .errors import (
     Underdetermined,
     UnknownDate,
 )
-from .timeseries import export_csv, ingest_csv, read_text, split_chronological
+from .timeseries import export_csv, ingest_csv, split_chronological
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,8 +75,17 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
-    """The text of a data, model or config file; bad bytes raise error."""
-    return read_text(path.read_bytes(), error, str(path))
+    """The text of a data, model or config file, line ends as stored;
+    bytes that are not UTF-8 raise `error` naming the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
+
+
+def _write_utf8(path):
+    """An output file opened for text: UTF-8, "\n" line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _read_series(path: str, grid):
@@ -100,10 +109,11 @@ def _load_models(models_dir: str, grid) -> dict:
             raise persistence.MalformedModelFile(f"{path} does not contain a {label} model")
     expected = grid.samples_per_day
     if any(model.samples_per_day != expected for model in models.values()):
+        trained = " and ".join(f"{model.samples_per_day} ({label})"
+                               for label, model in models.items())
         raise GridMismatch(
-            f"models in {models_dir} were trained at {models['knn'].samples_per_day} "
-            f"(k-NN) and {models['nn'].samples_per_day} (NN) samples per day, but the "
-            f"data has {expected} ({grid.sample_interval_seconds} s interval)"
+            f"models in {models_dir} were trained at {trained} samples per day, "
+            f"but the data has {expected} ({grid.sample_interval_seconds} s interval)"
         )
     return models
 
@@ -136,9 +146,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not out.name:  # ".", "" or "/" name a directory
         raise IsADirectoryError(f"--out {args.out!r} names no file")
     labels_path = out.with_suffix(".labels.csv")
-    with open(out, "w", encoding="utf-8", newline="\n") as sink:
+    with _write_utf8(out) as sink:
         export_csv(result.series, sink)
-    with open(labels_path, "w", encoding="utf-8", newline="\n") as sink:
+    with _write_utf8(labels_path) as sink:
         synth.write_labels_csv(result, sink)
     print(summary)
     print(f"wrote {out} and {labels_path}")
@@ -156,7 +166,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"peak {series.max_power():.1f} W"
     )
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
+        with _write_utf8(args.out) as sink:
             export_csv(series, sink)
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -179,11 +189,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     for grid in grids.values():
         print(evaluation.render_grid(grid))
         print()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
+    with _write_utf8(args.out) as sink:
         sink.write(render_config(tuned))
     print(f"wrote {args.out}")
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as sink:
+        with _write_utf8(args.report) as sink:
             for grid in grids.values():
                 evaluation.write_grid_csv(grid, sink)
         print(f"wrote {args.report}")
@@ -209,7 +219,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"{name}{persistence.MODEL_SUFFIX}" for name in models]
     for path, model in zip(written, models.values()):
-        with open(path, "w", encoding="utf-8", newline="\n") as sink:
+        with _write_utf8(path) as sink:
             persistence.save_model(model, sink)
     wrote = ", ".join(str(path) for path in written)
     print(f"trained on {split.train.num_days} days; wrote {wrote}")
@@ -231,7 +241,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for (label, local), gain in report.improvement_percent.items():
         path = out_dir / f"trace-{label}-{args.day.isoformat()}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as sink:
+        with _write_utf8(path) as sink:
             correction.write_trace_csv(sims[label].day(0), sink)
         print(
             f"{label}: global RMSE {report.averaged_rmse[label]:.1f} W, "
@@ -252,7 +262,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         split.full_series(), split.test, *models.values(), window, harmonics
     )
     print(evaluation.render_report(report))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as sink:
+    with _write_utf8(args.out) as sink:
         evaluation.write_report_csv(report, sink)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -97,10 +97,6 @@ class PersistenceError(TwoTierError):
     """Base class for model save/load failures."""
 
 
-class SinkWriteFailure(PersistenceError):
-    """Could not write the model file."""
-
-
 class MalformedModelFile(PersistenceError):
     """Model file is structurally unreadable (truncated, bad header)."""
 

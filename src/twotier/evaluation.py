@@ -284,7 +284,9 @@ def score_replay(dates, sims: dict, skipped=()) -> EvalReport:
     and then each "<tier>+local" method's `daily_rmse` per day and day
     average, in block order, and each two-tier method's improvement over
     its tier on the scale of the largest |measured| value. `skipped`
-    passes through."""
+    passes through. A replay of no tier raises EmptyInput."""
+    if not sims:
+        raise EmptyInput("no global tier to score")
     tiers = {label: f"{label}+local" for label in sims}
     scores = {label: daily_rmse(sim.global_w, sim.measured_w).tolist()
               for label, sim in sims.items()}

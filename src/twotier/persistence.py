@@ -18,7 +18,10 @@ fields. A k-NN model built by `knn.from_days` (every fitted one) is
 written as version 2, its day matrix, and loaded back through
 `knn.from_days`. A k-NN model built from its own pairs is written as
 version 1, its pairs, and loaded back as one; NN models are version 1.
-Either way a loaded model re-saves to the bytes it was read from.
+A file in `save_model`'s spelling (every file `train` writes) re-saves
+to the bytes it was read from. A value spelled otherwise but accepted
+by int() or float() (`05`, `+5`, `0.00`, a second space after the key)
+loads, and re-saves in the canonical spelling.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ from .errors import (
     InsufficientTrainingDays,
     InvariantViolation,
     MalformedModelFile,
-    SinkWriteFailure,
     UnsupportedVersion,
 )
 from .knn import KnnConfig, KnnModel, from_days
 from .nn import NnConfig, NnModel
-from .timeseries import read_text
 
 MAGIC = "htm-model"
 MODEL_SUFFIX = ".htm-model"
@@ -116,12 +117,9 @@ def render_model(model) -> str:
 
 
 def save_model(model, sink) -> None:
-    """Write a model to a text sink (anything with .write)."""
-    text = render_model(model)
-    try:
-        sink.write(text)
-    except OSError as exc:
-        raise SinkWriteFailure(f"could not write model: {exc}") from exc
+    """Write a model to a text sink (anything with .write); an OSError
+    of the sink passes through."""
+    sink.write(render_model(model))
 
 
 def _build(build, *args, **kwargs):
@@ -235,14 +233,13 @@ _LOADERS = {
 }
 
 
-def load_model(source):
-    """Parse a model document: a str, bytes, or a text or binary stream.
+def load_model(text: str):
+    """Parse the text of a model file.
 
-    Bytes that are not UTF-8 raise MalformedModelFile. The checksum is
-    verified, over the payload as read, before any payload parsing;
-    nothing is returned unless the whole file validates.
+    The checksum is verified, over the payload exactly as given (line
+    ends included), before any payload parsing; nothing is returned
+    unless the whole file validates.
     """
-    text = read_text(source, MalformedModelFile)
     scanner = _Scanner(text.splitlines())
 
     magic_line = scanner.next_line()

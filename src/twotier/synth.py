@@ -27,7 +27,7 @@ import numpy as np
 
 from .rng import SplitMix64
 from .errors import MalformedRow
-from .timeseries import MAX_POWER_W, SamplingGrid, SolarSeries, read_text
+from .timeseries import MAX_POWER_W, SamplingGrid, SolarSeries
 
 SUNNY = "sunny"
 CLOUDY = "cloudy"
@@ -170,12 +170,11 @@ def write_labels_csv(result: SynthResult, sink: IO) -> None:
         sink.write(f"{(result.series.start + timedelta(days=pos)).isoformat()},{label}\n")
 
 
-def read_labels_csv(source) -> dict[Date, str]:
-    """The labels of a `write_labels_csv` file, read from a str, UTF-8
-    bytes, or a text or binary stream. Blank lines are skipped. A bad
-    header, a row without two fields, a bad date or an unknown label
-    raises MalformedRow naming the line."""
-    lines = read_text(source, MalformedRow, "label file").splitlines()
+def read_labels_csv(text: str) -> dict[Date, str]:
+    """The labels in the text of a `write_labels_csv` file. Blank lines
+    are skipped. A bad header, a row without two fields, a bad date or
+    an unknown label raises MalformedRow naming the line."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != "date,label":
         raise MalformedRow("line 1: expected header 'date,label'")
     labels = {}

@@ -30,7 +30,6 @@ from .errors import (
     MalformedRow,
     NegativePower,
     TooFewDays,
-    TwoTierError,
     UnknownDate,
 )
 
@@ -200,18 +199,6 @@ class DatasetSplit:
         return self.series
 
 
-def read_text(source, error: type[TwoTierError], name: str = "input") -> str:
-    """The text of a str, UTF-8 bytes, or a text or binary stream. Bytes
-    that are not UTF-8 raise `error` naming `name` and the bad byte."""
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{name} is not UTF-8 text: byte {exc.start} is invalid") from None
-
-
 def _parse_timestamp(text: str, line_no: int) -> datetime:
     try:
         stamp = datetime.fromisoformat(text.strip())
@@ -233,16 +220,14 @@ def _clock(grid: SamplingGrid) -> list[str]:
 _OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
-    """Read the standard CSV schema into a validated SolarSeries.
-
-    `source` is a str, bytes, or a text or binary stream; bytes that are
-    not UTF-8 raise MalformedRow. Only complete days are accepted:
-    a day inside the covered date span with any slot missing (or never
-    present at all) raises IncompleteDay naming that date. Readings in
-    [-1 W, 0) clamp to zero; anything below -1 W raises NegativePower,
-    and anything above MAX_POWER_W raises MalformedRow.
-    A header with no data rows raises EmptyInput.
+def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
+    """Parse the text of a CSV in the standard schema into a validated
+    SolarSeries. Only complete days are accepted: a day inside the
+    covered date span with any slot missing (or never present at all)
+    raises IncompleteDay naming that date. Readings in [-1 W, 0) clamp
+    to zero; anything below -1 W raises NegativePower, and anything
+    above MAX_POWER_W raises MalformedRow. A header with no data rows
+    raises EmptyInput.
 
     Text in `export_csv`'s exact form (ASCII, LF line ends, every row's
     20-character `YYYY-MM-DDTHH:MM:SS,` prefix naming the next slot in
@@ -250,7 +235,6 @@ def ingest_csv(source: IO, grid: SamplingGrid) -> SolarSeries:
     any other text goes through the per-line parser, with the same result
     or the same error.
     """
-    text = read_text(source, MalformedRow)
     series = _ingest_canonical(text, grid)
     return series if series is not None else _ingest_lines(text, grid)
 

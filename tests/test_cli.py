@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and the exit-code contract."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import re
@@ -57,7 +58,7 @@ def check_other_grid_exit_3(command, pipeline, tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"models in {pipeline['models']} " in err
-    assert "96 (k-NN) and 96 (NN) samples per day" in err
+    assert "96 (knn) and 96 (nn) samples per day" in err
     assert "data has 48 (1800 s interval)" in err
 
 
@@ -310,6 +311,18 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_failed_model_write_exit_3(self, pipeline, tmp_path, monkeypatch, capsys):
+        # the sink's OSError reaches the CLI as it was raised
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_utf8", lambda path: FullDisk())
+        code = cli.main(["train", "--data", str(pipeline["data"]),
+                         "--out", str(tmp_path / "m"), "--knn-only"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 class TestTune:

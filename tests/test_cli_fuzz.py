@@ -268,7 +268,7 @@ def test_train_outcome_is_a_documented_exit_code_and_its_models_load(case):
     with tempfile.TemporaryDirectory() as directory:
         code, _ = run_in(Path(directory), argv, files)
         for path in Path(directory).rglob(f"*{persistence.MODEL_SUFFIX}"):
-            persistence.load_model(path.read_bytes())
+            persistence.load_model(path.read_bytes().decode("utf-8"))
     assert code in EXIT_CODES, (argv, code)
 
 

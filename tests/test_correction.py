@@ -24,6 +24,7 @@ from twotier.correction import (
 from twotier.errors import (
     EmptyInput,
     GridMismatch,
+    IndexOutOfDay,
     LengthMismatch,
     NumericalFailure,
     Underdetermined,
@@ -146,6 +147,12 @@ class TestFitDfs:
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyInput):
             ResidualWindow(values=(), last_sample_index=0)
+
+    def test_window_cannot_end_before_its_first_sample(self):
+        # three residuals end at sample 2 at the earliest
+        with pytest.raises(IndexOutOfDay, match="^window of 3 cannot end at sample 1$"):
+            ResidualWindow((1.0, 2.0, 3.0), 1)
+        assert ResidualWindow((1.0, 2.0, 3.0), 2).last_sample_index == 2
 
 
 class TestEvalDfs:

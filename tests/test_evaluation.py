@@ -426,6 +426,14 @@ class TestReplayDay:
                         if row.startswith("average,")]
             assert averages == labels
 
+    def test_no_tier_to_score_raises_empty_input(self, synth_split):
+        split, _ = synth_split
+        days = [day.day_index for day in split.test.days]
+        dates = [day.date for day in split.test.days]
+        for replayed, sims in (([], {}), (dates, replay_days(split.full_series(), days, {}))):
+            with pytest.raises(EmptyInput, match="^no global tier to score$"):
+                score_replay(replayed, sims)
+
     def test_day_missing_from_series_named(self):
         # 40 days split 24/8/8; the last test day is not in `full`
         series = make_series(np.random.default_rng(66).uniform(0, 900, (40, 4)),
