@@ -284,16 +284,20 @@ def score_replay(dates, sims: dict, skipped=()) -> EvalReport:
     and then each "<tier>+local" method's `daily_rmse` per day and day
     average, in block order, and each two-tier method's improvement over
     its tier on the scale of the largest |measured| value. `skipped`
-    passes through. A replay of no tier raises EmptyInput."""
+    passes through. A replay of no tier raises EmptyInput, and `dates`
+    of another length than the block raises LengthMismatch."""
     if not sims:
         raise EmptyInput("no global tier to score")
+    measured = next(iter(sims.values())).measured_w
+    if len(dates) != len(measured):
+        raise LengthMismatch(f"{len(dates)} dates for {len(measured)} replayed days")
     tiers = {label: f"{label}+local" for label in sims}
     scores = {label: daily_rmse(sim.global_w, sim.measured_w).tolist()
               for label, sim in sims.items()}
     for label, sim in sims.items():
         scores[tiers[label]] = daily_rmse(sim.corrected_w, sim.measured_w).tolist()
     averaged = {label: _mean(values) for label, values in scores.items()}
-    scale = np.abs(next(iter(sims.values())).measured_w).max()
+    scale = np.abs(measured).max()
     rows = [(day, label, values[i]) for i, day in enumerate(dates)
             for label, values in scores.items()]
     improvements = {(base, local): improvement(averaged[base], averaged[local], scale)

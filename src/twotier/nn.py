@@ -11,11 +11,12 @@ restart with the lowest training RMSE wins. Most training rows repeat
 (every night slot is the row (0, 0) -> 0), so the day-ahead training set
 is kept as its distinct rows and their counts: scaling a row's residual
 and Jacobian row by sqrt(count) gives the same sum of squared errors,
-J'J and J'e as the full set, up to summation order. One evaluation of a
-parameter vector yields its hidden activations, residual and loss; when
-a step is accepted those become the next iteration's state, so the
-Jacobian is built from the cached activations and the network is never
-evaluated twice at the same parameters.
+J'J and J'e as the full set, up to summation order. Each proposed step
+is evaluated at most once and recorded once in the TrainTrace. One
+evaluation of a parameter vector yields its hidden activations,
+residual and loss; when a step is accepted those become the next
+iteration's state, so the Jacobian is built from the cached activations
+and the network is never evaluated twice at the same parameters.
 
 A parameter vector has one order, neuron-major: per hidden neuron w_k0,
 w_k1, b_k, then the output weights and bias (_params reads it from a
@@ -328,11 +329,11 @@ def _train_lm_arrays(
     def evaluate(p: np.ndarray):
         hidden = _hidden_batch(p, h, design)
         err = (_output_batch(p, h, hidden) - targets) * root
-        return hidden, err, float(err @ err)
+        return p, hidden, err, float(err @ err)
 
-    # hidden, err and loss always belong to the current params: an accepted
-    # candidate's evaluation becomes the next iteration's state.
-    hidden, err, loss = evaluate(params)
+    # params, hidden, err and loss are always one evaluation: an accepted
+    # proposal's evaluation becomes the next iteration's state.
+    params, hidden, err, loss = evaluate(params)
     initial_loss = loss
     damping = config.lm_initial_damping
     identity = np.eye(params.size)
@@ -344,44 +345,36 @@ def _train_lm_arrays(
         _jacobian_batch(params, h, design, hidden, root, jac)
         descent = -(jac @ err)
         gauss_newton = jac @ jac.T
-
-        improvement = None
+        # Propose at growing damping until a step lowers the loss or the
+        # damping passes the cap; each proposal is recorded once. A step
+        # that cannot be solved or is not finite scores inf.
         while True:
             try:
                 delta = np.linalg.solve(gauss_newton + damping * identity, descent)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                candidate = params + delta
-                candidate_state = evaluate(candidate)
-                candidate_loss = candidate_state[2]
+                proposal = evaluate(params + delta)
             else:
-                candidate = None
-                candidate_loss = math.inf
-
-            if candidate is not None and candidate_loss < loss:
-                losses.append(candidate_loss)
-                accepted.append(True)
-                improvement = loss - candidate_loss
-                params = candidate
-                hidden, err, loss = candidate_state
-                damping = damping / config.lm_damping_factor
+                proposal = (None, None, None, math.inf)
+            losses.append(proposal[-1])
+            accepted.append(proposal[-1] < loss)
+            if accepted[-1]:
                 break
-
-            losses.append(candidate_loss)
-            accepted.append(False)
             if delta is None and damping >= DAMPING_CAP:
                 raise SingularStep(
                     f"normal equations unsolvable at damping {damping:g}"
                 )
             damping = damping * config.lm_damping_factor
             if damping > DAMPING_CAP:
-                improvement = None
                 break
 
-        if improvement is None:
+        if not accepted[-1]:
             stop_reason = "damping_cap"  # no acceptable step exists
             break
+        improvement = loss - proposal[-1]
+        params, hidden, err, loss = proposal
+        damping = damping / config.lm_damping_factor
         if improvement < config.loss_tolerance:
             stop_reason = "tolerance"
             break
@@ -457,17 +450,12 @@ def fit_restarts(
 def fit_day_ahead(train: SolarSeries, config: NnConfig) -> NnModel:
     """Train with multiple restarts; keep the lowest-training-RMSE model.
 
-    Restart seeds derive deterministically from config.rng_seed, and ties
-    on RMSE keep the earliest restart, so the result does not depend on
-    evaluation order.
+    Restart seeds derive deterministically from config.rng_seed, and the
+    pick is min over fit_restarts keyed by RMSE, which keeps the first
+    minimum: ties on RMSE keep the earliest restart, so the result does
+    not depend on evaluation order.
     """
-    best_model = None
-    best_rmse = math.inf
-    for model, rmse in fit_restarts(train, config):
-        if rmse < best_rmse:
-            best_rmse = rmse
-            best_model = model
-    return best_model
+    return min(fit_restarts(train, config), key=lambda restart: restart[1])[0]
 
 
 def predict_day(

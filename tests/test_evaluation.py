@@ -434,6 +434,18 @@ class TestReplayDay:
             with pytest.raises(EmptyInput, match="^no global tier to score$"):
                 score_replay(replayed, sims)
 
+    def test_dates_must_match_the_replayed_days(self, synth_split):
+        # one date per block row: fewer would drop rows from the per-day
+        # table but not from the averages, more would have no row to read
+        split, _ = synth_split
+        days = [day.day_index for day in split.test.days[:3]]
+        dates = [day.date for day in split.test.days[:4]]
+        sims = replay_days(split.full_series(), days, {"knn": knn.fit(split.train, knn.KnnConfig())})
+        for given in (dates[:1], dates[:2], dates):
+            with pytest.raises(LengthMismatch, match=f"^{len(given)} dates for 3 replayed days$"):
+                score_replay(given, sims)
+        assert len(score_replay(dates[:3], sims).per_day_rmse) == 3 * 2
+
     def test_day_missing_from_series_named(self):
         # 40 days split 24/8/8; the last test day is not in `full`
         series = make_series(np.random.default_rng(66).uniform(0, 900, (40, 4)),
@@ -510,3 +522,25 @@ class TestRendering:
         assert "knn+local" in text and "nn+local" in text
         rendered = render_report(report)
         assert "improvement" in rendered.lower()
+
+
+def test_local_tier_rules_on_the_seed_1_year():
+    """The k-NN column of the seed-1 year: the default k-NN's global
+    score, and its two-tier score under the paper's n = 8, L = 2, the
+    last residual (1, 0) and the means of the last 2 and 4 residuals."""
+    split = split_chronological(generate(SynthConfig(), 365).series, (0.6, 0.2, 0.2))
+    full = split.full_series()
+    days = [day.day_index for day in split.test.days]
+    dates = [day.date for day in split.test.days]
+    model = knn.fit(split.train, knn.KnnConfig())
+    averages = {}
+    for window, harmonics in ((8, 2), (1, 0), (2, 0), (4, 0)):
+        report = score_replay(dates, replay_days(full, days, {"knn": model}, window, harmonics))
+        averages[window, harmonics] = {label: f"{value:.1f}"
+                                       for label, value in report.averaged_rmse.items()}
+    assert averages == {
+        (8, 2): {"knn": "4757.9", "knn+local": "1907.3"},
+        (1, 0): {"knn": "4757.9", "knn+local": "335.6"},
+        (2, 0): {"knn": "4757.9", "knn+local": "495.2"},
+        (4, 0): {"knn": "4757.9", "knn+local": "802.0"},
+    }

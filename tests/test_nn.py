@@ -364,6 +364,45 @@ class TestTrainLm:
         assert np.array_equal(model.hidden_weights, start.hidden_weights)
 
 
+class TestUnsolvableSteps:
+    """Every np.linalg.solve raises LinAlgError: each proposal scores inf
+    and the damping grows by the factor from 1e-3 until it reaches the
+    cap (SingularStep) or steps over it (damping_cap)."""
+
+    @staticmethod
+    def train(monkeypatch, config, solves):
+        """Train a seed-5 start with the failing solve; count each call in
+        solves."""
+
+        def solve(a, b):
+            solves.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        start = build(config, seed=5)
+        xs = np.random.default_rng(4).uniform(0, 1, (20, 2))
+        return start, *train_lm(start, [((x[0], x[1]), 0.4 * x[0]) for x in xs], config)
+
+    def test_raises_singular_step_at_the_cap(self, monkeypatch):
+        # 1e-3 grown 13 times by 10 is exactly 1e10: the 14th proposal
+        solves = []
+        with pytest.raises(SingularStep,
+                           match=r"^normal equations unsolvable at damping 1e\+10$"):
+            self.train(monkeypatch, NnConfig(), solves)
+        assert len(solves) == 14
+
+    def test_steps_over_the_cap_to_damping_cap(self, monkeypatch):
+        # 1e-3 * 3**27 is below 1e10 and 1e-3 * 3**28 above it
+        solves = []
+        start, model, trace = self.train(monkeypatch, NnConfig(lm_damping_factor=3.0), solves)
+        assert len(solves) == 28
+        assert trace.stop_reason == "damping_cap"
+        assert trace.losses == (math.inf,) * 28
+        assert trace.accepted == (False,) * 28
+        assert trace.final_damping > DAMPING_CAP
+        assert np.array_equal(nn._params(model), nn._params(start))
+
+
 @pytest.fixture(scope="module")
 def default_train():
     """The default 50-day set's 30-day train split."""
@@ -595,6 +634,12 @@ class TestFitDayAhead:
         peak = max(day_a.max(), day_b.max())
         err = math.sqrt(np.mean((pred - day_a) ** 2))
         assert err < 0.02 * peak
+
+    @pytest.mark.parametrize("rmses, winner", [((3.0, 1.0, 1.0, 2.0), 1), ((2.0,) * 4, 0)])
+    def test_keeps_the_lowest_rmse_and_the_earliest_on_a_tie(self, monkeypatch, rmses, winner):
+        models = [object() for _ in rmses]
+        monkeypatch.setattr(nn, "fit_restarts", lambda train, config: zip(models, rmses))
+        assert fit_day_ahead(None, NnConfig()) is models[winner]
 
 
 class TestPredictDay:
