@@ -5,7 +5,8 @@ data), tune (grid search), train (fit and persist models), simulate
 (replay one day with real-time correction), evaluate (score the test
 split). Exit codes are stable for scripting: 0 success, 2 usage or
 configuration problem, 3 I/O or unusable file, 4 not enough data,
-5 unknown date.
+5 unknown date. A command writes all of its output files before it
+prints anything, so a failed write exits 3 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -160,14 +161,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     series = _read_series(args.data, config.grid())
     first = series.start
     last = series.start + timedelta(days=series.num_days - 1)
+    if args.out is not None:
+        with _write_utf8(args.out) as sink:
+            export_csv(series, sink)
     print(
         f"{series.num_days} days from {first.isoformat()} to {last.isoformat()}, "
         f"{series.grid.samples_per_day} samples/day, "
         f"peak {series.max_power():.1f} W"
     )
     if args.out is not None:
-        with _write_utf8(args.out) as sink:
-            export_csv(series, sink)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -186,16 +188,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if not args.knn_only:
         grids["nn_hidden_neurons"] = evaluation.tune_nn(split, config=config.nn())
     tuned = apply_overrides(config, {key: grid.best for key, grid in grids.items()})
-    for grid in grids.values():
-        print(evaluation.render_grid(grid))
-        print()
     with _write_utf8(args.out) as sink:
         sink.write(render_config(tuned))
-    print(f"wrote {args.out}")
     if args.report is not None:
         with _write_utf8(args.report) as sink:
             for grid in grids.values():
                 evaluation.write_grid_csv(grid, sink)
+    for grid in grids.values():
+        print(evaluation.render_grid(grid))
+        print()
+    print(f"wrote {args.out}")
+    if args.report is not None:
         print(f"wrote {args.report}")
     return EXIT_OK
 
@@ -239,16 +242,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = evaluation.score_replay([args.day], sims)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (label, local), gain in report.improvement_percent.items():
-        path = out_dir / f"trace-{label}-{args.day.isoformat()}.csv"
+    paths = {label: out_dir / f"trace-{label}-{args.day.isoformat()}.csv" for label in sims}
+    for label, path in paths.items():
         with _write_utf8(path) as sink:
             correction.write_trace_csv(sims[label].day(0), sink)
+    for (label, local), gain in report.improvement_percent.items():
         print(
             f"{label}: global RMSE {report.averaged_rmse[label]:.1f} W, "
             f"corrected RMSE {report.averaged_rmse[local]:.1f} W, "
             f"improvement {evaluation.improvement_text(gain)}"
         )
-        print(f"wrote {path}")
+        print(f"wrote {paths[label]}")
     return EXIT_OK
 
 
@@ -261,9 +265,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluation.compare_methods(
         split.full_series(), split.test, *models.values(), window, harmonics
     )
-    print(evaluation.render_report(report))
     with _write_utf8(args.out) as sink:
         evaluation.write_report_csv(report, sink)
+    print(evaluation.render_report(report))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -16,7 +16,6 @@ days at once; `fit_dfs` is the least-squares fit of one window.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -187,15 +186,14 @@ def simulate_day(
 
 
 def write_trace_csv(sim: DaySimulation, sink) -> None:
-    """Dump a simulation as CSV. Coefficient columns are empty on slots
-    predicted before the window filled."""
+    """Dump a simulation as CSV, in one write. Coefficient columns are
+    empty on slots predicted before the window filled."""
+    width = sim.coefficients.shape[1]
     coef_names = ["a0"]
-    for i in range(1, sim.coefficients.shape[1] // 2 + 1):
+    for i in range(1, width // 2 + 1):
         coef_names += [f"a{i}", f"b{i}"]
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(
-        ["sample_index", "global_w", "measured_w", "corrected_w", *coef_names]
-    )
+    lines = [",".join(["sample_index", "global_w", "measured_w", "corrected_w", *coef_names])]
+    empty = "," * width
     rows = zip(
         sim.global_w.tolist(),
         sim.measured_w.tolist(),
@@ -203,7 +201,6 @@ def write_trace_csv(sim: DaySimulation, sink) -> None:
         sim.coefficients.tolist(),
     )
     for i, (global_w, measured_w, corrected_w, coef) in enumerate(rows):
-        coeffs = [""] * len(coef) if math.isnan(coef[0]) else [repr(c) for c in coef]
-        writer.writerow(
-            [i, repr(global_w), repr(measured_w), repr(corrected_w), *coeffs]
-        )
+        coeffs = empty if math.isnan(coef[0]) else "," + ",".join(map(repr, coef))
+        lines.append(f"{i},{global_w!r},{measured_w!r},{corrected_w!r}{coeffs}")
+    sink.write("\n".join(lines) + "\n")

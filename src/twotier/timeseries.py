@@ -245,8 +245,10 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     `_ingest_lines` returns an equal one.
 
     Each of the 20 prefix columns is compared, for every row at once,
-    with the (days x slots) bytes the row must hold there; the rest of
-    each row is parsed by Python's `float`, as `_ingest_lines` does."""
+    with the (days x slots) bytes the row must hold there. A value
+    written exactly `0.0` is filled in as +0.0, the bits `float` gives
+    it; every other value is parsed by Python's `float`, as
+    `_ingest_lines` does."""
     head = CSV_HEADER + "\n"
     rows = text.count("\n") - 1
     m = grid.samples_per_day
@@ -267,13 +269,16 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     if start.toordinal() + num_days - 1 > Date.max.toordinal():
         return None
 
-    values = _value_column(text, len(head), start, (num_days, m), grid)
-    if values is None:
+    found = _value_column(text, len(head), start, (num_days, m), grid)
+    if found is None:
         return None
+    values, zero = found
+    power = np.zeros(rows)
     try:
-        power = np.array(values.split("\n"), dtype=float).reshape(num_days, m)
+        power[~zero] = np.array(values.split("\n")[:-1], dtype=float)
     except ValueError:
         return None
+    power = power.reshape(num_days, m)
     if not ((power >= -NEGATIVE_POWER_TOLERANCE_W) & (power <= MAX_POWER_W)).all():
         return None  # NaN fails too
     power[power < 0] = 0.0  # keeps -0.0, as max(-0.0, 0.0) does
@@ -281,14 +286,16 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
 
 
 _PREFIX = 20  # len("YYYY-MM-DDTHH:MM:SS,"): a canonical row's date and clock
+_ZERO = b"0.0"  # how export_csv writes +0.0
 
 
 def _value_column(
     text: str, skip: int, start: Date, shape: tuple[int, int], grid: SamplingGrid
-) -> str | None:
-    """The values of the ASCII `text`'s rows after its first `skip`
-    characters, joined by "\n", if each row starts with the prefix of its
-    slot in a (days, slots) `shape` block dated from `start`; else None.
+) -> tuple[str, np.ndarray] | None:
+    """If each row of the ASCII `text` after its first `skip` characters
+    starts with the prefix of its slot in a (days, slots) `shape` block
+    dated from `start`: the values of the rows not written exactly `0.0`,
+    each followed by "\n", and the mask of the rows that are; else None.
     Its byte arrays are freed on return, before the caller splits."""
     num_days, m = shape
     dates = "".join(
@@ -299,7 +306,8 @@ def _value_column(
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
     starts = ends[:-1] + 1
-    if (ends[1:] - starts).min() < _PREFIX:
+    lengths = ends[1:] - starts
+    if lengths.min() < _PREFIX:
         return None  # a row too short to hold its prefix
     # Every row's prefix bytes as one (days, slots, 20) block, gathered
     # through a window view: an index array of them would take 8x the bytes.
@@ -307,11 +315,21 @@ def _value_column(
     if (prefixes[..., :10] != days).any() or (prefixes[..., 10:] != clock).any():
         return None
     del prefixes  # freed before the value bytes are copied out
+    # One byte column at a time: gathering each row's value bytes as one
+    # block through a window view takes 4x as long. A row too short to be
+    # a zero row reads its newline in place of the bytes it lacks, so the
+    # last row reads no byte past the text.
+    value_starts = starts + _PREFIX
+    zero = lengths == _PREFIX + len(_ZERO)
+    for offset, char in enumerate(_ZERO):
+        zero &= data[np.minimum(value_starts + offset, ends[1:])] == char
     keep = np.ones(len(data), bool)
     keep[:skip] = False
     # every window written holds the same False, so their overlap is harmless
     sliding_window_view(keep, _PREFIX, writeable=True)[starts] = False
-    return data[keep][:-1].tobytes().decode("ascii")
+    # a zero row goes whole: its value and its newline
+    sliding_window_view(keep, len(_ZERO) + 1, writeable=True)[value_starts[zero]] = False
+    return data[keep].tobytes().decode("ascii"), zero
 
 
 def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import os
 import re
 import shlex
 import shutil
@@ -785,6 +786,37 @@ def test_bad_split_ratios_exit_2_writing_nothing(pipeline, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+# Each command with its last output file at `taken`, as [command, flags]
+# given the pipeline; simulate writes `taken` in the --out directory.
+TAKEN_OUTPUT = {
+    "ingest": lambda run, taken: ["ingest", "--data", run["data"], "--out", taken],
+    "tune --out": lambda run, taken: ["tune", "--knn-only", "--data", run["data"],
+                                      "--out", taken],
+    "tune --report": lambda run, taken: ["tune", "--knn-only", "--data", run["data"],
+                                         "--out", taken.parent / "t.cfg", "--report", taken],
+    "evaluate": lambda run, taken: ["evaluate", "--models", run["models"],
+                                    "--data", run["data"], "--out", taken],
+    "simulate": lambda run, taken: ["simulate", "--models", run["models"], "--data", run["data"],
+                                    "--day", CLOUDY_DEMO_DAY, "--out", taken.parent],
+}
+
+
+@pytest.mark.parametrize("case", TAKEN_OUTPUT)
+def test_failed_write_exit_3_printing_nothing(pipeline, tmp_path, capsys, case):
+    """Every output file is written before anything is printed, so an
+    output path that is an existing directory exits 3 with one error line
+    and an empty stdout."""
+    taken = tmp_path / f"trace-nn-{CLOUDY_DEMO_DAY}.csv"
+    taken.mkdir()
+    argv = TAKEN_OUTPUT[case](pipeline, taken)
+    assert cli.main([str(arg) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{taken}'\n"
+    )
 
 
 def readme_quick_start():

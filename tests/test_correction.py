@@ -7,6 +7,7 @@ factorization, so the two answers come from genuinely different routes.
 window, evaluated one slot ahead by `eval_dfs` below.
 """
 
+import csv
 import io
 import math
 
@@ -333,3 +334,35 @@ def test_trace_csv_layout():
     last = lines[-1].split(",")
     assert len(last) == 9
     assert all(field for field in last)
+
+
+def trace_per_row(sim):
+    """Reference writer: the trace through `csv.writer`, one row at a time."""
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    width = sim.coefficients.shape[1]
+    names = ["a0"] + [f"{ab}{i}" for i in range(1, width // 2 + 1) for ab in "ab"]
+    writer.writerow(["sample_index", "global_w", "measured_w", "corrected_w", *names])
+    for i, coef in enumerate(sim.coefficients.tolist()):
+        values = (sim.global_w[i], sim.measured_w[i], sim.corrected_w[i])
+        cells = [""] * width if math.isnan(coef[0]) else [repr(c) for c in coef]
+        writer.writerow([i, *(repr(float(v)) for v in values), *cells])
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("n, L", [(8, 2), (4, 0), (1, 0)])
+def test_trace_csv_bytes_equal_per_row_writer(n, L):
+    # -0.0, a tiny and the largest accepted reading, in both inputs and
+    # in slots before and after the window fills
+    rng = np.random.default_rng(51)
+    global_f, measured = rng.uniform(0, 100, (2, 12))
+    global_f[[0, 5, 9]] = [-0.0, 1e-07, 1e12]
+    measured[[1, 3, 10]] = [1e12, -0.0, 1e-07]
+    sim = simulate_day(global_f, measured, n, L)
+    buf = io.StringIO()
+    write_trace_csv(sim, buf)
+    assert buf.getvalue() == trace_per_row(sim)
+    lines = buf.getvalue().splitlines()
+    assert all(f",{value}," in buf.getvalue() for value in ("-0.0", "1e-07", "1000000000000.0"))
+    # the first n slots have empty coefficient cells, the rest none
+    assert [line.endswith(",") for line in lines[1:]] == [True] * n + [False] * (12 - n)

@@ -270,10 +270,11 @@ def test_export_matches_per_sample_writer(series):
 # Values that a whole-file reader could get wrong: line breaks and
 # whitespace `float` or `str.splitlines` treat specially, forms only
 # Python's `float` accepts, the clamp and rejection bounds, non-finite,
-# a second comma and an empty value.
+# a second comma, an empty value, and zero as export_csv writes it and
+# in the spellings that must still go through `float`.
 NAMED_VALUES = ["\r1.5", "\x0b1.5", "\x851.5", " 1.5", "1_0", "+1.5", "-0.0",
                 "-0.5", "-1.5", "nan", "inf", "1e400", "1e12", "1.0000000000000002e12",
-                "1,5", ""]
+                "1,5", "", "0.0", "0", "0.00", "00.0", "0.0 "]
 
 
 def ingest_outcome(parse, text, grid):
@@ -430,11 +431,42 @@ def test_line_edit_ingests_as_per_line_parser(edit, interval, start):
 
 
 @pytest.mark.parametrize("value", NAMED_VALUES)
-@pytest.mark.parametrize("line", [1, 2, 24])
+@pytest.mark.parametrize("line", [1, 2, 24, -2])
 def test_named_value_ingests_as_per_line_parser(value, line):
     grid = SamplingGrid(sample_interval_seconds=3600)
     series = SolarSeries(grid, np.arange(48.0).reshape(2, 24), Date(2015, 2, 15))
     text = replace_value(exported(series), line, value)
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+
+
+def with_zeros(cells, signs=()):
+    """Two days of 24 positive readings with +0.0 at the flat positions
+    `cells` and -0.0 at `signs`."""
+    power = np.arange(1.0, 49.0)
+    power[list(cells)] = 0.0
+    power[list(signs)] = -0.0
+    return power.reshape(2, 24)
+
+
+# Canonical files whose values export_csv writes as "0.0" in various
+# places, the rows the whole-file reader fills in without `float`.
+ZERO_LAYOUTS = {
+    "every value 0.0": np.zeros((2, 24)),
+    "only the first row 0.0": with_zeros([0]),
+    "only the last row 0.0": with_zeros([47]),
+    "no 0.0 at all": with_zeros([]),
+    "-0.0 next to 0.0 rows": with_zeros([0, 2, 3, 46], signs=[1, 4, 47]),
+}
+
+
+@pytest.mark.parametrize("layout", ZERO_LAYOUTS)
+def test_zero_rows_ingest_bit_equal_to_per_line_parser(layout):
+    grid = SamplingGrid(sample_interval_seconds=3600)
+    series = SolarSeries(grid, ZERO_LAYOUTS[layout], Date(2015, 2, 15))
+    text = exported(series)
+    fast = _ingest_canonical(text, grid)
+    assert fast is not None
+    assert fast.power.tobytes() == series.power.tobytes()  # the sign of zero too
     assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
 
 
