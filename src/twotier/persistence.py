@@ -22,6 +22,13 @@ A file in `save_model`'s spelling (every file `train` writes) re-saves
 to the bytes it was read from. A value spelled otherwise but accepted
 by int() or float() (`05`, `+5`, `0.00`, a second space after the key)
 loads, and re-saves in the canonical spelling.
+
+The `day` lines of a version 2 file in `save_model`'s spelling are
+parsed as one byte block (`_day_block`, through `timeseries._decimals`).
+Every other spelling, and every other payload line, is read one line at
+a time by `_Scanner`; that per-line reader is the reference, and the
+source of every error message: the block path gives the same model, and
+leaves any lines it does not take to it.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .errors import (
 )
 from .knn import KnnConfig, KnnModel, from_days
 from .nn import NnConfig, NnModel
+from .timeseries import _decimals, _windows
 
 MAGIC = "htm-model"
 MODEL_SUFFIX = ".htm-model"
@@ -189,9 +197,42 @@ def _load_knn_days(scanner: _Scanner) -> KnnModel:
     # trust the header's sizes only as far as the lines back them
     if len(scanner.lines) - scanner.pos < count:
         raise MalformedModelFile(f"file truncated: header promises {count} days")
-    days = [scanner.keyed_floats("day", per_day) for _ in range(count)]
+    days = _day_block(scanner.lines[scanner.pos : scanner.pos + count], per_day)
+    if days is None:
+        days = [scanner.keyed_floats("day", per_day) for _ in range(count)]
+    else:
+        scanner.pos += count
     scanner.done()
     return _build(from_days, config, days)
+
+
+def _day_block(lines: list[str], per_day: int) -> np.ndarray | None:
+    """The (days, per_day) matrix of the `day` lines `lines` when each is
+    in `save_model`'s spelling (ASCII, `day`, then `per_day` values each
+    after one space), parsed as one byte block by `_decimals`; else
+    None, and the per-line reader, the reference, reads the lines."""
+    text = "\n".join([*lines, ""])
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    # every byte at or below the space separates, so a line holding a tab
+    # or a NUL fails the separator check and goes to the per-line reader
+    breaks = np.flatnonzero(data <= ord(" "))
+    if len(breaks) != len(lines) * (per_day + 1):
+        return None
+    if data[breaks].tobytes() != (b" " * per_day + b"\n") * len(lines):
+        return None
+    breaks = breaks.reshape(len(lines), per_day + 1)
+    line_starts = np.concatenate([[0], breaks[:-1, -1] + 1])
+    if _windows(data, 4)[line_starts].tobytes() != b"day " * len(lines):
+        return None
+    starts = breaks[:, :-1] + 1
+    try:
+        days = _decimals(data, starts.ravel(), (breaks[:, 1:] - starts).ravel())
+    except ValueError:
+        return None
+    days.flags.writeable = False  # so from_days keeps it without a copy
+    return days.reshape(len(lines), per_day)
 
 
 def _load_knn_pairs(scanner: _Scanner) -> KnnModel:

@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import IO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyInput,
@@ -231,9 +230,9 @@ def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
 
     Text in `export_csv`'s exact form (ASCII, LF line ends, every row's
     20-character `YYYY-MM-DDTHH:MM:SS,` prefix naming the next slot in
-    order, every value in range) is checked and parsed as one byte array;
-    any other text goes through the per-line parser, with the same result
-    or the same error.
+    order, every value in range) is checked and parsed as one byte block;
+    any other text goes through the per-line parser, the reference, with
+    the same result or the same error.
     """
     series = _ingest_canonical(text, grid)
     return series if series is not None else _ingest_lines(text, grid)
@@ -242,24 +241,27 @@ def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
 def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     """The series of `text` when it is in `export_csv`'s exact form and
     every value is accepted, else None. Where it returns a series,
-    `_ingest_lines` returns an equal one.
+    `_ingest_lines`, the reference, returns an equal one.
 
-    Each of the 20 prefix columns is compared, for every row at once,
-    with the (days x slots) bytes the row must hold there. A value
-    written exactly `0.0` is filled in as +0.0, the bits `float` gives
-    it; every other value is parsed by Python's `float`, as
-    `_ingest_lines` does."""
+    The row count comes from the newline positions; every row's 20-byte
+    prefix is gathered into one byte string and compared at once with
+    the prefixes a (days x slots) file from the first row's date must
+    hold. The values after the prefixes go through `_decimals` as one
+    byte block, so each is what Python's `float` makes of it, and a
+    value `float` rejects sends the text to the per-line parser."""
     head = CSV_HEADER + "\n"
-    rows = text.count("\n") - 1
-    m = grid.samples_per_day
     if (
-        rows <= 0
-        or rows % m
-        or not text.startswith(head)
+        not text.startswith(head)
         or not text.endswith("\n")
         or not text.isascii()
         or any(char in text for char in _OTHER_LINE_BREAKS)
     ):
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    rows = len(ends) - 1  # the first newline ends the header
+    m = grid.samples_per_day
+    if rows <= 0 or rows % m:
         return None
     num_days = rows // m
     try:
@@ -268,68 +270,81 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
         return None
     if start.toordinal() + num_days - 1 > Date.max.toordinal():
         return None
-
-    found = _value_column(text, len(head), start, (num_days, m), grid)
-    if found is None:
+    starts = ends[:-1] + 1
+    lengths = ends[1:] - starts
+    if lengths.min() < _PREFIX:
+        return None  # a row too short to hold its prefix
+    if _windows(data, _PREFIX)[starts].tobytes() != _prefixes(start, num_days, grid):
         return None
-    values, zero = found
-    power = np.zeros(rows)
     try:
-        power[~zero] = np.array(values.split("\n")[:-1], dtype=float)
+        power = _decimals(data, starts + _PREFIX, lengths - _PREFIX)
     except ValueError:
         return None
     power = power.reshape(num_days, m)
     if not ((power >= -NEGATIVE_POWER_TOLERANCE_W) & (power <= MAX_POWER_W)).all():
         return None  # NaN fails too
     power[power < 0] = 0.0  # keeps -0.0, as max(-0.0, 0.0) does
+    power.flags.writeable = False  # so SolarSeries keeps it without a copy
     return SolarSeries(grid, power, start)
 
 
 _PREFIX = 20  # len("YYYY-MM-DDTHH:MM:SS,"): a canonical row's date and clock
-_ZERO = b"0.0"  # how export_csv writes +0.0
 
 
-def _value_column(
-    text: str, skip: int, start: Date, shape: tuple[int, int], grid: SamplingGrid
-) -> tuple[str, np.ndarray] | None:
-    """If each row of the ASCII `text` after its first `skip` characters
-    starts with the prefix of its slot in a (days, slots) `shape` block
-    dated from `start`: the values of the rows not written exactly `0.0`,
-    each followed by "\n", and the mask of the rows that are; else None.
-    Its byte arrays are freed on return, before the caller splits."""
-    num_days, m = shape
-    dates = "".join(
-        Date.fromordinal(start.toordinal() + offset).isoformat() for offset in range(num_days)
-    )
-    days = np.frombuffer(dates.encode("ascii"), np.uint8).reshape(num_days, 1, 10)
-    clock = np.frombuffer("".join(_clock(grid)).encode("ascii"), np.uint8).reshape(m, 10)
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = ends[:-1] + 1
-    lengths = ends[1:] - starts
-    if lengths.min() < _PREFIX:
-        return None  # a row too short to hold its prefix
-    # Every row's prefix bytes as one (days, slots, 20) block, gathered
-    # through a window view: an index array of them would take 8x the bytes.
-    prefixes = sliding_window_view(data, _PREFIX)[starts].reshape(*shape, _PREFIX)
-    if (prefixes[..., :10] != days).any() or (prefixes[..., 10:] != clock).any():
-        return None
-    del prefixes  # freed before the value bytes are copied out
-    # One byte column at a time: gathering each row's value bytes as one
-    # block through a window view takes 4x as long. A row too short to be
-    # a zero row reads its newline in place of the bytes it lacks, so the
-    # last row reads no byte past the text.
-    value_starts = starts + _PREFIX
-    zero = lengths == _PREFIX + len(_ZERO)
-    for offset, char in enumerate(_ZERO):
-        zero &= data[np.minimum(value_starts + offset, ends[1:])] == char
-    keep = np.ones(len(data), bool)
-    keep[:skip] = False
-    # every window written holds the same False, so their overlap is harmless
-    sliding_window_view(keep, _PREFIX, writeable=True)[starts] = False
-    # a zero row goes whole: its value and its newline
-    sliding_window_view(keep, len(_ZERO) + 1, writeable=True)[value_starts[zero]] = False
-    return data[keep].tobytes().decode("ascii"), zero
+def _prefixes(start: Date, num_days: int, grid: SamplingGrid) -> bytes:
+    """The prefix of every row of a canonical file of `num_days` days
+    from `start`, in row order, as one byte string."""
+    block = np.empty((num_days, grid.samples_per_day), [("date", "S10"), ("clock", "S10")])
+    block["date"] = (np.arange(num_days) + np.datetime64(start, "D")).astype("S10")[:, None]
+    block["clock"] = [time.encode("ascii") for time in _clock(grid)]
+    return block.tobytes()
+
+
+def _windows(data: np.ndarray, width: int) -> np.ndarray:
+    """Every `width`-byte window of the uint8 buffer `data`, window i
+    starting at byte i, as one void item each. Indexing copies each
+    window picked whole, with no index array per byte, at about three
+    times the speed of indexing a (windows, width) window view."""
+    return np.ndarray((max(len(data) - width + 1, 0),), f"V{width}", data, strides=(1,))
+
+
+_ZERO = b"0.0"  # how export_csv and save_model write +0.0
+
+
+def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`float` of each token `data[starts[i] : starts[i] + lengths[i]]` of
+    the uint8 buffer `data`, in token order; ValueError if `float`
+    raises on any of them.
+
+    A token spelled exactly `0.0` is +0.0, the bits `float` gives it,
+    without parsing. The others are copied into one NUL-padded
+    (tokens, width) block and cast once through numpy's `S` dtype, which
+    reads a token as `float` does. The dtype drops trailing NULs, so a
+    token holding a NUL, which `float` rejects, is rejected first."""
+    values = np.zeros(len(starts))
+    three = np.flatnonzero(lengths == len(_ZERO))
+    zero = _windows(data, len(_ZERO))[starts[three]].view(f"S{len(_ZERO)}") == _ZERO
+    parse = np.ones(len(starts), bool)
+    parse[three[zero]] = False
+    parse = np.flatnonzero(parse)
+    if not len(parse):
+        return values
+    starts, lengths = starts[parse], lengths[parse]
+    if not lengths.all():
+        raise ValueError("empty decimal token")
+    width = int(lengths.max())
+    # each token's window, read from the last full window where the
+    # buffer ends within `width` bytes of its start, then shifted home
+    last = len(data) - width
+    block = _windows(data, width)[np.minimum(starts, last)].view(np.uint8).reshape(-1, width)
+    for row in np.flatnonzero(starts > last):
+        shift = starts[row] - last
+        block[row, : width - shift] = block[row, shift:].copy()
+    block[np.arange(width) >= lengths[:, None]] = 0
+    if np.count_nonzero(block) != lengths.sum():
+        raise ValueError("a decimal token holds a NUL byte")
+    values[parse] = block.view(f"S{width}").ravel().astype(float)
+    return values
 
 
 def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:

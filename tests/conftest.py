@@ -3,10 +3,13 @@
 import hashlib
 import io
 from datetime import date as Date, timedelta
+from unittest import mock
 
 import numpy as np
 
 from twotier import persistence
+from twotier.errors import PersistenceError
+from twotier.knn import KnnModel
 from twotier.timeseries import SamplingGrid, SolarSeries
 
 pytest_plugins = ["pytester"]
@@ -81,3 +84,25 @@ def rendered(model):
     sink = io.StringIO()
     persistence.save_model(model, sink)
     return sink.getvalue()
+
+
+def load_outcome(text):
+    """What persistence.load_model makes of `text`: the config and the
+    shape and bits of each of the model's arrays, or the error's type and
+    message."""
+    try:
+        model = persistence.load_model(text)
+    except PersistenceError as exc:
+        return type(exc), str(exc)
+    if isinstance(model, KnnModel):
+        arrays = (model.contexts, model.targets, model.days)
+    else:
+        arrays = (model.hidden_weights, model.hidden_biases, model.output_weights,
+                  np.float64(model.output_bias), np.float64(model.scale_max))
+    return model.config, [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+def per_line_outcome(text):
+    """`load_outcome` with every day line read by the per-line reader."""
+    with mock.patch.object(persistence, "_day_block", lambda lines, per_day: None):
+        return load_outcome(text)

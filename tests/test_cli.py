@@ -214,6 +214,16 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err == f"error: {bad} is not UTF-8 text: byte 38 is invalid\n"
 
+    def test_nul_after_a_value_exit_3(self, tmp_path, pipeline, capsys):
+        # float rejects "1.0\x00" while numpy's bytes dtype drops the NUL:
+        # the whole-file reader must hand the file to the per-line parser
+        lines = pipeline["data"].read_text().splitlines()
+        lines[40] = lines[40].split(",")[0] + ",1.0\x00"
+        bad = tmp_path / "nul.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main(["ingest", "--data", str(bad)]) == 3
+        assert capsys.readouterr().err == "error: line 41: non-numeric power '1.0\\x00'\n"
+
     @pytest.mark.parametrize("command", ["tune", "train", "evaluate"])
     def test_power_above_the_limit_exit_3(self, pipeline, tmp_path, capsys, command):
         """A reading above MAX_POWER_W is a data error naming its line, not

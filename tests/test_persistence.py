@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rendered, replace_payload_line, with_payload
+from conftest import (
+    load_outcome, per_line_outcome, rendered, replace_payload_line, with_payload
+)
+from twotier import persistence
 from twotier.errors import (
     ChecksumMismatch,
     InvariantViolation,
@@ -16,9 +19,10 @@ from twotier.errors import (
     PersistenceError,
     UnsupportedVersion,
 )
-from twotier.knn import KnnConfig, KnnModel, from_days, predict_day
+from twotier.knn import KnnConfig, KnnModel, fit, from_days, predict_day
 from twotier.nn import NnConfig, build, forward
 from twotier.persistence import load_model, render_model, save_model
+from twotier.synth import SynthConfig, generate
 from twotier.timeseries import MAX_POWER_W
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -324,3 +328,93 @@ class TestVersion2Integrity:
         text = rendered(build(NnConfig(hidden_neurons=2), seed=1))
         with pytest.raises(UnsupportedVersion, match="format version 2 has no kind nn"):
             load_model(text.replace("htm-model 1", "htm-model 2", 1))
+
+
+def day_matrix_model():
+    """A fitted model of six 96-slot days holding zeros written `0.0`,
+    a -0.0, negative and whole values and shortest reprs."""
+    days = np.random.default_rng(5).uniform(-100.0, 35000.0, (6, 96))
+    days[:, :26] = 0.0
+    days[:, 70:] = np.round(days[:, 70:])
+    days[0, 1] = -0.0
+    return from_days(KnnConfig(depth_days=2, neighbors=2), days)
+
+
+def takes_day_block(text):
+    """Whether the day lines of a version 2 k-NN file parse as one block."""
+    lines = text.splitlines()
+    per_day = int(next(line for line in lines if line.startswith("samples_per_day ")).split()[1])
+    first = next(i for i, line in enumerate(lines) if line.startswith("day "))
+    return persistence._day_block(lines[first:], per_day) is not None
+
+
+def knn_files():
+    """Each k-NN file kind, by name, with its format version: the version 1
+    fixtures, the version 2 file of the days of `fit-knn-v1`, one of mixed
+    day values and a fitted one."""
+    v1 = load_model((DATA_DIR / "fit-knn-v1.htm-model").read_text())
+    v1_days = np.concatenate([v1.contexts[0].reshape(3, 4), v1.targets])
+    return {
+        "golden-knn": (1, (DATA_DIR / "golden-knn.htm-model").read_text()),
+        "fit-knn-v1": (1, (DATA_DIR / "fit-knn-v1.htm-model").read_text()),
+        "days of fit-knn-v1": (2, render_model(from_days(v1.config, v1_days))),
+        "mixed day values": (2, render_model(day_matrix_model())),
+        "30 synthetic days": (2, render_model(fit(generate(SynthConfig(), 30).series,
+                                                  KnnConfig()))),
+    }
+
+
+KNN_FILES = knn_files()
+
+
+def at_third_gap(line, separator):
+    """`line` with the space before its third value replaced by `separator`."""
+    parts = line.split(" ")
+    return " ".join(parts[:3]) + separator + " ".join(parts[3:])
+
+
+class TestDayBlock:
+    """The day lines of a version 2 k-NN file in save_model's spelling
+    parse as one byte block; the per-line reader is the reference."""
+
+    @pytest.mark.parametrize("name", KNN_FILES)
+    def test_loads_to_the_same_bits_and_resaves_to_its_bytes(self, name):
+        version, text = KNN_FILES[name]
+        assert text.startswith(f"htm-model {version}\n")
+        assert load_outcome(text) == per_line_outcome(text)
+        assert render_model(load_model(text)) == text
+        if version == 2:
+            assert takes_day_block(text)
+
+    # The lines that replace the third of six day lines, and the error the
+    # per-line reader raises for them: None where the file still loads.
+    EDITS = {
+        "double space": (lambda line: [at_third_gap(line, "  ")], None),
+        "tab": (lambda line: [at_third_gap(line, "\t")], None),
+        "trailing space": (lambda line: [line + " "], None),
+        "key dey": (lambda line: ["dey" + line[3:]], MalformedModelFile),
+        "95 values": (lambda line: [line.rsplit(" ", 1)[0]], MalformedModelFile),
+        "97 values": (lambda line: [line + " 1.0"], MalformedModelFile),
+        "non-numeric value": (lambda line: [line + "x"], MalformedModelFile),
+        "NUL after a value": (lambda line: [line + "\x00"], MalformedModelFile),
+        "NUL for a space": (lambda line: [at_third_gap(line, "\x00")], MalformedModelFile),
+        "NUL inside a value": (lambda line: [line.replace(" 0.0 ", " 0.\x000 ", 1)],
+                               MalformedModelFile),
+        "missing day line": (lambda line: [], MalformedModelFile),
+        # the seventh of six promised day lines trails the matrix
+        "trailing line": (lambda line: [line, line], MalformedModelFile),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_edited_day_line_loads_or_raises_as_the_per_line_reader(self, edit):
+        change, raises = self.EDITS[edit]
+        text = render_model(day_matrix_model())
+        payload = text.splitlines()[3:]
+        third = [line.startswith("day ") for line in payload].index(True) + 2
+        edited = with_payload(text, payload[:third] + change(payload[third]) + payload[third + 1:])
+        outcome = load_outcome(edited)
+        assert outcome == per_line_outcome(edited)
+        if raises is None:
+            assert outcome == load_outcome(text)
+        else:
+            assert outcome[0] is raises

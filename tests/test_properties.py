@@ -16,7 +16,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import neuron_major_order, rendered, replace_payload_line  # noqa: E402
+from conftest import (  # noqa: E402
+    load_outcome, neuron_major_order, per_line_outcome, rendered, replace_payload_line
+)
 from twotier import correction, evaluation, knn, nn, persistence  # noqa: E402
 from twotier.errors import (  # noqa: E402
     InsufficientTrainingDays,
@@ -30,6 +32,7 @@ from twotier.timeseries import (  # noqa: E402
     MAX_POWER_W,
     SamplingGrid,
     SolarSeries,
+    _decimals,
     _ingest_canonical,
     _ingest_lines,
     day_context,
@@ -270,11 +273,12 @@ def test_export_matches_per_sample_writer(series):
 # Values that a whole-file reader could get wrong: line breaks and
 # whitespace `float` or `str.splitlines` treat specially, forms only
 # Python's `float` accepts, the clamp and rejection bounds, non-finite,
-# a second comma, an empty value, and zero as export_csv writes it and
-# in the spellings that must still go through `float`.
+# a second comma, an empty value, zero as export_csv writes it and in
+# the spellings that must still go through `float`, and NULs, which
+# `float` rejects but numpy's bytes dtype drops at the end of a value.
 NAMED_VALUES = ["\r1.5", "\x0b1.5", "\x851.5", " 1.5", "1_0", "+1.5", "-0.0",
                 "-0.5", "-1.5", "nan", "inf", "1e400", "1e12", "1.0000000000000002e12",
-                "1,5", "", "0.0", "0", "0.00", "00.0", "0.0 "]
+                "1,5", "", "0.0", "0", "0.00", "00.0", "0.0 ", "1.0\x00", "1\x005", "\x00"]
 
 
 def ingest_outcome(parse, text, grid):
@@ -437,6 +441,63 @@ def test_named_value_ingests_as_per_line_parser(value, line):
     series = SolarSeries(grid, np.arange(48.0).reshape(2, 24), Date(2015, 2, 15))
     text = replace_value(exported(series), line, value)
     assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+
+
+# Tokens `_decimals` must read as `float` does: zero in several
+# spellings, forms only Python's `float` accepts, blank padding, the
+# extremes, non-finite and empty.
+DECIMAL_TOKENS = [b"0", b"0.0", b"0.00", b"-0.0", b"1_0", b" 1.0", b"1.0 ", b"inf", b"nan",
+                  b"4.9e-324", b"1e308", b""]
+# tokens of 0-32 bytes, mostly ones `float` rejects
+wild_tokens = st.one_of(
+    st.binary(max_size=32),
+    st.text("0123456789.eE+-_ infa\x00\t", max_size=32).map(str.encode),
+)
+
+
+@st.composite
+def decimal_buffers(draw):
+    """Tokens laid out in one buffer, each after a separator byte or
+    none, the last ending at the buffer's last byte; and their spans."""
+    tokens = draw(st.lists(
+        st.one_of(st.sampled_from(DECIMAL_TOKENS), st.floats().map(lambda x: repr(x).encode())),
+        min_size=1, max_size=12,
+    ))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(wild_tokens))
+    data, spans = b"", []
+    for token in tokens:
+        data += draw(st.sampled_from([b"", b" ", b"\n", b"\x00", b"9"]))
+        spans.append((len(data), len(token)))
+        data += token
+    return data, tokens, spans
+
+
+def check_decimals(data, tokens, spans):
+    """`_decimals` of the `spans` of `data`, the (start, length) of each
+    of `tokens`, is bit-equal to `float` of each token, or raises
+    ValueError where `float` raises on any of them."""
+    starts, lengths = np.array(spans, dtype=int).reshape(-1, 2).T
+    try:
+        want = np.array([float(token) for token in tokens])
+    except ValueError:
+        with pytest.raises(ValueError):
+            _decimals(np.frombuffer(data, np.uint8), starts, lengths)
+        return
+    assert _decimals(np.frombuffer(data, np.uint8), starts, lengths).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(decimal_buffers())
+def test_decimals_bit_equal_to_float_or_raise_where_it_raises(case):
+    check_decimals(*case)
+
+
+@pytest.mark.parametrize("token", DECIMAL_TOKENS + [b"1.0\x00", b"\x001", b"1\x005", b"0.\x00"])
+def test_decimals_of_the_last_token_after_a_wider_one(token):
+    # the last token starts within the wider token's width of the end
+    wide = b"1.2345678901234567"
+    check_decimals(wide + b" " + token, [wide, token], [(0, len(wide)), (len(wide) + 1, len(token))])
 
 
 def with_zeros(cells, signs=()):
@@ -875,6 +936,12 @@ def test_mutated_model_file_loads_or_raises_persistence_error(text):
     except PersistenceError:
         return
     assert isinstance(model, (knn.KnnModel, nn.NnModel))
+
+
+@PROPERTY
+@given(mutated_model_files())
+def test_mutated_model_file_loads_as_by_the_per_line_reader(text):
+    assert load_outcome(text) == per_line_outcome(text)
 
 
 # The NN's public functions, against the expressions they had before
