@@ -5,18 +5,21 @@ data), tune (grid search), train (fit and persist models), simulate
 (replay one day with real-time correction), evaluate (score the test
 split). Exit codes are stable for scripting: 0 success, 2 usage or
 configuration problem, 3 I/O or unusable file, 4 not enough data,
-5 unknown date. A command writes all of its output files before it
-prints anything, so a failed write exits 3 with nothing on stdout.
+5 unknown date. Each `cmd_*` returns its stdout text and an ordered
+{path: write(sink)} of its output files; `main` writes all of them or
+none (`_commit`) before it prints, so a failed write exits 3 with
+nothing on stdout and every target as it was.
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
 import errno
+import io
 import os
 import stat
 import sys
 from datetime import date as Date, timedelta
+from functools import partial
 from pathlib import Path
 
 from . import correction, evaluation, knn, nn, persistence, synth
@@ -24,16 +27,8 @@ from .config import (
     KEY_TYPES, READERS, RunConfig, apply_overrides, parse_config, render_config
 )
 from .errors import (
-    ConfigError,
-    EmptyInput,
-    GridMismatch,
-    InsufficientHistory,
-    InsufficientTrainingDays,
-    MalformedRow,
-    TooFewDays,
-    TwoTierError,
-    Underdetermined,
-    UnknownDate,
+    ConfigError, EmptyInput, GridMismatch, InsufficientHistory, InsufficientTrainingDays,
+    MalformedRow, TooFewDays, TwoTierError, Underdetermined, UnknownDate,
 )
 from .timeseries import export_csv, ingest_csv, split_chronological
 
@@ -57,22 +52,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
     defaults = RunConfig()
     for key, kind in KEY_TYPES.items():
-        group.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=key,
-            type=READERS[kind][0],
-            default=None,
-            metavar=kind.__name__.upper(),
-            help=f"default {getattr(defaults, key)}",
-        )
+        group.add_argument("--" + key.replace("_", "-"), dest=key, type=READERS[kind][0],
+                           default=None, metavar=kind.__name__.upper(),
+                           help=f"default {getattr(defaults, key)}")
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
         config = parse_config(_read_utf8(Path(args.config), ConfigError), config)
-    overrides = {key: getattr(args, key) for key in KEY_TYPES}
-    return apply_overrides(config, overrides)
+    return apply_overrides(config, {key: getattr(args, key) for key in KEY_TYPES})
 
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
@@ -84,9 +73,40 @@ def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
         raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
 
 
-def _write_utf8(path):
-    """An output file opened for text: UTF-8, "\n" line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write_new(path: str, write) -> None:
+    """Create `path` and write it through write(sink): UTF-8, "\n" line ends."""
+    with open(path, "x", encoding="utf-8", newline="\n") as sink:
+        write(sink)
+
+
+def _commit(files: dict) -> None:
+    """Write each {target: write} output to a new file beside its target (a
+    None write makes the directory target), then move them all onto their
+    targets in order. On failure remove every new file and directory."""
+    made, moves = [], []
+    try:
+        for target, write in files.items():
+            if write is None:
+                made += reversed([d for d in (target, *target.parents) if not d.exists()])
+                target.mkdir(parents=True, exist_ok=True)
+                continue
+            if not os.path.basename(target) or os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(target))
+            made.append(f"{target}.{os.urandom(4).hex()}.new")
+            try:
+                _write_new(made[-1], write)
+            except OSError as exc:  # name the target where open() names the new file
+                if exc.filename is not None:
+                    exc.filename = os.fspath(target)
+                raise
+            moves.append((made[-1], target))
+        for new, target in moves:
+            os.replace(new, target)
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path) if os.path.isdir(path) else os.remove(path)
+        raise
 
 
 def _read_series(path: str, grid):
@@ -130,51 +150,41 @@ def _check_out_dir(out_dir: Path) -> None:
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     result = synth.generate(config.synth(), config.synth_days, grid=config.grid())
     sunny = sum(1 for label in result.labels if label == synth.SUNNY)
     cloudy = len(result.labels) - sunny
-    summary = (
-        f"generated {result.series.num_days} days "
-        f"({sunny} sunny, {cloudy} cloudy), seed {config.seed}"
-    )
+    summary = (f"generated {result.series.num_days} days ({sunny} sunny, {cloudy} cloudy), "
+               f"seed {config.seed}")
     if args.out is None:
-        export_csv(result.series, sys.stdout)
         print(summary, file=sys.stderr)
-        return EXIT_OK
+        csv_text = io.StringIO()
+        export_csv(result.series, csv_text)
+        return csv_text.getvalue(), {}
     out = Path(args.out)
     if not out.name:  # ".", "" or "/" name a directory
         raise IsADirectoryError(f"--out {args.out!r} names no file")
     labels_path = out.with_suffix(".labels.csv")
-    with _write_utf8(out) as sink:
-        export_csv(result.series, sink)
-    with _write_utf8(labels_path) as sink:
-        synth.write_labels_csv(result, sink)
-    print(summary)
-    print(f"wrote {out} and {labels_path}")
-    return EXIT_OK
+    files = {out: partial(export_csv, result.series),
+             labels_path: partial(synth.write_labels_csv, result)}
+    return f"{summary}\nwrote {out} and {labels_path}\n", files
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     series = _read_series(args.data, config.grid())
-    first = series.start
     last = series.start + timedelta(days=series.num_days - 1)
-    if args.out is not None:
-        with _write_utf8(args.out) as sink:
-            export_csv(series, sink)
-    print(
-        f"{series.num_days} days from {first.isoformat()} to {last.isoformat()}, "
-        f"{series.grid.samples_per_day} samples/day, "
-        f"peak {series.max_power():.1f} W"
+    text = (
+        f"{series.num_days} days from {series.start.isoformat()} to {last.isoformat()}, "
+        f"{series.grid.samples_per_day} samples/day, peak {series.max_power():.1f} W\n"
     )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    if args.out is None:
+        return text, {}
+    return f"{text}wrote {args.out}\n", {args.out: partial(export_csv, series)}
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
+def cmd_tune(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     if args.knn_only and args.nn_only:
         raise ConfigError("--knn-only and --nn-only exclude each other")
@@ -188,29 +198,25 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if not args.knn_only:
         grids["nn_hidden_neurons"] = evaluation.tune_nn(split, config=config.nn())
     tuned = apply_overrides(config, {key: grid.best for key, grid in grids.items()})
-    with _write_utf8(args.out) as sink:
-        sink.write(render_config(tuned))
-    if args.report is not None:
-        with _write_utf8(args.report) as sink:
+    text = "".join(f"{evaluation.render_grid(grid)}\n\n" for grid in grids.values())
+    text += f"wrote {args.out}\n"
+    files = {args.out: lambda sink: sink.write(render_config(tuned))}
+    if args.report is not None:  # the report wins a path it shares with --out
+        def write_grids(sink):
             for grid in grids.values():
                 evaluation.write_grid_csv(grid, sink)
-    for grid in grids.values():
-        print(evaluation.render_grid(grid))
-        print()
-    print(f"wrote {args.out}")
-    if args.report is not None:
-        print(f"wrote {args.report}")
-    return EXIT_OK
+        text += f"wrote {args.report}\n"
+        files[args.report] = write_grids
+    return text, files
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     if args.knn_only and args.nn_only:
         raise ConfigError("--knn-only and --nn-only exclude each other")
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
-    # every model is configured and fitted before anything is written, so
-    # a usage error or a shortage leaves no directory and no file behind
+    # every model is configured before any is fitted: a usage error stops early
     fitters = {}
     if not args.nn_only:
         fitters["knn"] = (knn.fit, config.knn())
@@ -218,18 +224,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         fitters["nn"] = (nn.fit_day_ahead, config.nn())
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
-    models = {name: fit(split.train, settings) for name, (fit, settings) in fitters.items()}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / f"{name}{persistence.MODEL_SUFFIX}" for name in models]
-    for path, model in zip(written, models.values()):
-        with _write_utf8(path) as sink:
-            persistence.save_model(model, sink)
-    wrote = ", ".join(str(path) for path in written)
-    print(f"trained on {split.train.num_days} days; wrote {wrote}")
-    return EXIT_OK
+    files = {out_dir: None}
+    for name, (fit, settings) in fitters.items():
+        path = out_dir / f"{name}{persistence.MODEL_SUFFIX}"
+        files[path] = partial(persistence.save_model, fit(split.train, settings))
+    wrote = ", ".join(str(path) for path, write in files.items() if write)
+    return f"trained on {split.train.num_days} days; wrote {wrote}\n", files
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
@@ -241,22 +244,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sims = evaluation.replay_days(series, [target.day_index], models, window, harmonics)
     report = evaluation.score_replay([args.day], sims)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {label: out_dir / f"trace-{label}-{args.day.isoformat()}.csv" for label in sims}
-    for label, path in paths.items():
-        with _write_utf8(path) as sink:
-            correction.write_trace_csv(sims[label].day(0), sink)
-    for (label, local), gain in report.improvement_percent.items():
-        print(
+    text, files = "", {out_dir: None}
+    for (label, local), gain in report.improvement_percent.items():  # in `sims` order
+        path = out_dir / f"trace-{label}-{args.day.isoformat()}.csv"
+        files[path] = partial(correction.write_trace_csv, sims[label].day(0))
+        text += (
             f"{label}: global RMSE {report.averaged_rmse[label]:.1f} W, "
             f"corrected RMSE {report.averaged_rmse[local]:.1f} W, "
-            f"improvement {evaluation.improvement_text(gain)}"
+            f"improvement {evaluation.improvement_text(gain)}\nwrote {path}\n"
         )
-        print(f"wrote {paths[label]}")
-    return EXIT_OK
+    return text, files
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
@@ -265,11 +265,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluation.compare_methods(
         split.full_series(), split.test, *models.values(), window, harmonics
     )
-    with _write_utf8(args.out) as sink:
-        evaluation.write_report_csv(report, sink)
-    print(evaluation.render_report(report))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    text = f"{evaluation.render_report(report)}\nwrote {args.out}\n"
+    return text, {args.out: partial(evaluation.write_report_csv, report)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,13 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        stdout, files = args.handler(args)
+        _commit(files)
+        # a write per line: under python -u a closed pipe can drop a long write silently
+        sys.stdout.writelines(stdout.splitlines(keepends=True))
     except (OSError, ValueError, TwoTierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

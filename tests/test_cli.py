@@ -8,6 +8,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -329,7 +331,7 @@ class TestTrain:
             def write(self, text):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "_write_utf8", lambda path: FullDisk())
+        monkeypatch.setattr(cli, "_write_new", lambda path, write: write(FullDisk()))
         code = cli.main(["train", "--data", str(pipeline["data"]),
                          "--out", str(tmp_path / "m"), "--knn-only"])
         assert code == 3
@@ -815,9 +817,8 @@ TAKEN_OUTPUT = {
 
 @pytest.mark.parametrize("case", TAKEN_OUTPUT)
 def test_failed_write_exit_3_printing_nothing(pipeline, tmp_path, capsys, case):
-    """Every output file is written before anything is printed, so an
-    output path that is an existing directory exits 3 with one error line
-    and an empty stdout."""
+    """An output path that is an existing directory exits 3 with one error
+    line naming it and an empty stdout, and no other output is written."""
     taken = tmp_path / f"trace-nn-{CLOUDY_DEMO_DAY}.csv"
     taken.mkdir()
     argv = TAKEN_OUTPUT[case](pipeline, taken)
@@ -827,6 +828,155 @@ def test_failed_write_exit_3_printing_nothing(pipeline, tmp_path, capsys, case):
     assert captured.err == (
         f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{taken}'\n"
     )
+    assert list(tmp_path.iterdir()) == [taken]
+    assert list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, error", [
+    ("missing/d.csv", errno.ENOENT),
+    ("data.csv/d.csv", errno.ENOTDIR),
+], ids=["missing-directory", "under-a-file"])
+def test_unreachable_output_named_in_the_error(pipeline, tmp_path, monkeypatch, capsys,
+                                               out, error):
+    """The error names the output path, as opening it would, not the new
+    file written beside it."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(pipeline["data"], "data.csv")
+    assert cli.main(["ingest", "--data", "data.csv", "--out", out]) == 3
+    assert capsys.readouterr() == ("", f"error: [Errno {error}] {os.strerror(error)}: '{out}'\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["data.csv"]
+
+
+# Each command with two output files, as [command, flags] given the
+# pipeline and a directory `out` to write into, and the two targets.
+TWO_OUTPUTS = {
+    "synth --out": (lambda run, out: ["synth", "--days", "2", "--out", out / "s.csv"],
+                    ["s.csv", "s.labels.csv"]),
+    "tune --out --report": (
+        lambda run, out: ["tune", "--knn-only", "--data", run["data"],
+                          "--out", out / "t.cfg", "--report", out / "grids.csv"],
+        ["t.cfg", "grids.csv"]),
+    "train": (lambda run, out: ["train", "--data", run["data"], "--nn-restarts", "1",
+                                "--out", out / "models"],
+              ["models/knn.htm-model", "models/nn.htm-model"]),
+    "simulate": (lambda run, out: ["simulate", "--models", run["models"], "--data", run["data"],
+                                   "--day", CLOUDY_DEMO_DAY, "--out", out / "traces"],
+                 [f"traces/trace-knn-{CLOUDY_DEMO_DAY}.csv",
+                  f"traces/trace-nn-{CLOUDY_DEMO_DAY}.csv"]),
+}
+
+
+def tree(root):
+    """{relative path: bytes, or None for a directory} of everything under root."""
+    return {str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+            for path in root.rglob("*")}
+
+
+def fail_write(monkeypatch, position):
+    """Make the `position`-th new-file write of a run (1 for the first)
+    write a few bytes and then raise ENOSPC; return the list of the paths
+    the run writes to, filled in as it runs."""
+    write_new, paths = cli._write_new, []
+
+    def counted(path, write):
+        paths.append(path)
+        if len(paths) != position:
+            return write_new(path, write)
+
+        def full_disk(sink):
+            sink.write("partial")
+            sink.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_new(path, full_disk)
+
+    monkeypatch.setattr(cli, "_write_new", counted)
+    return paths
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-targets", "old-targets"])
+@pytest.mark.parametrize("position", [1, 2])
+@pytest.mark.parametrize("case", TWO_OUTPUTS)
+def test_failed_write_at_any_position_changes_nothing(
+    pipeline, tmp_path, monkeypatch, capsys, case, position, existing
+):
+    """A write that fails at any position exits 3 with one error line and
+    an empty stdout, leaves every target as it was (or absent), and
+    leaves no new file or directory behind."""
+    command, targets = TWO_OUTPUTS[case]
+    if existing:
+        for name in targets:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(f"old {name}\n".encode())
+    before = tree(tmp_path)
+    paths = fail_write(monkeypatch, position)
+    assert cli.main([str(arg) for arg in command(pipeline, tmp_path)]) == 3
+    assert len(paths) == position
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert tree(tmp_path) == before
+
+
+def test_retrain_failing_at_the_nn_model_keeps_both_old_models(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    """A re-train into an existing model directory whose NN model write
+    fails keeps the old k-NN model too, so the directory never holds
+    models of two runs; the same run without the failure replaces both."""
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    old = tree(models)
+    argv = ["train", "--data", str(pipeline["data"]), "--knn-neighbors", "3",
+            "--nn-restarts", "1", "--out", str(models)]
+    fail_write(monkeypatch, 2)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert tree(models) == old
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+    new = tree(models)
+    assert new.keys() == old.keys()
+    assert all(new[name] != old[name] for name in old)
+
+
+def test_one_path_for_config_and_report_keeps_the_report(pipeline, tmp_path, capsys):
+    """`tune --out P --report P` prints both `wrote P` lines and leaves the
+    report in P, the output written last."""
+    same, report = tmp_path / "P", tmp_path / "grids.csv"
+    argv = ["tune", "--knn-only", "--data", str(pipeline["data"])]
+    assert cli.main([*argv, "--out", str(tmp_path / "t.cfg"), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(same), "--report", str(same)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"wrote {same}"] * 2
+    assert same.read_bytes() == report.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["P", "grids.csv", "t.cfg"]
+
+
+def test_stdout_write_error_exits_3(pipeline, monkeypatch, capsys):
+    """A stdout that fails (a closed pipe) exits 3 with one error line."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert cli.main(["ingest", "--data", str(pipeline["data"])]) == 3
+    assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_pipe_closed_while_writing_exits_3(unbuffered):
+    """A reader that leaves after 10 bytes of `synth`'s 1.7 MB CSV makes it
+    exit 3 with the EPIPE error line, buffered or not (python -u): the
+    write it was blocked in must not end the run as a success."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen([sys.executable, "-m", "twotier.cli", "synth", "--days", "365"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as run:
+        assert run.stdout.read(10) == b"timestamp,"
+        run.stdout.close()
+        err = run.stderr.read().decode()
+        assert run.wait(timeout=120) == 3
+    assert err.endswith(f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
 
 def readme_quick_start():

@@ -189,6 +189,17 @@ class TestIntegrity:
         with pytest.raises(InvariantViolation, match=r"^scale_max must be in \(0, 1e\+12\]$"):
             load_model(rebuilt)
 
+    @pytest.mark.parametrize("value, quoted", [
+        ("x" * 40, repr("x" * 40)),
+        ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+    ])
+    def test_malformed_value_quoted_to_40_characters(self, value, quoted):
+        text = rendered(build(NnConfig(hidden_neurons=2), seed=1, scale_max=35000.0))
+        rebuilt = replace_payload_line(text, "scale_max 35000.0", f"scale_max {value}")
+        with pytest.raises(MalformedModelFile) as caught:
+            load_model(rebuilt)
+        assert str(caught.value) == f"scale_max: not a number: {quoted}"
+
     def test_bad_setting_reported_before_truncated_days(self):
         text = render_model(small_fitted_model())
         payload = ["depth_days -2"] + text.splitlines()[4:-2]
@@ -404,6 +415,18 @@ class TestDayBlock:
         # the seventh of six promised day lines trails the matrix
         "trailing line": (lambda line: [line, line], MalformedModelFile),
     }
+
+    def test_error_quotes_40_characters_of_a_long_line(self):
+        # the 1124-character `dey` line, cut in the message on both paths
+        text = render_model(day_matrix_model())
+        payload = text.splitlines()[3:]
+        third = [line.startswith("day ") for line in payload].index(True) + 2
+        edited = with_payload(text, payload[:third] + ["dey" + payload[third][3:]]
+                              + payload[third + 1:])
+        message = ("expected 'day ...', got 'dey 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 '"
+                   "... (1124 characters)")
+        assert load_outcome(edited) == (MalformedModelFile, message)
+        assert per_line_outcome(edited) == (MalformedModelFile, message)
 
     @pytest.mark.parametrize("edit", EDITS)
     def test_edited_day_line_loads_or_raises_as_the_per_line_reader(self, edit):
