@@ -6,10 +6,12 @@ data), tune (grid search), train (fit and persist models), simulate
 split). Exit codes are stable for scripting: 0 success, 2 usage or
 configuration problem, 3 I/O or unusable file, 4 not enough data,
 5 unknown date. Each `cmd_*` returns its stdout text and an ordered
-{path: write(sink)} of its output files; `main` writes all of them or
-none (`_commit`) before it prints, so a failed write exits 3 with
-nothing on stdout and every target as it was.
+{path: write(sink)} of its output files; `main` writes them (`_commit`)
+before it prints, so a failed write exits 3 with nothing on stdout and
+every regular output file as it was.
 """
+
+from __future__ import annotations
 
 import argparse
 import contextlib
@@ -27,8 +29,16 @@ from .config import (
     KEY_TYPES, READERS, RunConfig, apply_overrides, parse_config, render_config
 )
 from .errors import (
-    ConfigError, EmptyInput, GridMismatch, InsufficientHistory, InsufficientTrainingDays,
-    MalformedRow, TooFewDays, TwoTierError, Underdetermined, UnknownDate,
+    ConfigError,
+    EmptyInput,
+    GridMismatch,
+    InsufficientHistory,
+    InsufficientTrainingDays,
+    MalformedRow,
+    TooFewDays,
+    TwoTierError,
+    Underdetermined,
+    UnknownDate,
 )
 from .timeseries import export_csv, ingest_csv, split_chronological
 
@@ -52,16 +62,22 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
     defaults = RunConfig()
     for key, kind in KEY_TYPES.items():
-        group.add_argument("--" + key.replace("_", "-"), dest=key, type=READERS[kind][0],
-                           default=None, metavar=kind.__name__.upper(),
-                           help=f"default {getattr(defaults, key)}")
+        group.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=READERS[kind][0],
+            default=None,
+            metavar=kind.__name__.upper(),
+            help=f"default {getattr(defaults, key)}",
+        )
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
         config = parse_config(_read_utf8(Path(args.config), ConfigError), config)
-    return apply_overrides(config, {key: getattr(args, key) for key in KEY_TYPES})
+    overrides = {key: getattr(args, key) for key in KEY_TYPES}
+    return apply_overrides(config, overrides)
 
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
@@ -73,16 +89,20 @@ def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
         raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
 
 
-def _write_new(path: str, write) -> None:
-    """Create `path` and write it through write(sink): UTF-8, "\n" line ends."""
-    with open(path, "x", encoding="utf-8", newline="\n") as sink:
+def _write_file(path, write, mode: str = "x") -> None:
+    """Open `path` with `mode` and write it through write(sink): UTF-8,
+    "\n" line ends."""
+    with open(path, mode, encoding="utf-8", newline="\n") as sink:
         write(sink)
 
 
 def _commit(files: dict) -> None:
     """Write each {target: write} output to a new file beside its target (a
     None write makes the directory target), then move them all onto their
-    targets in order. On failure remove every new file and directory."""
+    targets in order. A target that exists and is not a regular file (a
+    directory, symlink, FIFO or device) is opened and written in its turn,
+    as `open(target, "w")` does. On failure remove every new file and
+    directory; targets already moved keep their new bytes."""
     made, moves = [], []
     try:
         for target, write in files.items():
@@ -90,11 +110,16 @@ def _commit(files: dict) -> None:
                 made += reversed([d for d in (target, *target.parents) if not d.exists()])
                 target.mkdir(parents=True, exist_ok=True)
                 continue
-            if not os.path.basename(target) or os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(target))
+            try:
+                regular = stat.S_ISREG(os.lstat(target).st_mode)
+            except FileNotFoundError:
+                regular = bool(os.path.basename(target))  # "d/" names a directory
+            if not regular:
+                _write_file(target, write, "w")
+                continue
             made.append(f"{target}.{os.urandom(4).hex()}.new")
             try:
-                _write_new(made[-1], write)
+                _write_file(made[-1], write)
             except OSError as exc:  # name the target where open() names the new file
                 if exc.filename is not None:
                     exc.filename = os.fspath(target)
@@ -155,8 +180,10 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
     result = synth.generate(config.synth(), config.synth_days, grid=config.grid())
     sunny = sum(1 for label in result.labels if label == synth.SUNNY)
     cloudy = len(result.labels) - sunny
-    summary = (f"generated {result.series.num_days} days ({sunny} sunny, {cloudy} cloudy), "
-               f"seed {config.seed}")
+    summary = (
+        f"generated {result.series.num_days} days "
+        f"({sunny} sunny, {cloudy} cloudy), seed {config.seed}"
+    )
     if args.out is None:
         print(summary, file=sys.stderr)
         csv_text = io.StringIO()
@@ -174,10 +201,12 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
 def cmd_ingest(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     series = _read_series(args.data, config.grid())
+    first = series.start
     last = series.start + timedelta(days=series.num_days - 1)
     text = (
-        f"{series.num_days} days from {series.start.isoformat()} to {last.isoformat()}, "
-        f"{series.grid.samples_per_day} samples/day, peak {series.max_power():.1f} W\n"
+        f"{series.num_days} days from {first.isoformat()} to {last.isoformat()}, "
+        f"{series.grid.samples_per_day} samples/day, "
+        f"peak {series.max_power():.1f} W\n"
     )
     if args.out is None:
         return text, {}
@@ -321,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         stdout, files = args.handler(args)
         _commit(files)

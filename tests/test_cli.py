@@ -9,7 +9,9 @@ import re
 import shlex
 import shutil
 import subprocess
+import stat
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -331,7 +333,7 @@ class TestTrain:
             def write(self, text):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "_write_new", lambda path, write: write(FullDisk()))
+        monkeypatch.setattr(cli, "_write_file", lambda path, write, mode="x": write(FullDisk()))
         code = cli.main(["train", "--data", str(pipeline["data"]),
                          "--out", str(tmp_path / "m"), "--knn-only"])
         assert code == 3
@@ -847,6 +849,38 @@ def test_unreachable_output_named_in_the_error(pipeline, tmp_path, monkeypatch, 
     assert [path.name for path in tmp_path.iterdir()] == ["data.csv"]
 
 
+def test_symlinked_output_written_through_the_link(pipeline, tmp_path, capsys):
+    """An output path that is a symlink stays one, and the file it points
+    to gets the output, as opening the path would."""
+    argv = ["ingest", "--data", str(pipeline["data"]), "--out"]
+    assert cli.main([*argv, str(tmp_path / "plain.csv")]) == 0
+    linked, link = tmp_path / "linked.csv", tmp_path / "link.csv"
+    linked.write_bytes(b"old\n")
+    link.symlink_to(linked)
+    assert cli.main([*argv, str(link)]) == 0
+    assert link.is_symlink()
+    assert linked.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "link.csv", "linked.csv", "plain.csv"]
+
+
+def test_fifo_output_written_in_place(pipeline, tmp_path, capsys):
+    """An output path that is a FIFO, like a device such as /dev/null, is
+    opened and written; it is not replaced by a regular file."""
+    argv = ["ingest", "--data", str(pipeline["data"]), "--out"]
+    assert cli.main([*argv, str(tmp_path / "plain.csv")]) == 0
+    fifo, received = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main([*argv, str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [(tmp_path / "plain.csv").read_bytes()]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "plain.csv"]
+
+
 # Each command with two output files, as [command, flags] given the
 # pipeline and a directory `out` to write into, and the two targets.
 TWO_OUTPUTS = {
@@ -873,23 +907,23 @@ def tree(root):
 
 
 def fail_write(monkeypatch, position):
-    """Make the `position`-th new-file write of a run (1 for the first)
+    """Make the `position`-th file write of a run (1 for the first)
     write a few bytes and then raise ENOSPC; return the list of the paths
     the run writes to, filled in as it runs."""
-    write_new, paths = cli._write_new, []
+    write_file, paths = cli._write_file, []
 
-    def counted(path, write):
+    def counted(path, write, mode="x"):
         paths.append(path)
         if len(paths) != position:
-            return write_new(path, write)
+            return write_file(path, write, mode)
 
         def full_disk(sink):
             sink.write("partial")
             sink.flush()
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_new(path, full_disk)
+        return write_file(path, full_disk, mode)
 
-    monkeypatch.setattr(cli, "_write_new", counted)
+    monkeypatch.setattr(cli, "_write_file", counted)
     return paths
 
 
