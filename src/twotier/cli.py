@@ -8,14 +8,14 @@ configuration problem, 3 I/O or unusable file, 4 not enough data,
 5 unknown date. Each `cmd_*` returns its stdout text and an ordered
 {path: write(sink)} of its output files; `main` writes them (`_commit`)
 before it prints, so a failed write exits 3 with nothing on stdout and
-every regular output file as it was.
+every regular output file as it was. Every output is rendered in memory
+before any path is opened, and `train` fits after making its directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import io
 import os
 import stat
@@ -89,37 +89,41 @@ def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
         raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
 
 
-def _write_file(path, write, mode: str = "x") -> None:
-    """Open `path` with `mode` and write it through write(sink): UTF-8,
-    "\n" line ends."""
+def _write_file(path, text: str, mode: str = "x") -> None:
+    """Open `path` with `mode` and write `text` to it: UTF-8, "\n" line ends."""
     with open(path, mode, encoding="utf-8", newline="\n") as sink:
-        write(sink)
+        sink.write(text)
 
 
 def _commit(files: dict) -> None:
-    """Write each {target: write} output to a new file beside its target (a
-    None write makes the directory target), then move them all onto their
-    targets in order. A target that exists and is not a regular file (a
-    directory, symlink, FIFO or device) is opened and written in its turn,
-    as `open(target, "w")` does. On failure remove every new file and
-    directory; targets already moved keep their new bytes."""
-    made, moves = [], []
+    """Write the {target: write} outputs in two phases. First make each
+    directory target (a None write) and render every other output into
+    memory through write(sink), in order; no output path is opened yet.
+    Then write each text to a new file beside its target and move them all
+    onto their targets in order. A target that exists and is not a regular
+    file (a directory, symlink, FIFO or device) is opened and written in
+    its turn instead, as `open(target, "w")` does. On failure remove every
+    new file and directory; targets already moved keep their new bytes."""
+    made, rendered, moves = [], {}, []
     try:
         for target, write in files.items():
             if write is None:
                 made += reversed([d for d in (target, *target.parents) if not d.exists()])
                 target.mkdir(parents=True, exist_ok=True)
-                continue
+            else:
+                rendered[target] = io.StringIO()
+                write(rendered[target])
+        for target, sink in rendered.items():
             try:
                 regular = stat.S_ISREG(os.lstat(target).st_mode)
             except FileNotFoundError:
                 regular = bool(os.path.basename(target))  # "d/" names a directory
             if not regular:
-                _write_file(target, write, "w")
+                _write_file(target, sink.getvalue(), "w")
                 continue
             made.append(f"{target}.{os.urandom(4).hex()}.new")
             try:
-                _write_file(made[-1], write)
+                _write_file(made[-1], sink.getvalue())
             except OSError as exc:  # name the target where open() names the new file
                 if exc.filename is not None:
                     exc.filename = os.fspath(target)
@@ -164,15 +168,9 @@ def _load_models(models_dir: str, grid) -> dict:
     return models
 
 
-def _check_out_dir(out_dir: Path) -> None:
-    """Raise what out_dir.mkdir(parents=True, exist_ok=True) raises when
-    out_dir or one of its parents is a file, without creating anything."""
-    try:
-        mode = out_dir.stat().st_mode  # a file parent raises NotADirectoryError
-    except FileNotFoundError:
-        return  # mkdir creates it and any missing parents
-    if not stat.S_ISDIR(mode):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
+def _save_fitted(fit, sink) -> None:
+    """Save the model fit() returns: a model is fitted when its file is rendered."""
+    persistence.save_model(fit(), sink)
 
 
 def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
@@ -248,15 +246,14 @@ def cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
     # every model is configured before any is fitted: a usage error stops early
     fitters = {}
     if not args.nn_only:
-        fitters["knn"] = (knn.fit, config.knn())
+        fitters["knn"] = partial(knn.fit, split.train, config.knn())
     if not args.knn_only:
-        fitters["nn"] = (nn.fit_day_ahead, config.nn())
+        fitters["nn"] = partial(nn.fit_day_ahead, split.train, config.nn())
     out_dir = Path(args.out)
-    _check_out_dir(out_dir)
+    # `_commit` fits each model after making out_dir, so an unusable out_dir fails first
     files = {out_dir: None}
-    for name, (fit, settings) in fitters.items():
-        path = out_dir / f"{name}{persistence.MODEL_SUFFIX}"
-        files[path] = partial(persistence.save_model, fit(split.train, settings))
+    for name, fit in fitters.items():
+        files[out_dir / f"{name}{persistence.MODEL_SUFFIX}"] = partial(_save_fitted, fit)
     wrote = ", ".join(str(path) for path, write in files.items() if write)
     return f"trained on {split.train.num_days} days; wrote {wrote}\n", files
 
@@ -292,7 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[str, dict]:
     split = _split(config, series)
     models = _load_models(args.models, series.grid)
     report = evaluation.compare_methods(
-        split.full_series(), split.test, *models.values(), window, harmonics
+        split.series, split.test, *models.values(), window, harmonics
     )
     text = f"{evaluation.render_report(report)}\nwrote {args.out}\n"
     return text, {args.out: partial(evaluation.write_report_csv, report)}
@@ -355,8 +352,16 @@ def main(argv=None) -> int:
     try:
         stdout, files = args.handler(args)
         _commit(files)
-        # a write per line: under python -u a closed pipe can drop a long write silently
-        sys.stdout.writelines(stdout.splitlines(keepends=True))
+        try:
+            # a write per line: under python -u a closed pipe can drop a long write silently
+            sys.stdout.writelines(stdout.splitlines(keepends=True))
+            sys.stdout.flush()
+        except OSError:
+            if sys.stdout is sys.__stdout__:  # exit flushes what is left to nowhere
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise
     except (OSError, ValueError, TwoTierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -165,7 +165,7 @@ def tune_knn(
         raise EmptyInput("candidate lists must be non-empty")
     if split.tune.num_days == 0:
         raise EmptyInput("tune split has no days")
-    full, train, tune = split.full_series(), split.train, split.tune
+    full, train, tune = split.series, split.train, split.tune
     trainable = [(d, k) for d in depth_candidates for k in neighbor_candidates
                  if train.num_days >= knn.KnnConfig(d, k).min_training_days]
     cells = {(d, k): None for d in depth_candidates for k in neighbor_candidates}
@@ -219,7 +219,7 @@ def tune_nn(
         raise EmptyInput("tune split has no days")
     if config is None:
         config = nn.NnConfig()
-    full, tune = split.full_series(), split.tune
+    full, tune = split.series, split.tune
     tune_days = range(tune.first_index, tune.last_index + 1)
     raw = []
     for hidden in hidden_candidates:
@@ -239,13 +239,15 @@ def tune_nn(
 class EvalReport:
     """Scores for each method over the test days actually evaluated.
 
-    per_day_rmse rows are (date, method label, rmse watts), the methods
-    of a day in `averaged_rmse` order, which reports follow. Improvements
-    compare each two-tier method against its own global tier; None means
-    the baseline was below rounding level and the ratio is undefined.
+    per_day_rmse maps each method label, in report order, to its column of
+    RMSE watts, one per day of `dates`; `averaged_rmse` follows the same
+    order. Improvements compare each two-tier method against its own
+    global tier; None means the baseline was below rounding level and the
+    ratio is undefined.
     """
 
-    per_day_rmse: tuple
+    dates: tuple
+    per_day_rmse: dict
     averaged_rmse: dict
     improvement_percent: dict
     skipped_days: tuple
@@ -292,17 +294,15 @@ def score_replay(dates, sims: dict, skipped=()) -> EvalReport:
     if len(dates) != len(measured):
         raise LengthMismatch(f"{len(dates)} dates for {len(measured)} replayed days")
     tiers = {label: f"{label}+local" for label in sims}
-    scores = {label: daily_rmse(sim.global_w, sim.measured_w).tolist()
+    scores = {label: tuple(daily_rmse(sim.global_w, sim.measured_w).tolist())
               for label, sim in sims.items()}
     for label, sim in sims.items():
-        scores[tiers[label]] = daily_rmse(sim.corrected_w, sim.measured_w).tolist()
+        scores[tiers[label]] = tuple(daily_rmse(sim.corrected_w, sim.measured_w).tolist())
     averaged = {label: _mean(values) for label, values in scores.items()}
     scale = np.abs(measured).max()
-    rows = [(day, label, values[i]) for i, day in enumerate(dates)
-            for label, values in scores.items()]
     improvements = {(base, local): improvement(averaged[base], averaged[local], scale)
                     for base, local in tiers.items()}
-    return EvalReport(tuple(rows), averaged, improvements, tuple(skipped))
+    return EvalReport(tuple(dates), scores, averaged, improvements, tuple(skipped))
 
 
 def improvement_text(percent) -> str:
@@ -374,19 +374,11 @@ def write_grid_csv(grid: TuneGrid, sink) -> None:
 
 
 def render_report(report: EvalReport) -> str:
-    lines = ["per-day RMSE (watts)"]
-    dates = dict.fromkeys(day for day, _, _ in report.per_day_rmse)
-    width = max(len(label) for label in report.averaged_rmse)
-    header = "date".ljust(10) + "  " + "  ".join(
-        label.rjust(max(width, 9)) for label in report.averaged_rmse
-    )
-    lines.append(header)
-    by_key = {(d, m): v for d, m, v in report.per_day_rmse}
-    for day in dates:
-        cells = "  ".join(
-            f"{by_key[(day, label)]:.1f}".rjust(max(width, 9))
-            for label in report.averaged_rmse
-        )
+    width = max(9, *(len(label) for label in report.per_day_rmse))
+    header = "  ".join(label.rjust(width) for label in report.per_day_rmse)
+    lines = ["per-day RMSE (watts)", f"{'date':<10}  {header}"]
+    for day, row in zip(report.dates, zip(*report.per_day_rmse.values())):
+        cells = "  ".join(f"{value:.1f}".rjust(width) for value in row)
         lines.append(f"{day.isoformat()}  {cells}")
     lines.append("")
     lines.append("averaged RMSE (watts)")
@@ -403,8 +395,9 @@ def render_report(report: EvalReport) -> str:
 def write_report_csv(report: EvalReport, sink) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["date", "method", "rmse_w"])
-    for day, method, value in report.per_day_rmse:
-        writer.writerow([day.isoformat(), method, repr(value)])
+    for day, row in zip(report.dates, zip(*report.per_day_rmse.values())):
+        for label, value in zip(report.per_day_rmse, row):
+            writer.writerow([day.isoformat(), label, repr(value)])
     for label, value in report.averaged_rmse.items():
         writer.writerow(["average", label, repr(value)])
     for (base, improved), pct in report.improvement_percent.items():

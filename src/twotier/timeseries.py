@@ -194,7 +194,8 @@ class DatasetSplit:
                 raise ValueError("split partitions must be in time order")
 
     def full_series(self) -> SolarSeries:
-        """The series the partitions were cut from."""
+        """The series the partitions were cut from: the field `series`,
+        which the pipeline reads; kept because the acceptance gate calls it."""
         return self.series
 
 

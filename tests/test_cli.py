@@ -24,6 +24,7 @@ from conftest import (
 )
 from twotier import cli, persistence
 from twotier.config import RunConfig, parse_config
+from twotier.errors import InsufficientTrainingDays
 from twotier.knn import KnnModel
 from twotier.nn import NnConfig, NnModel
 from twotier.synth import SynthConfig, generate
@@ -333,11 +334,33 @@ class TestTrain:
             def write(self, text):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "_write_file", lambda path, write, mode="x": write(FullDisk()))
+        monkeypatch.setattr(cli, "_write_file", lambda path, text, mode="x": FullDisk().write(text))
         code = cli.main(["train", "--data", str(pipeline["data"]),
                          "--out", str(tmp_path / "m"), "--knn-only"])
         assert code == 3
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    def test_failed_fit_touches_no_model_file(self, pipeline, tmp_path, monkeypatch, capsys):
+        """A re-train whose NN fit fails leaves the linked k-NN model (a
+        symlink is written in place, not replaced) and the old NN model
+        as they were, and no new file: every model is fitted before any
+        output path is opened."""
+        def failed_fit(*args):
+            raise InsufficientTrainingDays("the NN fit failed")
+
+        models, linked = tmp_path / "models", tmp_path / "linked.htm-model"
+        models.mkdir()
+        linked.write_bytes(b"old knn\n")
+        (models / "knn.htm-model").symlink_to(linked)
+        (models / "nn.htm-model").write_bytes(b"old nn\n")
+        monkeypatch.setattr("twotier.nn.fit_day_ahead", failed_fit)
+        code = cli.main(["train", "--data", str(pipeline["data"]), "--out", str(models)])
+        assert code == 4
+        assert capsys.readouterr() == ("", "error: the NN fit failed\n")
+        assert (models / "knn.htm-model").is_symlink()
+        assert linked.read_bytes() == b"old knn\n"
+        assert (models / "nn.htm-model").read_bytes() == b"old nn\n"
+        assert sorted(path.name for path in models.iterdir()) == ["knn.htm-model", "nn.htm-model"]
 
 
 class TestTune:
@@ -912,16 +935,12 @@ def fail_write(monkeypatch, position):
     the run writes to, filled in as it runs."""
     write_file, paths = cli._write_file, []
 
-    def counted(path, write, mode="x"):
+    def counted(path, text, mode="x"):
         paths.append(path)
         if len(paths) != position:
-            return write_file(path, write, mode)
-
-        def full_disk(sink):
-            sink.write("partial")
-            sink.flush()
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_file(path, full_disk, mode)
+            return write_file(path, text, mode)
+        write_file(path, "partial", mode)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(cli, "_write_file", counted)
     return paths
@@ -1011,6 +1030,35 @@ def test_pipe_closed_while_writing_exits_3(unbuffered):
         err = run.stderr.read().decode()
         assert run.wait(timeout=120) == 3
     assert err.endswith(f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout, error", [
+    ("/dev/full", errno.ENOSPC),
+    ("closed pipe", errno.EPIPE),
+], ids=["full-device", "closed-pipe"])
+def test_unwritable_stdout_exits_3(pipeline, stdout, error, unbuffered):
+    """`ingest`, whose one line fits stdout's buffer, exits 3 with one
+    error line when stdout is a full device or a pipe whose reader has
+    already left, buffered or not (python -u): main flushes the line, and
+    interpreter exit does not report the failure again."""
+    if stdout == "/dev/full":
+        fd = os.open(stdout, os.O_WRONLY)
+    else:
+        reader, fd = os.pipe()
+        os.close(reader)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "twotier.cli", "ingest", "--data", str(pipeline["data"])],
+            stdout=fd, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(fd)
+    assert run.returncode == 3
+    assert run.stderr.decode() == f"error: [Errno {error}] {os.strerror(error)}\n"
 
 
 def readme_quick_start():

@@ -293,7 +293,7 @@ class TestCompareMethods:
         split, _ = synth_split
         km, nm = fitted_models
         report = compare_methods(split.full_series(), split.test, km, nm)
-        methods = {row[1] for row in report.per_day_rmse}
+        methods = set(report.per_day_rmse)
         assert methods == {"knn", "nn", "knn+local", "nn+local"}
         assert set(report.averaged_rmse) == methods
 
@@ -317,7 +317,7 @@ class TestCompareMethods:
         km, nm = fitted_models
         report = compare_methods(split.full_series(), split.test, km, nm)
         for method, avg in report.averaged_rmse.items():
-            daily = [row[2] for row in report.per_day_rmse if row[1] == method]
+            daily = report.per_day_rmse[method]
             assert avg == pytest.approx(sum(daily) / len(daily), rel=1e-12)
 
     def test_perfect_forecast_improvement_not_applicable(self):
@@ -361,18 +361,19 @@ class TestReplayDay:
         km, nm = fitted_models
         full = split.full_series()
         report = compare_methods(full, split.test, km, nm)
-        rows = iter(report.per_day_rmse)
-        for day in split.test.days:
+        assert report.dates == tuple(day.date for day in split.test.days)
+        assert list(report.per_day_rmse) == list(LABELS)
+        for i, day in enumerate(split.test.days):
             sims = {label: sim.day(0) for label, sim in
                     replay_days(full, [day.day_index], {"knn": km, "nn": nm}).items()}
             forecasts = [sims["knn"].global_w, sims["nn"].global_w,
                          sims["knn"].corrected_w, sims["nn"].corrected_w]
             for label, forecast in zip(LABELS, forecasts):
-                assert next(rows) == (day.date, label, rmse(forecast, day.samples))
-        assert next(rows, None) is None
+                assert report.per_day_rmse[label][i] == rmse(forecast, day.samples)
+        assert {len(values) for values in report.per_day_rmse.values()} == {len(report.dates)}
 
     def test_scores_equal_a_per_day_rmse_loop(self, synth_split, fitted_models):
-        # the block scorer's rows and averages, bit for bit, against one
+        # the block scorer's columns and averages, bit for bit, against one
         # rmse call per day and method and a date-order sum per method
         split, _ = synth_split
         km, nm = fitted_models
@@ -380,15 +381,15 @@ class TestReplayDay:
         report = compare_methods(full, split.test, km, nm)
         sims = replay_days(full, [day.day_index for day in split.test.days],
                            {"knn": km, "nn": nm})
-        rows, scores = [], {label: [] for label in LABELS}
+        scores = {label: [] for label in LABELS}
         for i, day in enumerate(split.test.days):
             forecasts = [sims["knn"].global_w[i], sims["nn"].global_w[i],
                          sims["knn"].corrected_w[i], sims["nn"].corrected_w[i]]
             for label, forecast in zip(LABELS, forecasts):
-                score = rmse(forecast, day.samples)
-                rows.append((day.date, label, score))
-                scores[label].append(score)
-        assert report.per_day_rmse == tuple(rows)
+                scores[label].append(rmse(forecast, day.samples))
+        assert report.dates == tuple(day.date for day in split.test.days)
+        assert list(report.per_day_rmse) == list(LABELS)
+        assert report.per_day_rmse == {label: tuple(values) for label, values in scores.items()}
         assert report.averaged_rmse == {
             label: sum(values) / len(values) for label, values in scores.items()
         }
@@ -404,7 +405,6 @@ class TestReplayDay:
         assert list(GLOBAL_TIERS) == ["knn", "nn"]
         default = score_replay(dates, replay_days(full, days, {"knn": km, "nn": nm}))
         assert list(default.averaged_rmse) == list(LABELS)
-        score = {(date, label): value for date, label, value in default.per_day_rmse}
         for models in ({"nn": nm, "knn": km}, {"nn": nm}):
             sims = replay_days(full, days, models)
             assert list(sims) == list(models)
@@ -413,8 +413,10 @@ class TestReplayDay:
             assert list(report.averaged_rmse) == labels
             assert report.averaged_rmse == {label: default.averaged_rmse[label]
                                             for label in labels}
-            assert report.per_day_rmse == tuple(
-                (date, label, score[date, label]) for date in dates for label in labels)
+            assert report.dates == tuple(dates)
+            assert list(report.per_day_rmse) == labels
+            assert report.per_day_rmse == {label: default.per_day_rmse[label]
+                                           for label in labels}
             pairs = [(label, f"{label}+local") for label in models]
             assert report.improvement_percent == {
                 pair: default.improvement_percent[pair] for pair in pairs}
@@ -444,7 +446,10 @@ class TestReplayDay:
         for given in (dates[:1], dates[:2], dates):
             with pytest.raises(LengthMismatch, match=f"^{len(given)} dates for 3 replayed days$"):
                 score_replay(given, sims)
-        assert len(score_replay(dates[:3], sims).per_day_rmse) == 3 * 2
+        report = score_replay(dates[:3], sims)
+        assert report.dates == tuple(dates[:3])
+        assert {label: len(values) for label, values in report.per_day_rmse.items()} == {
+            "knn": 3, "knn+local": 3}
 
     def test_day_missing_from_series_named(self):
         # 40 days split 24/8/8; the last test day is not in `full`
@@ -481,8 +486,9 @@ class TestCompareMethodsSkips:
         with pytest.raises(InsufficientHistory) as err:
             knn.forecast_days(km, full, [9])
         assert str(err.value) == reason
-        scored = [day for day, _, _ in report.per_day_rmse]
-        assert scored == [d.date for d in split.test.days[1:] for _ in range(4)]
+        assert report.dates == tuple(d.date for d in split.test.days[1:])
+        assert [len(values) for values in report.per_day_rmse.values()] == [
+            len(report.dates)] * 4
         assert f"skipped 2015-02-24: {reason}" in render_report(report).splitlines()
         buf = io.StringIO()
         write_report_csv(report, buf)
@@ -495,7 +501,8 @@ class TestCompareMethodsSkips:
         report = compare_methods(full, split.test, km, nm)
         reason = "2015-02-24 needs 2015-02-22..2015-02-23; series covers 2015-02-23..2015-02-26"
         assert report.skipped_days == ((split.test.days[0].date, reason),)
-        assert len(report.per_day_rmse) == 2 * 4
+        assert len(report.dates) == 2
+        assert [len(values) for values in report.per_day_rmse.values()] == [2] * 4
 
     def test_every_day_skipped_raises(self, series_and_nn):
         series, split, nm = series_and_nn
