@@ -22,9 +22,9 @@ class GridMisalignment(TwoTierError):
 class IncompleteDay(TwoTierError):
     """A calendar day inside the covered span is missing samples."""
 
-    def __init__(self, date, message=None):
+    def __init__(self, date):
         self.date = date
-        super().__init__(message or f"incomplete day: {date.isoformat()}")
+        super().__init__(f"incomplete day: {date.isoformat()}")
 
 
 class NegativePower(TwoTierError):

@@ -23,12 +23,12 @@ to the bytes it was read from. A value spelled otherwise but accepted
 by int() or float() (`05`, `+5`, `0.00`, a second space after the key)
 loads, and re-saves in the canonical spelling.
 
-The `day` lines of a version 2 file in `save_model`'s spelling are
-parsed as one byte block (`_day_block`, through `timeseries._decimals`).
-Every other spelling, and every other payload line, is read one line at
-a time by `_Scanner`; that per-line reader is the reference, and the
-source of every error message: the block path gives the same model, and
-leaves any lines it does not take to it.
+The `day` lines of a version 2 file in `save_model`'s spelling, the
+CSV reader's block grammar (`timeseries._fields`) keyed `day`, are
+parsed as one byte block (`_day_block`). Every other spelling, and every
+other payload line, is read one line at a time by `_Scanner`; that
+per-line reader is the reference, and the source of every error message:
+the block path gives the same model, and leaves the lines it refuses.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .knn import KnnConfig, KnnModel, from_days
 from .nn import NnConfig, NnModel
-from .timeseries import _decimals, _windows
+from .timeseries import _decimals, _fields
 
 MAGIC = "htm-model"
 MODEL_SUFFIX = ".htm-model"
@@ -217,28 +217,20 @@ def _load_knn_days(scanner: _Scanner) -> KnnModel:
 
 
 def _day_block(lines: list[str], per_day: int) -> np.ndarray | None:
-    """The (days, per_day) matrix of the `day` lines `lines` when each is
-    in `save_model`'s spelling (ASCII, `day`, then `per_day` values each
-    after one space), parsed as one byte block by `_decimals`; else
-    None, and the per-line reader, the reference, reads the lines."""
-    text = "\n".join([*lines, ""])
-    if not text.isascii():
+    """The (days, per_day) matrix of the `day` lines `lines` when they are
+    in the block grammar of `_fields` (`per_day + 1` fields a line) keyed
+    `day`, parsed as one byte block by `_decimals`; else None, and the
+    per-line reader, the reference, reads the lines."""
+    if not all(line.startswith("day ") for line in lines):
         return None
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    # every byte at or below the space separates, so a line holding a tab
-    # or a NUL fails the separator check and goes to the per-line reader
-    breaks = np.flatnonzero(data <= ord(" "))
-    if len(breaks) != len(lines) * (per_day + 1):
+    fields = _fields("\n".join([*lines, ""]), per_day + 1)
+    if fields is None:
         return None
-    if data[breaks].tobytes() != (b" " * per_day + b"\n") * len(lines):
-        return None
-    breaks = breaks.reshape(len(lines), per_day + 1)
-    line_starts = np.concatenate([[0], breaks[:-1, -1] + 1])
-    if _windows(data, 4)[line_starts].tobytes() != b"day " * len(lines):
-        return None
-    starts = breaks[:, :-1] + 1
+    data, *columns = fields
+    # the fields after each line's `day` key
+    starts, lengths = (column.reshape(len(lines), -1)[:, 1:].ravel() for column in columns)
     try:
-        days = _decimals(data, starts.ravel(), (breaks[:, 1:] - starts).ravel())
+        days = _decimals(data, starts, lengths)
     except ValueError:
         return None
     days.flags.writeable = False  # so from_days keeps it without a copy

@@ -25,6 +25,9 @@ import math
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+# The largest rate `poisson` draws from: exp(-rate) is still a normal
+# double, which above ~708 it is not, and at ~745 it is 0.
+MAX_POISSON_RATE = 700.0
 
 
 def _finalize(z: int) -> int:
@@ -56,10 +59,13 @@ class SplitMix64:
         """Poisson sample via Knuth's product-of-uniforms method.
 
         Exact and portable for the small rates used here (events/day);
-        runtime grows with lam, so keep lam modest.
+        runtime grows with lam, so keep lam modest. A rate above
+        MAX_POISSON_RATE raises ValueError.
         """
         if lam < 0:
             raise ValueError("poisson rate must be >= 0")
+        if lam > MAX_POISSON_RATE:
+            raise ValueError(f"poisson rate must be <= {MAX_POISSON_RATE:g}")
         if lam == 0:
             return 0
         threshold = math.exp(-lam)

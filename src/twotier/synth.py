@@ -18,16 +18,15 @@ differ in the last ulp of sin().
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from typing import IO
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import MAX_POISSON_RATE, SplitMix64
 from .errors import MalformedRow
-from .timeseries import MAX_POWER_W, SamplingGrid, SolarSeries
+from .timeseries import MAX_POWER_W, SamplingGrid, SolarSeries, check_span
 
 SUNNY = "sunny"
 CLOUDY = "cloudy"
@@ -58,8 +57,8 @@ class SynthConfig:
             raise ValueError("need 0 <= sunrise_sample < sunset_sample")
         if not 0.0 <= self.cloudiness <= 1.0:
             raise ValueError("cloudiness must be in [0, 1]")
-        if not (math.isfinite(self.cloud_event_rate) and self.cloud_event_rate >= 0):
-            raise ValueError("cloud_event_rate must be finite and >= 0")
+        if not 0 <= self.cloud_event_rate <= MAX_POISSON_RATE:  # NaN fails too
+            raise ValueError(f"cloud_event_rate must be in [0, {MAX_POISSON_RATE:g}]")
         lo, hi = self.cloud_depth
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError("cloud_depth range must satisfy 0 <= lo <= hi <= 1")
@@ -140,6 +139,7 @@ def generate(
     config.start_date, drawn from config.rng_seed."""
     if num_days < 1:
         raise ValueError("num_days must be >= 1")
+    check_span(config.start_date, num_days)
     grid = grid or SamplingGrid()
     rng = SplitMix64(config.rng_seed)
     bell = clear_sky_profile(config, grid)

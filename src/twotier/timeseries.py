@@ -8,6 +8,12 @@ immutable after construction; sample arrays are stored read-only.
 
 CSV schema (shared by every CLI-facing file): header ``timestamp,power_w``,
 one row per sample, ISO-8601 local timestamps aligned to the grid.
+
+Block grammar (``_fields``), shared with the model-file reader: a text
+is read as one byte block only when it is ASCII and every line, the last
+too, is the same number of fields joined by single spaces and ended by
+LF, with no other byte at or below the space. A CSV line is one field.
+Any other text goes to a per-line reader, the reference.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ def _freeze(values) -> np.ndarray:
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def check_span(start: Date, num_days: int) -> None:
+    """Raise ValueError unless `num_days` days from `start` end by 9999-12-31."""
+    if start.toordinal() + num_days - 1 > Date.max.toordinal():
+        raise ValueError(f"{num_days} days from {start} run past {Date.max}")
 
 
 def _check_samples(power: np.ndarray, start: Date) -> None:
@@ -119,8 +131,7 @@ class SolarSeries:
         m = self.grid.samples_per_day
         if power.ndim != 2 or power.shape[1] != m:
             raise ValueError(f"power shape {power.shape} is not days x {m} slots")
-        if self.start.toordinal() + len(power) - 1 > Date.max.toordinal():
-            raise ValueError(f"{len(power)} days from {self.start} run past {Date.max}")
+        check_span(self.start, len(power))
         _check_samples(power, self.start)
         object.__setattr__(self, "power", power)
 
@@ -216,10 +227,6 @@ def _clock(grid: SamplingGrid) -> list[str]:
     return [stamp.isoformat()[10:] + "," for stamp in grid.sample_times(Date(2000, 1, 1))]
 
 
-# Besides "\n", the ASCII characters `str.splitlines` breaks a line on.
-_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-
-
 def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
     """Parse the text of a CSV in the standard schema into a validated
     SolarSeries. Only complete days are accepted: a day inside the
@@ -244,37 +251,26 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     every value is accepted, else None. Where it returns a series,
     `_ingest_lines`, the reference, returns an equal one.
 
-    The row count comes from the newline positions; every row's 20-byte
-    prefix is gathered into one byte string and compared at once with
-    the prefixes a (days x slots) file from the first row's date must
-    hold. The values after the prefixes go through `_decimals` as one
-    byte block, so each is what Python's `float` makes of it, and a
-    value `float` rejects sends the text to the per-line parser."""
+    `_fields` splits the text, one field a line, line 0 the header; every
+    row's 20-byte prefix is gathered into one byte string and compared at
+    once with the prefixes a (days x slots) file from the first row's date
+    must hold. The values after the prefixes go through `_decimals` as one
+    byte block, so each is what Python's `float` makes of it, and a value
+    `float` rejects sends the text to the per-line parser."""
     head = CSV_HEADER + "\n"
-    if (
-        not text.startswith(head)
-        or not text.endswith("\n")
-        or not text.isascii()
-        or any(char in text for char in _OTHER_LINE_BREAKS)
-    ):
+    if not text.startswith(head) or (fields := _fields(text, 1)) is None:
         return None
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    rows = len(ends) - 1  # the first newline ends the header
+    data, starts, lengths = fields
+    starts, lengths = starts[1:], lengths[1:]  # line 0 is the header
     m = grid.samples_per_day
-    if rows <= 0 or rows % m:
-        return None
-    num_days = rows // m
+    if not len(starts) or len(starts) % m or lengths.min() < _PREFIX:
+        return None  # no row, a partial day, or a row too short for its prefix
+    num_days = len(starts) // m
     try:
         start = Date.fromisoformat(text[len(head) : len(head) + 10])
+        check_span(start, num_days)
     except ValueError:
         return None
-    if start.toordinal() + num_days - 1 > Date.max.toordinal():
-        return None
-    starts = ends[:-1] + 1
-    lengths = ends[1:] - starts
-    if lengths.min() < _PREFIX:
-        return None  # a row too short to hold its prefix
     if _windows(data, _PREFIX)[starts].tobytes() != _prefixes(start, num_days, grid):
         return None
     try:
@@ -287,6 +283,23 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
     power[power < 0] = 0.0  # keeps -0.0, as max(-0.0, 0.0) does
     power.flags.writeable = False  # so SolarSeries keeps it without a copy
     return SolarSeries(grid, power, start)
+
+
+def _fields(text: str, per_line: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The block grammar: when `text` is ASCII and every line, the last
+    too, is `per_line` fields joined by single spaces and ended by LF,
+    with no other byte at or below the space, its uint8 buffer and each
+    field's start and length, in text order; else None. A field may be
+    empty."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(data <= ord(" "))
+    lines, partial = divmod(len(ends), per_line)  # so no pattern outgrows the text
+    if partial or data[ends].tobytes() != (b" " * (per_line - 1) + b"\n") * lines:
+        return None
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    return data, starts, ends - starts
 
 
 _PREFIX = 20  # len("YYYY-MM-DDTHH:MM:SS,"): a canonical row's date and clock

@@ -99,6 +99,12 @@ class TestSynth:
         assert err == "error: 5 days from 9999-12-30 run past 9999-12-31\n"
         assert not out.exists()
 
+    def test_cloud_event_rate_above_the_poisson_bound_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        assert cli.main(["synth", "--synth-cloud-event-rate", "800", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cloud_event_rate must be in [0, 700]\n"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["synth", "--out", str(a)]) == 0

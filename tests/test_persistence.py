@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import io
 from pathlib import Path
 
@@ -414,6 +415,13 @@ class TestDayBlock:
         "missing day line": (lambda line: [], MalformedModelFile),
         # the seventh of six promised day lines trails the matrix
         "trailing line": (lambda line: [line, line], MalformedModelFile),
+        "space before the first value": (lambda line: ["day  " + line[4:]], None),
+        "tab before a value": (lambda line: [at_third_gap(line, " \t")], None),
+        **{f"{name} before a value": (lambda line, char=char: [at_third_gap(line, " " + char)],
+                                      MalformedModelFile)
+           # line breaks `str.splitlines` splits on, and a NUL `float` rejects
+           for name, char in {"VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",
+                              "RS": "\x1e", "CR": "\r", "NUL": "\x00"}.items()},
     }
 
     def test_error_quotes_40_characters_of_a_long_line(self):
@@ -427,6 +435,14 @@ class TestDayBlock:
                    "... (1124 characters)")
         assert load_outcome(edited) == (MalformedModelFile, message)
         assert per_line_outcome(edited) == (MalformedModelFile, message)
+
+    def test_day_lines_without_the_final_lf_load_as_the_per_line_reader(self):
+        text = render_model(day_matrix_model())
+        magic, kind, _, payload = text.split("\n", 3)
+        body = payload[:-1]
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        edited = "\n".join([magic, kind, f"sha256 {digest}", body])
+        assert load_outcome(edited) == per_line_outcome(edited) == load_outcome(text)
 
     @pytest.mark.parametrize("edit", EDITS)
     def test_edited_day_line_loads_or_raises_as_the_per_line_reader(self, edit):

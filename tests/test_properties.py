@@ -33,6 +33,7 @@ from twotier.timeseries import (  # noqa: E402
     SamplingGrid,
     SolarSeries,
     _decimals,
+    _fields,
     _ingest_canonical,
     _ingest_lines,
     day_context,
@@ -351,6 +352,16 @@ def duplicate_line(text, i):
     return "\n".join(lines)
 
 
+def insert_char(text, line, column, char):
+    """`text` with `char` inserted before the character at `column` of
+    line `line`; a column of None appends it to the line."""
+    lines = text.split("\n")
+    row = lines[line]
+    column = len(row) if column is None else column
+    lines[line] = row[:column] + char + row[column:]
+    return "\n".join(lines)
+
+
 mutant_values = st.one_of(
     st.sampled_from(NAMED_VALUES), st.floats().map(repr), st.text(max_size=6)
 )
@@ -416,6 +427,16 @@ LINE_EDITS = {
     "space for the T of the last row": lambda text: replace_char(text, -2, 10, " "),
     "no comma in row 1, two in row 2": move_comma,
 }
+# A byte at or below the space before the last row's value and after the
+# first row's: blank padding the per-line parser strips, a line break
+# `str.splitlines` splits on, or a NUL that `float` rejects.
+BLANKS = {"space": " ", "tab": "\t", "VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",
+          "RS": "\x1e", "CR": "\r", "NUL": "\x00"}
+for name, char in BLANKS.items():
+    LINE_EDITS[f"{name} before the last value"] = (
+        lambda text, char=char: insert_char(text, -2, len("YYYY-MM-DDTHH:MM:SS,"), char))
+    LINE_EDITS[f"{name} after the first value"] = (
+        lambda text, char=char: insert_char(text, 1, None, char))
 # One byte of the last row's `YYYY-MM-DDTHH:MM:SS,` prefix changed.
 LINE_EDITS.update({
     f"next byte in prefix column {column}":
@@ -441,6 +462,34 @@ def test_named_value_ingests_as_per_line_parser(value, line):
     series = SolarSeries(grid, np.arange(48.0).reshape(2, 24), Date(2015, 2, 15))
     text = replace_value(exported(series), line, value)
     assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+
+
+# fields of the block grammar: printable ASCII, no space, maybe empty
+grammar_fields = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=8)
+
+
+@st.composite
+def grammar_texts(draw):
+    """Lines of 1-4 fields each, the same count on every line."""
+    per_line = draw(st.integers(1, 4))
+    line = st.lists(grammar_fields, min_size=per_line, max_size=per_line)
+    return per_line, draw(st.lists(line, min_size=1, max_size=6))
+
+
+@PROPERTY
+@given(grammar_texts(), st.data())
+def test_fields_slice_back_and_any_other_blank_byte_gives_none(case, data):
+    per_line, lines = case
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    buffer, starts, lengths = _fields(text, per_line)
+    sliced = [buffer[start : start + length].tobytes().decode()
+              for start, length in zip(starts, lengths)]
+    assert sliced == [field for line in lines for field in line]
+    position = data.draw(st.integers(0, len(text)))
+    blank = data.draw(st.sampled_from([chr(code) for code in range(0x21)]))
+    edited = text[:position] + blank + text[position:]
+    # an LF splits a one-field line into two; any other edit breaks a line
+    assert (_fields(edited, per_line) is not None) == (blank == "\n" and per_line == 1)
 
 
 # Tokens `_decimals` must read as `float` does: zero in several

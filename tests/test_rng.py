@@ -7,8 +7,11 @@ not merely self-consistent.
 """
 
 import math
+import sys
 
-from twotier.rng import SplitMix64, derive_seed
+import pytest
+
+from twotier.rng import MAX_POISSON_RATE, SplitMix64, derive_seed
 
 REFERENCE_SEED0 = (
     0xE220A8397B1DCDAF,
@@ -50,6 +53,22 @@ def test_poisson_zero_rate_and_mean():
     mean = sum(draws) / len(draws)
     # mean 3, sd sqrt(3)/sqrt(2000) ~ 0.039; allow 5 sigma
     assert abs(mean - 3.0) < 0.2
+
+
+def test_poisson_at_the_rate_bound_draws_its_mean():
+    # exp(-rate) is still a normal double at the bound, so the draws
+    # centre on the rate: sd sqrt(700)/sqrt(50) ~ 3.7; allow 5 sigma
+    rng = SplitMix64(6)
+    assert math.exp(-MAX_POISSON_RATE) >= sys.float_info.min
+    draws = [rng.poisson(MAX_POISSON_RATE) for _ in range(50)]
+    assert abs(sum(draws) / len(draws) - MAX_POISSON_RATE) < 19
+
+
+@pytest.mark.parametrize("rate", [math.nextafter(MAX_POISSON_RATE, math.inf), 800.0, 1e6])
+def test_poisson_rate_above_the_bound_rejected(rate):
+    # above ~745 exp(-rate) is 0 and every draw would come out near 745
+    with pytest.raises(ValueError, match="poisson rate must be <= 700"):
+        SplitMix64(6).poisson(rate)
 
 
 def test_derive_seed_is_order_free():

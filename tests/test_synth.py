@@ -2,11 +2,13 @@
 
 import io
 from datetime import date as Date
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from twotier.errors import MalformedRow
+from twotier.rng import MAX_POISSON_RATE, SplitMix64
 from twotier.synth import (
     CLOUDY,
     SUNNY,
@@ -124,6 +126,26 @@ def test_attenuation_level_respects_depth_range():
 def test_generate_rejects_zero_days():
     with pytest.raises(ValueError):
         generate(SynthConfig(), 0)
+
+
+def test_span_past_date_max_rejected_before_any_draw():
+    draws = []
+    real = SplitMix64.next_raw
+    with mock.patch.object(SplitMix64, "next_raw", lambda rng: draws.append(1) or real(rng)):
+        with pytest.raises(ValueError, match="40 days from 9999-12-01 run past 9999-12-31"):
+            generate(SynthConfig(start_date=Date(9999, 12, 1)), 40)
+    assert draws == []
+
+
+@pytest.mark.parametrize("rate", [MAX_POISSON_RATE, 0.0])
+def test_cloud_event_rate_bounds_accepted(rate):
+    assert generate(SynthConfig(cloud_event_rate=rate, cloudiness=1.0), 1).labels == (CLOUDY,)
+
+
+@pytest.mark.parametrize("rate", [np.nextafter(MAX_POISSON_RATE, np.inf), 800.0, 1e6, np.nan])
+def test_cloud_event_rate_the_sampler_cannot_draw_rejected(rate):
+    with pytest.raises(ValueError, match=r"cloud_event_rate must be in \[0, 700\]"):
+        SynthConfig(cloud_event_rate=rate)
 
 
 def test_label_lookup():
