@@ -81,12 +81,14 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
-    """The text of a data, model or config file, line ends as stored;
-    bytes that are not UTF-8 raise `error` naming the file."""
+    """The text of a data, model or config file, line ends as stored and
+    one leading byte-order mark dropped; bytes that are not UTF-8 raise
+    `error` naming the file."""
     try:
-        return path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
+    return text.removeprefix("\ufeff")
 
 
 def _write_file(path, text: str, mode: str = "x") -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 
 from . import correction
-from .errors import ConfigError, Underdetermined
+from .errors import ConfigError, Underdetermined, quoted
 from .knn import KnnConfig
 from .nn import NnConfig
 from .synth import SynthConfig
@@ -20,11 +20,11 @@ from .timeseries import SamplingGrid
 
 
 # Each key type's reader, of config file values and CLI flags alike, and
-# the error for a config file value it rejects.
+# the error for a config file value it rejects, given the quoted value.
 READERS = {
-    int: (int, "bad integer {!r}"),
-    float: (float, "bad number {!r}"),
-    Date: (Date.fromisoformat, "bad date {!r} (want YYYY-MM-DD)"),
+    int: (int, "bad integer {}"),
+    float: (float, "bad number {}"),
+    Date: (Date.fromisoformat, "bad date {} (want YYYY-MM-DD)"),
 }
 
 # The component fields whose key is not `<prefix><field>`.
@@ -126,16 +126,16 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {quoted(raw)}")
         key = key.strip()
         value = value.strip()
         if key not in KEY_TYPES:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            raise ConfigError(f"line {line_no}: unknown key {quoted(key)}")
         reader, bad = READERS[KEY_TYPES[key]]
         try:
             updates[key] = reader(value)
         except ValueError:
-            raise ConfigError(f"line {line_no}: {key}: {bad.format(value)}") from None
+            raise ConfigError(f"line {line_no}: {key}: {bad.format(quoted(value))}") from None
     return replace(config, **updates)
 
 

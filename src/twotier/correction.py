@@ -11,7 +11,7 @@ For a fixed window length n and harmonic count L the fit and its
 one-step extrapolation are a fixed linear map of the window, so the
 local tier is a one-step FIR filter of the last n residuals followed by
 a clamp at zero. `simulate_day` applies it to a day, or to a block of
-days at once; `fit_dfs` is the least-squares fit of one window.
+days at once; `fit_dfs` is one window of the same map.
 """
 
 from __future__ import annotations
@@ -104,19 +104,19 @@ def design_matrix(window_length: int, harmonics: int) -> np.ndarray:
 
 
 def fit_dfs(window: ResidualWindow, harmonics: int = DEFAULT_HARMONICS) -> DfsFit:
-    """Least-squares DFS fit of the residual window."""
+    """Least-squares DFS fit of the residual window: one window of
+    `simulate_day`'s map, pinv(design_matrix(n, harmonics))."""
     n = len(window.values)
-    matrix = design_matrix(n, harmonics)
-    target = np.asarray(window.values)
-    try:
-        coef = np.linalg.lstsq(matrix, target, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"least squares failed: {exc}") from exc
+    coef = _fit(np.asarray(window.values), design_matrix(n, harmonics))
+    return DfsFit(coefficients=tuple(coef), window_length=n, harmonics=harmonics)
+
+
+def _fit(windows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The DFS coefficients of each window (last axis), pinv(matrix) times it."""
+    coef = windows @ np.linalg.pinv(matrix).T
     if not np.all(np.isfinite(coef)):
-        raise NumericalFailure("least squares produced non-finite coefficients")
-    return DfsFit(
-        coefficients=tuple(coef), window_length=n, harmonics=harmonics
-    )
+        raise NumericalFailure("DFS fit produced non-finite coefficients")
+    return coef
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def simulate_day(
     [0.625, 0.302, -0.125, -0.052, 0.125, -0.052, -0.125, 0.302]; with
     L=0 each tap is 1/n, so n=1 subtracts the last residual.
     """
-    check_fit(window_length, harmonics)
+    matrix = design_matrix(window_length, harmonics)
     g = np.array(global_day, dtype=float)
     y = np.array(measured_day, dtype=float)
     if g.shape != y.shape:
@@ -172,11 +172,7 @@ def simulate_day(
     corrected = g.copy()
     coefficients = np.full((*g.shape, 2 * harmonics + 1), np.nan)
     if g.shape[-1] > n:
-        matrix = design_matrix(n, harmonics)
-        windows = sliding_window_view((g - y)[..., :-1], n, axis=-1)
-        coef = windows @ np.linalg.pinv(matrix).T
-        if not np.all(np.isfinite(coef)):
-            raise NumericalFailure("DFS fit produced non-finite coefficients")
+        coef = _fit(sliding_window_view((g - y)[..., :-1], n, axis=-1), matrix)
         coefficients[..., n:, :] = coef
         # fmax, not maximum: -0.0 and NaN map to 0.0
         corrected[..., n:] = np.fmax(0.0, g[..., n:] - coef @ matrix[0])

@@ -1,8 +1,20 @@
-"""Exception types raised across the forecasting pipeline.
+"""Exception types raised across the forecasting pipeline, and `quoted`,
+the one rule for quoting input text in their messages.
 
 Every error the library raises deliberately derives from ``TwoTierError``,
 so callers (notably the CLI) can map failures onto stable exit codes.
 """
+
+# an error quotes at most this many characters of an input's text
+_QUOTED_CHARS = 40
+
+
+def quoted(text: str) -> str:
+    """repr(text) for an error message; a longer text is cut to its first
+    _QUOTED_CHARS characters, then `...` and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 class TwoTierError(Exception):

@@ -46,6 +46,7 @@ from .errors import (
     InvariantViolation,
     MalformedModelFile,
     UnsupportedVersion,
+    quoted,
 )
 from .knn import KnnConfig, KnnModel, from_days
 from .nn import NnConfig, NnModel
@@ -66,8 +67,6 @@ _SETTINGS = {
 }
 # what a malformed value of each type is not
 _NOT_A = {int: "an integer", float: "a number"}
-# an error quotes at most this many characters of a line or value
-_QUOTED_CHARS = 40
 
 
 def _floats(values) -> str:
@@ -132,14 +131,6 @@ def save_model(model, sink) -> None:
     sink.write(render_model(model))
 
 
-def _quoted(text: str) -> str:
-    """repr(text) for an error message; a longer text is cut to its first
-    _QUOTED_CHARS characters, then `...` and its length."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
-
-
 def _build(build, *args, **kwargs):
     """build(*args, **kwargs), a rejected value raised as InvariantViolation."""
     try:
@@ -164,7 +155,7 @@ class _Scanner:
         line = self.next_line()
         head, _, rest = line.partition(" ")
         if head != key or not rest:
-            raise MalformedModelFile(f"expected '{key} ...', got {_quoted(line)}")
+            raise MalformedModelFile(f"expected '{key} ...', got {quoted(line)}")
         return rest
 
     def typed(self, key: str, kind: type):
@@ -173,7 +164,7 @@ class _Scanner:
         try:
             return kind(text)
         except ValueError:
-            raise MalformedModelFile(f"{key}: not {_NOT_A[kind]}: {_quoted(text)}") from None
+            raise MalformedModelFile(f"{key}: not {_NOT_A[kind]}: {quoted(text)}") from None
 
     def settings(self, kind: type):
         """A `kind` config from one line per field, in field order."""
@@ -288,11 +279,11 @@ def load_model(text: str):
     magic_line = scanner.next_line()
     head, _, version_text = magic_line.partition(" ")
     if head != MAGIC:
-        raise MalformedModelFile(f"not a model file (first line {_quoted(magic_line)})")
+        raise MalformedModelFile(f"not a model file (first line {quoted(magic_line)})")
     try:
         version = int(version_text)
     except ValueError:
-        raise MalformedModelFile(f"bad version field {_quoted(version_text)}") from None
+        raise MalformedModelFile(f"bad version field {quoted(version_text)}") from None
     versions = sorted({known for known, _ in _LOADERS})
     if version not in versions:
         readable = " and ".join(map(str, versions))
@@ -306,7 +297,7 @@ def load_model(text: str):
             f"payload hash {digest[:12]}... does not match header"
         )
     if kind not in {known for _, known in _LOADERS}:
-        raise MalformedModelFile(f"unknown model kind {_quoted(kind)}")
+        raise MalformedModelFile(f"unknown model kind {quoted(kind)}")
     loader = _LOADERS.get((version, kind))
     if loader is None:
         raise UnsupportedVersion(f"format version {version} has no kind {kind}")

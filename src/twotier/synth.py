@@ -25,7 +25,7 @@ from typing import IO
 import numpy as np
 
 from .rng import MAX_POISSON_RATE, SplitMix64
-from .errors import MalformedRow
+from .errors import MalformedRow, quoted
 from .timeseries import MAX_POWER_W, SamplingGrid, SolarSeries, check_span
 
 SUNNY = "sunny"
@@ -188,8 +188,8 @@ def read_labels_csv(text: str) -> dict[Date, str]:
         try:
             day = Date.fromisoformat(date_text)
         except ValueError:
-            raise MalformedRow(f"line {line_no}: bad date {date_text!r}") from None
+            raise MalformedRow(f"line {line_no}: bad date {quoted(date_text)}") from None
         if label not in (SUNNY, CLOUDY):
-            raise MalformedRow(f"line {line_no}: unknown label {label!r}")
+            raise MalformedRow(f"line {line_no}: unknown label {quoted(label)}")
         labels[day] = label
     return labels

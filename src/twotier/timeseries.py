@@ -36,6 +36,7 @@ from .errors import (
     NegativePower,
     TooFewDays,
     UnknownDate,
+    quoted,
 )
 
 SECONDS_PER_DAY = 86400
@@ -214,7 +215,7 @@ def _parse_timestamp(text: str, line_no: int) -> datetime:
     try:
         stamp = datetime.fromisoformat(text.strip())
     except ValueError:
-        raise MalformedRow(f"line {line_no}: bad timestamp {text!r}") from None
+        raise MalformedRow(f"line {line_no}: bad timestamp {quoted(text)}") from None
     if stamp.tzinfo is not None:
         # Local wall-clock only; offsets would smuggle in timezone handling.
         raise MalformedRow(f"line {line_no}: timestamp must be naive local time")
@@ -379,7 +380,7 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
         if not header_seen:
             if line != CSV_HEADER:
                 raise MalformedRow(
-                    f"line {line_no}: expected header {CSV_HEADER!r}, got {line!r}"
+                    f"line {line_no}: expected header {CSV_HEADER!r}, got {quoted(line)}"
                 )
             header_seen = True
             continue
@@ -391,13 +392,13 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
             power = float(parts[1])
         except ValueError:
             raise MalformedRow(
-                f"line {line_no}: non-numeric power {parts[1]!r}"
+                f"line {line_no}: non-numeric power {quoted(parts[1])}"
             ) from None
         if not math.isfinite(power):
-            raise MalformedRow(f"line {line_no}: non-finite power {parts[1]!r}")
+            raise MalformedRow(f"line {line_no}: non-finite power {quoted(parts[1])}")
         if power > MAX_POWER_W:
             raise MalformedRow(
-                f"line {line_no}: power {parts[1]!r} above the {MAX_POWER_W:g} W limit"
+                f"line {line_no}: power {quoted(parts[1])} above the {MAX_POWER_W:g} W limit"
             )
 
         second_of_day = stamp.hour * 3600 + stamp.minute * 60 + stamp.second

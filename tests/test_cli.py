@@ -22,7 +22,7 @@ import pytest
 from conftest import (
     make_series, printed_best, rendered, repeating_clear_days, replace_payload_line
 )
-from twotier import cli, persistence
+from twotier import cli, persistence, timeseries
 from twotier.config import RunConfig, parse_config
 from twotier.errors import InsufficientTrainingDays
 from twotier.knn import KnnModel
@@ -717,6 +717,85 @@ def check_one_error_line(capsys, *parts):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     for part in parts:
         assert part in err
+
+
+LONG = "x" * 100_000
+# each reader's file, holding a 100 000-character offender
+LONG_OFFENDERS = {
+    "csv-header": LONG + "\n",
+    "csv-timestamp": f"timestamp,power_w\n{LONG},0.0\n",
+    "csv-value": f"timestamp,power_w\n2015-02-15T00:00:00,{LONG}\n",
+    "config-line": LONG + "\n",
+    "config-value": "seed = " + "1" * 100_000 + "\n",
+    "model-line": LONG + "\n",
+}
+
+
+@pytest.mark.parametrize("offender", LONG_OFFENDERS)
+def test_long_offender_gives_one_short_error_line(pipeline, tmp_path, capsys, offender):
+    """Every reader quotes at most 40 characters of a rejected input, so a
+    100 000-character offender still gives one short error line."""
+    text = LONG_OFFENDERS[offender]
+    reader = offender.split("-")[0]
+    if reader == "csv":
+        path, code = tmp_path / "d.csv", 3
+        argv = ["ingest", "--data", str(path)]
+    elif reader == "config":
+        path, code = tmp_path / "run.cfg", 2
+        argv = ["synth", "--config", str(path), "--out", str(tmp_path / "d.csv")]
+    else:
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        path, code = models / "knn.htm-model", 3
+        argv = ["evaluate", "--models", str(models), "--data", str(pipeline["data"]),
+                "--out", str(tmp_path / "r.csv")]
+    path.write_text(text)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert "... (100" in err
+
+
+def with_bom(source, target):
+    """Write the bytes of `source` to `target` after a UTF-8 byte-order mark."""
+    target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return target
+
+
+def test_config_with_bom_gives_the_same_csv(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nsynth_days = 3\n")
+    for config, out in ((cfg, "plain.csv"), (with_bom(cfg, tmp_path / "bom.cfg"), "bom.csv")):
+        assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_model_with_bom_gives_the_same_report(pipeline, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    with_bom(models / "knn.htm-model", models / "knn.htm-model")
+    runs = []
+    for directory, out in ((pipeline["models"], "plain.csv"), (models, "bom.csv")):
+        assert cli.main(["evaluate", "--models", str(directory), "--data", str(pipeline["data"]),
+                         "--out", str(tmp_path / out)]) == 0
+        runs.append(capsys.readouterr().out.replace(out, ""))
+    assert runs[0] == runs[1]
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_canonical_csv_with_bom_takes_the_block_path(pipeline, tmp_path, monkeypatch, capsys):
+    """A leading BOM is dropped in the one decode, so a canonical CSV with
+    one is read as one byte block, not by the per-line reader."""
+    assert cli.main(["ingest", "--data", str(pipeline["data"])]) == 0
+    plain = capsys.readouterr().out
+
+    def per_line_reader(*args):
+        raise AssertionError("the per-line reader ran")
+
+    monkeypatch.setattr(timeseries, "_ingest_lines", per_line_reader)
+    bom = with_bom(pipeline["data"], tmp_path / "bom.csv")
+    assert cli.main(["ingest", "--data", str(bom)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])

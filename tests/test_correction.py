@@ -145,6 +145,12 @@ class TestFitDfs:
         with pytest.raises(Underdetermined):
             fit_dfs(window([1.0, 2.0, 3.0, 4.0]), harmonics=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_raises_numerical_failure(self, bad):
+        # the same check, and message, as simulate_day's
+        with pytest.raises(NumericalFailure, match="^DFS fit produced non-finite coefficients$"):
+            fit_dfs(window([1.0, 2.0, bad, 4.0, 5.0, 6.0, 7.0, 8.0]), harmonics=2)
+
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyInput):
             ResidualWindow(values=(), last_sample_index=0)

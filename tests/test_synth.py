@@ -179,7 +179,12 @@ def test_labels_csv_skips_blank_lines():
     ("date,label\n2015-02-15,sunny,x\n", "line 2: expected 2 fields, got 3"),
     ("date,label\nnot-a-date,sunny\n", "line 2: bad date 'not-a-date'"),
     ("date,label\n2015-02-15,rainy\n", "line 2: unknown label 'rainy'"),
-], ids=["empty", "header", "one-field", "three-fields", "date", "label"])
+    ("date,label\n" + "2" * 41 + ",sunny\n",
+     "line 2: bad date '" + "2" * 40 + "'... (41 characters)"),
+    ("date,label\n2015-02-15," + "r" * 41 + "\n",
+     "line 2: unknown label '" + "r" * 40 + "'... (41 characters)"),
+], ids=["empty", "header", "one-field", "three-fields", "date", "label", "long-date",
+        "long-label"])
 def test_malformed_labels_csv_rejected(text, message):
     with pytest.raises(MalformedRow) as err:
         read_labels_csv(text)
