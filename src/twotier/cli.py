@@ -39,6 +39,7 @@ from .errors import (
     TwoTierError,
     Underdetermined,
     UnknownDate,
+    quoted,
 )
 from .timeseries import export_csv, ingest_csv, split_chronological
 
@@ -58,6 +59,19 @@ _EXIT_CODES = (
 )
 
 
+def _flag_reader(read):
+    """`read` as an argparse type: a value it rejects gives argparse's
+    `invalid <name> value: ...` error, quoted as every file reader quotes."""
+    def reader(text: str):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {read.__name__} value: {quoted(text)}"
+            ) from None
+    return reader
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
     defaults = RunConfig()
@@ -65,7 +79,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
-            type=READERS[kind][0],
+            type=_flag_reader(READERS[kind][0]),
             default=None,
             metavar=kind.__name__.upper(),
             help=f"default {getattr(defaults, key)}",
@@ -314,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     sub = subcommand("synth", cmd_synth, "generate a synthetic data set")
-    sub.add_argument("--days", dest="synth_days", type=int, help="number of days")
+    sub.add_argument("--days", dest="synth_days", type=_flag_reader(int), help="number of days")
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     sub = subcommand("ingest", cmd_ingest, "validate a data CSV and summarize it")
@@ -337,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subcommand("simulate", cmd_simulate, "replay one day with live correction")
     sub.add_argument("--models", required=True, help="model directory")
     sub.add_argument("--data", required=True, help="input CSV")
-    sub.add_argument("--day", required=True, type=Date.fromisoformat, help="YYYY-MM-DD")
+    sub.add_argument(
+        "--day", required=True, type=_flag_reader(Date.fromisoformat), help="YYYY-MM-DD"
+    )
     sub.add_argument("--out", default=".", help="trace output directory")
 
     sub = subcommand("evaluate", cmd_evaluate, "score all methods on the test split")

@@ -133,6 +133,8 @@ class DaySimulation:
     coefficients: np.ndarray
 
     def corrected_series(self) -> np.ndarray:
+        """The field `corrected_w`, which the pipeline reads; kept because
+        the acceptance gate, `tests/test_acceptance.py`, calls it."""
         return self.corrected_w
 
     def day(self, i: int) -> "DaySimulation":

@@ -70,6 +70,9 @@ class SynthResult:
     labels: tuple[str, ...]   # one of SUNNY/CLOUDY per day, aligned with days
 
     def label_for(self, date: Date) -> str:
+        """The label of `date`; KeyError for a date not generated. No
+        command calls it; it is kept because the acceptance gate,
+        `tests/test_acceptance.py`, calls it."""
         pos = (date - self.series.start).days
         if not 0 <= pos < len(self.labels):
             raise KeyError(f"date {date.isoformat()} not generated")

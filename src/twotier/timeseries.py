@@ -156,6 +156,9 @@ class SolarSeries:
         return tuple(self._day(pos) for pos in range(self.num_days))
 
     def day_by_index(self, day_index: int) -> DayProfile:
+        """The day with index `day_index`; KeyError if the series lacks it.
+        No command calls it; it is kept because the acceptance gate,
+        `tests/test_acceptance.py`, calls it."""
         pos = operator.index(day_index) - self.first_index
         if pos < 0 or pos >= self.num_days:
             raise KeyError(f"day index {day_index} not in series")
@@ -404,7 +407,7 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
         second_of_day = stamp.hour * 3600 + stamp.minute * 60 + stamp.second
         if stamp.microsecond != 0 or second_of_day % step != 0:
             raise GridMisalignment(
-                f"line {line_no}: {parts[0]} is not on a multiple of {step} s"
+                f"line {line_no}: {quoted(parts[0])} is not on a multiple of {step} s"
             )
         if power < -NEGATIVE_POWER_TOLERANCE_W:
             raise NegativePower(
@@ -415,7 +418,7 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
         slot = second_of_day // step
         slots = per_day.setdefault(stamp.date(), {})
         if slot in slots:
-            raise MalformedRow(f"line {line_no}: duplicate timestamp {parts[0]}")
+            raise MalformedRow(f"line {line_no}: duplicate timestamp {quoted(parts[0])}")
         slots[slot] = power
 
     if not header_seen:
@@ -496,6 +499,9 @@ def day_context(
 
     `target_day` may be one past the last stored day (forecasting the next
     unseen day from the freshest history).
+
+    No command calls it; it is kept because the acceptance gate,
+    `tests/test_acceptance.py`, calls it.
     """
     if depth_days < 1:
         raise ValueError("depth_days must be >= 1")

@@ -104,6 +104,7 @@ class TestSynth:
         assert cli.main(["synth", "--synth-cloud-event-rate", "800", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: cloud_event_rate must be in [0, 700]\n"
         assert not out.exists()
+        assert not (tmp_path / "rate.labels.csv").exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -720,23 +721,36 @@ def check_one_error_line(capsys, *parts):
 
 
 LONG = "x" * 100_000
-# each reader's file, holding a 100 000-character offender
+SPACES = " " * 100_000  # the per-line parser strips them before it reads a timestamp
+# each reader's file, holding an offender of at least 100 000 characters, and
+# a flag value of 5000
 LONG_OFFENDERS = {
     "csv-header": LONG + "\n",
     "csv-timestamp": f"timestamp,power_w\n{LONG},0.0\n",
     "csv-value": f"timestamp,power_w\n2015-02-15T00:00:00,{LONG}\n",
+    "csv-misaligned": f"timestamp,power_w\n2015-02-15T00:07:00{SPACES},0.0\n",
+    "csv-duplicate":
+        f"timestamp,power_w\n2015-02-15T00:00:00,0.0\n2015-02-15T00:00:00{SPACES},0.0\n",
     "config-line": LONG + "\n",
     "config-value": "seed = " + "1" * 100_000 + "\n",
     "model-line": LONG + "\n",
+    "argv-seed": "9" * 5000,
 }
 
 
 @pytest.mark.parametrize("offender", LONG_OFFENDERS)
 def test_long_offender_gives_one_short_error_line(pipeline, tmp_path, capsys, offender):
     """Every reader quotes at most 40 characters of a rejected input, so a
-    100 000-character offender still gives one short error line."""
+    long offender still gives one short error line."""
     text = LONG_OFFENDERS[offender]
     reader = offender.split("-")[0]
+    if reader == "argv":
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["synth", "--seed", text])
+        last = capsys.readouterr().err.splitlines()[-1]  # after argparse's usage lines
+        assert exited.value.code == 2 and len(last) < 200, last[:300]
+        assert "... (5000 characters)" in last
+        return
     if reader == "csv":
         path, code = tmp_path / "d.csv", 3
         argv = ["ingest", "--data", str(path)]
@@ -754,6 +768,22 @@ def test_long_offender_gives_one_short_error_line(pipeline, tmp_path, capsys, of
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200, err[:300]
     assert "... (100" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["synth", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["synth", "--days", "1.5"], "argument --days: invalid int value: '1.5'"),
+    (["synth", "--split-train", "0.x"], "argument --split-train: invalid float value: '0.x'"),
+    (["simulate", "--models", "m", "--data", "d.csv", "--day", "2015-13-01"],
+     "argument --day: invalid fromisoformat value: '2015-13-01'"),
+])
+def test_short_rejected_flag_value_keeps_the_argparse_text(capsys, argv, line):
+    """A flag value of 40 characters or fewer is quoted whole, as argparse
+    quotes it."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"twotier {argv[0]}: error: {line}"
 
 
 def with_bom(source, target):
