@@ -20,7 +20,7 @@ import io
 import os
 import stat
 import sys
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from functools import partial
 from pathlib import Path
 
@@ -87,11 +87,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The defaults, then the --config file, then the flags, with every
+    component setting checked, so a rejected one fails before any data or
+    model file is read."""
     config = RunConfig()
     if args.config is not None:
         config = parse_config(_read_utf8(Path(args.config), ConfigError), config)
     overrides = {key: getattr(args, key) for key in KEY_TYPES}
-    return apply_overrides(config, overrides)
+    config = apply_overrides(config, overrides)
+    config.check()
+    return config
 
 
 def _read_utf8(path: Path, error: type[TwoTierError]) -> str:
@@ -215,10 +220,9 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
 def cmd_ingest(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
     series = _read_series(args.data, config.grid())
-    first = series.start
-    last = series.start + timedelta(days=series.num_days - 1)
+    last = Date.fromordinal(series.last_index)
     text = (
-        f"{series.num_days} days from {first.isoformat()} to {last.isoformat()}, "
+        f"{series.num_days} days from {series.start.isoformat()} to {last.isoformat()}, "
         f"{series.grid.samples_per_day} samples/day, "
         f"peak {series.max_power():.1f} W\n"
     )
@@ -259,7 +263,6 @@ def cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
         raise ConfigError("--knn-only and --nn-only exclude each other")
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
-    # every model is configured before any is fitted: a usage error stops early
     fitters = {}
     if not args.nn_only:
         fitters["knn"] = partial(knn.fit, split.train, config.knn())
@@ -279,11 +282,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
     models = _load_models(args.models, series.grid)
-    try:
-        target = series.day_by_date(args.day)
-    except KeyError:
-        raise UnknownDate(f"{args.day.isoformat()} is not in {args.data}") from None
-    sims = evaluation.replay_days(series, [target.day_index], models, window, harmonics)
+    day = args.day.toordinal()
+    if not series.first_index <= day <= series.last_index:
+        raise UnknownDate(f"{args.day.isoformat()} is not in {args.data}")
+    sims = evaluation.replay_days(series, [day], models, window, harmonics)
     report = evaluation.score_replay([args.day], sims)
     out_dir = Path(args.out)
     text, files = "", {out_dir: None}

@@ -89,10 +89,19 @@ class RunConfig:
         cloud_depth = (self.synth_cloud_depth_low, self.synth_cloud_depth_high)
         return _build(SynthConfig, "synth_", self, cloud_depth=cloud_depth)
 
-    def correction_params(self) -> tuple[int, int]:
+    def check(self) -> None:
+        """Raise ConfigError for the first rejected setting: building the
+        grid, k-NN, network and generator configs, in that order, then
+        the correction window's fit of its harmonics. The rules that need
+        a run stay with it: the window's day length in `correction_params`,
+        the generated span and the sunset's slot in `synth.generate`."""
+        for build in (self.grid, self.knn, self.nn, self.synth):
+            build()
+        self._correction_fit()
+
+    def _correction_fit(self) -> tuple[int, int]:
         """The correction window and harmonics, when the window can fit
-        the harmonics and is shorter than a day, so that it corrects at
-        least the day's last slot."""
+        the harmonics."""
         window, harmonics = self.correction_window, self.correction_harmonics
         try:
             correction.check_fit(window, harmonics)
@@ -100,6 +109,13 @@ class RunConfig:
             raise ConfigError(
                 f"correction window {window} cannot fit {harmonics} harmonics"
             ) from exc
+        return window, harmonics
+
+    def correction_params(self) -> tuple[int, int]:
+        """The correction window and harmonics, when the window can fit
+        the harmonics and is shorter than a day, so that it corrects at
+        least the day's last slot."""
+        window, harmonics = self._correction_fit()
         slots = self.grid().samples_per_day
         if window >= slots:
             raise ConfigError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from datetime import timedelta
+from datetime import date as Date
 
 import numpy as np
 
@@ -326,7 +326,7 @@ def compare_methods(
     models = dict(zip(GLOBAL_TIERS, (knn_model, nn_model)))
     days, dates, skipped = [], [], []
     for day in range(test.first_index, test.last_index + 1):
-        date = full.start + timedelta(days=day - full.first_index)
+        date = Date.fromordinal(day)
         try:
             for model in models.values():
                 require_history(full, day, model.history_days)

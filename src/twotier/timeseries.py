@@ -1,10 +1,11 @@
 """Per-day solar power series on a uniform sampling grid.
 
 Data model, CSV ingestion/export, chronological train/tune/test splitting,
-and context-vector extraction. A series is one read-only days x slots
-power matrix; the date and day index of a row follow from its position,
-so a series cannot have a gap in its dates or indices. All types are
-immutable after construction; sample arrays are stored read-only.
+and context-vector extraction. A day's index is its date's proleptic
+ordinal, `date.toordinal()`, in every series. A series is one read-only
+days x slots power matrix; the date of a row follows from its position,
+so a series cannot have a gap in its dates. All types are immutable
+after construction; sample arrays are stored read-only.
 
 CSV schema (shared by every CLI-facing file): header ``timestamp,power_w``,
 one row per sample, ISO-8601 local timestamps aligned to the grid.
@@ -102,30 +103,30 @@ class SamplingGrid:
 class DayProfile:
     """One day's measured power, watts, one value per grid slot."""
 
-    day_index: int
     date: Date
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.day_index < 0:
-            raise ValueError("day_index must be non-negative")
         arr = _freeze(self.samples)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
         _check_samples(arr[None], self.date)
         object.__setattr__(self, "samples", arr)
 
+    @property
+    def day_index(self) -> int:
+        return self.date.toordinal()
+
 
 @dataclass(frozen=True, eq=False)
 class SolarSeries:
     """Consecutive days of measured power sharing one grid: `power` is a
     read-only (num_days, samples_per_day) array in watts whose row i is
-    the day dated `start` + i days, with day index `first_index` + i."""
+    the day dated `start` + i days."""
 
     grid: SamplingGrid
     power: np.ndarray
     start: Date
-    first_index: int = 0
 
     def __post_init__(self):
         power = _freeze(self.power)
@@ -141,14 +142,16 @@ class SolarSeries:
         return len(self.power)
 
     @property
+    def first_index(self) -> int:
+        return self.start.toordinal()
+
+    @property
     def last_index(self) -> int:
         return self.first_index + self.num_days - 1
 
     def _day(self, pos: int) -> DayProfile:
         """Row `pos` as a DayProfile sharing the row's memory."""
-        return DayProfile(
-            self.first_index + pos, self.start + timedelta(days=pos), self.power[pos]
-        )
+        return DayProfile(self.start + timedelta(days=pos), self.power[pos])
 
     @cached_property
     def days(self) -> tuple[DayProfile, ...]:
@@ -171,25 +174,15 @@ class SolarSeries:
         outside = (pos < 0) | (pos >= self.num_days)
         if outside.any():
             day = self.first_index + int(pos[outside][0])
-            raise UnknownDate(f"{_date_text(self, day)} is not in the series")
+            raise UnknownDate(f"{_date_text(day)} is not in the series")
         return self.power[pos]
-
-    def day_by_date(self, date: Date) -> DayProfile:
-        pos = (date - self.start).days
-        if pos < 0 or pos >= self.num_days:
-            raise KeyError(f"date {date.isoformat()} not in series")
-        return self._day(pos)
 
     def max_power(self) -> float:
         return float(self.power.max())
 
     def subseries(self, start: int, stop: int) -> "SolarSeries":
-        """Days at positions [start, stop), 0 <= start <= stop <= num_days,
-        with original day indices kept."""
-        return SolarSeries(
-            self.grid, self.power[start:stop],
-            self.start + timedelta(days=start), self.first_index + start,
-        )
+        """Days at positions [start, stop), 0 <= start <= stop <= num_days."""
+        return SolarSeries(self.grid, self.power[start:stop], self.start + timedelta(days=start))
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,15 +511,14 @@ def require_history(series: SolarSeries, target_day: int, depth_days: int) -> No
         days = (target_day, first_needed, target_day - 1, series.first_index, series.last_index)
         raise InsufficientHistory(
             "{} needs {}..{}; series covers {}..{}".format(
-                *(_date_text(series, day) for day in days)
+                *(_date_text(day) for day in days)
             )
         )
 
 
-def _date_text(series: SolarSeries, day_index: int) -> str:
-    """The ISO date of day `day_index`, which may lie outside the series;
-    off the calendar, how far before 0001-01-01 or after 9999-12-31."""
-    ordinal = series.start.toordinal() + day_index - series.first_index
+def _date_text(ordinal: int) -> str:
+    """The ISO date of day index `ordinal`; off the calendar, how far
+    before 0001-01-01 or after 9999-12-31."""
     if ordinal < 1:
         return f"{1 - ordinal} day(s) before {Date.min.isoformat()}"
     if ordinal > Date.max.toordinal():

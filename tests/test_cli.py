@@ -212,6 +212,12 @@ class TestIngest:
         assert err.startswith("error: ") and "0001-01-01" in err
         assert err.count("\n") == 1
 
+    def test_timestamp_with_offset_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "aware.csv"
+        bad.write_text("timestamp,power_w\n2015-02-15T00:00:00+00:00,0.0\n")
+        assert cli.main(["ingest", "--data", str(bad)]) == 3
+        assert capsys.readouterr().err == "error: line 2: timestamp must be naive local time\n"
+
     def test_header_only_csv_exit_4(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("timestamp,power_w\n")
@@ -438,6 +444,18 @@ class TestTune:
         assert printed_best(capsys.readouterr().out) == {"depth_days": 2, "neighbors": 4}
         config = parse_config(tuned.read_text(), RunConfig())
         assert (config.knn_depth_days, config.knn_neighbors) == (2, 4)
+
+    def test_untrainable_network_exit_4(self, tmp_path, capsys):
+        # a 1-day train split trains no network of any size
+        data = tmp_path / "five.csv"
+        assert cli.main(["synth", "--days", "5", "--out", str(data)]) == 0
+        capsys.readouterr()
+        argv = ["tune", "--nn-only", "--split-train", "0.2", "--split-tune", "0.4",
+                "--split-test", "0.4", "--data", str(data), "--out", str(tmp_path / "t.cfg")]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: every candidate on axis hidden_neurons was untrainable\n")
+        assert not (tmp_path / "t.cfg").exists()
 
     @staticmethod
     def tune_repeated_day(tmp_path, capsys):
@@ -697,6 +715,19 @@ class TestEvaluate:
         assert err.startswith(f"error: {models / 'knn.htm-model'} is not UTF-8 text")
         assert err.count("\n") == 1
 
+    def test_bad_version_field_exit_3(self, pipeline, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        path = models / "knn.htm-model"
+        path.write_text(path.read_text().replace("htm-model 2\n", "htm-model x\n", 1))
+        code = cli.main(
+            ["evaluate", "--models", str(models),
+             "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: bad version field 'x'\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_crlf_model_exit_3(self, pipeline, tmp_path, capsys):
         models = tmp_path / "models"
         shutil.copytree(pipeline["models"], models)
@@ -916,6 +947,42 @@ class TestNonFiniteSettings:
                 "--out", str(tmp_path / "tuned.cfg")]
         assert cli.main(argv) == 2
         check_one_error_line(capsys, "split ratios must sum to 1, got nan")
+
+
+# A rejected setting of any component, with the command it is given to, as
+# [command, flags] given the pipeline's data file, and its error text.
+REJECTED_SETTINGS = {
+    "synth-nn": (["synth", "--nn-restarts", "0"], "restarts must be >= 1"),
+    "ingest-knn": (["ingest", "--knn-neighbors", "1", "--data"], "neighbors must be >= 2"),
+    "tune-knn-only-nn": (["tune", "--knn-only", "--nn-restarts", "0", "--data"],
+                         "restarts must be >= 1"),
+    "train-restarts": (["train", "--nn-restarts", "0", "--data"], "restarts must be >= 1"),
+    "train-iterations": (["train", "--nn-max-iterations", "-1", "--data"],
+                         "max_iterations must be >= 0"),
+    "ingest-grid": (["ingest", "--sample-interval-seconds", "0", "--data"],
+                    "sample_interval_seconds must be a positive integer"),
+    "synth-sunset": (["synth", "--synth-sunset-sample", "96"],
+                     "sunset sample 96 outside grid of 96 samples"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_SETTINGS)
+def test_rejected_setting_exit_2_writing_nothing(pipeline, tmp_path, capsys, case):
+    """Every command checks every component's settings, not only those of
+    the components it builds: a `tuned.cfg` that `tune` writes is one that
+    `train --config` accepts."""
+    argv, message = REJECTED_SETTINGS[case]
+    if argv[-1] == "--data":
+        argv = [*argv, str(pipeline["data"])]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_rejected_setting_fails_before_the_data_is_read(tmp_path, capsys):
+    argv = ["ingest", "--knn-neighbors", "1", "--data", str(tmp_path / "missing.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: neighbors must be >= 2\n"
 
 
 @pytest.mark.parametrize("command", ["tune", "train", "evaluate"])

@@ -484,7 +484,7 @@ class TestCompareMethodsSkips:
         reason = "2015-02-24 needs 2015-02-18..2015-02-23; series covers 2015-02-19..2015-02-26"
         assert report.skipped_days == ((split.test.days[0].date, reason),)
         with pytest.raises(InsufficientHistory) as err:
-            knn.forecast_days(km, full, [9])
+            knn.forecast_days(km, full, [series.first_index + 9])
         assert str(err.value) == reason
         assert report.dates == tuple(d.date for d in split.test.days[1:])
         assert [len(values) for values in report.per_day_rmse.values()] == [

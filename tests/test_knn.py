@@ -6,6 +6,7 @@ touching the library internals, so the two routes stay independent.
 """
 
 import re
+from datetime import date as Date
 
 import numpy as np
 import pytest
@@ -247,9 +248,9 @@ class TestQueryBound:
         model = fit(make_series(rows, interval_seconds=21600), KnnConfig(2, 2))
         rows[9, 2] = 1e300
         series = make_series(rows, interval_seconds=21600)
-        forecast_days(model, series, [9])
+        forecast_days(model, series, [series.first_index + 9])
         with pytest.raises(ValueError, match=self.MESSAGE):
-            forecast_days(model, series, [10])
+            forecast_days(model, series, [series.first_index + 10])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_query_at_the_bound_forecasts_finite_values(self):
@@ -259,17 +260,19 @@ class TestQueryBound:
         rows = np.full((12, 4), MAX_POWER_W)
         series = make_series(rows, interval_seconds=21600)
         model = fit(series, KnnConfig(2, 2))
-        assert np.all(np.isfinite(forecast_days(model, series, range(2, 13))))
+        first = series.first_index
+        assert np.all(np.isfinite(forecast_days(model, series, range(first + 2, first + 13))))
 
 
 class TestForecastDay:
     @pytest.mark.parametrize("depth", [1, 3])
     def test_equals_predict_on_day_context(self, depth):
         rows = np.random.default_rng(14).uniform(0, 900, (12, 4))
-        series = make_series(rows, interval_seconds=21600, first_index=3)
+        series = make_series(rows, start=Date(2015, 2, 18), interval_seconds=21600)
         model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
         # every day with D preceding days, and the day after the last one
-        days = range(3 + depth, 3 + 12 + 1)
+        first = series.first_index
+        days = range(first + depth, first + 12 + 1)
         want = [predict_day(model, day_context(series, day, depth)) for day in days]
         assert np.array_equal(forecast_days(model, series, days), want)
         assert forecast_days(model, series, []).shape == (0, 4)
@@ -277,11 +280,12 @@ class TestForecastDay:
     @pytest.mark.parametrize("depth", [1, 3])
     def test_first_day_without_d_preceding_days_raises(self, depth):
         rows = np.random.default_rng(15).uniform(0, 900, (12, 4))
-        series = make_series(rows, interval_seconds=21600, first_index=3)
+        series = make_series(rows, start=Date(2015, 2, 18), interval_seconds=21600)
         model = fit(series, KnnConfig(depth_days=depth, neighbors=2))
-        forecast_days(model, series, [3 + depth])
+        first = series.first_index
+        forecast_days(model, series, [first + depth])
         with pytest.raises(InsufficientHistory) as err:
-            forecast_days(model, series, [3 + depth, 2 + depth])
+            forecast_days(model, series, [first + depth, first + depth - 1])
         needed = {1: "2015-02-18 needs 2015-02-17..2015-02-17",
                   3: "2015-02-20 needs 2015-02-17..2015-02-19"}[depth]
         assert str(err.value) == f"{needed}; series covers 2015-02-18..2015-03-01"

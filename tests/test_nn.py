@@ -679,14 +679,14 @@ class TestForecastDay:
     @pytest.fixture(scope="class")
     def model_and_series(self):
         rows = np.random.default_rng(24).uniform(0, 900, (8, 4))
-        series = make_series(rows, interval_seconds=21600, first_index=5)
+        series = make_series(rows, start=Date(2015, 2, 20), interval_seconds=21600)
         model = build(NnConfig(hidden_neurons=3), seed=2, samples_per_day=4,
                       scale_max=900.0)
         return model, series
 
     def test_equals_predict_on_two_preceding_days(self, model_and_series):
         model, series = model_and_series
-        days = range(7, 5 + 8 + 1)
+        days = range(series.first_index + 2, series.first_index + 8 + 1)
         want = [
             predict_day(model, series.day_by_index(day - 1), series.day_by_index(day - 2))
             for day in days
@@ -695,15 +695,15 @@ class TestForecastDay:
         assert np.array_equal(nn.forecast_days(model, series, days), want)
         assert nn.forecast_days(model, series, []).shape == (0, 4)
 
-    @pytest.mark.parametrize("day", [5, 6, 5 + 8 + 1])
-    def test_missing_preceding_day_raises(self, model_and_series, day):
-        # 6 lacks day 4, 5 lacks 3 and 4, 14 lacks day 13
+    @pytest.mark.parametrize("offset", [0, 1, 8 + 1])
+    def test_missing_preceding_day_raises(self, model_and_series, offset):
+        # (offsets from the first day) 1 lacks day -1, 0 lacks -2 and -1, 9 lacks 8
         model, series = model_and_series
         with pytest.raises(InsufficientHistory) as err:
-            nn.forecast_days(model, series, [8, day])
-        needed = {5: "2015-02-20 needs 2015-02-18..2015-02-19",
-                  6: "2015-02-21 needs 2015-02-19..2015-02-20",
-                  14: "2015-03-01 needs 2015-02-27..2015-02-28"}[day]
+            nn.forecast_days(model, series, [series.first_index + 3, series.first_index + offset])
+        needed = {0: "2015-02-20 needs 2015-02-18..2015-02-19",
+                  1: "2015-02-21 needs 2015-02-19..2015-02-20",
+                  9: "2015-03-01 needs 2015-02-27..2015-02-28"}[offset]
         assert str(err.value) == f"{needed}; series covers 2015-02-20..2015-02-27"
 
     @pytest.mark.parametrize("start, day, message", [
@@ -715,7 +715,8 @@ class TestForecastDay:
     def test_dates_off_the_calendar_named(self, model_and_series, start, day, message):
         model, series = model_and_series
         edge = make_series(series.power, start=start, interval_seconds=21600)
-        nn.forecast_days(model, edge, [8])  # the day after the last has its history
+        # the day after the last has its history
+        nn.forecast_days(model, edge, [edge.first_index + 8])
         with pytest.raises(InsufficientHistory) as err:
-            nn.forecast_days(model, edge, [day])
+            nn.forecast_days(model, edge, [edge.first_index + day])
         assert str(err.value) == message

@@ -233,13 +233,12 @@ intervals = st.sampled_from([7200, 21600, 43200, 86400])
 
 @st.composite
 def solar_series(draw, min_days=1, max_days=8, elements=non_negative):
-    """A series with any start date and first index the data model allows."""
+    """A series with any start date the data model allows."""
     grid = SamplingGrid(sample_interval_seconds=draw(intervals))
     days = draw(st.integers(min_value=min_days, max_value=max_days))
     power = draw(arrays(float, (days, grid.samples_per_day), elements=elements))
     start = draw(st.dates(max_value=Date.max - timedelta(days=days - 1)))
-    first_index = draw(st.integers(min_value=0, max_value=10**6))
-    return SolarSeries(grid, power, start, first_index)
+    return SolarSeries(grid, power, start)
 
 
 @PROPERTY
@@ -798,7 +797,8 @@ def series_of_kinds(draw, min_days, max_days):
         power = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=days, max_size=days))]
     else:
         power = np.full(shape, draw(watts))
-    return SolarSeries(grid, power, Date(2015, 2, 15), draw(st.integers(0, 1000)))
+    start = Date(2015, 2, 15) + timedelta(days=draw(st.integers(0, 1000)))
+    return SolarSeries(grid, power, start)
 
 
 @st.composite

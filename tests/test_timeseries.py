@@ -62,16 +62,20 @@ class TestSamplingGrid:
 class TestDayProfile:
     def test_rejects_negative_sample(self):
         with pytest.raises(ValueError):
-            DayProfile(0, Date(2015, 2, 15), [1.0, -3.0])
+            DayProfile(Date(2015, 2, 15), [1.0, -3.0])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            DayProfile(0, Date(2015, 2, 15), [1.0, float("nan")])
+            DayProfile(Date(2015, 2, 15), [1.0, float("nan")])
 
     def test_samples_are_read_only(self):
-        day = DayProfile(0, Date(2015, 2, 15), [1.0, 2.0])
+        day = DayProfile(Date(2015, 2, 15), [1.0, 2.0])
         with pytest.raises(ValueError):
             day.samples[0] = 5.0
+
+    def test_day_index_is_the_date_ordinal(self):
+        day = DayProfile(Date(2015, 2, 15), [1.0, 2.0])
+        assert day.day_index == Date(2015, 2, 15).toordinal() == 735644
 
 
 class TestSolarSeries:
@@ -103,27 +107,29 @@ class TestSolarSeries:
 
     def test_rows_are_read_only_day_views(self):
         power = np.arange(8, dtype=float).reshape(2, 4)
-        series = SolarSeries(self.GRID, power, Date(2015, 2, 15), first_index=3)
+        series = SolarSeries(self.GRID, power, Date(2015, 2, 15))
         power[0, 0] = 99.0  # the series keeps its own copy
         assert series.power[0, 0] == 0.0
         with pytest.raises(ValueError):
             series.power[0, 0] = 5.0
-        day = series.day_by_index(4)
-        assert (day.day_index, day.date) == (4, Date(2015, 2, 16))
+        day = series.day_by_index(series.first_index + 1)
+        assert (day.day_index, day.date) == (series.first_index + 1, Date(2015, 2, 16))
         assert np.shares_memory(day.samples, series.power)
         assert series.days is series.days
 
     def test_day_lookup_by_index_and_date(self):
         series = make_series([[1, 2, 3, 4], [5, 6, 7, 8]], interval_seconds=21600)
-        assert series.day_by_index(1).samples[0] == 5
-        assert series.day_by_date(Date(2015, 2, 16)).samples[3] == 8
+        first = series.first_index
+        assert (first, series.last_index) == (Date(2015, 2, 15).toordinal(), first + 1)
+        assert series.day_by_index(first + 1).samples[0] == 5
+        assert series.day_by_index(Date(2015, 2, 16).toordinal()).samples[3] == 8
         with pytest.raises(KeyError):
-            series.day_by_index(7)
-        day = series.day_by_index(np.int64(1))  # numpy integers index too
-        assert (day.day_index, day.date) == (1, Date(2015, 2, 16))
+            series.day_by_index(first + 7)
+        day = series.day_by_index(np.int64(first + 1))  # numpy integers index too
+        assert (day.day_index, day.date) == (first + 1, Date(2015, 2, 16))
         assert type(day.day_index) is int
         with pytest.raises(KeyError):
-            series.day_by_date(Date(2020, 1, 1))
+            series.day_by_index(Date(2020, 1, 1).toordinal())
         assert "days" not in vars(series)  # a lookup builds only its own day
 
 
@@ -295,7 +301,7 @@ class TestSplit:
         assert np.array_equal(full.power, series.power)
         parts = (split.train, split.tune, split.test)
         assert np.array_equal(np.concatenate([p.power for p in parts]), full.power)
-        assert [p.first_index for p in parts] == [0, 6, 8]
+        assert [p.first_index for p in parts] == [series.first_index + i for i in (0, 6, 8)]
         assert [p.start for p in parts] == [
             Date(2015, 2, 15), Date(2015, 2, 21), Date(2015, 2, 23)
         ]
@@ -304,25 +310,25 @@ class TestSplit:
 class TestDayContext:
     def test_depth_1_is_previous_day(self):
         series = make_series(np.arange(6 * 4).reshape(6, 4), interval_seconds=21600)
-        ctx = day_context(series, 5, 1)
-        assert np.array_equal(ctx, series.day_by_index(4).samples)
+        ctx = day_context(series, series.first_index + 5, 1)
+        assert np.array_equal(ctx, series.day_by_index(series.first_index + 4).samples)
 
     def test_depth_5_length_480(self):
         series = make_series(np.zeros((6, 96)))
-        assert day_context(series, 5, 5).size == 480
+        assert day_context(series, series.first_index + 5, 5).size == 480
 
     def test_depth_2_elementwise(self):
         # independent oracle: index the day rows directly, oldest first
         rows = np.arange(5 * 4, dtype=float).reshape(5, 4)
         series = make_series(rows, interval_seconds=21600)
-        ctx = day_context(series, 3, 2)
+        ctx = day_context(series, series.first_index + 3, 2)
         expected = np.concatenate([rows[1], rows[2]])
         assert np.array_equal(ctx, expected)
 
     def test_insufficient_history(self):
         series = make_series(np.zeros((4, 4)), interval_seconds=21600)
         with pytest.raises(InsufficientHistory):
-            day_context(series, 2, 3)
+            day_context(series, series.first_index + 2, 3)
 
     @pytest.mark.parametrize("start, target, depth, message", [
         (Date(2015, 2, 15), 2, 3,
@@ -336,14 +342,14 @@ class TestDayContext:
         # dates off the calendar are named by their distance from its ends
         series = make_series(np.zeros((4, 4)), start=start, interval_seconds=21600)
         with pytest.raises(InsufficientHistory) as err:
-            day_context(series, target, depth)
+            day_context(series, series.first_index + target, depth)
         assert str(err.value) == message
 
     def test_next_unseen_day_allowed(self):
         series = make_series(np.zeros((4, 4)), interval_seconds=21600)
-        assert day_context(series, 4, 2).size == 8
+        assert day_context(series, series.first_index + 4, 2).size == 8
 
     def test_length_property_across_depths(self):
         series = make_series(np.zeros((9, 96)))
         for depth in range(1, 6):
-            assert day_context(series, 8, depth).size == depth * 96
+            assert day_context(series, series.first_index + 8, depth).size == depth * 96
