@@ -88,8 +88,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, then the --config file, then the flags, with every
-    component setting checked, so a rejected one fails before any data or
-    model file is read."""
+    setting checked (`RunConfig.check`), so a rejected one fails before any
+    data or model file is read."""
     config = RunConfig()
     if args.config is not None:
         config = parse_config(_read_utf8(Path(args.config), ConfigError), config)
@@ -279,13 +279,13 @@ def cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
-    window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
     models = _load_models(args.models, series.grid)
     day = args.day.toordinal()
     if not series.first_index <= day <= series.last_index:
         raise UnknownDate(f"{args.day.isoformat()} is not in {args.data}")
-    sims = evaluation.replay_days(series, [day], models, window, harmonics)
+    sims = evaluation.replay_days(series, [day], models,
+                                  config.correction_window, config.correction_harmonics)
     report = evaluation.score_replay([args.day], sims)
     out_dir = Path(args.out)
     text, files = "", {out_dir: None}
@@ -302,13 +302,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
 
 def cmd_evaluate(args: argparse.Namespace) -> tuple[str, dict]:
     config = _run_config(args)
-    window, harmonics = config.correction_params()
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
     models = _load_models(args.models, series.grid)
-    report = evaluation.compare_methods(
-        split.series, split.test, *models.values(), window, harmonics
-    )
+    report = evaluation.compare_methods(split.series, split.test, *models.values(),
+                                        config.correction_window, config.correction_harmonics)
     text = f"{evaluation.render_report(report)}\nwrote {args.out}\n"
     return text, {args.out: partial(evaluation.write_report_csv, report)}
 

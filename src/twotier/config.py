@@ -16,7 +16,7 @@ from .errors import ConfigError, Underdetermined, quoted
 from .knn import KnnConfig
 from .nn import NnConfig
 from .synth import SynthConfig
-from .timeseries import SamplingGrid
+from .timeseries import SamplingGrid, check_ratios
 
 
 # Each key type's reader, of config file values and CLI flags alike, and
@@ -31,15 +31,15 @@ READERS = {
 _RENAMED = {"rng_seed": "seed"}
 
 
-def _build(kind, prefix: str, config: RunConfig, **given):
-    """kind built from config's key for each of its init fields, or from
-    `given` for those it names; a rejected setting raises ConfigError."""
+def _build(kind, prefix: str, config: RunConfig):
+    """kind built from config's key for each of its init fields; a
+    rejected setting raises ConfigError."""
     settings = {
         f.name: getattr(config, _RENAMED.get(f.name, prefix + f.name))
-        for f in fields(kind) if f.init and f.name not in given
+        for f in fields(kind) if f.init
     }
     try:
-        return kind(**settings, **given)
+        return kind(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -48,8 +48,9 @@ def _build(kind, prefix: str, config: RunConfig, **given):
 class RunConfig:
     """Every run setting. A component setting's key is `<prefix><field>`
     (no prefix for the grid, `knn_`, `nn_`, `synth_`), except `seed`, the
-    NN's and the generator's `rng_seed`, and the generator's `cloud_depth`
-    pair, `synth_cloud_depth_low` / `synth_cloud_depth_high`."""
+    NN's and the generator's `rng_seed`. The split ratios, the correction
+    window and harmonics and `synth_days` are settings of the run itself.
+    `check` is the one check of them all that every command runs."""
 
     sample_interval_seconds: int = SamplingGrid.sample_interval_seconds
     split_train: float = 0.6
@@ -72,8 +73,8 @@ class RunConfig:
     synth_sunset_sample: int = SynthConfig.sunset_sample
     synth_cloudiness: float = SynthConfig.cloudiness
     synth_cloud_event_rate: float = SynthConfig.cloud_event_rate
-    synth_cloud_depth_low: float = SynthConfig.cloud_depth[0]
-    synth_cloud_depth_high: float = SynthConfig.cloud_depth[1]
+    synth_cloud_depth_low: float = SynthConfig.cloud_depth_low
+    synth_cloud_depth_high: float = SynthConfig.cloud_depth_high
     synth_start_date: Date = SynthConfig.start_date
 
     def grid(self) -> SamplingGrid:
@@ -86,42 +87,30 @@ class RunConfig:
         return _build(NnConfig, "nn_", self)
 
     def synth(self) -> SynthConfig:
-        cloud_depth = (self.synth_cloud_depth_low, self.synth_cloud_depth_high)
-        return _build(SynthConfig, "synth_", self, cloud_depth=cloud_depth)
+        return _build(SynthConfig, "synth_", self)
 
     def check(self) -> None:
         """Raise ConfigError for the first rejected setting: building the
-        grid, k-NN, network and generator configs, in that order, then
-        the correction window's fit of its harmonics. The rules that need
-        a run stay with it: the window's day length in `correction_params`,
-        the generated span and the sunset's slot in `synth.generate`."""
-        for build in (self.grid, self.knn, self.nn, self.synth):
-            build()
-        self._correction_fit()
-
-    def _correction_fit(self) -> tuple[int, int]:
-        """The correction window and harmonics, when the window can fit
-        the harmonics."""
+        grid, k-NN, network and generator configs, in that order, then the
+        correction window, which must fit its harmonics and be shorter than
+        a day (so that it corrects at least the day's last slot), the
+        generated days and the sunset's slot, and last the split ratios."""
+        grid, _, _, synth = self.grid(), self.knn(), self.nn(), self.synth()
         window, harmonics = self.correction_window, self.correction_harmonics
         try:
             correction.check_fit(window, harmonics)
         except (ValueError, Underdetermined) as exc:
-            raise ConfigError(
-                f"correction window {window} cannot fit {harmonics} harmonics"
-            ) from exc
-        return window, harmonics
-
-    def correction_params(self) -> tuple[int, int]:
-        """The correction window and harmonics, when the window can fit
-        the harmonics and is shorter than a day, so that it corrects at
-        least the day's last slot."""
-        window, harmonics = self._correction_fit()
-        slots = self.grid().samples_per_day
-        if window >= slots:
-            raise ConfigError(
-                f"correction window {window} must be shorter than a day of {slots} samples"
-            )
-        return window, harmonics
+            raise ConfigError(f"correction window {window} cannot fit "
+                              f"{harmonics} harmonics") from exc
+        if window >= grid.samples_per_day:
+            raise ConfigError(f"correction window {window} must be shorter than a day "
+                              f"of {grid.samples_per_day} samples")
+        try:
+            synth.check_days(self.synth_days)
+            synth.check_grid(grid)
+            check_ratios((self.split_train, self.split_tune, self.split_test))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # every key and its type, in the order of a config file

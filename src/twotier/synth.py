@@ -46,7 +46,8 @@ class SynthConfig:
     sunset_sample: int = 70           # 17:30
     cloudiness: float = 0.55          # probability a day is cloudy
     cloud_event_rate: float = 1.0     # expected cloud events per cloudy day
-    cloud_depth: tuple[float, float] = (0.2, 0.75)
+    cloud_depth_low: float = 0.2      # attenuation depth range of cloud cover
+    cloud_depth_high: float = 0.75
     start_date: Date = Date(2015, 2, 15)
     rng_seed: int = 1
 
@@ -59,9 +60,21 @@ class SynthConfig:
             raise ValueError("cloudiness must be in [0, 1]")
         if not 0 <= self.cloud_event_rate <= MAX_POISSON_RATE:  # NaN fails too
             raise ValueError(f"cloud_event_rate must be in [0, {MAX_POISSON_RATE:g}]")
-        lo, hi = self.cloud_depth
-        if not 0.0 <= lo <= hi <= 1.0:
+        if not 0.0 <= self.cloud_depth_low <= self.cloud_depth_high <= 1.0:
             raise ValueError("cloud_depth range must satisfy 0 <= lo <= hi <= 1")
+
+    def check_days(self, num_days: int) -> None:
+        """Raise ValueError unless `num_days` is at least 1 and that many
+        days from `start_date` end by 9999-12-31."""
+        if num_days < 1:
+            raise ValueError("num_days must be >= 1")
+        check_span(self.start_date, num_days)
+
+    def check_grid(self, grid: SamplingGrid) -> None:
+        """Raise ValueError unless the sunset slot is on `grid`."""
+        m = grid.samples_per_day
+        if self.sunset_sample >= m:
+            raise ValueError(f"sunset sample {self.sunset_sample} outside grid of {m} samples")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +94,8 @@ class SynthResult:
 
 def clear_sky_profile(config: SynthConfig, grid: SamplingGrid) -> np.ndarray:
     """Half-sine bell: zero outside [sunrise, sunset], peak at solar noon."""
-    m = grid.samples_per_day
-    if config.sunset_sample >= m:
-        raise ValueError(
-            f"sunset sample {config.sunset_sample} outside grid of {m} samples"
-        )
-    profile = np.zeros(m)
+    config.check_grid(grid)
+    profile = np.zeros(grid.samples_per_day)
     daylight = config.sunset_sample - config.sunrise_sample
     for i in range(config.sunrise_sample, config.sunset_sample + 1):
         phase = (i - config.sunrise_sample) / daylight
@@ -108,8 +117,7 @@ def _cloud_attenuation(
     """
     m = grid.samples_per_day
     daylight = config.sunset_sample - config.sunrise_sample + 1
-    depth_lo, depth_hi = config.cloud_depth
-    level_lo, level_hi = 1.0 - depth_hi, 1.0 - depth_lo
+    level_lo, level_hi = 1.0 - config.cloud_depth_high, 1.0 - config.cloud_depth_low
 
     if carry_level is None:
         margin = min(0.05, (level_hi - level_lo) / 2.0)
@@ -140,9 +148,7 @@ def generate(
 ) -> SynthResult:
     """Generate `num_days` labeled synthetic days starting at
     config.start_date, drawn from config.rng_seed."""
-    if num_days < 1:
-        raise ValueError("num_days must be >= 1")
-    check_span(config.start_date, num_days)
+    config.check_days(num_days)
     grid = grid or SamplingGrid()
     rng = SplitMix64(config.rng_seed)
     bell = clear_sky_profile(config, grid)

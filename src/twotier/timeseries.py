@@ -237,8 +237,10 @@ def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
     20-character `YYYY-MM-DDTHH:MM:SS,` prefix naming the next slot in
     order, every value in range) is checked and parsed as one byte block;
     any other text goes through the per-line parser, the reference, with
-    the same result or the same error.
+    the same result or the same error. One leading byte-order mark
+    (U+FEFF) is dropped first; one anywhere else is part of its line.
     """
+    text = text.removeprefix("\ufeff")
     series = _ingest_canonical(text, grid)
     return series if series is not None else _ingest_lines(text, grid)
 
@@ -361,16 +363,12 @@ def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
 def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
     """`ingest_csv` one line at a time: the path for every input, and the
     reference that the whole-file path must agree with."""
-    text_lines = text.splitlines()
-
     step = grid.sample_interval_seconds
     per_day: dict[Date, dict[int, float]] = {}
 
     header_seen = False
-    line_no = 0
-    for raw in text_lines:
-        line_no += 1
-        line = raw.strip().lstrip("﻿")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
         if not header_seen:
@@ -447,13 +445,8 @@ def export_csv(series: SolarSeries, sink: IO) -> None:
         sink.write("".join(lines))
 
 
-def split_chronological(
-    series: SolarSeries, ratios: tuple[float, float, float]
-) -> DatasetSplit:
-    """Partition a series into train/tune/test in time order.
-
-    Train and tune sizes are floor(N * ratio); test takes the remainder.
-    """
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """The split ratios as floats; ValueError unless three, >= 0, summing to 1."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ValueError("need exactly three split ratios")
@@ -461,6 +454,17 @@ def split_chronological(
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
     if min(ratios) < 0:
         raise ValueError(f"split ratios must be >= 0, got {ratios}")
+    return ratios
+
+
+def split_chronological(
+    series: SolarSeries, ratios: tuple[float, float, float]
+) -> DatasetSplit:
+    """Partition a series into train/tune/test in time order.
+
+    Train and tune sizes are floor(N * ratio); test takes the remainder.
+    """
+    ratios = check_ratios(ratios)
     n = series.num_days
     if n < 5:
         raise TooFewDays(f"need at least 5 days to split, have {n}")

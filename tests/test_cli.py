@@ -49,11 +49,9 @@ def check_other_grid_exit_3(command, pipeline, tmp_path, capsys, extra):
     """Models trained on 900 s data cannot be used on a 1800 s data set:
     exit 3 with one error line naming the models and both grids."""
     data = tmp_path / "half-hourly.csv"
-    grid = ["--sample-interval-seconds", "1800"]
-    code = cli.main(
-        ["synth", *grid, "--synth-sunrise-sample", "13",
-         "--synth-sunset-sample", "35", "--out", str(data)]
-    )
+    grid = ["--sample-interval-seconds", "1800",
+            "--synth-sunrise-sample", "13", "--synth-sunset-sample", "35"]
+    code = cli.main(["synth", *grid, "--out", str(data)])
     assert code == 0
     capsys.readouterr()
     code = cli.main(
@@ -437,7 +435,10 @@ class TestTune:
         with open(data, "w", encoding="utf-8", newline="\n") as sink:
             export_csv(make_series(rows, interval_seconds=21600), sink)
         tuned = tmp_path / "t.cfg"
+        # a 4-slot day: every command rejects the default window and sunset
         argv = ["tune", "--knn-only", "--sample-interval-seconds", "21600",
+                "--correction-window", "3", "--correction-harmonics", "1",
+                "--synth-sunrise-sample", "0", "--synth-sunset-sample", "3",
                 "--split-train", "0.91", "--split-tune", "0.031", "--split-test", "0.059",
                 "--data", str(data), "--out", str(tuned)]
         assert cli.main(argv) == 0
@@ -859,6 +860,18 @@ def test_canonical_csv_with_bom_takes_the_block_path(pipeline, tmp_path, monkeyp
     assert capsys.readouterr().out == plain
 
 
+def test_bom_after_the_first_line_exit_3(pipeline, tmp_path, capsys):
+    """Only a leading BOM is dropped: one before a row's timestamp is part
+    of the timestamp."""
+    lines = pipeline["data"].read_text().splitlines(keepends=True)
+    lines[5] = "\ufeff" + lines[5]
+    bad = tmp_path / "bom6.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    assert cli.main(["ingest", "--data", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        "error: line 6: bad timestamp '\\ufeff2015-02-15T01:00:00'\n")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])
 @pytest.mark.parametrize("window, code", [(95, 0), (96, 2), (97, 2)])
 def test_correction_window_as_long_as_a_day_exit_2(pipeline, tmp_path, capsys,
@@ -951,29 +964,50 @@ class TestNonFiniteSettings:
 
 # A rejected setting of any component, with the command it is given to, as
 # [command, flags] given the pipeline's data file, and its error text.
+# Each rejected setting as (argv, message); "DATA" and "MODELS" stand for
+# the pipeline's files.
 REJECTED_SETTINGS = {
     "synth-nn": (["synth", "--nn-restarts", "0"], "restarts must be >= 1"),
-    "ingest-knn": (["ingest", "--knn-neighbors", "1", "--data"], "neighbors must be >= 2"),
-    "tune-knn-only-nn": (["tune", "--knn-only", "--nn-restarts", "0", "--data"],
+    "ingest-knn": (["ingest", "--knn-neighbors", "1", "--data", "DATA"],
+                   "neighbors must be >= 2"),
+    "tune-knn-only-nn": (["tune", "--knn-only", "--nn-restarts", "0", "--data", "DATA"],
                          "restarts must be >= 1"),
-    "train-restarts": (["train", "--nn-restarts", "0", "--data"], "restarts must be >= 1"),
-    "train-iterations": (["train", "--nn-max-iterations", "-1", "--data"],
+    "train-restarts": (["train", "--nn-restarts", "0", "--data", "DATA"],
+                       "restarts must be >= 1"),
+    "train-iterations": (["train", "--nn-max-iterations", "-1", "--data", "DATA"],
                          "max_iterations must be >= 0"),
-    "ingest-grid": (["ingest", "--sample-interval-seconds", "0", "--data"],
+    "ingest-grid": (["ingest", "--sample-interval-seconds", "0", "--data", "DATA"],
                     "sample_interval_seconds must be a positive integer"),
     "synth-sunset": (["synth", "--synth-sunset-sample", "96"],
                      "sunset sample 96 outside grid of 96 samples"),
+    "tune-knn-only-window": (["tune", "--knn-only", "--correction-window", "96",
+                              "--data", "DATA"],
+                             "correction window 96 must be shorter than a day of 96 samples"),
+    "tune-knn-only-sunset": (["tune", "--knn-only", "--synth-sunset-sample", "96",
+                              "--data", "DATA"],
+                             "sunset sample 96 outside grid of 96 samples"),
+    "tune-knn-only-days": (["tune", "--knn-only", "--synth-days", "0", "--data", "DATA"],
+                           "num_days must be >= 1"),
+    "train-span": (["train", "--synth-start-date", "9999-12-30", "--data", "DATA"],
+                   "50 days from 9999-12-30 run past 9999-12-31"),
+    "synth-split": (["synth", "--split-train", "2"],
+                    "split ratios must sum to 1, got 2.4000000000000004"),
+    "ingest-split": (["ingest", "--split-train", "2", "--data", "DATA"],
+                     "split ratios must sum to 1, got 2.4000000000000004"),
+    "simulate-split": (["simulate", "--split-train", "2", "--models", "MODELS",
+                        "--data", "DATA", "--day", CLOUDY_DEMO_DAY],
+                       "split ratios must sum to 1, got 2.4000000000000004"),
 }
 
 
 @pytest.mark.parametrize("case", REJECTED_SETTINGS)
 def test_rejected_setting_exit_2_writing_nothing(pipeline, tmp_path, capsys, case):
-    """Every command checks every component's settings, not only those of
-    the components it builds: a `tuned.cfg` that `tune` writes is one that
-    `train --config` accepts."""
+    """A setting that any command rejects, every command rejects, not only
+    the commands that use it: a `tuned.cfg` that `tune` writes is one that
+    every command accepts with `--config`."""
     argv, message = REJECTED_SETTINGS[case]
-    if argv[-1] == "--data":
-        argv = [*argv, str(pipeline["data"])]
+    files = {"DATA": str(pipeline["data"]), "MODELS": str(pipeline["models"])}
+    argv = [files.get(arg, arg) for arg in argv]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())

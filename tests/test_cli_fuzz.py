@@ -10,8 +10,10 @@ successful `tune` on a drawn data set and split must write a tuned config
 whose values are the `best` ones it printed, and `tune --knn-only` a full
 grid report. A data set of readings anywhere in the accepted power range
 must tune, train and evaluate with exit code 0 and print only finite
-numbers. Examples are derandomized, so a run is reproducible; widen
-max_examples locally to search further.
+numbers. Settings at the boundaries of the run's rules get the same
+outcome from all six commands: one and the same error line, or each
+past its settings. Examples are derandomized, so a run is reproducible;
+widen max_examples locally to search further.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import make_series, printed_best, rendered, replace_payload_line  # noqa: E402
 from twotier import cli, evaluation, knn, nn, persistence  # noqa: E402
@@ -426,7 +428,8 @@ def test_every_accepted_power_range_tunes_trains_and_evaluates(data):
     """Data anywhere in the accepted range runs the whole chain: each step
     exits 0 and prints only finite numbers. The suite turns a numpy
     warning, such as an overflow, into an error."""
-    grid = ["--sample-interval-seconds", "3600"]
+    grid = ["--sample-interval-seconds", "3600",
+            "--synth-sunrise-sample", "6", "--synth-sunset-sample", "18"]
     steps = [
         ["tune", "--knn-only", "--data", "data.csv", "--out", "tuned.cfg"],
         ["train", "--data", "data.csv", "--out", "models",
@@ -439,3 +442,72 @@ def test_every_accepted_power_range_tunes_trains_and_evaluates(data):
             assert code == 0, (argv, code)
             assert all(np.isfinite(printed_numbers(out))), (argv, out)
     assert "averaged RMSE" in out
+
+
+# Values at and around the boundary of each rule `RunConfig.check` runs,
+# and of one component setting.
+BOUNDARY_VALUES = {
+    "sample_interval_seconds": ["1800", "900"],
+    "correction_window": ["0", "4", "5", "47", "48", "95", "96"],
+    "correction_harmonics": ["-1", "0", "2"],
+    "synth_sunset_sample": ["47", "48", "95", "96"],
+    "synth_days": ["-1", "0", "1", "3"],
+    "synth_start_date": ["9999-12-29", "9999-12-30"],
+    "split_train": ["0.6000000009", "0.600000002", "-0.2", "nan"],
+    "split_test": ["0.0", "-0.0", "0.199999998"],
+    "knn_neighbors": ["1", "2"],
+}
+
+
+def six_commands(nowhere):
+    """Each command, its data, models and outputs in the missing directory
+    `nowhere`, so that an accepted setting exits 3 before any data is
+    read (synth makes its few days, then cannot write them)."""
+    data, models = f"{nowhere}/d.csv", f"{nowhere}/m"
+    return [
+        ["synth", "--out", data],
+        ["ingest", "--data", data],
+        ["tune", "--knn-only", "--data", data, "--out", f"{nowhere}/t.cfg"],
+        ["train", "--data", data, "--out", models],
+        ["simulate", "--models", models, "--data", data, "--day", "2015-03-01",
+         "--out", f"{nowhere}/t"],
+        ["evaluate", "--models", models, "--data", data, "--out", f"{nowhere}/r.csv"],
+    ]
+
+
+@st.composite
+def boundary_flags(draw):
+    """Two days to generate (synth's default is 50), then up to three
+    keys set to boundary values."""
+    flags = ["--synth-days", "2"]
+    for key in draw(st.lists(st.sampled_from(list(BOUNDARY_VALUES)), max_size=3, unique=True)):
+        flags += ["--" + key.replace("_", "-"), draw(st.sampled_from(BOUNDARY_VALUES[key]))]
+    return flags
+
+
+@settings(FUZZ, max_examples=40)
+@given(boundary_flags())
+@example(["--synth-days", "3", "--synth-start-date", "9999-12-30"])
+@example(["--synth-days", "2", "--synth-start-date", "9999-12-30"])
+@example(["--correction-window", "96"])
+@example(["--synth-days", "2", "--sample-interval-seconds", "1800",
+          "--synth-sunset-sample", "47", "--correction-window", "47"])
+def test_every_command_rejects_the_same_settings(flags):
+    """A setting that one command rejects, every command rejects with the
+    same one error line; otherwise each gets past the settings and fails
+    on its missing file."""
+    outcomes = set()
+    with tempfile.TemporaryDirectory() as directory:
+        nowhere = Path(directory) / "missing"
+        for argv in six_commands(nowhere):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                outcomes.add((cli.main(argv + flags), err.getvalue()))
+        assert not nowhere.exists()
+    codes = {code for code, _ in outcomes}
+    if 2 in codes:
+        assert len(outcomes) == 1, outcomes
+        (_, line), = outcomes
+        assert line.startswith("error: ") and line.count("\n") == 1
+    else:
+        assert codes == {3}, outcomes

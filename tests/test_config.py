@@ -51,7 +51,8 @@ def test_defaults_match_documented_values():
     assert c.nn() == NnConfig()
     assert c.synth() == SynthConfig()
     assert c.grid() == SamplingGrid()
-    assert c.correction_params() == (DEFAULT_WINDOW, DEFAULT_HARMONICS)
+    assert (c.correction_window, c.correction_harmonics) == (DEFAULT_WINDOW, DEFAULT_HARMONICS)
+    c.check()
     table = readme_config_table()
     keys = [line.split(" = ")[0] for line in table.splitlines()]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
@@ -119,9 +120,11 @@ def test_render_round_trips():
 
 
 def test_ratios_validated():
-    # the split ratios reach `split_chronological`, the one check of them
+    # `check` and `split_chronological` run the one check of them
     c = apply_overrides(RunConfig(), {"split_train": 0.9})
-    with pytest.raises(ValueError, match=r"split ratios must sum to 1, got 1\.3$"):
+    with pytest.raises(ConfigError, match=r"^split ratios must sum to 1, got 1\.3$"):
+        c.check()
+    with pytest.raises(ValueError, match=r"^split ratios must sum to 1, got 1\.3$"):
         cli._split(c, make_series(np.zeros((10, 96))))
 
 
@@ -132,7 +135,7 @@ def test_sub_config_construction():
     assert c.nn().hidden_neurons == 6
     assert c.nn().rng_seed == 1
     assert c.synth().cloudiness == 0.55
-    assert c.correction_params() == (8, 2)
+    c.check()
 
 
 # A distinct, valid, non-default value of every key.
@@ -170,10 +173,7 @@ COMPONENTS = [
     (SynthConfig, RunConfig.synth, "synth_"),
 ]
 # The component fields whose keys are not `<prefix><field>`.
-EXCEPTIONS = {
-    "rng_seed": ("seed",),
-    "cloud_depth": ("synth_cloud_depth_low", "synth_cloud_depth_high"),
-}
+EXCEPTIONS = {"rng_seed": "seed"}
 # The keys that set no component field.
 RUN_KEYS = {"split_train", "split_tune", "split_test", "correction_window",
             "correction_harmonics", "synth_days"}
@@ -193,37 +193,38 @@ def test_every_key_sets_its_component_field():
         for field in dataclasses.fields(kind):
             if not field.init:
                 continue
-            keys = EXCEPTIONS.get(field.name, (prefix + field.name,))
-            assert set(keys) <= set(DISTINCT), f"{kind.__name__}.{field.name} has no key"
-            values = tuple(DISTINCT[key] for key in keys)
-            settings[field.name] = values if len(keys) > 1 else values[0]
-            keyed.update(keys)
+            key = EXCEPTIONS.get(field.name, prefix + field.name)
+            assert key in DISTINCT, f"{kind.__name__}.{field.name} has no key"
+            settings[field.name] = DISTINCT[key]
+            keyed.add(key)
         assert build(config) == kind(**settings)
     assert keyed.isdisjoint(RUN_KEYS)
     assert keyed | RUN_KEYS == set(KEY_TYPES)
-    assert config.correction_params() == (12, 3)
+    config.check()
 
 
 @pytest.mark.parametrize("window, harmonics", [(4, 2), (0, 2), (8, -1)])
-def test_correction_params_reject_what_correction_rejects(window, harmonics):
+def test_check_rejects_what_correction_rejects(window, harmonics):
     c = apply_overrides(
         RunConfig(), {"correction_window": window, "correction_harmonics": harmonics}
     )
     with pytest.raises(ConfigError,
                        match=f"^correction window {window} cannot fit {harmonics} harmonics$"):
-        c.correction_params()
+        c.check()
 
 
 @pytest.mark.parametrize("interval, window", [(900, 96), (900, 97), (1800, 48)])
 def test_correction_window_must_be_shorter_than_a_day(interval, window):
     slots = 86400 // interval
     c = apply_overrides(RunConfig(), {"sample_interval_seconds": interval,
-                                      "correction_window": slots - 1})
-    assert c.correction_params() == (slots - 1, 2)
+                                      "correction_window": slots - 1,
+                                      "synth_sunrise_sample": 0,
+                                      "synth_sunset_sample": slots - 1})
+    c.check()
     c = dataclasses.replace(c, correction_window=window)
     with pytest.raises(ConfigError, match=f"^correction window {window} must be shorter "
                                           f"than a day of {slots} samples$"):
-        c.correction_params()
+        c.check()
 
 
 def test_invalid_sub_config_becomes_config_error():
@@ -232,4 +233,4 @@ def test_invalid_sub_config_becomes_config_error():
         c.knn()
     c = apply_overrides(RunConfig(), {"correction_window": 4})
     with pytest.raises(ConfigError):
-        c.correction_params()
+        c.check()

@@ -291,6 +291,12 @@ def ingest_outcome(parse, text, grid):
     return series.power.tobytes(), series.start, series.num_days
 
 
+def per_line(text, grid):
+    """The per-line reference of `ingest_csv`: `_ingest_lines` of the text
+    after the one leading byte-order mark that `ingest_csv` drops."""
+    return _ingest_lines(text.removeprefix("\ufeff"), grid)
+
+
 @st.composite
 def canonical_series(draw):
     """A series whose export is canonical, at the calendar's edges too."""
@@ -394,7 +400,7 @@ def mutated_csv(draw):
 @given(mutated_csv())
 def test_ingest_equals_per_line_parser(case):
     text, grid = case
-    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(per_line, text, grid)
 
 
 @PROPERTY
@@ -421,6 +427,8 @@ LINE_EDITS = {
     "blank last line": lambda text: text + "\n",
     "text after the final newline": lambda text: text + "0",
     "BOM": lambda text: "\ufeff" + text,
+    "two BOMs": lambda text: "\ufeff\ufeff" + text,
+    "BOM before the last row": lambda text: insert_char(text, -2, 0, "\ufeff"),
     "space before the first row": lambda text: text.replace("\n", "\n ", 1),
     "tab after the last value": lambda text: text[:-1] + "\t\n",
     "space for the T of the last row": lambda text: replace_char(text, -2, 10, " "),
@@ -451,7 +459,7 @@ def test_line_edit_ingests_as_per_line_parser(edit, interval, start):
     grid = SamplingGrid(sample_interval_seconds=interval)
     series = SolarSeries(grid, np.arange(3.0 * grid.samples_per_day).reshape(3, -1), start)
     text = LINE_EDITS[edit](exported(series))
-    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(per_line, text, grid)
 
 
 @pytest.mark.parametrize("value", NAMED_VALUES)
@@ -460,7 +468,7 @@ def test_named_value_ingests_as_per_line_parser(value, line):
     grid = SamplingGrid(sample_interval_seconds=3600)
     series = SolarSeries(grid, np.arange(48.0).reshape(2, 24), Date(2015, 2, 15))
     text = replace_value(exported(series), line, value)
-    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(per_line, text, grid)
 
 
 # fields of the block grammar: printable ASCII, no space, maybe empty
@@ -576,7 +584,7 @@ def test_zero_rows_ingest_bit_equal_to_per_line_parser(layout):
     fast = _ingest_canonical(text, grid)
     assert fast is not None
     assert fast.power.tobytes() == series.power.tobytes()  # the sign of zero too
-    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(_ingest_lines, text, grid)
+    assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(per_line, text, grid)
 
 
 @st.composite

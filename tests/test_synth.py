@@ -45,7 +45,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(sunrise_sample=50, sunset_sample=40)
     with pytest.raises(ValueError):
-        SynthConfig(cloud_depth=(0.9, 0.2))
+        SynthConfig(cloud_depth_low=0.9, cloud_depth_high=0.2)
 
 
 def test_clear_sky_bell_shape():

@@ -204,6 +204,19 @@ class TestIngest:
             ingest_csv(text, SamplingGrid())
         assert str(err.value) == "line 97: power '1e13' above the 1e+12 W limit"
 
+    def test_only_a_leading_bom_is_dropped(self):
+        text = csv_for([range(96)])
+        plain = ingest_csv(text, SamplingGrid())
+        assert ingest_csv("\ufeff" + text, SamplingGrid()).power.tobytes() == (
+            plain.power.tobytes())
+        lines = text.splitlines(keepends=True)
+        lines[5] = "\ufeff" + lines[5]
+        with pytest.raises(MalformedRow) as err:
+            ingest_csv("".join(lines), SamplingGrid())
+        assert str(err.value) == "line 6: bad timestamp '\\ufeff2015-02-15T01:00:00'"
+        with pytest.raises(MalformedRow, match="^line 1: expected header"):
+            ingest_csv("\ufeff\ufeff" + text, SamplingGrid())
+
 
 @pytest.fixture(scope="module")
 def year_text():
