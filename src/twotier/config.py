@@ -121,11 +121,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Apply `key = value` lines on top of a base config.
 
     Blank lines and lines starting with # are skipped. A repeated key is
-    fine (last one wins), an unknown key is not.
+    fine (last one wins), an unknown key is not. One leading byte-order
+    mark (U+FEFF) is dropped.
     """
     config = base if base is not None else RunConfig()
     updates = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -28,13 +28,27 @@ columns, into its documented row-major order. There is one forward
 kernel (_hidden_batch, _output_batch): forward, predict_day,
 forecast_days, jacobian and the training loop all use it, so a
 network's own outputs give a training loss of exactly 0.
+
+The restarts are independent, so fit_restarts spreads them over the
+CPUs this process may use, by fork: restart r runs in lane r % lanes,
+lane 0 being the calling process and each other lane a forked worker.
+There is one lane per CPU when BLAS runs one thread (OPENBLAS_NUM_THREADS
+= 1) and, at OpenBLAS's default of a thread per CPU, one lane in all.
+A restart computes the same bits in any process and the results are put
+back in restart order, so the models, the scores and every output byte
+do not depend on the CPU count. Python 3.12 and later warn
+(DeprecationWarning) when they fork a process that has threads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+import os
+import pickle
+import signal
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -113,6 +127,10 @@ class NnModel:
     def history_days(self) -> int:
         """How many days before a forecast day its forecast reads: 2."""
         return INPUT_WIDTH
+
+    def __reduce__(self):
+        # Unpickled through __init__, so the copy is checked and read-only too
+        return NnModel, tuple(getattr(self, field.name) for field in fields(self))
 
 
 @dataclass(frozen=True)
@@ -426,25 +444,129 @@ def _training_setup(train: SolarSeries):
     )
 
 
-def fit_restarts(
-    train: SolarSeries, config: NnConfig
-) -> Iterator[tuple[NnModel, float]]:
-    """Yield (model, training RMSE) for each restart, in restart order.
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Restart r trains from derive_seed(config.rng_seed, r). The training
-    rows are built once for all restarts.
+
+def _lanes(restarts: int) -> int:
+    """How many processes train `restarts` restarts at once: the usable
+    CPUs over the threads BLAS runs in each process, at least 1 and at
+    most `restarts`; 1 where os.fork does not exist.
+
+    OpenBLAS runs the thread count of the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive number, else
+    one thread per CPU, so with none of them set there is one lane. Two
+    processes that each run a multi-threaded BLAS oversubscribe the CPUs:
+    on a 2-core VM at the default threads, tune_nn took 3.8-12.2 s in two
+    lanes against 3.5-3.8 s in one."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = _usable_cpus()
+    settings = (os.environ.get(name, "")
+                for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas_threads = next((int(value) for value in settings if value.isdigit() and int(value) > 0), cpus)
+    return max(1, min(restarts, cpus // blas_threads))
+
+
+def _fit_restart(
+    rows: tuple, config: NnConfig, samples_per_day: int, restart: int
+) -> tuple[NnModel, float]:
+    """Restart `restart` of fit_restarts on the _training_setup `rows`:
+    train from derive_seed(config.rng_seed, restart) and return the model
+    and its training RMSE."""
+    scale_max, inputs, targets, counts = rows
+    start = build(
+        config, derive_seed(config.rng_seed, restart),
+        samples_per_day=samples_per_day, scale_max=scale_max,
+    )
+    params, trace = _train_lm_arrays(
+        _params(start), config.hidden_neurons, inputs, targets, counts, config
+    )
+    # RMSE over every training row, not over the distinct ones
+    return _with_params(params, start), math.sqrt(trace.final_loss / counts.sum())
+
+
+def fit_restarts(train: SolarSeries, config: NnConfig) -> list[tuple[NnModel, float]]:
+    """(model, training RMSE) of each restart, in restart order.
+
+    Restart r trains from derive_seed(config.rng_seed, r) (_fit_restart);
+    the training rows are built once for all restarts. The restarts are
+    spread by fork (_in_lanes) over the usable CPUs that BLAS leaves free
+    (_lanes: one lane per CPU at one BLAS thread), and every result is
+    the same bits at any CPU count; with one lane nothing is forked.
+    Python 3.12 and later warn (DeprecationWarning) when they fork a
+    process that has threads.
     """
-    scale_max, inputs, targets, counts = _training_setup(train)
-    for restart in range(config.restarts):
-        start = build(
-            config, derive_seed(config.rng_seed, restart),
-            samples_per_day=train.grid.samples_per_day, scale_max=scale_max,
-        )
-        params, trace = _train_lm_arrays(
-            _params(start), config.hidden_neurons, inputs, targets, counts, config
-        )
-        # RMSE over every training row, not over the distinct ones
-        yield _with_params(params, start), math.sqrt(trace.final_loss / counts.sum())
+    job = partial(_fit_restart, _training_setup(train), config, train.grid.samples_per_day)
+    return _in_lanes(job, config.restarts, _lanes(config.restarts))
+
+
+def _run_share(job: Callable, indices: range) -> tuple[list, Exception | None]:
+    """[job(i) for i in indices] up to the first job that raises, and
+    that exception (None if none raised)."""
+    done = []
+    try:
+        for i in indices:
+            done.append(job(i))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _fork_lane(job: Callable, indices: range):
+    """Start a worker process, by fork, that runs _run_share(job, indices)
+    and pickles the result to a pipe; returns its pid and the pipe's
+    read end. The worker exits 0 once the result is written, 1 if it
+    cannot be, and never returns into the caller's code."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with open(write, "wb") as pipe:
+                pickle.dump(_run_share(job, indices), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _in_lanes(job: Callable, count: int, lanes: int) -> list:
+    """[job(i) for i in range(count)], with job i run in lane i % lanes:
+    lane 0 in this process, every other lane in a forked worker. A job
+    that raises ends its lane's share, and the exception of the first
+    job, in index order, that raised is raised, as the plain loop would
+    raise it. Every worker has exited, and been waited for, on return,
+    on that exception and on any other."""
+    workers, statuses = [], []
+    try:
+        for lane in range(1, lanes):
+            workers.append(_fork_lane(job, range(lane, count, lanes)))
+        shares = [_run_share(job, range(0, count, lanes))]
+        payloads = [pipe.read() for _, pipe in workers]
+    except BaseException:
+        for pid, _ in workers:  # not yet waited for, so each pid is still ours
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses):
+        raise ChildProcessError(f"a restart worker ended with wait status {max(statuses)}")
+    shares += map(pickle.loads, payloads)
+    results, failures = [None] * count, []
+    for lane, (done, exc) in enumerate(shares):
+        results[lane : lane + lanes * len(done) : lanes] = done
+        if exc is not None:
+            failures.append((lane + lanes * len(done), exc))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def fit_day_ahead(train: SolarSeries, config: NnConfig) -> NnModel:

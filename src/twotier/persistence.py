@@ -272,8 +272,10 @@ def load_model(text: str):
 
     The checksum is verified, over the payload exactly as given (line
     ends included), before any payload parsing; nothing is returned
-    unless the whole file validates.
+    unless the whole file validates. One leading byte-order mark
+    (U+FEFF) is dropped.
     """
+    text = text.removeprefix("\ufeff")
     scanner = _Scanner(text.splitlines())
 
     magic_line = scanner.next_line()

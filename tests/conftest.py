@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 
-from twotier import persistence
+from twotier import nn, persistence
 from twotier.errors import PersistenceError
 from twotier.knn import KnnModel
 from twotier.timeseries import SamplingGrid, SolarSeries
@@ -33,6 +33,14 @@ def neuron_major_order(h):
     row_major[neuron_major_order(h)] is neuron-major."""
     per_neuron = [[2 * k, 2 * k + 1, 2 * h + k] for k in range(h)]
     return np.concatenate(per_neuron + [range(3 * h, 4 * h + 1)]).astype(int)
+
+
+def force_lanes(monkeypatch, lanes):
+    """Make fit_restarts train in `lanes` processes: `lanes` usable CPUs
+    and one BLAS thread each, as far as nn._lanes can tell."""
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: lanes)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert nn._lanes(lanes) == lanes
 
 
 def repeating_clear_days():

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import multiprocessing
 import os
 import re
 import shlex
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    make_series, printed_best, rendered, repeating_clear_days, replace_payload_line
+    force_lanes, make_series, printed_best, rendered, repeating_clear_days, replace_payload_line
 )
 from twotier import cli, persistence, timeseries
 from twotier.config import RunConfig, parse_config
@@ -372,6 +373,27 @@ class TestTrain:
         assert linked.read_bytes() == b"old knn\n"
         assert (models / "nn.htm-model").read_bytes() == b"old nn\n"
         assert sorted(path.name for path in models.iterdir()) == ["knn.htm-model", "nn.htm-model"]
+
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_singular_step_exit_3_whatever_the_lanes(
+        self, pipeline, tmp_path, monkeypatch, capsys, lanes
+    ):
+        """np.linalg.solve fails in this process and, forked after the
+        patch, in every restart worker: the same exit code and error line
+        in one lane as in two, no model file and no child process left."""
+        def solve(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        force_lanes(monkeypatch, lanes)
+        models = tmp_path / "models"
+        assert cli.main(["train", "--data", str(pipeline["data"]), "--out", str(models)]) == 3
+        assert capsys.readouterr() == ("", "error: normal equations unsolvable at damping 1e+10\n")
+        assert not models.exists()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTune:
@@ -870,6 +892,16 @@ def test_bom_after_the_first_line_exit_3(pipeline, tmp_path, capsys):
     assert cli.main(["ingest", "--data", str(bad)]) == 3
     assert capsys.readouterr().err == (
         "error: line 6: bad timestamp '\\ufeff2015-02-15T01:00:00'\n")
+
+
+def test_two_leading_boms_exit_3(pipeline, tmp_path, capsys):
+    """One leading BOM is dropped per file, by the CSV reader; a second
+    is part of the header, as it is for `ingest_csv` alone."""
+    bom = with_bom(with_bom(pipeline["data"], tmp_path / "bom.csv"), tmp_path / "bom2.csv")
+    assert cli.main(["ingest", "--data", str(bom)]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: line 1: expected header 'timestamp,power_w', "
+        "got '\\ufefftimestamp,power_w'\n"))
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])

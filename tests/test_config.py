@@ -73,6 +73,14 @@ def test_comments_and_blank_lines_ignored():
     assert parse_config(text, RunConfig()).seed == 5
 
 
+def test_one_leading_bom_dropped():
+    """parse_config drops one leading BOM, as every reader does; a second
+    is part of the first key."""
+    assert parse_config("\ufeffseed = 5\n") == parse_config("seed = 5\n")
+    with pytest.raises(ConfigError, match=r"^line 1: unknown key '\\ufeffseed'$"):
+        parse_config("\ufeff\ufeffseed = 5\n")
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("knn_depht_days = 3\n", RunConfig())

@@ -8,13 +8,15 @@ row-major layout it replaced (to rounding).
 """
 
 import math
+import multiprocessing
+import os
 from datetime import date as Date
 
 import numpy as np
 import pytest
 
-from conftest import make_series, neuron_major_order
-from twotier import nn
+from conftest import force_lanes, make_series, neuron_major_order
+from twotier import evaluation, nn
 from twotier.errors import (
     GridMismatch,
     InsufficientHistory,
@@ -404,11 +406,16 @@ class TestUnsolvableSteps:
 
 
 @pytest.fixture(scope="module")
-def default_train():
+def default_split():
+    """The default 50-day set, split 60/20/20."""
+    return split_chronological(generate(SynthConfig(), 50).series, (0.6, 0.2, 0.2))
+
+
+@pytest.fixture(scope="module")
+def default_train(default_split):
     """The default 50-day set's 30-day train split."""
-    train = split_chronological(generate(SynthConfig(), 50).series, (0.6, 0.2, 0.2)).train
-    assert train.num_days == 30
-    return train
+    assert default_split.train.num_days == 30
+    return default_split.train
 
 
 @pytest.fixture(scope="module")
@@ -640,6 +647,104 @@ class TestFitDayAhead:
         models = [object() for _ in rmses]
         monkeypatch.setattr(nn, "fit_restarts", lambda train, config: zip(models, rmses))
         assert fit_day_ahead(None, NnConfig()) is models[winner]
+
+
+def assert_no_child_processes():
+    """This process has no child process, running or exited and not yet
+    waited for."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def in_process_restarts(default_train):
+    """(model, RMSE) of restarts 0-9 of the default config on the default
+    train split, each from one in-process call of the job function."""
+    rows = nn._training_setup(default_train)
+    return [nn._fit_restart(rows, NnConfig(), 96, restart) for restart in range(10)]
+
+
+class TestRestartLanes:
+    """fit_restarts runs restart r in lane r % lanes, lane 0 in-process
+    and the others in forked workers; every result is the bits of the
+    in-process job, in restart order, whatever the CPU count."""
+
+    @pytest.mark.parametrize("cpus, settings, restarts, lanes", [
+        (2, {}, 10, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 10, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 10, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 5, 5),
+        (8, {"GOTO_NUM_THREADS": "3"}, 10, 2),
+        (2, {"OMP_NUM_THREADS": "16"}, 10, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 10, 1),
+    ])
+    def test_one_lane_per_cpu_that_blas_leaves_free(
+        self, monkeypatch, cpus, settings, restarts, lanes
+    ):
+        """CPUs over OpenBLAS's threads, read as OpenBLAS reads them: the
+        first positive setting, else one thread per CPU."""
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in settings.items():
+            monkeypatch.setenv(name, value)
+        assert nn._lanes(restarts) == lanes
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("restarts", [1, 2, 5, 10])
+    def test_bit_equal_to_in_process_jobs(
+        self, monkeypatch, default_train, in_process_restarts, lanes, restarts
+    ):
+        force_lanes(monkeypatch, lanes)
+        config = NnConfig(restarts=restarts)
+        fitted = nn.fit_restarts(default_train, config)
+        assert len(fitted) == restarts
+        for (model, rmse), (want, want_rmse) in zip(fitted, in_process_restarts):
+            assert np.array_equal(nn._params(model), nn._params(want))
+            assert rmse == want_rmse
+            assert model.config == config
+            assert not model.hidden_weights.flags.writeable
+        assert_no_child_processes()
+
+    def test_tune_grid_identical_at_one_and_three_lanes(self, monkeypatch, default_split):
+        grids = []
+        for lanes in (1, 3):
+            force_lanes(monkeypatch, lanes)
+            grids.append(evaluation.tune_nn(default_split, (2, 5), NnConfig(restarts=4)))
+        assert grids[0] == grids[1]
+        assert None not in grids[0].raw_rmse
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_singular_step_in_every_lane(self, monkeypatch, default_train, lanes):
+        """np.linalg.solve fails before the fork, so the workers fail too;
+        the error is the one the in-process loop raises."""
+        def solve(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        force_lanes(monkeypatch, lanes)
+        with pytest.raises(SingularStep, match=r"^normal equations unsolvable at damping 1e\+10$"):
+            fit_day_ahead(default_train, NnConfig())
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("failing, first", [({3, 4}, 3), ({2, 5}, 2), ({7}, 7)])
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_first_failing_job_in_index_order_raises(self, lanes, failing, first):
+        """Each lane stops at its first failure; the failure raised is the
+        one with the lowest index, whichever lane ran it."""
+        def job(i):
+            if i in failing:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as raised:
+            nn._in_lanes(job, 9, lanes)
+        assert raised.value.args == (first,)
+        assert nn._in_lanes(lambda i: i * i, 9, lanes) == [i * i for i in range(9)]
+        assert_no_child_processes()
 
 
 class TestPredictDay:

@@ -100,6 +100,14 @@ class TestRoundTrip:
 
 
 class TestIntegrity:
+    def test_one_leading_bom_dropped(self):
+        """load_model drops one leading BOM, as every reader does; a
+        second is part of the first line."""
+        text = render_model(small_fitted_model())
+        assert render_model(load_model("\ufeff" + text)) == text
+        with pytest.raises(MalformedModelFile, match=r"^not a model file \(first line '\\ufeff"):
+            load_model("\ufeff\ufeff" + text)
+
     def test_corrupted_checksum(self):
         text = render_model(small_knn_model())
         lines = text.splitlines()
