@@ -30,22 +30,24 @@ forecast_days, jacobian and the training loop all use it, so a
 network's own outputs give a training loss of exactly 0.
 
 The restarts are independent, so fit_restarts spreads them over the
-CPUs this process may use, by fork: restart r runs in lane r % lanes,
-lane 0 being the calling process and each other lane a forked worker.
-There is one lane per CPU when BLAS runs one thread (OPENBLAS_NUM_THREADS
-= 1) and, at OpenBLAS's default of a thread per CPU, one lane in all.
-A restart computes the same bits in any process and the results are put
-back in restart order, so the models, the scores and every output byte
-do not depend on the CPU count. Python 3.12 and later warn
-(DeprecationWarning) when they fork a process that has threads.
+CPUs this process may use, in lanes: restart r runs in the calling
+process when r % lanes == 0, and otherwise in one of lanes - 1 workers
+started by fork.
+There is one lane per CPU on Linux when BLAS runs one thread
+(OPENBLAS_NUM_THREADS = 1), and one lane in all otherwise, as at
+OpenBLAS's default of a thread per CPU. A restart computes the same bits
+in any process and the results are put back in restart order, so the
+models, the scores and every output byte do not depend on the CPU count.
+Python 3.12 and later warn (DeprecationWarning) when they fork a process
+that has threads: BLAS on one thread starts none, but a caller's own
+threads do.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
@@ -446,29 +448,28 @@ def _training_setup(train: SolarSeries):
 
 def _usable_cpus() -> int:
     """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _lanes(restarts: int) -> int:
-    """How many processes train `restarts` restarts at once: the usable
-    CPUs over the threads BLAS runs in each process, at least 1 and at
-    most `restarts`; 1 where os.fork does not exist.
+    """How many processes train `restarts` restarts at once: one per
+    usable CPU, at most `restarts`, on Linux with BLAS on one thread, and
+    1 otherwise.
 
     OpenBLAS runs the thread count of the first of OPENBLAS_NUM_THREADS,
     GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive number, else
-    one thread per CPU, so with none of them set there is one lane. Two
-    processes that each run a multi-threaded BLAS oversubscribe the CPUs:
-    on a 2-core VM at the default threads, tune_nn took 3.8-12.2 s in two
-    lanes against 3.5-3.8 s in one."""
-    if not hasattr(os, "fork"):
+    one thread per CPU. At one thread it starts none, so a process that
+    forks has no threads. Two processes that each run a multi-threaded
+    BLAS oversubscribe the CPUs: on a 2-core VM at the default threads,
+    tune_nn took 3.8-12.2 s in two lanes against 3.5-3.8 s in one. Off
+    Linux, fork is not CPython's default way to start a process, and on
+    macOS CPython calls it unsafe."""
+    if sys.platform != "linux":
         return 1
-    cpus = _usable_cpus()
     settings = (os.environ.get(name, "")
                 for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    blas_threads = next((int(value) for value in settings if value.isdigit() and int(value) > 0), cpus)
-    return max(1, min(restarts, cpus // blas_threads))
+    blas_threads = next((int(value) for value in settings if value.isdigit() and int(value) > 0), None)
+    return min(restarts, _usable_cpus()) if blas_threads == 1 else 1
 
 
 def _fit_restart(
@@ -494,79 +495,43 @@ def fit_restarts(train: SolarSeries, config: NnConfig) -> list[tuple[NnModel, fl
 
     Restart r trains from derive_seed(config.rng_seed, r) (_fit_restart);
     the training rows are built once for all restarts. The restarts are
-    spread by fork (_in_lanes) over the usable CPUs that BLAS leaves free
-    (_lanes: one lane per CPU at one BLAS thread), and every result is
-    the same bits at any CPU count; with one lane nothing is forked.
-    Python 3.12 and later warn (DeprecationWarning) when they fork a
-    process that has threads.
+    spread by fork (_in_lanes) over the usable CPUs when BLAS runs one
+    thread (_lanes), and every result is the same bits at any CPU count;
+    with one lane nothing is forked. Python 3.12 and later warn
+    (DeprecationWarning) when they fork a process that has threads, such
+    as threads of the caller's own.
     """
     job = partial(_fit_restart, _training_setup(train), config, train.grid.samples_per_day)
     return _in_lanes(job, config.restarts, _lanes(config.restarts))
 
 
-def _run_share(job: Callable, indices: range) -> tuple[list, Exception | None]:
-    """[job(i) for i in indices] up to the first job that raises, and
-    that exception (None if none raised)."""
-    done = []
-    try:
-        for i in indices:
-            done.append(job(i))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-def _fork_lane(job: Callable, indices: range):
-    """Start a worker process, by fork, that runs _run_share(job, indices)
-    and pickles the result to a pipe; returns its pid and the pipe's
-    read end. The worker exits 0 once the result is written, 1 if it
-    cannot be, and never returns into the caller's code."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            with open(write, "wb") as pipe:
-                pickle.dump(_run_share(job, indices), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
 def _in_lanes(job: Callable, count: int, lanes: int) -> list:
-    """[job(i) for i in range(count)], with job i run in lane i % lanes:
-    lane 0 in this process, every other lane in a forked worker. A job
-    that raises ends its lane's share, and the exception of the first
-    job, in index order, that raised is raised, as the plain loop would
-    raise it. Every worker has exited, and been waited for, on return,
-    on that exception and on any other."""
-    workers, statuses = [], []
+    """[job(i) for i in range(count)], with job i run in this process when
+    i % lanes == 0, and otherwise in one of lanes - 1 forked workers (so
+    `job` must pickle). The exception of the first job, in index order,
+    that raised is raised, as the plain loop would raise it. The workers
+    have exited, and been waited for, on return and on any exception;
+    after a failure they first finish the jobs already queued to them."""
+    if lanes == 1:
+        return [job(i) for i in range(count)]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(lanes - 1, mp_context=get_context("fork"))
     try:
-        for lane in range(1, lanes):
-            workers.append(_fork_lane(job, range(lane, count, lanes)))
-        shares = [_run_share(job, range(0, count, lanes))]
-        payloads = [pipe.read() for _, pipe in workers]
-    except BaseException:
-        for pid, _ in workers:  # not yet waited for, so each pid is still ours
-            os.kill(pid, signal.SIGKILL)
-        raise
+        futures = {i: pool.submit(job, i) for i in range(count) if i % lanes}
+        own = {}
+        try:
+            for i in range(0, count, lanes):
+                own[i] = job(i)
+        except Exception:
+            for j in futures:  # a worker's job before i fails first
+                if j < i:
+                    futures[j].result()
+            raise
+        return [own[i] if i in own else futures[i].result() for i in range(count)]
     finally:
-        for pid, pipe in workers:
-            pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    if any(statuses):
-        raise ChildProcessError(f"a restart worker ended with wait status {max(statuses)}")
-    shares += map(pickle.loads, payloads)
-    results, failures = [None] * count, []
-    for lane, (done, exc) in enumerate(shares):
-        results[lane : lane + lanes * len(done) : lanes] = done
-        if exc is not None:
-            failures.append((lane + lanes * len(done), exc))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def fit_day_ahead(train: SolarSeries, config: NnConfig) -> NnModel:

@@ -6,6 +6,7 @@ from datetime import date as Date
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from twotier import nn, persistence
 from twotier.errors import PersistenceError
@@ -33,6 +34,15 @@ def neuron_major_order(h):
     row_major[neuron_major_order(h)] is neuron-major."""
     per_neuron = [[2 * k, 2 * k + 1, 2 * h + k] for k in range(h)]
     return np.concatenate(per_neuron + [range(3 * h, 4 * h + 1)]).astype(int)
+
+
+# Python 3.12 and later warn when a process that has threads forks. The
+# suite's default BLAS threads have started before a test forces lanes by
+# setting OPENBLAS_NUM_THREADS, so its forks may warn; at one BLAS thread
+# from the start (the CI step that reruns them) they do not.
+forks_with_blas_threads = pytest.mark.filterwarnings(
+    r"ignore:This process \(pid=\d+\) is multi-threaded, use of fork\(\):DeprecationWarning"
+)
 
 
 def force_lanes(monkeypatch, lanes):

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    force_lanes, make_series, printed_best, rendered, repeating_clear_days, replace_payload_line
+    force_lanes, forks_with_blas_threads, make_series, printed_best, rendered,
+    repeating_clear_days, replace_payload_line,
 )
 from twotier import cli, persistence, timeseries
 from twotier.config import RunConfig, parse_config
@@ -375,6 +376,7 @@ class TestTrain:
         assert sorted(path.name for path in models.iterdir()) == ["knn.htm-model", "nn.htm-model"]
 
 
+    @forks_with_blas_threads
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_singular_step_exit_3_whatever_the_lanes(
         self, pipeline, tmp_path, monkeypatch, capsys, lanes

@@ -11,11 +11,12 @@ import math
 import multiprocessing
 import os
 from datetime import date as Date
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import force_lanes, make_series, neuron_major_order
+from conftest import force_lanes, forks_with_blas_threads, make_series, neuron_major_order
 from twotier import evaluation, nn
 from twotier.errors import (
     GridMismatch,
@@ -665,32 +666,46 @@ def in_process_restarts(default_train):
     return [nn._fit_restart(rows, NnConfig(), 96, restart) for restart in range(10)]
 
 
+def job_failing_at(failing, i):
+    """i * i, or ValueError(i) if i is in `failing`; a job _in_lanes can
+    pickle."""
+    if i in failing:
+        raise ValueError(i)
+    return i * i
+
+
+@forks_with_blas_threads
 class TestRestartLanes:
-    """fit_restarts runs restart r in lane r % lanes, lane 0 in-process
-    and the others in forked workers; every result is the bits of the
+    """fit_restarts runs restart r in-process when r % lanes == 0 and
+    the others in lanes - 1 forked workers; every result is the bits of the
     in-process job, in restart order, whatever the CPU count."""
 
     @pytest.mark.parametrize("cpus, settings, restarts, lanes", [
         (2, {}, 10, 1),
         (2, {"OPENBLAS_NUM_THREADS": "1"}, 10, 2),
         (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 10, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 10, 1),
         (8, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 5, 5),
-        (8, {"GOTO_NUM_THREADS": "3"}, 10, 2),
+        (8, {"GOTO_NUM_THREADS": "3"}, 10, 1),
         (2, {"OMP_NUM_THREADS": "16"}, 10, 1),
         (1, {"OPENBLAS_NUM_THREADS": "1"}, 10, 1),
     ])
-    def test_one_lane_per_cpu_that_blas_leaves_free(
+    def test_one_lane_per_cpu_at_one_blas_thread(
         self, monkeypatch, cpus, settings, restarts, lanes
     ):
-        """CPUs over OpenBLAS's threads, read as OpenBLAS reads them: the
-        first positive setting, else one thread per CPU."""
+        """One lane per CPU when OpenBLAS runs one thread, read as OpenBLAS
+        reads it: the first positive setting, else one thread per CPU."""
         monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in settings.items():
             monkeypatch.setenv(name, value)
         assert nn._lanes(restarts) == lanes
+
+    def test_one_lane_off_linux(self, monkeypatch):
+        force_lanes(monkeypatch, 2)
+        monkeypatch.setattr(nn.sys, "platform", "darwin")
+        assert nn._lanes(10) == 1
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize("restarts", [1, 2, 5, 10])
@@ -735,15 +750,10 @@ class TestRestartLanes:
     def test_first_failing_job_in_index_order_raises(self, lanes, failing, first):
         """Each lane stops at its first failure; the failure raised is the
         one with the lowest index, whichever lane ran it."""
-        def job(i):
-            if i in failing:
-                raise ValueError(i)
-            return i
-
         with pytest.raises(ValueError) as raised:
-            nn._in_lanes(job, 9, lanes)
+            nn._in_lanes(partial(job_failing_at, failing), 9, lanes)
         assert raised.value.args == (first,)
-        assert nn._in_lanes(lambda i: i * i, 9, lanes) == [i * i for i in range(9)]
+        assert nn._in_lanes(partial(job_failing_at, ()), 9, lanes) == [i * i for i in range(9)]
         assert_no_child_processes()
 
 
