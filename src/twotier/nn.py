@@ -32,15 +32,11 @@ network's own outputs give a training loss of exactly 0.
 The restarts are independent, so fit_restarts spreads them over the
 CPUs this process may use, in lanes: restart r runs in the calling
 process when r % lanes == 0, and otherwise in one of lanes - 1 workers
-started by fork.
-There is one lane per CPU on Linux when BLAS runs one thread
-(OPENBLAS_NUM_THREADS = 1), and one lane in all otherwise, as at
-OpenBLAS's default of a thread per CPU. A restart computes the same bits
-in any process and the results are put back in restart order, so the
-models, the scores and every output byte do not depend on the CPU count.
-Python 3.12 and later warn (DeprecationWarning) when they fork a process
-that has threads: BLAS on one thread starts none, but a caller's own
-threads do.
+started by fork. There is one lane per usable CPU on Linux when this
+process runs no thread but its own, and one lane otherwise (_lanes). A
+restart computes the same bits in any process and the results are put
+back in restart order, so the models, the scores and every output byte
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -451,25 +447,27 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _threads() -> int:
+    """How many threads this process runs, or 0 if it cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
 def _lanes(restarts: int) -> int:
     """How many processes train `restarts` restarts at once: one per
-    usable CPU, at most `restarts`, on Linux with BLAS on one thread, and
-    1 otherwise.
+    usable CPU, at most `restarts`, on Linux when this process runs no
+    thread but its own, and 1 otherwise.
 
-    OpenBLAS runs the thread count of the first of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive number, else
-    one thread per CPU. At one thread it starts none, so a process that
-    forks has no threads. Two processes that each run a multi-threaded
-    BLAS oversubscribe the CPUs: on a 2-core VM at the default threads,
-    tune_nn took 3.8-12.2 s in two lanes against 3.5-3.8 s in one. Off
-    Linux, fork is not CPython's default way to start a process, and on
-    macOS CPython calls it unsafe."""
-    if sys.platform != "linux":
+    BLAS threads in every lane oversubscribe the CPUs (OpenBLAS starts one
+    per CPU at import unless told to run one; on a 2-core VM tune_nn took
+    3.8-12.2 s in two lanes, 3.5-3.8 s in one), and Python 3.12 and later
+    warn when they fork a threaded process. Off Linux, fork is not
+    CPython's default, and on macOS CPython calls it unsafe."""
+    if sys.platform != "linux" or _threads() != 1:
         return 1
-    settings = (os.environ.get(name, "")
-                for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    blas_threads = next((int(value) for value in settings if value.isdigit() and int(value) > 0), None)
-    return min(restarts, _usable_cpus()) if blas_threads == 1 else 1
+    return min(restarts, _usable_cpus())
 
 
 def _fit_restart(
@@ -494,12 +492,8 @@ def fit_restarts(train: SolarSeries, config: NnConfig) -> list[tuple[NnModel, fl
     """(model, training RMSE) of each restart, in restart order.
 
     Restart r trains from derive_seed(config.rng_seed, r) (_fit_restart);
-    the training rows are built once for all restarts. The restarts are
-    spread by fork (_in_lanes) over the usable CPUs when BLAS runs one
-    thread (_lanes), and every result is the same bits at any CPU count;
-    with one lane nothing is forked. Python 3.12 and later warn
-    (DeprecationWarning) when they fork a process that has threads, such
-    as threads of the caller's own.
+    the training rows are built once for all restarts. They run in the
+    lanes _lanes gives (_in_lanes), with the same bits in any lane.
     """
     job = partial(_fit_restart, _training_setup(train), config, train.grid.samples_per_day)
     return _in_lanes(job, config.restarts, _lanes(config.restarts))
@@ -508,10 +502,11 @@ def fit_restarts(train: SolarSeries, config: NnConfig) -> list[tuple[NnModel, fl
 def _in_lanes(job: Callable, count: int, lanes: int) -> list:
     """[job(i) for i in range(count)], with job i run in this process when
     i % lanes == 0, and otherwise in one of lanes - 1 forked workers (so
-    `job` must pickle). The exception of the first job, in index order,
-    that raised is raised, as the plain loop would raise it. The workers
-    have exited, and been waited for, on return and on any exception;
-    after a failure they first finish the jobs already queued to them."""
+    `job` must pickle; fit_restarts takes `lanes` from _lanes). The
+    exception of the first job, in index order, that raised is raised, as
+    the plain loop would raise it. The workers have exited, and been
+    waited for, on return and on any exception; after a failure they
+    first finish the jobs already queued to them."""
     if lanes == 1:
         return [job(i) for i in range(count)]
     from concurrent.futures import ProcessPoolExecutor

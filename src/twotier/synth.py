@@ -180,10 +180,11 @@ def write_labels_csv(result: SynthResult, sink: IO) -> None:
 
 
 def read_labels_csv(text: str) -> dict[Date, str]:
-    """The labels in the text of a `write_labels_csv` file. Blank lines
-    are skipped. A bad header, a row without two fields, a bad date or
-    an unknown label raises MalformedRow naming the line."""
-    lines = text.splitlines()
+    """The labels in the text of a `write_labels_csv` file. One leading
+    byte order mark (U+FEFF) is dropped and blank lines are skipped. A
+    bad header, a row without two fields, a bad date, an unknown label or
+    a repeated date raises MalformedRow naming the line."""
+    lines = text.removeprefix("\ufeff").splitlines()
     if not lines or lines[0].strip() != "date,label":
         raise MalformedRow("line 1: expected header 'date,label'")
     labels = {}
@@ -200,5 +201,7 @@ def read_labels_csv(text: str) -> dict[Date, str]:
             raise MalformedRow(f"line {line_no}: bad date {quoted(date_text)}") from None
         if label not in (SUNNY, CLOUDY):
             raise MalformedRow(f"line {line_no}: unknown label {quoted(label)}")
+        if day in labels:
+            raise MalformedRow(f"line {line_no}: duplicate date {quoted(date_text)}")
         labels[day] = label
     return labels

@@ -36,10 +36,11 @@ def neuron_major_order(h):
     return np.concatenate(per_neuron + [range(3 * h, 4 * h + 1)]).astype(int)
 
 
-# Python 3.12 and later warn when a process that has threads forks. The
-# suite's default BLAS threads have started before a test forces lanes by
-# setting OPENBLAS_NUM_THREADS, so its forks may warn; at one BLAS thread
-# from the start (the CI step that reruns them) they do not.
+# Python 3.12 and later warn when a process that has threads forks. In the
+# suite at its default BLAS threads, a test that forces lanes forks a
+# process that runs BLAS threads, which the library itself never does, so
+# its forks may warn; at one BLAS thread from the start (the CI step that
+# reruns them) they do not.
 forks_with_blas_threads = pytest.mark.filterwarnings(
     r"ignore:This process \(pid=\d+\) is multi-threaded, use of fork\(\):DeprecationWarning"
 )
@@ -47,9 +48,9 @@ forks_with_blas_threads = pytest.mark.filterwarnings(
 
 def force_lanes(monkeypatch, lanes):
     """Make fit_restarts train in `lanes` processes: `lanes` usable CPUs
-    and one BLAS thread each, as far as nn._lanes can tell."""
+    and a process of one thread, as far as nn._lanes can tell."""
     monkeypatch.setattr(nn, "_usable_cpus", lambda: lanes)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(nn, "_threads", lambda: 1)
     assert nn._lanes(lanes) == lanes
 
 

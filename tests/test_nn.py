@@ -10,8 +10,12 @@ row-major layout it replaced (to rounding).
 import math
 import multiprocessing
 import os
+import threading
+import time
+from contextlib import contextmanager
 from datetime import date as Date
 from functools import partial
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -666,6 +670,36 @@ def in_process_restarts(default_train):
     return [nn._fit_restart(rows, NnConfig(), 96, restart) for restart in range(10)]
 
 
+count_threads = nn._threads  # unpatched by force_lanes
+
+
+def settled_threads(most):
+    """count_threads() once it reads at most `most`, or after 5 s. A joined
+    thread's OS thread ends a moment after the join returns (within 6 ms
+    when measured), so a count taken at once may still include it."""
+    deadline = time.monotonic() + 5
+    while count_threads() > most and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return count_threads()
+
+
+@contextmanager
+def waiting_thread():
+    """A second thread in this process, blocked on an Event until the
+    block ends; then it is released and joined, and its OS thread has
+    ended."""
+    before = count_threads()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        yield
+    finally:
+        release.set()
+        waiter.join()
+        settled_threads(before)
+
+
 def job_failing_at(failing, i):
     """i * i, or ValueError(i) if i is in `failing`; a job _in_lanes can
     pickle."""
@@ -680,27 +714,53 @@ class TestRestartLanes:
     the others in lanes - 1 forked workers; every result is the bits of the
     in-process job, in restart order, whatever the CPU count."""
 
-    @pytest.mark.parametrize("cpus, settings, restarts, lanes", [
-        (2, {}, 10, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 10, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 10, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 5, 5),
-        (8, {"GOTO_NUM_THREADS": "3"}, 10, 1),
-        (2, {"OMP_NUM_THREADS": "16"}, 10, 1),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 10, 1),
+    @pytest.mark.parametrize("cpus, threads, restarts, lanes", [
+        (2, 2, 10, 1),
+        (2, 1, 10, 2),
+        (2, 1, 1, 1),
+        (8, 3, 10, 1),
+        (8, 1, 5, 5),
+        (8, 0, 10, 1),
+        (1, 1, 10, 1),
     ])
     def test_one_lane_per_cpu_at_one_blas_thread(
-        self, monkeypatch, cpus, settings, restarts, lanes
+        self, monkeypatch, cpus, threads, restarts, lanes
     ):
-        """One lane per CPU when OpenBLAS runs one thread, read as OpenBLAS
-        reads it: the first positive setting, else one thread per CPU."""
+        """One lane per CPU, at most one per restart, when this process
+        runs one thread; one lane at more threads and when it cannot tell
+        (0)."""
         monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in settings.items():
-            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(nn, "_threads", lambda: threads)
         assert nn._lanes(restarts) == lanes
+
+    def test_one_lane_beside_a_thread_of_the_caller(self, monkeypatch):
+        """A thread the caller started rules out forking, whatever the
+        BLAS settings say: OPENBLAS_NUM_THREADS set after numpy's import
+        no longer gives lanes."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 4)
+        with waiting_thread():
+            assert nn._lanes(10) == 1
+
+    def test_threads_counts_this_process(self, monkeypatch):
+        before = nn._threads()
+        with waiting_thread():
+            assert nn._threads() == before + 1
+        assert nn._threads() == before
+        monkeypatch.setattr(nn.os, "listdir", Mock(side_effect=FileNotFoundError))
+        assert nn._threads() == 0
+
+    def test_forked_lanes_leave_the_thread_count(self, monkeypatch, default_train):
+        """The pool joins its own threads on shutdown, so a process that
+        ran one thread before fit_restarts runs one after it, and a later
+        fit_restarts keeps its lanes. At the suite's default BLAS threads
+        the count may fall: OpenBLAS stops its threads when the process
+        forks, until a BLAS call needs them again."""
+        before = count_threads()
+        force_lanes(monkeypatch, 3)
+        nn.fit_restarts(default_train, NnConfig(restarts=3, max_iterations=2))
+        assert settled_threads(before) <= before
+        assert_no_child_processes()
 
     def test_one_lane_off_linux(self, monkeypatch):
         force_lanes(monkeypatch, 2)

@@ -172,6 +172,24 @@ def test_labels_csv_skips_blank_lines():
     assert read_labels_csv(text) == {Date(2015, 2, 15): SUNNY, Date(2015, 2, 16): CLOUDY}
 
 
+def test_labels_csv_drops_one_leading_bom():
+    """One leading U+FEFF is dropped, as every reader does; a second is
+    part of the header."""
+    text = "date,label\n2015-02-15,sunny\n"
+    assert read_labels_csv("\ufeff" + text) == read_labels_csv(text)
+    with pytest.raises(MalformedRow, match=r"^line 1: expected header 'date,label'$"):
+        read_labels_csv("\ufeff\ufeff" + text)
+
+
+def test_labels_csv_rejects_a_repeated_date():
+    """A second label for a date is an error, as a repeated timestamp is in
+    a data CSV, not a silent overwrite."""
+    text = "date,label\n2015-02-15,sunny\n2015-02-16,sunny\n2015-02-15,cloudy\n"
+    with pytest.raises(MalformedRow) as err:
+        read_labels_csv(text)
+    assert str(err.value) == "line 4: duplicate date '2015-02-15'"
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "line 1: expected header 'date,label'"),
     ("day,label\n2015-02-15,sunny\n", "line 1: expected header 'date,label'"),
