@@ -34,9 +34,17 @@ class GridMisalignment(TwoTierError):
 class IncompleteDay(TwoTierError):
     """A calendar day inside the covered span is missing samples."""
 
+    note = ""
+
     def __init__(self, date):
         self.date = date
-        super().__init__(f"incomplete day: {date.isoformat()}")
+        super().__init__(f"incomplete day: {date.isoformat()}{self.note}")
+
+
+class MissingDay(IncompleteDay):
+    """A calendar day inside the covered span has no rows at all."""
+
+    note = " (no rows)"
 
 
 class NegativePower(TwoTierError):

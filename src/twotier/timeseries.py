@@ -34,6 +34,7 @@ from .errors import (
     IncompleteDay,
     InsufficientHistory,
     MalformedRow,
+    MissingDay,
     NegativePower,
     TooFewDays,
     UnknownDate,
@@ -227,11 +228,11 @@ def _clock(grid: SamplingGrid) -> list[str]:
 def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
     """Parse the text of a CSV in the standard schema into a validated
     SolarSeries. Only complete days are accepted: a day inside the
-    covered date span with any slot missing (or never present at all)
-    raises IncompleteDay naming that date. Readings in [-1 W, 0) clamp
-    to zero; anything below -1 W raises NegativePower, and anything
-    above MAX_POWER_W raises MalformedRow. A header with no data rows
-    raises EmptyInput.
+    covered date span with any slot missing raises IncompleteDay naming
+    that date, or its subclass MissingDay when the day has no row at all.
+    Readings in [-1 W, 0) clamp to zero; anything below -1 W raises
+    NegativePower, and anything above MAX_POWER_W raises MalformedRow. A
+    header with no data rows raises EmptyInput.
 
     Text in `export_csv`'s exact form (ASCII, LF line ends, every row's
     20-character `YYYY-MM-DDTHH:MM:SS,` prefix naming the next slot in
@@ -418,14 +419,15 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
         raise EmptyInput("no data rows after the header")
 
     # Walk the dates present in order: the first one that is not the next
-    # calendar day, or that lacks a slot, names the first incomplete day.
+    # calendar day names a missing day, and one that lacks a slot an
+    # incomplete day.
     dates = sorted(per_day)
     m = grid.samples_per_day
     rows = []
     for offset, day in enumerate(dates):
         expected = dates[0] + timedelta(days=offset)
         if day != expected:
-            raise IncompleteDay(expected)
+            raise MissingDay(expected)
         slots = per_day[day]
         if len(slots) != m:
             raise IncompleteDay(day)

@@ -200,6 +200,19 @@ class TestIngest:
         bad.write_text("\n".join(lines[:-1]) + "\n")
         assert cli.main(["ingest", "--data", str(bad)]) == 3
 
+    @pytest.mark.parametrize("dropped, line", [
+        ("2015-03-07T", "error: incomplete day: 2015-03-07 (no rows)\n"),
+        ("2015-03-07T10:00:00,", "error: incomplete day: 2015-03-07\n"),
+    ], ids=["whole-day", "slot-40"])
+    def test_day_missing_rows_exit_3(self, tmp_path, pipeline, capsys, dropped, line):
+        """The default set without a day's rows, or without one row of
+        it, names the day; a day with no rows says so."""
+        lines = pipeline["data"].read_text().splitlines(keepends=True)
+        bad = tmp_path / "gap.csv"
+        bad.write_text("".join(x for x in lines if not x.startswith(dropped)))
+        assert cli.main(["ingest", "--data", str(bad)]) == 3
+        assert capsys.readouterr() == ("", line)
+
     def test_first_and_last_date_csv_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "ends.csv"
         bad.write_text(

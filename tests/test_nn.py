@@ -708,6 +708,22 @@ def job_failing_at(failing, i):
     return i * i
 
 
+def pid_of_job(i):
+    """The pid of the process that runs job i."""
+    return os.getpid()
+
+
+# the indices of the jobs that job_run_here ran in this process; a forked
+# worker appends to its own copy
+RUN_HERE = []
+
+
+def job_run_here(failing, i):
+    """job_failing_at(failing, i), recording i in this process's RUN_HERE."""
+    RUN_HERE.append(i)
+    return job_failing_at(failing, i)
+
+
 @forks_with_blas_threads
 class TestRestartLanes:
     """fit_restarts runs restart r in-process when r % lanes == 0 and
@@ -814,6 +830,27 @@ class TestRestartLanes:
             nn._in_lanes(partial(job_failing_at, failing), 9, lanes)
         assert raised.value.args == (first,)
         assert nn._in_lanes(partial(job_failing_at, ()), 9, lanes) == [i * i for i in range(9)]
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_a_workers_failure_stops_the_caller_at_its_index(self, lanes):
+        """The caller walks the indices in order, so a worker's failure at
+        job 1 raises when the walk reaches 1, before the caller runs job
+        `lanes` or any later job of its share."""
+        RUN_HERE.clear()
+        with pytest.raises(ValueError) as raised:
+            nn._in_lanes(partial(job_run_here, {1}), 9, lanes)
+        assert raised.value.args == (1,)
+        assert RUN_HERE == [0]
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_the_caller_runs_every_lanes_th_job(self, lanes):
+        """Job i runs in the calling process exactly when i % lanes == 0:
+        a profiler of the caller, such as perfbench's tracer, sees that
+        share of the restarts."""
+        pids = nn._in_lanes(pid_of_job, 9, lanes)
+        assert [pid == os.getpid() for pid in pids] == [i % lanes == 0 for i in range(9)]
         assert_no_child_processes()
 
 

@@ -14,6 +14,7 @@ from twotier.errors import (
     IncompleteDay,
     InsufficientHistory,
     MalformedRow,
+    MissingDay,
     NegativePower,
     TooFewDays,
 )
@@ -148,6 +149,16 @@ class TestIngest:
         with pytest.raises(IncompleteDay) as err:
             ingest_csv("\n".join(lines), SamplingGrid())
         assert "2015-02-15" in str(err.value)
+
+    def test_day_without_rows_is_a_missing_incomplete_day(self):
+        text = csv_for([range(96), range(96), range(96)])
+        lines = text.splitlines()
+        del lines[1 + 96 : 1 + 2 * 96]
+        with pytest.raises(MissingDay) as err:
+            ingest_csv("\n".join(lines), SamplingGrid())
+        assert isinstance(err.value, IncompleteDay)
+        assert err.value.date == Date(2015, 2, 16)
+        assert str(err.value) == "incomplete day: 2015-02-16 (no rows)"
 
     def test_non_numeric_power(self):
         text = "timestamp,power_w\n2015-02-15T00:00:00,abc\n"
