@@ -5,11 +5,13 @@ data), tune (grid search), train (fit and persist models), simulate
 (replay one day with real-time correction), evaluate (score the test
 split). Exit codes are stable for scripting: 0 success, 2 usage or
 configuration problem, 3 I/O or unusable file, 4 not enough data,
-5 unknown date. Each `cmd_*` returns its stdout text and an ordered
-{path: write(sink)} of its output files; `main` writes them (`_commit`)
-before it prints, so a failed write exits 3 with nothing on stdout and
-every regular output file as it was. Every output is rendered in memory
-before any path is opened, and `train` fits after making its directory.
+5 unknown date. `main` resolves and checks the run settings once
+(`_run_config`) and hands them to the command. Each `cmd_*` returns its
+stdout text and an ordered {path: write(sink)} of its output files;
+`main` writes them (`_commit`) before it prints, so a failed write exits
+3 with nothing on stdout and every regular output file as it was. Every
+output is rendered in memory before any path is opened, and `train` fits
+after making its directory.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ import io
 import os
 import stat
 import sys
+from dataclasses import replace
 from datetime import date as Date
 from functools import partial
 from pathlib import Path
 
 from . import correction, evaluation, knn, nn, persistence, synth
-from .config import (
-    KEY_TYPES, READERS, RunConfig, apply_overrides, parse_config, render_config
-)
+from .config import KEY_TYPES, READERS, RunConfig, parse_config, render_config
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -87,14 +88,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The defaults, then the --config file, then the flags, with every
-    setting checked (`RunConfig.check`), so a rejected one fails before any
-    data or model file is read."""
+    """The command's settings, which `main` resolves once and hands to it:
+    the defaults, then the --config file, then each flag that was given
+    (argparse leaves the others None), with every setting checked
+    (`RunConfig.check`), so a rejected one fails before any data or model
+    file is read."""
     config = RunConfig()
     if args.config is not None:
-        config = parse_config(_read_utf8(Path(args.config), ConfigError), config)
-    overrides = {key: getattr(args, key) for key in KEY_TYPES}
-    config = apply_overrides(config, overrides)
+        config = parse_config(_read_utf8(Path(args.config), ConfigError))
+    given = {key: value for key, value in vars(args).items()
+             if key in KEY_TYPES and value is not None}
+    config = replace(config, **given)
     config.check()
     return config
 
@@ -193,8 +197,7 @@ def _save_fitted(fit, sink) -> None:
     persistence.save_model(fit(), sink)
 
 
-def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
-    config = _run_config(args)
+def cmd_synth(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
     result = synth.generate(config.synth(), config.synth_days, grid=config.grid())
     sunny = sum(1 for label in result.labels if label == synth.SUNNY)
     cloudy = len(result.labels) - sunny
@@ -216,8 +219,7 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, dict]:
     return f"{summary}\nwrote {out} and {labels_path}\n", files
 
 
-def cmd_ingest(args: argparse.Namespace) -> tuple[str, dict]:
-    config = _run_config(args)
+def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
     series = _read_series(args.data, config.grid())
     last = Date.fromordinal(series.last_index)
     text = (
@@ -230,8 +232,7 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[str, dict]:
     return f"{text}wrote {args.out}\n", {args.out: partial(export_csv, series)}
 
 
-def cmd_tune(args: argparse.Namespace) -> tuple[str, dict]:
-    config = _run_config(args)
+def cmd_tune(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
     if args.knn_only and args.nn_only:
         raise ConfigError("--knn-only and --nn-only exclude each other")
     series = _read_series(args.data, config.grid())
@@ -243,7 +244,7 @@ def cmd_tune(args: argparse.Namespace) -> tuple[str, dict]:
         grids["knn_neighbors"] = knn_result.neighbors_grid
     if not args.knn_only:
         grids["nn_hidden_neurons"] = evaluation.tune_nn(split, config=config.nn())
-    tuned = apply_overrides(config, {key: grid.best for key, grid in grids.items()})
+    tuned = replace(config, **{key: grid.best for key, grid in grids.items()})
     text = "".join(f"{evaluation.render_grid(grid)}\n\n" for grid in grids.values())
     text += f"wrote {args.out}\n"
     files = {args.out: lambda sink: sink.write(render_config(tuned))}
@@ -256,8 +257,7 @@ def cmd_tune(args: argparse.Namespace) -> tuple[str, dict]:
     return text, files
 
 
-def cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
-    config = _run_config(args)
+def cmd_train(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
     if args.knn_only and args.nn_only:
         raise ConfigError("--knn-only and --nn-only exclude each other")
     series = _read_series(args.data, config.grid())
@@ -276,8 +276,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
     return f"trained on {split.train.num_days} days; wrote {wrote}\n", files
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
-    config = _run_config(args)
+def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
     series = _read_series(args.data, config.grid())
     models = _load_models(args.models, series.grid)
     day = args.day.toordinal()
@@ -299,8 +298,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     return text, files
 
 
-def cmd_evaluate(args: argparse.Namespace) -> tuple[str, dict]:
-    config = _run_config(args)
+def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
     series = _read_series(args.data, config.grid())
     split = _split(config, series)
     models = _load_models(args.models, series.grid)
@@ -367,7 +365,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        stdout, files = args.handler(args)
+        stdout, files = args.handler(args, _run_config(args))
         _commit(files)
         try:
             # a write per line: under python -u a closed pipe can drop a long write silently

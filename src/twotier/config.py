@@ -1,14 +1,14 @@
-"""Run configuration: defaults, `key = value` files, flag overrides.
+"""Run configuration: defaults and `key = value` files.
 
-Precedence is defaults, then the config file, then command-line flags.
-Unknown keys are rejected so a typo cannot silently fall back to a
-default.
+Precedence is defaults, then the config file, then command-line flags;
+the CLI applies the flags. Unknown keys are rejected so a typo cannot
+silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date as Date
 
 from . import correction
@@ -117,14 +117,13 @@ class RunConfig:
 KEY_TYPES = typing.get_type_hints(RunConfig)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Apply `key = value` lines on top of a base config.
+def parse_config(text: str) -> RunConfig:
+    """Apply `key = value` lines to the defaults.
 
     Blank lines and lines starting with # are skipped. A repeated key is
     fine (last one wins), an unknown key is not. One leading byte-order
     mark (U+FEFF) is dropped.
     """
-    config = base if base is not None else RunConfig()
     updates = {}
     for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
@@ -142,19 +141,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             updates[key] = reader(value)
         except ValueError:
             raise ConfigError(f"line {line_no}: {key}: {bad.format(quoted(value))}") from None
-    return replace(config, **updates)
-
-
-def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
-    """Overlay already-typed values (from CLI flags); None entries skipped."""
-    updates = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in KEY_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = value
-    return replace(config, **updates)
+    return RunConfig(**updates)
 
 
 def render_config(config: RunConfig) -> str:

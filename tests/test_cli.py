@@ -25,7 +25,7 @@ from conftest import (
     repeating_clear_days, replace_payload_line,
 )
 from twotier import cli, persistence, timeseries
-from twotier.config import RunConfig, parse_config
+from twotier.config import parse_config
 from twotier.errors import InsufficientTrainingDays
 from twotier.knn import KnnModel
 from twotier.nn import NnConfig, NnModel
@@ -303,12 +303,15 @@ class TestTrain:
         assert (out / "knn.htm-model").exists()
         assert not (out / "nn.htm-model").exists()
 
-    def test_conflicting_flags_exit_2(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("command", ["tune", "train"])
+    def test_conflicting_flags_exit_2(self, command, pipeline, tmp_path, capsys):
         code = cli.main(
-            ["train", "--data", str(pipeline["data"]),
+            [command, "--data", str(pipeline["data"]),
              "--out", str(tmp_path / "x"), "--knn-only", "--nn-only"]
         )
         assert code == 2
+        assert capsys.readouterr() == ("", "error: --knn-only and --nn-only exclude each other\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_too_few_days_exit_4(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
@@ -424,7 +427,7 @@ class TestTune:
         assert "best depth_days" in out
         assert "best hidden_neurons" in out
         # the tuned file is a complete, reparseable run configuration
-        tuned_config = parse_config((root / "tuned.cfg").read_text(), RunConfig())
+        tuned_config = parse_config((root / "tuned.cfg").read_text())
         assert 1 <= tuned_config.knn_depth_days <= 8
         assert 2 <= tuned_config.knn_neighbors <= 4
         assert 3 <= tuned_config.nn_hidden_neurons <= 8
@@ -480,7 +483,7 @@ class TestTune:
                 "--data", str(data), "--out", str(tuned)]
         assert cli.main(argv) == 0
         assert printed_best(capsys.readouterr().out) == {"depth_days": 2, "neighbors": 4}
-        config = parse_config(tuned.read_text(), RunConfig())
+        config = parse_config(tuned.read_text())
         assert (config.knn_depth_days, config.knn_neighbors) == (2, 4)
 
     def test_untrainable_network_exit_4(self, tmp_path, capsys):

@@ -346,8 +346,7 @@ def test_knn_tune_writes_candidate_config_and_full_report(data, ratios):
             assert code in (0, 4), (argv, code)
         if code != 0:
             return
-        tuned = parse_config((directory / "tuned.cfg").read_text(encoding="utf-8"),
-                             RunConfig())
+        tuned = parse_config((directory / "tuned.cfg").read_text(encoding="utf-8"))
         report = (directory / "grids.csv").read_text(encoding="utf-8")
     assert tuned.knn_depth_days in evaluation.DEFAULT_DEPTH_CANDIDATES
     assert tuned.knn_neighbors in evaluation.DEFAULT_NEIGHBOR_CANDIDATES
@@ -387,8 +386,7 @@ def test_nn_tune_outcome_is_a_documented_exit_code_and_writes_its_winner(case):
         assert code in EXIT_CODES, (argv, code)
         if code != 0 or "--help" in argv:
             return
-        tuned = parse_config((directory / "tuned.cfg").read_text(encoding="utf-8"),
-                             RunConfig())
+        tuned = parse_config((directory / "tuned.cfg").read_text(encoding="utf-8"))
     assert tuned.nn_hidden_neurons in evaluation.DEFAULT_HIDDEN_CANDIDATES
     assert printed_best(out) == {"hidden_neurons": tuned.nn_hidden_neurons}
 

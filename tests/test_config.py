@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_series
 from twotier import cli
-from twotier.config import KEY_TYPES, RunConfig, apply_overrides, parse_config, render_config
+from twotier.config import KEY_TYPES, RunConfig, parse_config, render_config
 from twotier.correction import DEFAULT_HARMONICS, DEFAULT_WINDOW
 from twotier.errors import ConfigError
 from twotier.knn import KnnConfig
@@ -62,7 +62,7 @@ def test_defaults_match_documented_values():
 
 def test_parse_overrides_defaults():
     text = "knn_depth_days = 3\nseed = 77\n"
-    c = parse_config(text, RunConfig())
+    c = parse_config(text)
     assert c.knn_depth_days == 3
     assert c.seed == 77
     assert c.knn_neighbors == 2  # untouched keys keep their defaults
@@ -70,7 +70,7 @@ def test_parse_overrides_defaults():
 
 def test_comments_and_blank_lines_ignored():
     text = "# a comment\n\nseed = 5\n  # another\n"
-    assert parse_config(text, RunConfig()).seed == 5
+    assert parse_config(text).seed == 5
 
 
 def test_one_leading_bom_dropped():
@@ -83,53 +83,38 @@ def test_one_leading_bom_dropped():
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
-        parse_config("knn_depht_days = 3\n", RunConfig())
+        parse_config("knn_depht_days = 3\n")
 
 
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError):
-        parse_config("seed 5\n", RunConfig())
+        parse_config("seed 5\n")
 
 
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError):
-        parse_config("seed = lots\n", RunConfig())
+        parse_config("seed = lots\n")
 
 
 def test_last_assignment_wins():
-    c = parse_config("seed = 1\nseed = 9\n", RunConfig())
+    c = parse_config("seed = 1\nseed = 9\n")
     assert c.seed == 9
 
 
 def test_date_values_parse():
-    c = parse_config("synth_start_date = 2016-03-01\n", RunConfig())
+    c = parse_config("synth_start_date = 2016-03-01\n")
     assert c.synth_start_date == Date(2016, 3, 1)
 
 
-def test_flag_overrides_beat_file():
-    base = parse_config("seed = 5\n", RunConfig())
-    final = apply_overrides(base, {"seed": 11})
-    assert final.seed == 11
-
-
-def test_none_overrides_are_skipped():
-    final = apply_overrides(RunConfig(), {"seed": None, "knn_neighbors": 3})
-    assert final.seed == 1
-    assert final.knn_neighbors == 3
-
-
 def test_render_round_trips():
-    c = apply_overrides(
-        RunConfig(),
-        {"seed": 123, "nn_loss_tolerance": 5e-8, "synth_cloudiness": 0.4},
-    )
-    back = parse_config(render_config(c), RunConfig())
+    c = RunConfig(seed=123, nn_loss_tolerance=5e-8, synth_cloudiness=0.4)
+    back = parse_config(render_config(c))
     assert back == c
 
 
 def test_ratios_validated():
     # `check` and `split_chronological` run the one check of them
-    c = apply_overrides(RunConfig(), {"split_train": 0.9})
+    c = RunConfig(split_train=0.9)
     with pytest.raises(ConfigError, match=r"^split ratios must sum to 1, got 1\.3$"):
         c.check()
     with pytest.raises(ValueError, match=r"^split ratios must sum to 1, got 1\.3$"):
@@ -213,9 +198,7 @@ def test_every_key_sets_its_component_field():
 
 @pytest.mark.parametrize("window, harmonics", [(4, 2), (0, 2), (8, -1)])
 def test_check_rejects_what_correction_rejects(window, harmonics):
-    c = apply_overrides(
-        RunConfig(), {"correction_window": window, "correction_harmonics": harmonics}
-    )
+    c = RunConfig(correction_window=window, correction_harmonics=harmonics)
     with pytest.raises(ConfigError,
                        match=f"^correction window {window} cannot fit {harmonics} harmonics$"):
         c.check()
@@ -224,10 +207,8 @@ def test_check_rejects_what_correction_rejects(window, harmonics):
 @pytest.mark.parametrize("interval, window", [(900, 96), (900, 97), (1800, 48)])
 def test_correction_window_must_be_shorter_than_a_day(interval, window):
     slots = 86400 // interval
-    c = apply_overrides(RunConfig(), {"sample_interval_seconds": interval,
-                                      "correction_window": slots - 1,
-                                      "synth_sunrise_sample": 0,
-                                      "synth_sunset_sample": slots - 1})
+    c = RunConfig(sample_interval_seconds=interval, correction_window=slots - 1,
+                  synth_sunrise_sample=0, synth_sunset_sample=slots - 1)
     c.check()
     c = dataclasses.replace(c, correction_window=window)
     with pytest.raises(ConfigError, match=f"^correction window {window} must be shorter "
@@ -236,9 +217,9 @@ def test_correction_window_must_be_shorter_than_a_day(interval, window):
 
 
 def test_invalid_sub_config_becomes_config_error():
-    c = apply_overrides(RunConfig(), {"knn_neighbors": 1})
+    c = RunConfig(knn_neighbors=1)
     with pytest.raises(ConfigError):
         c.knn()
-    c = apply_overrides(RunConfig(), {"correction_window": 4})
+    c = RunConfig(correction_window=4)
     with pytest.raises(ConfigError):
         c.check()

@@ -168,6 +168,12 @@ class TestEvalDfs:
         for k in (-3, 0, 1, 7, 12, 100):
             assert eval_dfs(fit, k) == pytest.approx(5.0, abs=1e-12)
 
+    @pytest.mark.parametrize("coefficients", [(5.0,) * 4, (5.0,) * 6])
+    def test_two_coefficients_per_harmonic_and_one(self, coefficients):
+        with pytest.raises(LengthMismatch,
+                           match=f"^2 harmonics need 5 coefficients, got {len(coefficients)}$"):
+            DfsFit(coefficients=coefficients, window_length=8, harmonics=2)
+
     def test_periodicity(self):
         rng = np.random.default_rng(33)
         fit = fit_dfs(window(rng.uniform(-10, 10, 8)), harmonics=2)

@@ -36,7 +36,7 @@ from twotier.evaluation import (
     write_report_csv,
 )
 from twotier.synth import SynthConfig, generate
-from twotier.timeseries import split_chronological
+from twotier.timeseries import DatasetSplit, split_chronological
 
 
 # every method in report order, as `evaluate` prints them
@@ -462,6 +462,39 @@ class TestReplayDay:
         with pytest.raises(UnknownDate) as err:
             compare_methods(series.subseries(0, 39), split.test, km, nm)
         assert str(err.value) == "2015-03-26 is not in the series"
+
+
+class TestEmptyInputs:
+    """The tuners reject an empty candidate list and a split without tune
+    days, and compare_methods a test split without days, before any model
+    is fitted or replayed; 12 days of 4 slots split 7/2/3."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        rows = np.random.default_rng(65).uniform(0, 900, (12, 4))
+        return split_chronological(make_series(rows, interval_seconds=21600), (0.6, 0.2, 0.2))
+
+    @pytest.mark.parametrize("tune, candidates, message", [
+        (tune_knn, {"depth_candidates": ()}, "^candidate lists must be non-empty$"),
+        (tune_knn, {"neighbor_candidates": ()}, "^candidate lists must be non-empty$"),
+        (tune_nn, {"hidden_candidates": ()}, "^candidate list must be non-empty$"),
+    ], ids=["knn-depths", "knn-neighbors", "nn-sizes"])
+    def test_no_candidates(self, split, tune, candidates, message):
+        with pytest.raises(EmptyInput, match=message):
+            tune(split, **candidates)
+
+    @pytest.mark.parametrize("tune", [tune_knn, tune_nn])
+    def test_no_tune_day(self, split, tune):
+        series = split.series
+        untuned = DatasetSplit(series, split.train, series.subseries(7, 7), series.subseries(7, 12))
+        with pytest.raises(EmptyInput, match="^tune split has no days$"):
+            tune(untuned)
+
+    def test_no_test_day(self, split):
+        km = knn.fit(split.train, knn.KnnConfig(depth_days=1, neighbors=2))
+        nm = nn.build(nn.NnConfig(hidden_neurons=3), seed=3, samples_per_day=4, scale_max=900.0)
+        with pytest.raises(EmptyInput, match="^test split has no days$"):
+            compare_methods(split.series, split.test.subseries(0, 0), km, nm)
 
 
 class TestCompareMethodsSkips:

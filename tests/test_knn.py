@@ -63,6 +63,16 @@ class TestModel:
         with pytest.raises(ValueError, match="does not split into depth_days = 2 days"):
             KnnModel(KnnConfig(depth_days=2, neighbors=2), np.zeros((3, 5)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("contexts, targets, message", [
+        (np.zeros(12), np.zeros((3, 2)), "^contexts and targets must be 2-D$"),
+        (np.zeros((3, 4)), np.zeros(6), "^contexts and targets must be 2-D$"),
+        (np.zeros((3, 4)), np.zeros((2, 2)), "^contexts and targets must have one row per pair$"),
+        (np.zeros((2, 4)), np.zeros((2, 2)), r"^need at least k\+1 = 3 pairs, have 2$"),
+    ], ids=["flat-contexts", "flat-targets", "row-counts-differ", "k-pairs"])
+    def test_malformed_pairs_rejected(self, contexts, targets, message):
+        with pytest.raises(ValueError, match=message):
+            KnnModel(KnnConfig(depth_days=2, neighbors=2), contexts, targets)
+
     def test_samples_per_day(self):
         model = KnnModel(KnnConfig(depth_days=3, neighbors=2), np.zeros((3, 12)), np.zeros((3, 4)))
         assert model.samples_per_day == 4
@@ -97,6 +107,11 @@ class TestFit:
         series = make_series(np.zeros((7, 96)))
         with pytest.raises(InsufficientTrainingDays):
             fit(series, KnnConfig(depth_days=5, neighbors=2))
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 0), (10, 4, 2)])
+    def test_days_must_be_2d_with_a_slot(self, shape):
+        with pytest.raises(ValueError, match="^days must be 2-D, with at least one slot$"):
+            from_days(KnnConfig(depth_days=2, neighbors=2), np.zeros(shape))
 
     def test_8_days_is_exactly_enough(self):
         series = make_series(np.random.default_rng(1).uniform(0, 9, (8, 96)))

@@ -7,6 +7,7 @@ once in the module's neuron-major layout (bit for bit) and once in the
 row-major layout it replaced (to rounding).
 """
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -234,6 +235,23 @@ class TestBuild:
             assert np.all(np.abs(arr) <= 0.5)
 
 
+class TestModelChecks:
+    @pytest.mark.parametrize("changes, message", [
+        ({"hidden_weights": np.zeros((5, 2))}, "^weight shapes inconsistent with 6 hidden "
+         r"neurons: \(5, 2\), \(6,\), \(6,\)$"),
+        ({"hidden_biases": np.zeros((6, 1))}, "^weight shapes inconsistent with 6 hidden"),
+        ({"output_weights": np.zeros(7)}, "^weight shapes inconsistent with 6 hidden"),
+        ({"hidden_weights": np.full((6, 2), np.nan)}, "^all weights must be finite$"),
+        ({"output_weights": np.full(6, np.inf)}, "^all weights must be finite$"),
+        ({"output_bias": -np.inf}, "^all weights must be finite$"),
+    ], ids=["hidden-weights-shape", "hidden-biases-shape", "output-weights-shape",
+            "nan-weight", "inf-weight", "inf-bias"])
+    def test_rejected_weights(self, changes, message):
+        model = build(NnConfig(hidden_neurons=6), seed=1)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, **changes)
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
         model = build(NnConfig(), seed=1)
@@ -261,6 +279,12 @@ class TestForward:
         )
         assert forward(biased, (0.1, 0.2)) == pytest.approx(0.7, abs=1e-15)
 
+    @pytest.mark.parametrize("inputs", [(0.1,), (0.1, 0.2, 0.3), [[0.1, 0.2]]])
+    def test_one_input_pair_only(self, inputs):
+        with pytest.raises(ValueError) as err:
+            forward(build(NnConfig(), seed=1), inputs)
+        assert str(err.value) == f"expected an input pair, got shape {np.shape(inputs)}"
+
     def test_matches_reference_evaluator(self):
         rng = np.random.default_rng(21)
         for trial in range(30):
@@ -276,6 +300,16 @@ class TestJacobian:
         model = build(NnConfig(hidden_neurons=6), seed=4)
         batch = np.random.default_rng(0).uniform(0, 1, (11, 2))
         assert jacobian(model, batch).shape == (11, 25)
+
+    @pytest.mark.parametrize("batch, message", [
+        ([], "^batch must be non-empty$"),
+        (np.empty((0, 2)), "^batch must be non-empty$"),
+        ([[0.1, 0.2, 0.3]], r"^inputs must be pairs, got shape \(1, 3\)$"),
+        ([0.1], r"^inputs must be pairs, got shape \(1, 1\)$"),
+    ], ids=["empty-list", "no-rows", "triple", "single"])
+    def test_rejected_batch(self, batch, message):
+        with pytest.raises(ValueError, match=message):
+            jacobian(build(NnConfig(), seed=1), batch)
 
     def test_zero_network_bias_column(self):
         model = build(NnConfig(), seed=1)
@@ -343,6 +377,11 @@ class TestTrainLm:
         config = NnConfig()
         with pytest.raises(ValueError):
             train_lm(build(config, seed=1), [], config)
+
+    def test_config_must_match_the_models_hidden_size(self):
+        model = build(NnConfig(hidden_neurons=3), seed=1)
+        with pytest.raises(ValueError, match="^config hidden_neurons disagrees with the model$"):
+            train_lm(model, [((0.1, 0.2), 0.3)], NnConfig(hidden_neurons=4))
 
 
     def test_stops_on_tolerance(self):
@@ -777,11 +816,6 @@ class TestRestartLanes:
         nn.fit_restarts(default_train, NnConfig(restarts=3, max_iterations=2))
         assert settled_threads(before) <= before
         assert_no_child_processes()
-
-    def test_one_lane_off_linux(self, monkeypatch):
-        force_lanes(monkeypatch, 2)
-        monkeypatch.setattr(nn.sys, "platform", "darwin")
-        assert nn._lanes(10) == 1
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize("restarts", [1, 2, 5, 10])

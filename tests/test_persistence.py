@@ -87,6 +87,11 @@ class TestRoundTrip:
         save_model(model, b)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize("thing", [None, KnnConfig(), "knn"])
+    def test_only_a_model_renders(self, thing):
+        with pytest.raises(TypeError, match=f"^cannot serialize {type(thing).__name__}$"):
+            render_model(thing)
+
     def test_sink_oserror_passes_through(self):
         full = OSError(errno.ENOSPC, "No space left on device")
 

@@ -64,6 +64,12 @@ def test_poisson_at_the_rate_bound_draws_its_mean():
     assert abs(sum(draws) / len(draws) - MAX_POISSON_RATE) < 19
 
 
+@pytest.mark.parametrize("rate", [-1.0, -math.inf])
+def test_poisson_negative_rate_rejected(rate):
+    with pytest.raises(ValueError, match="^poisson rate must be >= 0$"):
+        SplitMix64(6).poisson(rate)
+
+
 @pytest.mark.parametrize("rate", [math.nextafter(MAX_POISSON_RATE, math.inf), 800.0, 1e6])
 def test_poisson_rate_above_the_bound_rejected(rate):
     # above ~745 exp(-rate) is 0 and every draw would come out near 745

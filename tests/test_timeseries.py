@@ -21,6 +21,7 @@ from twotier.errors import (
 from twotier.synth import SynthConfig, generate
 from twotier.timeseries import (
     MAX_POWER_W,
+    DatasetSplit,
     DayProfile,
     SamplingGrid,
     SolarSeries,
@@ -68,6 +69,11 @@ class TestDayProfile:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             DayProfile(Date(2015, 2, 15), [1.0, float("nan")])
+
+    @pytest.mark.parametrize("samples", [[], [[1.0, 2.0]]])
+    def test_rejects_empty_or_not_1d(self, samples):
+        with pytest.raises(ValueError, match="^samples must be a non-empty 1-D sequence$"):
+            DayProfile(Date(2015, 2, 15), samples)
 
     def test_samples_are_read_only(self):
         day = DayProfile(Date(2015, 2, 15), [1.0, 2.0])
@@ -318,6 +324,22 @@ class TestSplit:
         with pytest.raises(ValueError, match="must be >= 0"):
             split_chronological(series, ratios)
 
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.4, 0.2, 0.2, 0.2), ()])
+    def test_three_ratios_needed(self, ratios):
+        series = make_series(np.zeros((10, 96)))
+        with pytest.raises(ValueError, match="^need exactly three split ratios$"):
+            split_chronological(series, ratios)
+
+    @pytest.mark.parametrize("train, tune, test", [
+        ((6, 8), (0, 6), (8, 10)),
+        ((0, 6), (8, 10), (6, 8)),
+        ((0, 6), (5, 8), (8, 10)),
+    ], ids=["tune-before-train", "test-before-tune", "overlap"])
+    def test_partitions_must_be_in_time_order(self, train, tune, test):
+        series = make_series(np.zeros((10, 96)))
+        with pytest.raises(ValueError, match="^split partitions must be in time order$"):
+            DatasetSplit(series, *(series.subseries(*span) for span in (train, tune, test)))
+
     def test_full_series_reassembles(self):
         series = make_series(np.arange(10 * 96).reshape(10, 96))
         split = split_chronological(series, (0.6, 0.2, 0.2))
@@ -368,6 +390,12 @@ class TestDayContext:
         with pytest.raises(InsufficientHistory) as err:
             day_context(series, series.first_index + target, depth)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_must_be_positive(self, depth):
+        series = make_series(np.zeros((4, 4)), interval_seconds=21600)
+        with pytest.raises(ValueError, match="^depth_days must be >= 1$"):
+            day_context(series, series.first_index + 2, depth)
 
     def test_next_unseen_day_allowed(self):
         series = make_series(np.zeros((4, 4)), interval_seconds=21600)
