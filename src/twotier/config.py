@@ -125,13 +125,13 @@ def parse_config(text: str) -> RunConfig:
     mark (U+FEFF) is dropped.
     """
     updates = {}
-    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {quoted(raw)}")
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {quoted(line)}")
         key = key.strip()
         value = value.strip()
         if key not in KEY_TYPES:

@@ -7,10 +7,12 @@ Layout of a `.htm-model` file:
     sha256 <hex digest of the payload>
     <payload lines>
 
-The payload is everything after the checksum line. Numbers are written
-with repr(), the shortest decimal string that round-trips, so a loaded
-model is bit-equal to the saved one on every platform. Unknown versions
-are rejected outright rather than migrated.
+A line ends at LF and at nothing else, and text after the last LF is a
+line when it is not empty. `load_model` splits the text once: the header,
+the payload lines and the payload (every byte after the checksum line)
+come from that split. Numbers are written with repr(), the shortest
+decimal string that round-trips, so a loaded model is bit-equal to the
+saved one on every platform. Unknown versions are rejected, not migrated.
 
 The payload opens with one `name value` line per field of the model's
 config dataclass, in field order, written and read from that class's
@@ -275,8 +277,8 @@ def load_model(text: str):
     unless the whole file validates. One leading byte-order mark
     (U+FEFF) is dropped.
     """
-    text = text.removeprefix("\ufeff")
-    scanner = _Scanner(text.splitlines())
+    lines = text.removeprefix("\ufeff").split("\n")
+    scanner = _Scanner(lines if lines[-1] else lines[:-1])
 
     magic_line = scanner.next_line()
     head, _, version_text = magic_line.partition(" ")
@@ -292,7 +294,7 @@ def load_model(text: str):
         raise UnsupportedVersion(f"format version {version} (this build reads {readable})")
     kind = scanner.keyed("kind")
     stored_digest = scanner.keyed("sha256")
-    payload = "".join(text.split("\n", 3)[3:])  # every byte after line 3, as read
+    payload = "\n".join(lines[3:])  # every byte after line 3, as read
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     if digest != stored_digest:
         raise ChecksumMismatch(

@@ -62,7 +62,7 @@ class SplitMix64:
         runtime grows with lam, so keep lam modest. A rate above
         MAX_POISSON_RATE raises ValueError.
         """
-        if lam < 0:
+        if not lam >= 0:  # NaN too
             raise ValueError("poisson rate must be >= 0")
         if lam > MAX_POISSON_RATE:
             raise ValueError(f"poisson rate must be <= {MAX_POISSON_RATE:g}")

@@ -184,8 +184,8 @@ def read_labels_csv(text: str) -> dict[Date, str]:
     byte order mark (U+FEFF) is dropped and blank lines are skipped. A
     bad header, a row without two fields, a bad date, an unknown label or
     a repeated date raises MalformedRow naming the line."""
-    lines = text.removeprefix("\ufeff").splitlines()
-    if not lines or lines[0].strip() != "date,label":
+    lines = text.removeprefix("\ufeff").split("\n")
+    if lines[0].strip() != "date,label":
         raise MalformedRow("line 1: expected header 'date,label'")
     labels = {}
     for line_no, line in enumerate(lines[1:], start=2):

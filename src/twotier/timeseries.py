@@ -11,10 +11,10 @@ CSV schema (shared by every CLI-facing file): header ``timestamp,power_w``,
 one row per sample, ISO-8601 local timestamps aligned to the grid.
 
 Block grammar (``_fields``), shared with the model-file reader: a text
-is read as one byte block only when it is ASCII and every line, the last
-too, is the same number of fields joined by single spaces and ended by
-LF, with no other byte at or below the space. A CSV line is one field.
-Any other text goes to a per-line reader, the reference.
+is one byte block only when it is ASCII and every line, the last too, is
+the same number of fields joined by single spaces and ended by LF, with
+no other byte at or below the space. A CSV line is one field. Any other
+text goes to a per-line reader, the reference; in both a line ends at LF.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
     per_day: dict[Date, dict[int, float]] = {}
 
     header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -26,10 +26,10 @@ from conftest import (
 )
 from twotier import cli, persistence, timeseries
 from twotier.config import parse_config
-from twotier.errors import InsufficientTrainingDays
+from twotier.errors import InsufficientTrainingDays, MalformedRow, quoted
 from twotier.knn import KnnModel
 from twotier.nn import NnConfig, NnModel
-from twotier.synth import SynthConfig, generate
+from twotier.synth import SynthConfig, generate, read_labels_csv
 from twotier.timeseries import export_csv
 
 CLOUDY_DEMO_DAY = "2015-04-02"   # labeled cloudy, lands in the test split
@@ -920,6 +920,72 @@ def test_two_leading_boms_exit_3(pipeline, tmp_path, capsys):
     assert capsys.readouterr() == ("", (
         "error: line 1: expected header 'timestamp,power_w', "
         "got '\\ufefftimestamp,power_w'\n"))
+
+
+# The characters other than LF that `str.splitlines` ends a line at. No
+# reader does: a line ends at LF and nothing else.
+NOT_LINE_ENDS = {"FF": "\x0c", "VT": "\x0b", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+                 "NEL": "\x85", "U+2028": "\u2028", "U+2029": "\u2029", "CR": "\r"}
+
+
+def join_lines(text, line, char):
+    """`text` with the LF that ends its line `line` (from 1) replaced by `char`."""
+    *head, rest = text.split("\n", line)
+    return "\n".join(head) + char + rest
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS.values(), ids=NOT_LINE_ENDS)
+def test_only_an_lf_ends_a_line(pipeline, tmp_path, capsys, char):
+    """Each reader reads two lines joined by `char` as one line, and
+    rejects it: a data CSV, a config file, a labels file and a model
+    file's header."""
+    data = tmp_path / "d.csv"
+    data.write_bytes(join_lines(pipeline["data"].read_text(), 10, char).encode())
+    assert cli.main(["ingest", "--data", str(data)]) == 3
+    assert capsys.readouterr() == ("", "error: line 10: expected 2 fields, got 3\n")
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(join_lines("seed = 5\nknn_neighbors = 3\n", 1, char).encode())
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 2
+    check_one_error_line(capsys, "line 1: seed: bad integer ")
+
+    with pytest.raises(MalformedRow, match="^line 2: expected 2 fields, got 3$"):
+        read_labels_csv(join_lines("date,label\n2015-02-15,sunny\n2015-02-16,cloudy\n", 2, char))
+
+    models = tmp_path / "models"
+    shutil.copytree(pipeline["models"], models)
+    model = models / "knn.htm-model"
+    model.write_bytes(join_lines(model.read_text(), 1, char).encode())
+    assert cli.main(["evaluate", "--models", str(models), "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: bad version field {quoted('2' + char + 'kind knn')}\n")
+
+
+def test_crlf_files_read_as_lf(pipeline, tmp_path, capsys):
+    """A CR before an LF is blank padding: a CRLF data CSV or config file
+    gives what its LF form gives, and a bad CRLF config line is quoted
+    without its CR."""
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(pipeline["data"].read_bytes().replace(b"\n", b"\r\n"))
+    runs = []
+    for data in (pipeline["data"], crlf):
+        assert cli.main(["ingest", "--data", str(data)]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+
+    text = "seed = 5\nsynth_days = 3\n"
+    runs = []
+    for name, line_end in (("lf", "\n"), ("crlf", "\r\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(text.replace("\n", line_end).encode())
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+        runs.append((capsys.readouterr(), (tmp_path / "d.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+    cfg.write_bytes(b"seed = 5\r\nbogus line\r\n")
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err == "error: line 2: expected 'key = value', got 'bogus line'\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])

@@ -91,6 +91,12 @@ def test_malformed_line_rejected():
         parse_config("seed 5\n")
 
 
+@pytest.mark.parametrize("line", ["seed 5", "  seed 5\t", "seed 5\r"])
+def test_malformed_line_quoted_without_its_blanks(line):
+    with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'seed 5'$"):
+        parse_config(f"# run\n{line}\n")
+
+
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError):
         parse_config("seed = lots\n")

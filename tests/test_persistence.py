@@ -429,12 +429,14 @@ class TestDayBlock:
         # the seventh of six promised day lines trails the matrix
         "trailing line": (lambda line: [line, line], MalformedModelFile),
         "space before the first value": (lambda line: ["day  " + line[4:]], None),
-        "tab before a value": (lambda line: [at_third_gap(line, " \t")], None),
+        # blanks that `str.split` splits on, as it does on a tab: only an
+        # LF ends a line, so each stays inside its `day` line
         **{f"{name} before a value": (lambda line, char=char: [at_third_gap(line, " " + char)],
-                                      MalformedModelFile)
-           # line breaks `str.splitlines` splits on, and a NUL `float` rejects
-           for name, char in {"VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",
-                              "RS": "\x1e", "CR": "\r", "NUL": "\x00"}.items()},
+                                      None)
+           for name, char in {"tab": "\t", "VT": "\x0b", "FF": "\x0c", "FS": "\x1c",
+                              "GS": "\x1d", "RS": "\x1e", "CR": "\r"}.items()},
+        # a NUL `float` rejects
+        "NUL before a value": (lambda line: [at_third_gap(line, " \x00")], MalformedModelFile),
     }
 
     def test_error_quotes_40_characters_of_a_long_line(self):

@@ -270,8 +270,8 @@ def test_export_matches_per_sample_writer(series):
     assert fast.getvalue() == reference.getvalue()
 
 
-# Values that a whole-file reader could get wrong: line breaks and
-# whitespace `float` or `str.splitlines` treat specially, forms only
+# Values that a whole-file reader could get wrong: blanks `float` strips,
+# a CR, VT and NEL among them, which end no line, forms only
 # Python's `float` accepts, the clamp and rejection bounds, non-finite,
 # a second comma, an empty value, zero as export_csv writes it and in
 # the spellings that must still go through `float`, and NULs, which
@@ -435,8 +435,9 @@ LINE_EDITS = {
     "no comma in row 1, two in row 2": move_comma,
 }
 # A byte at or below the space before the last row's value and after the
-# first row's: blank padding the per-line parser strips, a line break
-# `str.splitlines` splits on, or a NUL that `float` rejects.
+# first row's: blank padding the per-line parser strips (only an LF ends
+# a line, so a CR, FF or separator stays in its row), or a NUL that
+# `float` rejects.
 BLANKS = {"space": " ", "tab": "\t", "VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",
           "RS": "\x1e", "CR": "\r", "NUL": "\x00"}
 for name, char in BLANKS.items():

@@ -64,7 +64,7 @@ def test_poisson_at_the_rate_bound_draws_its_mean():
     assert abs(sum(draws) / len(draws) - MAX_POISSON_RATE) < 19
 
 
-@pytest.mark.parametrize("rate", [-1.0, -math.inf])
+@pytest.mark.parametrize("rate", [-1.0, -math.inf, float("nan")])
 def test_poisson_negative_rate_rejected(rate):
     with pytest.raises(ValueError, match="^poisson rate must be >= 0$"):
         SplitMix64(6).poisson(rate)
