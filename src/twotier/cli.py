@@ -5,13 +5,15 @@ data), tune (grid search), train (fit and persist models), simulate
 (replay one day with real-time correction), evaluate (score the test
 split). Exit codes are stable for scripting: 0 success, 2 usage or
 configuration problem, 3 I/O or unusable file, 4 not enough data,
-5 unknown date. `main` resolves and checks the run settings once
-(`_run_config`) and hands them to the command. Each `cmd_*` returns its
-stdout text and an ordered {path: write(sink)} of its output files;
-`main` writes them (`_commit`) before it prints, so a failed write exits
-3 with nothing on stdout and every regular output file as it was. Every
-output is rendered in memory before any path is opened, and `train` fits
-after making its directory.
+5 unknown date. `main` parses with the one parser that `build_parser`
+builds per process, resolves and checks the run settings once
+(`_run_config`), and hands them to `cmd_<subcommand>`, looked up by name
+on each call, so a `cmd_*` replaced on this module is the one that runs.
+Each returns its stdout text and an ordered {path: write(sink)} of its
+output files; `main` writes them (`_commit`) before it prints, so a
+failed write exits 3 with nothing on stdout and every regular output
+file as it was. Every output is rendered in memory before any path is
+opened, and `train` fits after making its directory.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import stat
 import sys
 from dataclasses import replace
 from datetime import date as Date
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import correction, evaluation, knn, nn, persistence, synth
@@ -308,7 +310,9 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict
     return text, {args.out: partial(evaluation.write_report_csv, report)}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared by every caller."""
     parser = argparse.ArgumentParser(
         prog="twotier",
         description="Two-tier solar generation forecasting pipeline.",
@@ -319,33 +323,30 @@ def build_parser() -> argparse.ArgumentParser:
     config_flags.add_argument("--config", default=None, help="key = value config file")
     _add_config_flags(config_flags)
 
-    def subcommand(name, handler, help_text):
-        sub = subparsers.add_parser(name, help=help_text, parents=[config_flags])
-        sub.set_defaults(handler=handler)
-        return sub
+    subcommand = partial(subparsers.add_parser, parents=[config_flags])
 
-    sub = subcommand("synth", cmd_synth, "generate a synthetic data set")
+    sub = subcommand("synth", help="generate a synthetic data set")
     sub.add_argument("--days", dest="synth_days", type=_flag_reader(int), help="number of days")
     sub.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
-    sub = subcommand("ingest", cmd_ingest, "validate a data CSV and summarize it")
+    sub = subcommand("ingest", help="validate a data CSV and summarize it")
     sub.add_argument("--data", required=True, help="input CSV")
     sub.add_argument("--out", default=None, help="re-export normalized CSV here")
 
-    sub = subcommand("tune", cmd_tune, "grid-search hyperparameters on the tune split")
+    sub = subcommand("tune", help="grid-search hyperparameters on the tune split")
     sub.add_argument("--data", required=True, help="input CSV")
     sub.add_argument("--out", default="tuned.cfg", help="tuned config file")
     sub.add_argument("--report", default=None, help="also write grids as CSV")
     sub.add_argument("--knn-only", action="store_true")
     sub.add_argument("--nn-only", action="store_true")
 
-    sub = subcommand("train", cmd_train, "fit models on the train split and save them")
+    sub = subcommand("train", help="fit models on the train split and save them")
     sub.add_argument("--data", required=True, help="input CSV")
     sub.add_argument("--out", default="models", help="model directory")
     sub.add_argument("--knn-only", action="store_true")
     sub.add_argument("--nn-only", action="store_true")
 
-    sub = subcommand("simulate", cmd_simulate, "replay one day with live correction")
+    sub = subcommand("simulate", help="replay one day with live correction")
     sub.add_argument("--models", required=True, help="model directory")
     sub.add_argument("--data", required=True, help="input CSV")
     sub.add_argument(
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--out", default=".", help="trace output directory")
 
-    sub = subcommand("evaluate", cmd_evaluate, "score all methods on the test split")
+    sub = subcommand("evaluate", help="score all methods on the test split")
     sub.add_argument("--models", required=True, help="model directory")
     sub.add_argument("--data", required=True, help="input CSV")
     sub.add_argument("--out", default="report.csv", help="report CSV path")
@@ -362,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        stdout, files = args.handler(args, _run_config(args))
+        stdout, files = globals()[f"cmd_{args.command}"](args, _run_config(args))
         _commit(files)
         try:
             # a write per line: under python -u a closed pipe can drop a long write silently

@@ -287,7 +287,9 @@ def load_model(text: str):
     try:
         version = int(version_text)
     except ValueError:
-        raise MalformedModelFile(f"bad version field {quoted(version_text)}") from None
+        version = -1
+    if version < 0 or str(version) != version_text:  # ASCII digits, no leading zero
+        raise MalformedModelFile(f"bad version field {quoted(version_text)}")
     versions = sorted({known for known, _ in _LOADERS})
     if version not in versions:
         readable = " and ".join(map(str, versions))

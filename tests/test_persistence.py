@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import hashlib
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,18 @@ class TestIntegrity:
         with pytest.raises(UnsupportedVersion):
             load_model(bumped)
 
+    @pytest.mark.parametrize("version", ["1\r", " 1", "1 ", "+1", "01", "1_0"],
+                             ids=["CR", "two-spaces", "trailing-space", "plus", "leading-zero",
+                                  "underscore"])
+    def test_version_field_read_only_in_save_model_spelling(self, version):
+        """The version is ASCII digits without a leading zero, as
+        save_model writes it; int() would also take these spellings."""
+        text = render_model(build(NnConfig(hidden_neurons=2), seed=1))
+        edited = text.replace("htm-model 1\n", f"htm-model {version}\n", 1)
+        assert edited != text
+        with pytest.raises(MalformedModelFile, match=re.escape(f"bad version field {version!r}")):
+            load_model(edited)
+
     def test_truncated_file(self):
         text = render_model(small_knn_model())
         lines = text.splitlines()
@@ -139,7 +152,7 @@ class TestIntegrity:
 
     @pytest.mark.parametrize("edit", [
         lambda text: text[:-1],
-        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r\n").replace("\r\n", "\n", 3),
     ], ids=["final-newline-dropped", "crlf"])
     def test_digest_covers_the_payload_bytes_as_read(self, edit):
         # the header still parses, but the payload bytes are not the ones hashed
