@@ -266,8 +266,7 @@ def forecast_days(model: KnnModel, series: SolarSeries, day_indices) -> np.ndarr
     one read to the last; raises InsufficientHistory when any of them is
     missing."""
     depth = model.history_days
-    for day in day_indices:
-        require_history(series, day, depth)
+    require_history(series, day_indices, depth)
     indices = np.asarray(day_indices, dtype=int).reshape(-1)
     if not indices.size:
         return np.empty((0, model.target_length))

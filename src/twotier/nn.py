@@ -553,8 +553,7 @@ def forecast_days(model: NnModel, series: SolarSeries, day_indices) -> np.ndarra
     """One forecast row per day of `day_indices`, each from the
     `history_days` days of `series` before it, in one forward pass;
     raises InsufficientHistory when any of them is missing."""
-    for day in day_indices:
-        require_history(series, day, model.history_days)
+    require_history(series, day_indices, model.history_days)
     days = np.asarray(day_indices, dtype=int)
     return _predict(model, series.rows(days - 1), series.rows(days - 2))
 

@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from datetime import date as Date, datetime, timedelta
-from functools import cached_property
+from functools import cache, cached_property
 from typing import IO
 
 import numpy as np
@@ -219,10 +219,12 @@ def _parse_timestamp(text: str, line_no: int) -> datetime:
     return stamp
 
 
-def _clock(grid: SamplingGrid) -> list[str]:
+@cache
+def _clock(grid: SamplingGrid) -> tuple[str, ...]:
     """The `THH:MM:SS,` that follows the date in each slot's CSV line, in
-    slot order: the one definition of the canonical line's time part."""
-    return [stamp.isoformat()[10:] + "," for stamp in grid.sample_times(Date(2000, 1, 1))]
+    slot order: the one definition of the canonical line's time part.
+    Built once per grid."""
+    return tuple(stamp.isoformat()[10:] + "," for stamp in grid.sample_times(Date(2000, 1, 1)))
 
 
 def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
@@ -322,7 +324,13 @@ def _windows(data: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((max(len(data) - width + 1, 0),), f"V{width}", data, strides=(1,))
 
 
-_ZERO = b"0.0"  # how export_csv and save_model write +0.0
+_PLAIN_DIGITS = 15  # at most, so a plain token's digits N < 10**15 < 2**53
+_POW10 = np.array([float(10**k) for k in range(_PLAIN_DIGITS + 1)])  # each exact
+# Tokens per `_plain_decimals` pass. In one pass, the 15.7k non-zero
+# values of a year's CSV peaked at 2.8 MB and glibc's allocator faulted
+# in about 500 fresh pages on every read; in passes of 4096 the read
+# peaks at 1.3 MB and faults in no more pages than casting every value.
+_CHUNK = 4096
 
 
 def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -330,20 +338,110 @@ def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
     the uint8 buffer `data`, in token order; ValueError if `float`
     raises on any of them.
 
-    A token spelled exactly `0.0` is +0.0, the bits `float` gives it,
-    without parsing. The others are copied into one NUL-padded
-    (tokens, width) block and cast once through numpy's `S` dtype, which
-    reads a token as `float` does. The dtype drops trailing NULs, so a
-    token holding a NUL, which `float` rejects, is rejected first."""
+    Most tokens are read by exact digit arithmetic (`_exact_decimals`):
+    a token spelled `0.0`, as `export_csv` and `save_model` write +0.0,
+    is +0.0, and a plain token, ASCII digits with at most one `.`
+    anywhere and 1-15 digits (`5`, `5.`, `.5`, `00012.50`), is N / 10**f,
+    N its digits read as one integer and f the number of them after the
+    dot. N < 10**15 < 2**53 and 10**f are both exact doubles, so the one
+    IEEE division rounds the exact quotient once, correctly, and gives
+    the double nearest the decimal, which is what `float` returns
+    (Clinger, "How to Read Floating Point Numbers Accurately", PLDI
+    1990). Every other token (a sign, an exponent, `_`, a blank, `inf`,
+    `nan`, more than 15 digits, a NUL, an empty token) is read by
+    `_cast_decimals`, as `float` reads it or with its ValueError."""
+    values, exact = _exact_decimals(data, starts, lengths)
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        values[rest] = _cast_decimals(data, starts[rest], lengths[rest])
+    return values
+
+
+def _exact_decimals(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values `_decimals` gives the `0.0` and the plain tokens, and
+    the mask of those tokens; every other token's value is undefined.
+    The digit pass would read `0.0` too, but most values of a year are
+    night zeros, and picking them out first cut `simulate-365d`'s op by
+    about 5% on a 2-core VM."""
     values = np.zeros(len(starts))
-    three = np.flatnonzero(lengths == len(_ZERO))
-    zero = _windows(data, len(_ZERO))[starts[three]].view(f"S{len(_ZERO)}") == _ZERO
-    parse = np.ones(len(starts), bool)
-    parse[three[zero]] = False
-    parse = np.flatnonzero(parse)
-    if not len(parse):
-        return values
-    starts, lengths = starts[parse], lengths[parse]
+    three = np.flatnonzero(lengths == 3)
+    at = starts[three]
+    zero = (data[at] == ord("0")) & (data[at + 1] == ord(".")) & (data[at + 2] == ord("0"))
+    exact = np.zeros(len(starts), bool)
+    exact[three[zero]] = True
+    rest = np.flatnonzero(~exact & (lengths > 0))
+    for first in range(0, len(rest), _CHUNK):
+        part = rest[first : first + _CHUNK]
+        values[part], exact[part] = _plain_decimals(data, starts[part], lengths[part])
+    return values, exact
+
+
+def _plain_decimals(
+    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each plain token, and the mask of the plain ones, of
+    tokens none of which is empty; a value is undefined where the token
+    is not plain.
+
+    The work goes by byte column, each step one numpy operation over
+    every token: row p of `digits` holds byte p of each token's last
+    `places` bytes, right-aligned, so a shorter token's leading rows lie
+    outside it and read as the digit 0. Where a token has a dot, the
+    rows before it move one row on, over it. Then the rows are summed
+    in groups of four, each group a number below 10**4, and the groups
+    joined by Horner's rule, N = 10**4 N + group, in float64, where every
+    step is an integer below 2**53 for a plain token."""
+    width = min(int(lengths.max()), _PLAIN_DIGITS + 1)
+    ends = starts + lengths
+    # each token's window, read from the first window where the token
+    # ends within `width` bytes of the buffer's start, then shifted home
+    block = _windows(data, width)[np.maximum(ends - width, 0)].view(np.uint8).reshape(-1, width)
+    for row in np.flatnonzero(ends < width):
+        shift = width - ends[row]
+        block[row, shift:] = block[row, : width - shift].copy()
+    places = -(-width // 4) * 4
+    digits = np.zeros((places, len(starts)), np.uint8)
+    digits[places - width :] = block.T
+    # row p is inside a token of length L when places - p <= L
+    inside = np.arange(places, 0, -1, dtype=np.uint8)[:, None] <= (
+        np.minimum(lengths, places).astype(np.uint8))
+    is_dot = (digits == ord(".")) & inside
+    digits -= ord("0")
+    is_digit = (digits < 10) & inside
+
+    def count(mask):  # per token; every count here is below 256
+        return np.add.reduce(mask, axis=0, dtype=np.uint8)
+
+    dots, figures = count(is_dot), count(is_digit)
+    plain = (figures + dots == lengths) & (dots <= 1) & (figures >= 1)
+    plain &= figures <= _PLAIN_DIGITS
+    digits *= is_digit
+    position = np.arange(1, places + 1, dtype=np.uint8)[:, None]
+    dot = count(is_dot * position)  # one past the dot's row; 0 without a dot
+    left = position <= dot
+    digits[1:] += left[1:] * (digits[:-1] - digits[1:])  # wraps back to a digit
+    digits[0] *= ~left[0]
+    pairs = digits[0::2] * 10 + digits[1::2]
+    # widened before the multiply: under numpy 1.x's value-based casting a
+    # uint8 array times a uint16 scalar stays uint8 and wraps
+    groups = pairs[0::2].astype(np.uint16) * 100 + pairs[1::2]
+    n = groups[0].astype(float)
+    for group in groups[1:]:
+        n *= 1e4
+        n += group
+    scale = np.ones(256)  # 10**f by `dot`: f = places - dot rows follow the dot
+    scale[1 : places + 1] = _POW10[places - 1 :: -1]
+    return n / scale[dot], plain
+
+
+def _cast_decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`_decimals` of tokens of any spelling: each token is copied into
+    one NUL-padded (tokens, width) block and cast once through numpy's
+    `S` dtype, which reads a token as `float` does. The dtype drops
+    trailing NULs, so a token holding a NUL, which `float` rejects, is
+    rejected first, and so is an empty one."""
     if not lengths.all():
         raise ValueError("empty decimal token")
     width = int(lengths.max())
@@ -357,8 +455,7 @@ def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
     block[np.arange(width) >= lengths[:, None]] = 0
     if np.count_nonzero(block) != lengths.sum():
         raise ValueError("a decimal token holds a NUL byte")
-    values[parse] = block.view(f"S{width}").ravel().astype(float)
-    return values
+    return block.view(f"S{width}").ravel().astype(float)
 
 
 def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:
@@ -509,17 +606,21 @@ def day_context(
     return series.power[pos : pos + depth_days].ravel()
 
 
-def require_history(series: SolarSeries, target_day: int, depth_days: int) -> None:
+def require_history(series: SolarSeries, target_days, depth_days: int) -> None:
     """Raise InsufficientHistory, naming dates, unless `series` holds the
-    `depth_days` days before day `target_day`."""
-    first_needed = target_day - depth_days
-    if first_needed < series.first_index or target_day - 1 > series.last_index:
-        days = (target_day, first_needed, target_day - 1, series.first_index, series.last_index)
-        raise InsufficientHistory(
-            "{} needs {}..{}; series covers {}..{}".format(
-                *(_date_text(day) for day in days)
+    `depth_days` days before day `target_days`, or before each day of the
+    sequence `target_days`; the first day in order that lacks them is
+    the one named."""
+    first_index, last_index = series.first_index, series.last_index
+    for target_day in np.asarray(target_days).ravel().tolist():
+        first_needed = target_day - depth_days
+        if first_needed < first_index or target_day - 1 > last_index:
+            days = (target_day, first_needed, target_day - 1, first_index, last_index)
+            raise InsufficientHistory(
+                "{} needs {}..{}; series covers {}..{}".format(
+                    *(_date_text(day) for day in days)
+                )
             )
-        )
 
 
 def _date_text(ordinal: int) -> str:

@@ -123,3 +123,11 @@ def per_line_outcome(text):
     """`load_outcome` with every day line read by the per-line reader."""
     with mock.patch.object(persistence, "_day_block", lambda lines, per_day: None):
         return load_outcome(text)
+
+
+def takes_day_block(text):
+    """Whether the day lines of a version 2 k-NN file parse as one block."""
+    lines = text.splitlines()
+    per_day = int(next(line for line in lines if line.startswith("samples_per_day ")).split()[1])
+    first = next(i for i, line in enumerate(lines) if line.startswith("day "))
+    return persistence._day_block(lines[first:], per_day) is not None

@@ -304,3 +304,14 @@ class TestForecastDay:
         needed = {1: "2015-02-18 needs 2015-02-17..2015-02-17",
                   3: "2015-02-20 needs 2015-02-17..2015-02-19"}[depth]
         assert str(err.value) == f"{needed}; series covers 2015-02-18..2015-03-01"
+
+    def test_first_day_in_order_lacking_history_named(self):
+        # of two days lacking history, the later one comes first
+        rows = np.random.default_rng(15).uniform(0, 900, (12, 4))
+        series = make_series(rows, start=Date(2015, 2, 18), interval_seconds=21600)
+        model = fit(series, KnnConfig(depth_days=1, neighbors=2))
+        first, last = series.first_index, series.last_index
+        with pytest.raises(InsufficientHistory) as err:
+            forecast_days(model, series, [first + 3, last + 2, first])
+        assert str(err.value) == (
+            "2015-03-03 needs 2015-03-02..2015-03-02; series covers 2015-02-18..2015-03-01")

@@ -952,6 +952,15 @@ class TestForecastDay:
                   9: "2015-03-01 needs 2015-02-27..2015-02-28"}[offset]
         assert str(err.value) == f"{needed}; series covers 2015-02-20..2015-02-27"
 
+    def test_first_day_in_order_lacking_history_named(self, model_and_series):
+        # of two days lacking history, the later one comes first
+        model, series = model_and_series
+        first = series.first_index
+        with pytest.raises(InsufficientHistory) as err:
+            nn.forecast_days(model, series, [first + 3, first + 9, first])
+        assert str(err.value) == (
+            "2015-03-01 needs 2015-02-27..2015-02-28; series covers 2015-02-20..2015-02-27")
+
     @pytest.mark.parametrize("start, day, message", [
         (Date.min, 0, "0001-01-01 needs 2 day(s) before 0001-01-01..1 day(s) before "
          "0001-01-01; series covers 0001-01-01..0001-01-08"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    load_outcome, per_line_outcome, rendered, replace_payload_line, with_payload
+    load_outcome, per_line_outcome, rendered, replace_payload_line, takes_day_block, with_payload
 )
 from twotier import persistence
 from twotier.errors import (
@@ -376,14 +376,6 @@ def day_matrix_model():
     days[:, 70:] = np.round(days[:, 70:])
     days[0, 1] = -0.0
     return from_days(KnnConfig(depth_days=2, neighbors=2), days)
-
-
-def takes_day_block(text):
-    """Whether the day lines of a version 2 k-NN file parse as one block."""
-    lines = text.splitlines()
-    per_day = int(next(line for line in lines if line.startswith("samples_per_day ")).split()[1])
-    first = next(i for i, line in enumerate(lines) if line.startswith("day "))
-    return persistence._day_block(lines[first:], per_day) is not None
 
 
 def knn_files():

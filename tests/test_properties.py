@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from conftest import (  # noqa: E402
-    load_outcome, neuron_major_order, per_line_outcome, rendered, replace_payload_line
+    load_outcome, neuron_major_order, per_line_outcome, rendered, replace_payload_line,
+    takes_day_block,
 )
-from twotier import correction, evaluation, knn, nn, persistence  # noqa: E402
+from twotier import correction, evaluation, knn, nn, persistence, timeseries  # noqa: E402
 from twotier.errors import (  # noqa: E402
     InsufficientTrainingDays,
     NumericalFailure,
@@ -27,12 +28,14 @@ from twotier.errors import (  # noqa: E402
     TwoTierError,
 )
 from twotier.rng import SplitMix64  # noqa: E402
+from twotier.synth import SynthConfig, generate  # noqa: E402
 from twotier.timeseries import (  # noqa: E402
     CSV_HEADER,
     MAX_POWER_W,
     SamplingGrid,
     SolarSeries,
     _decimals,
+    _exact_decimals,
     _fields,
     _ingest_canonical,
     _ingest_lines,
@@ -502,9 +505,34 @@ def test_fields_slice_back_and_any_other_blank_byte_gives_none(case, data):
 
 # Tokens `_decimals` must read as `float` does: zero in several
 # spellings, forms only Python's `float` accepts, blank padding, the
-# extremes, non-finite and empty.
+# extremes, non-finite and empty; then the bounds of the exact digit
+# path: 15 digits against 2**53 + 1, the smallest 15-digit fraction, a
+# dot at either end or alone, leading and trailing zeros, two dots.
 DECIMAL_TOKENS = [b"0", b"0.0", b"0.00", b"-0.0", b"1_0", b" 1.0", b"1.0 ", b"inf", b"nan",
-                  b"4.9e-324", b"1e308", b""]
+                  b"4.9e-324", b"1e308", b"",
+                  b"999999999999999", b"9007199254740993", b"0.000000000000001",
+                  b"5.", b".5", b".", b"00012.50", b"1.2.3"]
+
+
+@st.composite
+def plain_tokens(draw):
+    """0-18 ASCII digits, leading zeros among them, with one `.` anywhere
+    or none: the exact digit path reads those of 1-15 digits."""
+    token = draw(st.text("0123456789", max_size=18))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(token)))
+        token = token[:at] + "." + token[at:]
+    return token.encode()
+
+
+PLAIN = re.compile(rb"[0-9]*\.?[0-9]*")
+
+
+def read_exactly(token):
+    """Whether `_exact_decimals` reads `token`: a plain token, `0.0` among them."""
+    return PLAIN.fullmatch(token) is not None and 1 <= len(token) - token.count(b".") <= 15
+
+
 # tokens of 0-32 bytes, mostly ones `float` rejects
 wild_tokens = st.one_of(
     st.binary(max_size=32),
@@ -517,7 +545,8 @@ def decimal_buffers(draw):
     """Tokens laid out in one buffer, each after a separator byte or
     none, the last ending at the buffer's last byte; and their spans."""
     tokens = draw(st.lists(
-        st.one_of(st.sampled_from(DECIMAL_TOKENS), st.floats().map(lambda x: repr(x).encode())),
+        st.one_of(st.sampled_from(DECIMAL_TOKENS), st.floats().map(lambda x: repr(x).encode()),
+                  plain_tokens()),
         min_size=1, max_size=12,
     ))
     if draw(st.booleans()):
@@ -533,15 +562,22 @@ def decimal_buffers(draw):
 def check_decimals(data, tokens, spans):
     """`_decimals` of the `spans` of `data`, the (start, length) of each
     of `tokens`, is bit-equal to `float` of each token, or raises
-    ValueError where `float` raises on any of them."""
+    ValueError where `float` raises on any of them; and `_exact_decimals`
+    reads exactly the `0.0` and plain tokens, each as `float` does,
+    whatever the others hold."""
+    buffer = np.frombuffer(data, np.uint8)
     starts, lengths = np.array(spans, dtype=int).reshape(-1, 2).T
+    values, exact = _exact_decimals(buffer, starts, lengths)
+    assert exact.tolist() == [read_exactly(token) for token in tokens]
+    exact_tokens = [float(token) for token, read in zip(tokens, exact) if read]
+    assert values[exact].tobytes() == np.array(exact_tokens).tobytes()
     try:
         want = np.array([float(token) for token in tokens])
     except ValueError:
         with pytest.raises(ValueError):
-            _decimals(np.frombuffer(data, np.uint8), starts, lengths)
+            _decimals(buffer, starts, lengths)
         return
-    assert _decimals(np.frombuffer(data, np.uint8), starts, lengths).tobytes() == want.tobytes()
+    assert _decimals(buffer, starts, lengths).tobytes() == want.tobytes()
 
 
 @PROPERTY
@@ -550,11 +586,56 @@ def test_decimals_bit_equal_to_float_or_raise_where_it_raises(case):
     check_decimals(*case)
 
 
-@pytest.mark.parametrize("token", DECIMAL_TOKENS + [b"1.0\x00", b"\x001", b"1\x005", b"0.\x00"])
+EDGE_TOKENS = DECIMAL_TOKENS + [b"1.0\x00", b"\x001", b"1\x005", b"0.\x00"]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
 def test_decimals_of_the_last_token_after_a_wider_one(token):
-    # the last token starts within the wider token's width of the end
+    # the last token starts within the wider token's width of the end, so
+    # the cast reads it from the last full window and shifts it home
     wide = b"1.2345678901234567"
     check_decimals(wide + b" " + token, [wide, token], [(0, len(wide)), (len(wide) + 1, len(token))])
+
+
+# 17 digits, read by the cast, and 15 digits in 16 bytes, read exactly
+@pytest.mark.parametrize("wide", [b"1.2345678901234567", b"1234567890.12345"])
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_decimals_of_the_first_token_before_a_wider_one(token, wide):
+    # the first token ends within the wider token's width of the start, so
+    # the exact path reads it from the first window and shifts it home
+    check_decimals(token + b" " + wide, [token, wide], [(0, len(token)), (len(token) + 1, len(wide))])
+
+
+@pytest.fixture(scope="module")
+def default_files():
+    """The default seed's year CSV, the k-NN model file `train` fits on
+    it, and the default 50-day CSV."""
+    year = generate(SynthConfig(), 365).series
+    train = split_chronological(year, (0.6, 0.2, 0.2)).train
+    return {
+        "year csv": exported(year),
+        "year knn model": rendered(knn.fit(train, knn.KnnConfig())),
+        "50-day csv": exported(generate(SynthConfig(), 50).series),
+    }
+
+
+@pytest.mark.parametrize("name", ["year csv", "year knn model", "50-day csv"])
+def test_every_value_of_the_default_files_is_read_exactly(default_files, name, monkeypatch):
+    # the benchmark reads these files: a slide back to the `S` cast for
+    # their values fails here, not only in a timed run
+    def cast(data, starts, lengths):
+        raise AssertionError(f"{len(starts)} values went to the cast")
+
+    text = default_files[name]
+    monkeypatch.setattr(timeseries, "_cast_decimals", cast)
+    if name.endswith("csv"):
+        series = _ingest_canonical(text, SamplingGrid())
+        assert series is not None
+        reference = _ingest_lines(text, SamplingGrid())
+        assert series.power.tobytes() == reference.power.tobytes()
+    else:
+        assert takes_day_block(text)
+        assert load_outcome(text) == per_line_outcome(text)
 
 
 def with_zeros(cells, signs=()):

@@ -25,6 +25,7 @@ from twotier.timeseries import (
     DayProfile,
     SamplingGrid,
     SolarSeries,
+    _clock,
     _ingest_canonical,
     _ingest_lines,
     day_context,
@@ -59,6 +60,12 @@ class TestSamplingGrid:
         for step in (900, 3600, 21600):
             grid = SamplingGrid(sample_interval_seconds=step)
             assert grid.samples_per_day * step == 86400
+
+    def test_clock_built_once_per_grid(self):
+        # each equal grid shares one tuple of the canonical line's time parts
+        clock = _clock(SamplingGrid(sample_interval_seconds=21600))
+        assert clock == ("T00:00:00,", "T06:00:00,", "T12:00:00,", "T18:00:00,")
+        assert _clock(SamplingGrid(sample_interval_seconds=21600)) is clock
 
 
 class TestDayProfile:
