@@ -244,17 +244,21 @@ def _distances(model: KnnModel, query_days: np.ndarray) -> np.ndarray:
     return context_distances(day_table(query_days, pool), depth, model.pair_count, stride)
 
 
-def _check_query_length(model: KnnModel, length: int, ndim: int = 1) -> None:
-    if ndim != 1 or length != model.context_length:
+def _check_query_shape(model: KnnModel, shape: tuple[int, ...]) -> None:
+    if len(shape) != 1:
         raise DimensionMismatch(
-            f"query length {length} != stored context length {model.context_length}"
+            f"query shape {shape} != stored context shape ({model.context_length},)"
+        )
+    if shape[0] != model.context_length:
+        raise DimensionMismatch(
+            f"query length {shape[0]} != stored context length {model.context_length}"
         )
 
 
 def predict_day(model: KnnModel, context) -> np.ndarray:
     """Forecast one day from a query context, read as D days of M slots."""
     query = np.asarray(context, dtype=float)
-    _check_query_length(model, query.size, query.ndim)
+    _check_query_shape(model, query.shape)
     distances = _distances(model, query.reshape(model.config.depth_days, -1))
     return blend_nearest(distances, model.targets, model.config.neighbors)[0]
 
@@ -270,7 +274,7 @@ def forecast_days(model: KnnModel, series: SolarSeries, day_indices) -> np.ndarr
     indices = np.asarray(day_indices, dtype=int).reshape(-1)
     if not indices.size:
         return np.empty((0, model.target_length))
-    _check_query_length(model, depth * series.grid.samples_per_day)
+    _check_query_shape(model, (depth * series.grid.samples_per_day,))
     first = indices.min()
     distances = _distances(model, series.rows(range(first - depth, indices.max())))
     return blend_nearest(distances[indices - first], model.targets, model.config.neighbors)

@@ -16,14 +16,13 @@ saved one on every platform. Unknown versions are rejected, not migrated.
 
 The payload opens with one `name value` line per field of the model's
 config dataclass, in field order, written and read from that class's
-fields. A k-NN model built by `knn.from_days` (every fitted one) is
-written as version 2, its day matrix, and loaded back through
-`knn.from_days`. A k-NN model built from its own pairs is written as
-version 1, its pairs, and loaded back as one; NN models are version 1.
-A file in `save_model`'s spelling (every file `train` writes) re-saves
-to the bytes it was read from. A value spelled otherwise but accepted
-by int() or float() (`05`, `+5`, `0.00`, a second space after the key)
-loads, and re-saves in the canonical spelling.
+fields. Each model kind has one format. A k-NN model is version 2, its
+day matrix, loaded back through `knn.from_days`, so only a model built
+by `knn.from_days` (every fitted one) can be written; an NN model is
+version 1, its weights. A file in `save_model`'s spelling (every file
+`train` writes) re-saves to the bytes it was read from. A value spelled
+otherwise but accepted by int() or float() (`05`, `+5`, `0.00`, a second
+space after the key) loads, and re-saves in the canonical spelling.
 
 The `day` lines of a version 2 file in `save_model`'s spelling, the
 CSV reader's block grammar (`timeseries._fields`) keyed `day`, are
@@ -88,19 +87,6 @@ def _knn_days_payload(model: KnnModel) -> list[str]:
     ]
 
 
-def _knn_pairs_payload(model: KnnModel) -> list[str]:
-    lines = [
-        *_settings(model.config),
-        f"pairs {model.pair_count}",
-        f"context_length {model.context_length}",
-        f"target_length {model.target_length}",
-    ]
-    for row in range(model.pair_count):
-        lines.append(f"context {_floats(model.contexts[row])}")
-        lines.append(f"target {_floats(model.targets[row])}")
-    return lines
-
-
 def _nn_payload(model: NnModel) -> list[str]:
     return [
         *_settings(model.config),
@@ -112,11 +98,11 @@ def _nn_payload(model: NnModel) -> list[str]:
 
 
 def render_model(model) -> str:
-    """The complete file content for a model, checksum included."""
+    """The complete file content for a model, checksum included. A k-NN
+    model built from its own pairs has no day matrix to write, and raises
+    TypeError as any other type does."""
     if isinstance(model, KnnModel) and model.days is not None:
         version, kind, payload_lines = 2, KIND_KNN, _knn_days_payload(model)
-    elif isinstance(model, KnnModel):
-        version, kind, payload_lines = 1, KIND_KNN, _knn_pairs_payload(model)
     elif isinstance(model, NnModel):
         version, kind, payload_lines = 1, KIND_NN, _nn_payload(model)
     else:
@@ -230,26 +216,6 @@ def _day_block(lines: list[str], per_day: int) -> np.ndarray | None:
     return days.reshape(len(lines), per_day)
 
 
-def _load_knn_pairs(scanner: _Scanner) -> KnnModel:
-    config = scanner.settings(KnnConfig)
-    pairs = scanner.typed("pairs", int)
-    context_length = scanner.typed("context_length", int)
-    target_length = scanner.typed("target_length", int)
-    if pairs < 1 or context_length < 1 or target_length < 1:
-        raise InvariantViolation("pair table dimensions must be positive")
-    # trust the header's sizes only as far as the lines back them
-    if len(scanner.lines) - scanner.pos < 2 * pairs:
-        raise MalformedModelFile(f"file truncated: header promises {pairs} pairs")
-    rows = [
-        (scanner.keyed_floats("context", context_length),
-         scanner.keyed_floats("target", target_length))
-        for _ in range(pairs)
-    ]
-    contexts, targets = zip(*rows)
-    scanner.done()
-    return _build(KnnModel, config, contexts, targets)
-
-
 def _load_nn(scanner: _Scanner) -> NnModel:
     config = scanner.settings(NnConfig)
     samples_per_day = scanner.typed("samples_per_day", int)
@@ -263,7 +229,6 @@ def _load_nn(scanner: _Scanner) -> NnModel:
 
 
 _LOADERS = {
-    (1, KIND_KNN): _load_knn_pairs,
     (2, KIND_KNN): _load_knn_days,
     (1, KIND_NN): _load_nn,
 }

@@ -424,8 +424,8 @@ def _plain_decimals(
     digits[1:] += left[1:] * (digits[:-1] - digits[1:])  # wraps back to a digit
     digits[0] *= ~left[0]
     pairs = digits[0::2] * 10 + digits[1::2]
-    # widened before the multiply: under numpy 1.x's value-based casting a
-    # uint8 array times a uint16 scalar stays uint8 and wraps
+    # widened before the multiply: a uint8 array times the int 100 stays
+    # uint8 and wraps (99 * 100 is 172)
     groups = pairs[0::2].astype(np.uint16) * 100 + pairs[1::2]
     n = groups[0].astype(float)
     for group in groups[1:]:

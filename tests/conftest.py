@@ -88,6 +88,15 @@ def with_payload(model_text, payload):
     return "\n".join(lines[:2] + [f"sha256 {digest}"]) + "\n" + body
 
 
+# The old golden k-NN file: version 1, the (context, target) pairs that
+# builds before the day-matrix format wrote, which no build reads now.
+VERSION_1_KNN_FILE = with_payload("htm-model 1\nkind knn\n", [
+    "depth_days 2", "neighbors 2", "pairs 3", "context_length 2", "target_length 1",
+    "context 1.5 2.5", "target 100.0", "context 3.25 0.125", "target 200.5",
+    "context 10.0 0.5", "target 50.25",
+])
+
+
 def printed_best(stdout):
     """{axis label: value} of every `best <axis>: <value>` line that
     `tune` prints."""

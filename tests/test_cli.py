@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    force_lanes, forks_with_blas_threads, make_series, printed_best, rendered,
+    VERSION_1_KNN_FILE, force_lanes, forks_with_blas_threads, make_series, printed_best,
     repeating_clear_days, replace_payload_line,
 )
 from twotier import cli, persistence, timeseries
@@ -676,11 +676,10 @@ class TestEvaluate:
         assert code == 3
 
     @pytest.mark.parametrize("old, new", [
-        ("pairs 25", "pairs 1000000000000"),
-        ("context_length 480", "context_length 10000000000"),
-        ("target_length 96", "target_length 10000000000"),
         ("days 30", "days 1000000000000"),
         ("samples_per_day 96", "samples_per_day 10000000000"),
+        ("depth_days 5", "depth_days 10000000000"),
+        ("neighbors 2", "neighbors 1000000000000"),
     ])
     def test_oversized_knn_header_exit_3(self, pipeline, tmp_path, capsys, old, new):
         models = tmp_path / "models"
@@ -688,12 +687,6 @@ class TestEvaluate:
         path = models / "knn.htm-model"
         text = path.read_text()
         assert text.startswith("htm-model 2\n")
-        if old.split()[0] in ("pairs", "context_length", "target_length"):
-            # version 1: the fitted pairs in reverse order, which no day
-            # matrix lays out
-            fitted = persistence.load_model(text)
-            text = rendered(KnnModel(fitted.config, fitted.contexts[::-1], fitted.targets[::-1]))
-            assert text.startswith("htm-model 1\n")
         path.write_text(replace_payload_line(text, old, new))
         code = cli.main(
             ["evaluate", "--models", str(models),
@@ -702,6 +695,22 @@ class TestEvaluate:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_version_1_knn_file_exit_3(self, pipeline, tmp_path, capsys):
+        """A k-NN pairs file of builds before the day-matrix format is an
+        unsupported version: one error line, nothing on stdout."""
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        (models / "knn.htm-model").write_text(VERSION_1_KNN_FILE)
+        code = cli.main(
+            ["evaluate", "--models", str(models),
+             "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: format version 1 has no kind knn\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("name, field, message", [
         ("knn", "day", "stored pairs must be finite, at most 1e+12 W in magnitude"),

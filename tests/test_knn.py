@@ -185,6 +185,23 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict_day(model, np.zeros(7))
 
+    def test_pairs_of_a_fitted_model_forecast_as_it(self):
+        # a context's own day slices (the stride path) and the day matrix
+        # give the same bits
+        days = np.random.default_rng(16).uniform(0.0, 900.0, (12, 4))
+        fitted = from_days(KnnConfig(depth_days=3, neighbors=2), days)
+        pairs = KnnModel(fitted.config, fitted.contexts, fitted.targets)
+        assert pairs.days is None
+        for query in np.random.default_rng(17).uniform(0.0, 900.0, (200, 12)):
+            assert predict_day(pairs, query).tobytes() == predict_day(fitted, query).tobytes()
+
+    def test_query_of_the_context_size_but_not_one_row(self):
+        # D = 2 days of M = 4 slots as a (2, 4) block: 8 values, not a context
+        model = from_days(KnnConfig(depth_days=2, neighbors=2), np.zeros((5, 4)))
+        message = "query shape (2, 4) != stored context shape (8,)"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            predict_day(model, np.zeros((2, 4)))
+
     def test_oracle_equivalence_100_random_instances(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):

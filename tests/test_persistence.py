@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from conftest import (
-    load_outcome, per_line_outcome, rendered, replace_payload_line, takes_day_block, with_payload
+    VERSION_1_KNN_FILE, load_outcome, per_line_outcome, rendered, replace_payload_line,
+    takes_day_block, with_payload
 )
 from twotier import persistence
 from twotier.errors import (
     ChecksumMismatch,
     InvariantViolation,
     MalformedModelFile,
-    PersistenceError,
     UnsupportedVersion,
 )
-from twotier.knn import KnnConfig, KnnModel, fit, from_days, predict_day
+from twotier.knn import KnnConfig, KnnModel, fit, from_days
 from twotier.nn import NnConfig, build, forward
 from twotier.persistence import load_model, render_model, save_model
 from twotier.synth import SynthConfig, generate
@@ -32,17 +32,25 @@ DATA_DIR = Path(__file__).parent / "data"
 ABOVE_MAX = float(np.nextafter(MAX_POWER_W, np.inf))
 
 
-def small_knn_model():
-    contexts = np.array([[1.5, 2.5], [3.25, 0.125], [10.0, 0.5]])
-    targets = np.array([[100.0], [200.5], [50.25]])
-    return KnnModel(KnnConfig(depth_days=2, neighbors=2), contexts, targets)
-
-
 def small_fitted_model():
     """`from_days` of five one-slot days with D = 2: three pairs, the
     layout every fitted model has."""
     days = [[1.5], [3.25], [10.0], [0.5], [50.25]]
     return from_days(KnnConfig(depth_days=2, neighbors=2), days)
+
+
+def pair_built_models():
+    """k-NN models built from their own pairs, which have no day matrix,
+    as test parameters: arbitrary pairs, and the pairs of
+    `small_fitted_model` as `from_days` lays them out."""
+    fitted = small_fitted_model()
+    contexts = [[1.5, 2.5], [3.25, 0.125], [10.0, 0.5]]
+    targets = [[100.0], [200.5], [50.25]]
+    return [
+        pytest.param(KnnModel(fitted.config, contexts, targets), id="pairs"),
+        pytest.param(KnnModel(fitted.config, fitted.contexts, fitted.targets),
+                     id="from_days-pairs"),
+    ]
 
 
 def roundtrip(model):
@@ -53,19 +61,19 @@ def roundtrip(model):
 
 class TestRoundTrip:
     def test_knn_bit_equal(self):
-        model = small_knn_model()
+        model = small_fitted_model()
         back = roundtrip(model)
         assert back.config == model.config
+        assert np.array_equal(back.days, model.days)
         assert np.array_equal(back.contexts, model.contexts)
         assert np.array_equal(back.targets, model.targets)
 
     def test_knn_random_values_bit_equal(self):
-        rng = np.random.default_rng(71)
-        contexts = rng.uniform(0, 35000, (7, 6))
-        targets = rng.uniform(0, 35000, (7, 3))
-        model = KnnModel(KnnConfig(depth_days=2, neighbors=3), contexts, targets)
+        days = np.random.default_rng(71).uniform(0, 35000, (9, 3))
+        model = from_days(KnnConfig(depth_days=2, neighbors=3), days)
         back = roundtrip(model)
-        assert np.array_equal(back.contexts, model.contexts)
+        assert back.days.tobytes() == model.days.tobytes()
+        assert back.contexts.tobytes() == model.contexts.tobytes()
 
     def test_nn_forward_outputs_zero_ulp(self):
         model = build(NnConfig(hidden_neurons=5), seed=42, scale_max=31234.567)
@@ -82,13 +90,13 @@ class TestRoundTrip:
         assert back.config == config
 
     def test_double_save_identical_bytes(self):
-        model = small_knn_model()
+        model = small_fitted_model()
         a, b = io.StringIO(), io.StringIO()
         save_model(model, a)
         save_model(model, b)
         assert a.getvalue() == b.getvalue()
 
-    @pytest.mark.parametrize("thing", [None, KnnConfig(), "knn"])
+    @pytest.mark.parametrize("thing", [None, KnnConfig(), "knn", *pair_built_models()])
     def test_only_a_model_renders(self, thing):
         with pytest.raises(TypeError, match=f"^cannot serialize {type(thing).__name__}$"):
             render_model(thing)
@@ -101,7 +109,7 @@ class TestRoundTrip:
                 raise full
 
         with pytest.raises(OSError) as raised:
-            save_model(small_knn_model(), FullSink())
+            save_model(small_fitted_model(), FullSink())
         assert raised.value is full
 
 
@@ -115,21 +123,26 @@ class TestIntegrity:
             load_model("\ufeff\ufeff" + text)
 
     def test_corrupted_checksum(self):
-        text = render_model(small_knn_model())
+        text = render_model(small_fitted_model())
         lines = text.splitlines()
         # flip one digit inside a payload value, keep the recorded hash
-        corrupted = [
-            line.replace("100.0", "100.1") if "100.0" in line else line
-            for line in lines
-        ]
+        corrupted = ["day 10.1" if line == "day 10.0" else line for line in lines]
+        assert corrupted != lines
         with pytest.raises(ChecksumMismatch):
             load_model("\n".join(corrupted) + "\n")
 
     def test_future_version(self):
-        text = render_model(small_knn_model())
-        bumped = text.replace("htm-model 1", "htm-model 3", 1)
-        with pytest.raises(UnsupportedVersion):
+        text = render_model(small_fitted_model())
+        bumped = text.replace("htm-model 2", "htm-model 3", 1)
+        with pytest.raises(UnsupportedVersion,
+                           match=r"^format version 3 \(this build reads 1 and 2\)$"):
             load_model(bumped)
+
+    def test_version_1_knn_file_unsupported(self):
+        # the pairs file of builds before the day-matrix format: its
+        # checksum holds, and its version has no k-NN payload
+        with pytest.raises(UnsupportedVersion, match="^format version 1 has no kind knn$"):
+            load_model(VERSION_1_KNN_FILE)
 
     @pytest.mark.parametrize("version", ["1\r", " 1", "1 ", "+1", "01", "1_0"],
                              ids=["CR", "two-spaces", "trailing-space", "plus", "leading-zero",
@@ -144,7 +157,7 @@ class TestIntegrity:
             load_model(edited)
 
     def test_truncated_file(self):
-        text = render_model(small_knn_model())
+        text = render_model(small_fitted_model())
         lines = text.splitlines()
         shortened = "\n".join(lines[: len(lines) // 2]) + "\n"
         with pytest.raises((MalformedModelFile, ChecksumMismatch)):
@@ -160,44 +173,31 @@ class TestIntegrity:
             load_model(edit(render_model(small_fitted_model())))
 
     def test_unknown_kind(self):
-        text = render_model(small_knn_model())
+        text = render_model(small_fitted_model())
         with pytest.raises((MalformedModelFile, ChecksumMismatch)):
             load_model(text.replace("kind knn", "kind svm"))
 
     def test_negative_field_rejected(self):
-        text = render_model(small_knn_model())
+        text = render_model(small_fitted_model())
         rebuilt = replace_payload_line(text, "depth_days 2", "depth_days -2")
         with pytest.raises(InvariantViolation):
             load_model(rebuilt)
 
-    def test_context_not_split_into_days_rejected(self):
-        # two context values cannot be three days of whole slots
-        text = render_model(small_knn_model())
+    def test_depth_beyond_the_days_rejected(self):
+        # five days cannot give D = 3, k = 2 the six days it needs
+        text = render_model(small_fitted_model())
         rebuilt = replace_payload_line(text, "depth_days 2", "depth_days 3")
-        with pytest.raises(InvariantViolation, match="does not split into"):
+        with pytest.raises(InvariantViolation, match="needs >= 6 training days, have 5"):
             load_model(rebuilt)
 
     def test_trailing_garbage_rejected(self):
-        text = render_model(small_knn_model())
+        text = render_model(small_fitted_model())
         with pytest.raises((MalformedModelFile, ChecksumMismatch)):
             load_model(text + "extra line\n")
 
     def test_empty_file(self):
         with pytest.raises(MalformedModelFile):
             load_model("")
-
-    @pytest.mark.parametrize("old, new", [
-        ("pairs 3", "pairs 1000000000000"),
-        ("context_length 2", "context_length 10000000000"),
-        ("target_length 1", "target_length 10000000000"),
-    ])
-    def test_oversized_knn_header_rejected_without_allocating(self, old, new):
-        # a small file with a valid checksum whose header promises a huge
-        # pair table is rejected from its lines, not by a failed allocation
-        text = replace_payload_line(render_model(small_knn_model()), old, new)
-        assert len(text) < 300
-        with pytest.raises(PersistenceError):
-            load_model(text)
 
     @pytest.mark.parametrize("hidden", ["0", "65"])
     def test_nn_hidden_neurons_checked_before_weights(self, hidden):
@@ -234,22 +234,27 @@ class TestIntegrity:
             load_model(with_payload(text, payload))
 
 
+# the day matrix golden-knn.htm-model was written from
+GOLDEN_DAYS = [[0.0, 1.5], [2.5, 0.125], [100.0, 3.25], [200.5, 0.0], [50.25, 10.0]]
+
+
 class TestGoldenFixture:
     """Pin the on-disk format: this file was written once and committed.
     If rendering changes, these assertions catch the break."""
 
     def test_golden_knn_loads(self):
         model = load_model((DATA_DIR / "golden-knn.htm-model").read_text())
-        assert model.config.depth_days == 2
-        assert model.config.neighbors == 2
-        assert np.array_equal(
-            model.contexts, [[1.5, 2.5], [3.25, 0.125], [10.0, 0.5]]
-        )
-        assert np.array_equal(model.targets, [[100.0], [200.5], [50.25]])
+        assert model.config == KnnConfig(depth_days=2, neighbors=2)
+        assert np.array_equal(model.days, GOLDEN_DAYS)
+        assert np.array_equal(model.contexts, [[0.0, 1.5, 2.5, 0.125],
+                                               [2.5, 0.125, 100.0, 3.25],
+                                               [100.0, 3.25, 200.5, 0.0]])
+        assert np.array_equal(model.targets, GOLDEN_DAYS[2:])
 
     def test_golden_knn_round_trips_to_same_bytes(self):
         text = (DATA_DIR / "golden-knn.htm-model").read_text()
         assert render_model(load_model(text)) == text
+        assert render_model(from_days(KnnConfig(depth_days=2, neighbors=2), GOLDEN_DAYS)) == text
 
     def test_golden_nn_loads_to_its_weights_and_round_trips_to_same_bytes(self):
         text = (DATA_DIR / "golden-nn.htm-model").read_text()
@@ -265,8 +270,8 @@ class TestGoldenFixture:
 
 
 class TestFormatVersions:
-    """Fitted k-NN models are written as their day matrix (version 2);
-    pair-built k-NN models and NN models stay version 1."""
+    """Each model kind has one format: a k-NN model is written as its day
+    matrix (version 2), an NN model as its weights (version 1)."""
 
     def test_fitted_model_writes_its_days(self):
         text = render_model(small_fitted_model())
@@ -277,15 +282,12 @@ class TestFormatVersions:
         ]
 
     def test_settings_lines_are_the_config_fields_in_order(self):
-        for model in (small_fitted_model(), small_knn_model(),
-                      build(NnConfig(hidden_neurons=2, restarts=3), seed=1)):
+        for model in (small_fitted_model(), build(NnConfig(hidden_neurons=2, restarts=3), seed=1)):
             fields = dataclasses.fields(model.config)
             lines = render_model(model).splitlines()[3:3 + len(fields)]
             assert lines == [f"{f.name} {getattr(model.config, f.name)!r}" for f in fields]
 
-    def test_pair_built_and_nn_models_write_version_1(self):
-        assert small_knn_model().days is None
-        assert render_model(small_knn_model()).startswith("htm-model 1\nkind knn\n")
+    def test_nn_model_writes_version_1(self):
         nn_model = build(NnConfig(hidden_neurons=2), seed=1)
         assert render_model(nn_model).startswith("htm-model 1\nkind nn\n")
 
@@ -301,22 +303,6 @@ class TestFormatVersions:
         edited = replace_payload_line(text, old, new)
         assert render_model(load_model(edited)) == text != edited
 
-    def test_version_1_file_of_fitted_model_resaves_to_own_bytes(self):
-        # written by the version 1 writer: fit on 12 days of 4 slots, D = 3
-        text = (DATA_DIR / "fit-knn-v1.htm-model").read_text()
-        assert text.startswith("htm-model 1\n")
-        model = load_model(text)
-        assert model.days is None
-        assert render_model(model) == text
-        # the same pairs as the model of its days, forecasting bit for bit alike
-        days = np.concatenate([model.contexts[0].reshape(3, 4), model.targets])
-        fitted = from_days(model.config, days)
-        assert fitted.contexts.tobytes() == model.contexts.tobytes()
-        assert fitted.targets.tobytes() == model.targets.tobytes()
-        queries = np.random.default_rng(17).uniform(0.0, 900.0, (200, 12))
-        for query in queries:
-            assert predict_day(model, query).tobytes() == predict_day(fitted, query).tobytes()
-
 
 class TestVersion2Integrity:
     @pytest.mark.parametrize("old, new", [
@@ -327,6 +313,17 @@ class TestVersion2Integrity:
         text = replace_payload_line(render_model(small_fitted_model()), old, new)
         assert len(text) < 300
         with pytest.raises(MalformedModelFile):
+            load_model(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("depth_days 2", "depth_days 10000000000"),
+        ("neighbors 2", "neighbors 1000000000000"),
+    ])
+    def test_oversized_setting_rejected_without_allocating(self, old, new):
+        # D and k past what the five days can back: from_days checks them
+        # against the day count before it builds any pair
+        text = replace_payload_line(render_model(small_fitted_model()), old, new)
+        with pytest.raises(InvariantViolation, match="training days, have 5"):
             load_model(text)
 
     def test_missing_day_line(self):
@@ -379,18 +376,13 @@ def day_matrix_model():
 
 
 def knn_files():
-    """Each k-NN file kind, by name, with its format version: the version 1
-    fixtures, the version 2 file of the days of `fit-knn-v1`, one of mixed
-    day values and a fitted one."""
-    v1 = load_model((DATA_DIR / "fit-knn-v1.htm-model").read_text())
-    v1_days = np.concatenate([v1.contexts[0].reshape(3, 4), v1.targets])
+    """Each k-NN file kind, by name: the golden fixture, one of one-slot
+    days, one of mixed day values and a fitted one."""
     return {
-        "golden-knn": (1, (DATA_DIR / "golden-knn.htm-model").read_text()),
-        "fit-knn-v1": (1, (DATA_DIR / "fit-knn-v1.htm-model").read_text()),
-        "days of fit-knn-v1": (2, render_model(from_days(v1.config, v1_days))),
-        "mixed day values": (2, render_model(day_matrix_model())),
-        "30 synthetic days": (2, render_model(fit(generate(SynthConfig(), 30).series,
-                                                  KnnConfig()))),
+        "golden-knn": (DATA_DIR / "golden-knn.htm-model").read_text(),
+        "one-slot days": render_model(small_fitted_model()),
+        "mixed day values": render_model(day_matrix_model()),
+        "30 synthetic days": render_model(fit(generate(SynthConfig(), 30).series, KnnConfig())),
     }
 
 
@@ -409,12 +401,11 @@ class TestDayBlock:
 
     @pytest.mark.parametrize("name", KNN_FILES)
     def test_loads_to_the_same_bits_and_resaves_to_its_bytes(self, name):
-        version, text = KNN_FILES[name]
-        assert text.startswith(f"htm-model {version}\n")
+        text = KNN_FILES[name]
+        assert text.startswith("htm-model 2\n")
         assert load_outcome(text) == per_line_outcome(text)
         assert render_model(load_model(text)) == text
-        if version == 2:
-            assert takes_day_block(text)
+        assert takes_day_block(text)
 
     # The lines that replace the third of six day lines, and the error the
     # per-line reader raises for them: None where the file still loads.

@@ -138,15 +138,13 @@ def _round_trip(model, arrays_of):
 
 @st.composite
 def knn_models(draw):
+    """A `from_days` model of D + k + 1 to D + k + 3 days of 1-4 slots."""
     depth = draw(st.integers(min_value=1, max_value=3))
     neighbors = draw(st.integers(min_value=2, max_value=4))
-    pairs = draw(st.integers(min_value=neighbors + 1, max_value=neighbors + 3))
+    count = draw(st.integers(min_value=depth + neighbors + 1, max_value=depth + neighbors + 3))
     per_day = draw(st.integers(min_value=1, max_value=4))
-    return knn.KnnModel(
-        config=knn.KnnConfig(depth_days=depth, neighbors=neighbors),
-        contexts=draw(arrays(float, (pairs, depth * per_day), elements=model_values)),
-        targets=draw(arrays(float, (pairs, per_day), elements=model_values)),
-    )
+    days = draw(arrays(float, (count, per_day), elements=model_values))
+    return knn.from_days(knn.KnnConfig(depth_days=depth, neighbors=neighbors), days)
 
 
 @st.composite
@@ -177,7 +175,7 @@ def nn_models(draw):
 @PROPERTY
 @given(knn_models())
 def test_knn_save_load_save_byte_identical(model):
-    _round_trip(model, lambda m: (m.contexts, m.targets))
+    _round_trip(model, lambda m: (m.days, m.contexts, m.targets))
 
 
 @PROPERTY
@@ -922,24 +920,12 @@ def test_forecast_days_equals_per_day_predict_day(case):
 
 @st.composite
 def saved_models(draw):
-    """A `from_days` model, a model built from its pairs (laid out as
-    `from_days` lays them out, or reordered), or an `nn.build` model."""
-    kind = draw(st.sampled_from(["days", "pairs", "reordered", "nn"]))
-    if kind == "nn":
-        config = nn.NnConfig(hidden_neurons=draw(st.integers(1, 8)))
-        return kind, nn.build(config, draw(st.integers(0, 2**64 - 1)),
-                              draw(st.integers(1, 96)), draw(model_scales))
-    depth = draw(st.integers(min_value=1, max_value=3))
-    neighbors = draw(st.integers(min_value=2, max_value=3))
-    count = draw(st.integers(depth + neighbors + 1, 8))
-    days = draw(arrays(float, (count, draw(st.integers(1, 3))), elements=model_values))
-    model = knn.from_days(knn.KnnConfig(depth, neighbors), days)
-    if kind != "days":
-        order = list(range(model.pair_count))
-        if kind == "reordered":
-            order = draw(st.permutations(order))
-        model = knn.KnnModel(model.config, model.contexts[order], model.targets[order])
-    return kind, model
+    """A `knn_models` model or an `nn.build` model."""
+    if draw(st.booleans()):
+        return draw(knn_models())
+    config = nn.NnConfig(hidden_neurons=draw(st.integers(1, 8)))
+    return nn.build(config, draw(st.integers(0, 2**64 - 1)),
+                    draw(st.integers(1, 96)), draw(model_scales))
 
 
 def model_arrays(model):
@@ -951,23 +937,18 @@ def model_arrays(model):
 
 @PROPERTY
 @given(saved_models())
-def test_model_file_reloads_to_its_bytes_arrays_and_version(case):
-    kind, model = case
+def test_model_file_reloads_to_its_bytes_arrays_and_version(model):
     text = persistence.render_model(model)
     loaded = persistence.load_model(text)
     assert persistence.render_model(loaded) == text
     assert loaded.config == model.config
     for saved, restored in zip(model_arrays(model), model_arrays(loaded)):
-        assert (saved is None) == (restored is None)
-        if saved is not None:
-            assert saved.shape == restored.shape and saved.tobytes() == restored.tobytes()
-    assert text.startswith("htm-model 2\n") == (kind == "days")
-    for each in (model, loaded):
-        if kind == "days":
-            assert all(np.shares_memory(each.days, pairs)
-                       for pairs in (each.contexts, each.targets))
-        elif kind != "nn":
-            assert each.days is None
+        assert saved.shape == restored.shape and saved.tobytes() == restored.tobytes()
+    is_knn = isinstance(model, knn.KnnModel)
+    assert text.startswith("htm-model 2\n") == is_knn
+    if is_knn:
+        assert all(np.shares_memory(each.days, pairs)
+                   for each in (model, loaded) for pairs in (each.contexts, each.targets))
 
 
 @st.composite
@@ -1027,11 +1008,6 @@ def test_tune_knn_matches_per_cell_fits(case):
 
 
 MODEL_FILES = (
-    rendered(knn.KnnModel(
-        knn.KnnConfig(depth_days=2, neighbors=2),
-        contexts=[[1.5, 2.5], [3.25, 0.125], [10.0, 0.5]],
-        targets=[[100.0], [200.5], [50.25]],
-    )),
     rendered(nn.build(nn.NnConfig(hidden_neurons=2), seed=3, scale_max=35000.0)),
     rendered(knn.from_days(knn.KnnConfig(depth_days=2, neighbors=2),
                            [[1.5, 0.0], [3.25, 7.0], [10.0, 0.5], [0.5, 2.0], [50.25, 1.0]])),
