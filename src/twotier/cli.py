@@ -213,7 +213,7 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig) -> tuple[str, dict]:
         export_csv(result.series, csv_text)
         return csv_text.getvalue(), {}
     out = Path(args.out)
-    if not out.name:  # ".", "" or "/" name a directory
+    if not (out.name and os.path.basename(args.out)):  # ".", "", "/" and "d/" name a directory
         raise IsADirectoryError(f"--out {args.out!r} names no file")
     labels_path = out.with_suffix(".labels.csv")
     files = {out: partial(export_csv, result.series),

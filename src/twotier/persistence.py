@@ -26,10 +26,12 @@ space after the key) loads, and re-saves in the canonical spelling.
 
 The `day` lines of a version 2 file in `save_model`'s spelling, the
 CSV reader's block grammar (`timeseries._fields`) keyed `day`, are
-parsed as one byte block (`_day_block`). Every other spelling, and every
-other payload line, is read one line at a time by `_Scanner`; that
-per-line reader is the reference, and the source of every error message:
-the block path gives the same model, and leaves the lines it refuses.
+parsed as one byte block (`_day_block`) when every value is `0.0` or
+plain, ASCII digits with at most one `.` and 1-15 digits. Every other
+spelling (a sign, an exponent, 16 or 17 digits), and every other payload
+line, is read one line at a time by `_Scanner`; that per-line reader is
+the reference, and the source of every error message: the block path
+gives the same model, and leaves the lines it refuses.
 """
 
 from __future__ import annotations
@@ -198,8 +200,9 @@ def _load_knn_days(scanner: _Scanner) -> KnnModel:
 def _day_block(lines: list[str], per_day: int) -> np.ndarray | None:
     """The (days, per_day) matrix of the `day` lines `lines` when they are
     in the block grammar of `_fields` (`per_day + 1` fields a line) keyed
-    `day`, parsed as one byte block by `_decimals`; else None, and the
-    per-line reader, the reference, reads the lines."""
+    `day` and every value is `0.0` or plain, parsed as one byte block by
+    `_decimals`; else None, and the per-line reader, the reference, reads
+    the lines."""
     if not all(line.startswith("day ") for line in lines):
         return None
     fields = _fields("\n".join([*lines, ""]), per_day + 1)

@@ -13,8 +13,12 @@ one row per sample, ISO-8601 local timestamps aligned to the grid.
 Block grammar (``_fields``), shared with the model-file reader: a text
 is one byte block only when it is ASCII and every line, the last too, is
 the same number of fields joined by single spaces and ended by LF, with
-no other byte at or below the space. A CSV line is one field. Any other
-text goes to a per-line reader, the reference; in both a line ends at LF.
+no other byte at or below the space. A CSV line is one field. Its
+numbers are read as a block only when each is `0.0` or plain, ASCII
+digits with at most one `.` and 1-15 digits (`_decimals`). Any other
+text, and any other spelling of a number, goes to a per-line reader, the
+reference, with the same result or the same error; in both a line ends
+at LF.
 """
 
 from __future__ import annotations
@@ -238,9 +242,10 @@ def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
 
     Text in `export_csv`'s exact form (ASCII, LF line ends, every row's
     20-character `YYYY-MM-DDTHH:MM:SS,` prefix naming the next slot in
-    order, every value in range) is checked and parsed as one byte block;
-    any other text goes through the per-line parser, the reference, with
-    the same result or the same error. One leading byte-order mark
+    order, every value `0.0` or plain and in range) is checked and parsed
+    as one byte block; any other text, every other spelling of a value
+    among it, goes through the per-line parser, the reference, with the
+    same result or the same error. One leading byte-order mark
     (U+FEFF) is dropped first; one anywhere else is part of its line.
     """
     text = text.removeprefix("\ufeff")
@@ -249,16 +254,18 @@ def ingest_csv(text: str, grid: SamplingGrid) -> SolarSeries:
 
 
 def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
-    """The series of `text` when it is in `export_csv`'s exact form and
-    every value is accepted, else None. Where it returns a series,
-    `_ingest_lines`, the reference, returns an equal one.
+    """The series of `text` when it is in `export_csv`'s exact form, every
+    value `0.0` or plain (the spellings `_decimals` reads) and at most
+    MAX_POWER_W, else None. Where it returns a series, `_ingest_lines`,
+    the reference, returns an equal one.
 
     `_fields` splits the text, one field a line, line 0 the header; every
     row's 20-byte prefix is gathered into one byte string and compared at
     once with the prefixes a (days x slots) file from the first row's date
     must hold. The values after the prefixes go through `_decimals` as one
-    byte block, so each is what Python's `float` makes of it, and a value
-    `float` rejects sends the text to the per-line parser."""
+    byte block, so each is what Python's `float` makes of it. A plain
+    value has no sign, so none is negative; any other spelling sends the
+    text to the per-line parser."""
     head = CSV_HEADER + "\n"
     if not text.startswith(head) or (fields := _fields(text, 1)) is None:
         return None
@@ -279,10 +286,9 @@ def _ingest_canonical(text: str, grid: SamplingGrid) -> SolarSeries | None:
         power = _decimals(data, starts + _PREFIX, lengths - _PREFIX)
     except ValueError:
         return None
+    if not (power <= MAX_POWER_W).all():  # 15 digits reach 1e15
+        return None
     power = power.reshape(num_days, m)
-    if not ((power >= -NEGATIVE_POWER_TOLERANCE_W) & (power <= MAX_POWER_W)).all():
-        return None  # NaN fails too
-    power[power < 0] = 0.0  # keeps -0.0, as max(-0.0, 0.0) does
     power.flags.writeable = False  # so SolarSeries keeps it without a copy
     return SolarSeries(grid, power, start)
 
@@ -329,53 +335,43 @@ _POW10 = np.array([float(10**k) for k in range(_PLAIN_DIGITS + 1)])  # each exac
 # Tokens per `_plain_decimals` pass. In one pass, the 15.7k non-zero
 # values of a year's CSV peaked at 2.8 MB and glibc's allocator faulted
 # in about 500 fresh pages on every read; in passes of 4096 the read
-# peaks at 1.3 MB and faults in no more pages than casting every value.
+# peaks at 1.3 MB.
 _CHUNK = 4096
 
 
 def _decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`float` of each token `data[starts[i] : starts[i] + lengths[i]]` of
-    the uint8 buffer `data`, in token order; ValueError if `float`
-    raises on any of them.
+    the uint8 buffer `data`, in token order, when every token is `0.0` or
+    plain; else ValueError, and the caller's per-line reader, the
+    reference, reads the text.
 
-    Most tokens are read by exact digit arithmetic (`_exact_decimals`):
-    a token spelled `0.0`, as `export_csv` and `save_model` write +0.0,
-    is +0.0, and a plain token, ASCII digits with at most one `.`
-    anywhere and 1-15 digits (`5`, `5.`, `.5`, `00012.50`), is N / 10**f,
-    N its digits read as one integer and f the number of them after the
-    dot. N < 10**15 < 2**53 and 10**f are both exact doubles, so the one
-    IEEE division rounds the exact quotient once, correctly, and gives
-    the double nearest the decimal, which is what `float` returns
-    (Clinger, "How to Read Floating Point Numbers Accurately", PLDI
-    1990). Every other token (a sign, an exponent, `_`, a blank, `inf`,
-    `nan`, more than 15 digits, a NUL, an empty token) is read by
-    `_cast_decimals`, as `float` reads it or with its ValueError."""
-    values, exact = _exact_decimals(data, starts, lengths)
-    rest = np.flatnonzero(~exact)
-    if len(rest):
-        values[rest] = _cast_decimals(data, starts[rest], lengths[rest])
-    return values
-
-
-def _exact_decimals(
-    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The values `_decimals` gives the `0.0` and the plain tokens, and
-    the mask of those tokens; every other token's value is undefined.
-    The digit pass would read `0.0` too, but most values of a year are
-    night zeros, and picking them out first cut `simulate-365d`'s op by
-    about 5% on a 2-core VM."""
+    A token spelled `0.0`, as `export_csv` and `save_model` write +0.0, is
+    +0.0. Most values of a year are night zeros, and picking them out
+    before the digit pass cut `simulate-365d`'s op by about 5% on a 2-core
+    VM. A plain token, ASCII digits with at most one `.` anywhere and 1-15
+    digits (`5`, `5.`, `.5`, `00012.50`), is N / 10**f, N its digits read
+    as one integer and f the number of them after the dot. N < 10**15 <
+    2**53 and 10**f are both exact doubles, so the one IEEE division
+    rounds the exact quotient once, correctly, and gives the double
+    nearest the decimal, which is what `float` returns (Clinger, "How to
+    Read Floating Point Numbers Accurately", PLDI 1990). Any other token
+    (a sign, an exponent, `_`, a blank, `inf`, `nan`, more than 15
+    digits, a NUL, an empty token) raises ValueError."""
+    if not lengths.all():
+        raise ValueError("empty decimal token")
     values = np.zeros(len(starts))
     three = np.flatnonzero(lengths == 3)
     at = starts[three]
     zero = (data[at] == ord("0")) & (data[at + 1] == ord(".")) & (data[at + 2] == ord("0"))
-    exact = np.zeros(len(starts), bool)
-    exact[three[zero]] = True
-    rest = np.flatnonzero(~exact & (lengths > 0))
+    rest = np.ones(len(starts), bool)
+    rest[three[zero]] = False
+    rest = np.flatnonzero(rest)
     for first in range(0, len(rest), _CHUNK):
         part = rest[first : first + _CHUNK]
-        values[part], exact[part] = _plain_decimals(data, starts[part], lengths[part])
-    return values, exact
+        values[part], plain = _plain_decimals(data, starts[part], lengths[part])
+        if not plain.all():
+            raise ValueError("a decimal token is not plain")
+    return values
 
 
 def _plain_decimals(
@@ -434,28 +430,6 @@ def _plain_decimals(
     scale = np.ones(256)  # 10**f by `dot`: f = places - dot rows follow the dot
     scale[1 : places + 1] = _POW10[places - 1 :: -1]
     return n / scale[dot], plain
-
-
-def _cast_decimals(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`_decimals` of tokens of any spelling: each token is copied into
-    one NUL-padded (tokens, width) block and cast once through numpy's
-    `S` dtype, which reads a token as `float` does. The dtype drops
-    trailing NULs, so a token holding a NUL, which `float` rejects, is
-    rejected first, and so is an empty one."""
-    if not lengths.all():
-        raise ValueError("empty decimal token")
-    width = int(lengths.max())
-    # each token's window, read from the last full window where the
-    # buffer ends within `width` bytes of its start, then shifted home
-    last = len(data) - width
-    block = _windows(data, width)[np.minimum(starts, last)].view(np.uint8).reshape(-1, width)
-    for row in np.flatnonzero(starts > last):
-        shift = starts[row] - last
-        block[row, : width - shift] = block[row, shift:].copy()
-    block[np.arange(width) >= lengths[:, None]] = 0
-    if np.count_nonzero(block) != lengths.sum():
-        raise ValueError("a decimal token holds a NUL byte")
-    return block.view(f"S{width}").ravel().astype(float)
 
 
 def _ingest_lines(text: str, grid: SamplingGrid) -> SolarSeries:

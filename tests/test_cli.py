@@ -118,7 +118,7 @@ class TestSynth:
         assert cli.main(["synth", "--out", str(b), "--seed", "2"]) == 0
         assert a.read_bytes() != b.read_bytes()
 
-    @pytest.mark.parametrize("out", [".", "", "{tmp}", "{tmp}/"])
+    @pytest.mark.parametrize("out", [".", "", "{tmp}", "{tmp}/", "new/"])
     def test_out_naming_no_file_exit_3(self, tmp_path, monkeypatch, capsys, out):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["synth", "--days", "2", "--out", out.format(tmp=tmp_path)]) == 3
@@ -246,8 +246,8 @@ class TestIngest:
         assert err == f"error: {bad} is not UTF-8 text: byte 38 is invalid\n"
 
     def test_nul_after_a_value_exit_3(self, tmp_path, pipeline, capsys):
-        # float rejects "1.0\x00" while numpy's bytes dtype drops the NUL:
-        # the whole-file reader must hand the file to the per-line parser
+        # float rejects "1.0\x00": the whole-file reader must hand the file
+        # to the per-line parser, which names the line
         lines = pipeline["data"].read_text().splitlines()
         lines[40] = lines[40].split(",")[0] + ",1.0\x00"
         bad = tmp_path / "nul.csv"

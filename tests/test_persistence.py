@@ -405,7 +405,8 @@ class TestDayBlock:
         assert text.startswith("htm-model 2\n")
         assert load_outcome(text) == per_line_outcome(text)
         assert render_model(load_model(text)) == text
-        assert takes_day_block(text)
+        # a -0.0 or a negative value is not plain: its lines load per line
+        assert takes_day_block(text) == (name != "mixed day values")
 
     # The lines that replace the third of six day lines, and the error the
     # per-line reader raises for them: None where the file still loads.

@@ -20,7 +20,7 @@ from conftest import (  # noqa: E402
     load_outcome, neuron_major_order, per_line_outcome, rendered, replace_payload_line,
     takes_day_block,
 )
-from twotier import correction, evaluation, knn, nn, persistence, timeseries  # noqa: E402
+from twotier import correction, evaluation, knn, nn, persistence  # noqa: E402
 from twotier.errors import (  # noqa: E402
     InsufficientTrainingDays,
     NumericalFailure,
@@ -35,7 +35,6 @@ from twotier.timeseries import (  # noqa: E402
     SamplingGrid,
     SolarSeries,
     _decimals,
-    _exact_decimals,
     _fields,
     _ingest_canonical,
     _ingest_lines,
@@ -276,7 +275,7 @@ def test_export_matches_per_sample_writer(series):
 # Python's `float` accepts, the clamp and rejection bounds, non-finite,
 # a second comma, an empty value, zero as export_csv writes it and in
 # the spellings that must still go through `float`, and NULs, which
-# `float` rejects but numpy's bytes dtype drops at the end of a value.
+# `float` rejects wherever they stand in a value.
 NAMED_VALUES = ["\r1.5", "\x0b1.5", "\x851.5", " 1.5", "1_0", "+1.5", "-0.0",
                 "-0.5", "-1.5", "nan", "inf", "1e400", "1e12", "1.0000000000000002e12",
                 "1,5", "", "0.0", "0", "0.00", "00.0", "0.0 ", "1.0\x00", "1\x005", "\x00"]
@@ -299,7 +298,7 @@ def per_line(text, grid):
 
 
 @st.composite
-def canonical_series(draw):
+def canonical_series(draw, elements=readings):
     """A series whose export is canonical, at the calendar's edges too."""
     grid = SamplingGrid(sample_interval_seconds=draw(st.sampled_from([900, 3600, 86400])))
     days = draw(st.integers(min_value=1, max_value=4))
@@ -307,7 +306,7 @@ def canonical_series(draw):
     start = draw(st.one_of(
         st.just(Date.min), st.just(last_start), st.dates(max_value=last_start)
     ))
-    power = draw(arrays(float, (days, grid.samples_per_day), elements=readings))
+    power = draw(arrays(float, (days, grid.samples_per_day), elements=elements))
     return SolarSeries(grid, power, start)
 
 
@@ -404,8 +403,15 @@ def test_ingest_equals_per_line_parser(case):
     assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(per_line, text, grid)
 
 
+# readings export_csv writes as `0.0` or a plain decimal, as it writes
+# synth's: N / 10**f, at most 15 digits, none where repr takes an exponent
+plain_readings = st.builds(
+    lambda n, f: n / 10**f, st.integers(0, 10**15 - 1), st.integers(0, 15)
+).filter(lambda x: x <= MAX_POWER_W and read_exactly(repr(x).encode()))
+
+
 @PROPERTY
-@given(canonical_series())
+@given(canonical_series(elements=plain_readings))
 def test_unmutated_export_takes_the_whole_day_path(series):
     text = exported(series)
     fast = _ingest_canonical(text, series.grid)
@@ -501,7 +507,7 @@ def test_fields_slice_back_and_any_other_blank_byte_gives_none(case, data):
     assert (_fields(edited, per_line) is not None) == (blank == "\n" and per_line == 1)
 
 
-# Tokens `_decimals` must read as `float` does: zero in several
+# Tokens `_decimals` must read as `float` does or reject: zero in several
 # spellings, forms only Python's `float` accepts, blank padding, the
 # extremes, non-finite and empty; then the bounds of the exact digit
 # path: 15 digits against 2**53 + 1, the smallest 15-digit fraction, a
@@ -515,7 +521,7 @@ DECIMAL_TOKENS = [b"0", b"0.0", b"0.00", b"-0.0", b"1_0", b" 1.0", b"1.0 ", b"in
 @st.composite
 def plain_tokens(draw):
     """0-18 ASCII digits, leading zeros among them, with one `.` anywhere
-    or none: the exact digit path reads those of 1-15 digits."""
+    or none: `_decimals` reads those of 1-15 digits."""
     token = draw(st.text("0123456789", max_size=18))
     if draw(st.booleans()):
         at = draw(st.integers(0, len(token)))
@@ -527,7 +533,7 @@ PLAIN = re.compile(rb"[0-9]*\.?[0-9]*")
 
 
 def read_exactly(token):
-    """Whether `_exact_decimals` reads `token`: a plain token, `0.0` among them."""
+    """Whether `_decimals` reads `token`: a plain token, `0.0` among them."""
     return PLAIN.fullmatch(token) is not None and 1 <= len(token) - token.count(b".") <= 15
 
 
@@ -541,12 +547,13 @@ wild_tokens = st.one_of(
 @st.composite
 def decimal_buffers(draw):
     """Tokens laid out in one buffer, each after a separator byte or
-    none, the last ending at the buffer's last byte; and their spans."""
-    tokens = draw(st.lists(
-        st.one_of(st.sampled_from(DECIMAL_TOKENS), st.floats().map(lambda x: repr(x).encode()),
-                  plain_tokens()),
-        min_size=1, max_size=12,
-    ))
+    none, the last ending at the buffer's last byte; and their spans. In
+    about half the buffers every token is one `_decimals` reads, unless
+    a wild token joins them."""
+    read = st.one_of(st.just(b"0.0"), plain_tokens().filter(read_exactly))
+    spelled = st.one_of(st.sampled_from(DECIMAL_TOKENS),
+                        st.floats().map(lambda x: repr(x).encode()), plain_tokens())
+    tokens = draw(st.lists(draw(st.sampled_from([read, spelled])), min_size=1, max_size=12))
     if draw(st.booleans()):
         tokens.insert(draw(st.integers(0, len(tokens))), draw(wild_tokens))
     data, spans = b"", []
@@ -559,22 +566,16 @@ def decimal_buffers(draw):
 
 def check_decimals(data, tokens, spans):
     """`_decimals` of the `spans` of `data`, the (start, length) of each
-    of `tokens`, is bit-equal to `float` of each token, or raises
-    ValueError where `float` raises on any of them; and `_exact_decimals`
-    reads exactly the `0.0` and plain tokens, each as `float` does,
-    whatever the others hold."""
+    of `tokens`, is bit-equal to `float` of each token when every token
+    is `0.0` or plain, and raises ValueError otherwise, even where
+    `float` reads every token."""
     buffer = np.frombuffer(data, np.uint8)
     starts, lengths = np.array(spans, dtype=int).reshape(-1, 2).T
-    values, exact = _exact_decimals(buffer, starts, lengths)
-    assert exact.tolist() == [read_exactly(token) for token in tokens]
-    exact_tokens = [float(token) for token, read in zip(tokens, exact) if read]
-    assert values[exact].tobytes() == np.array(exact_tokens).tobytes()
-    try:
-        want = np.array([float(token) for token in tokens])
-    except ValueError:
+    if not all(map(read_exactly, tokens)):
         with pytest.raises(ValueError):
             _decimals(buffer, starts, lengths)
         return
+    want = np.array([float(token) for token in tokens])
     assert _decimals(buffer, starts, lengths).tobytes() == want.tobytes()
 
 
@@ -585,22 +586,21 @@ def test_decimals_bit_equal_to_float_or_raise_where_it_raises(case):
 
 
 EDGE_TOKENS = DECIMAL_TOKENS + [b"1.0\x00", b"\x001", b"1\x005", b"0.\x00"]
+# 17 digits, which `_decimals` rejects, and 15 digits in 16 bytes, which it reads
+WIDE_TOKENS = [b"1.2345678901234567", b"1234567890.12345"]
 
 
+@pytest.mark.parametrize("wide", WIDE_TOKENS)
 @pytest.mark.parametrize("token", EDGE_TOKENS)
-def test_decimals_of_the_last_token_after_a_wider_one(token):
-    # the last token starts within the wider token's width of the end, so
-    # the cast reads it from the last full window and shifts it home
-    wide = b"1.2345678901234567"
+def test_decimals_of_the_last_token_after_a_wider_one(token, wide):
     check_decimals(wide + b" " + token, [wide, token], [(0, len(wide)), (len(wide) + 1, len(token))])
 
 
-# 17 digits, read by the cast, and 15 digits in 16 bytes, read exactly
-@pytest.mark.parametrize("wide", [b"1.2345678901234567", b"1234567890.12345"])
+@pytest.mark.parametrize("wide", WIDE_TOKENS)
 @pytest.mark.parametrize("token", EDGE_TOKENS)
 def test_decimals_of_the_first_token_before_a_wider_one(token, wide):
     # the first token ends within the wider token's width of the start, so
-    # the exact path reads it from the first window and shifts it home
+    # the digit pass reads it from the first window and shifts it home
     check_decimals(token + b" " + wide, [token, wide], [(0, len(token)), (len(token) + 1, len(wide))])
 
 
@@ -618,14 +618,10 @@ def default_files():
 
 
 @pytest.mark.parametrize("name", ["year csv", "year knn model", "50-day csv"])
-def test_every_value_of_the_default_files_is_read_exactly(default_files, name, monkeypatch):
-    # the benchmark reads these files: a slide back to the `S` cast for
+def test_every_value_of_the_default_files_is_read_exactly(default_files, name):
+    # the benchmark reads these files: a slide to the per-line readers for
     # their values fails here, not only in a timed run
-    def cast(data, starts, lengths):
-        raise AssertionError(f"{len(starts)} values went to the cast")
-
     text = default_files[name]
-    monkeypatch.setattr(timeseries, "_cast_decimals", cast)
     if name.endswith("csv"):
         series = _ingest_canonical(text, SamplingGrid())
         assert series is not None
@@ -661,9 +657,9 @@ def test_zero_rows_ingest_bit_equal_to_per_line_parser(layout):
     grid = SamplingGrid(sample_interval_seconds=3600)
     series = SolarSeries(grid, ZERO_LAYOUTS[layout], Date(2015, 2, 15))
     text = exported(series)
-    fast = _ingest_canonical(text, grid)
-    assert fast is not None
-    assert fast.power.tobytes() == series.power.tobytes()  # the sign of zero too
+    # -0.0 is not plain: a file that holds it goes to the per-line parser
+    assert (_ingest_canonical(text, grid) is None) == ("-0.0" in text)
+    assert ingest_csv(text, grid).power.tobytes() == series.power.tobytes()  # the sign of zero too
     assert ingest_outcome(ingest_csv, text, grid) == ingest_outcome(per_line, text, grid)
 
 
