@@ -21,3 +21,6 @@ The modules are the interface; import the one you need:
 """
 
 __version__ = "0.1.0"
+
+# The variables OpenBLAS reads its thread count from, in its order
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

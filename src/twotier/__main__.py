@@ -1,20 +1,21 @@
 """The `twotier` command: the console script and `python -m twotier`.
 
-Before numpy is imported, this sets `OPENBLAS_NUM_THREADS=1`, unless the
-environment already holds `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` or
-`OMP_NUM_THREADS` (the variables OpenBLAS reads its thread count from,
-in that order), whatever its value. On one BLAS thread the process runs
-no thread but its own, so the network's restarts train in lanes
-(`nn._lanes`), and its small products run faster than on one BLAS
-thread per CPU. Importing `twotier` or `twotier.cli` sets nothing, and
-`python -m twotier.cli` imports numpy before any line of it runs.
+Before numpy is imported, this sets OpenBLAS's own thread variable, the
+first of `twotier.BLAS_THREAD_VARIABLES`, to 1, unless the environment
+already holds one of them, whatever its value. So BLAS runs one thread,
+the network's restarts train in lanes (`nn._lanes`), and its small
+products run faster than on one BLAS thread per CPU. Importing `twotier`
+or `twotier.cli` sets nothing, and `python -m twotier.cli` imports numpy
+before any line of it runs.
 """
 
 import os
 import sys
 
-if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from . import BLAS_THREAD_VARIABLES
+
+if not os.environ.keys() & BLAS_THREAD_VARIABLES:
+    os.environ[BLAS_THREAD_VARIABLES[0]] = "1"
 
 from .cli import main  # noqa: E402 (numpy is imported here, after the setting)
 

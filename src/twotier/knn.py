@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, InsufficientTrainingDays
+from .errors import DimensionMismatch, GridMismatch, InsufficientTrainingDays
 from .timeseries import MAX_POWER_W, SolarSeries, _freeze, require_history
 
 
@@ -244,21 +244,15 @@ def _distances(model: KnnModel, query_days: np.ndarray) -> np.ndarray:
     return context_distances(day_table(query_days, pool), depth, model.pair_count, stride)
 
 
-def _check_query_shape(model: KnnModel, shape: tuple[int, ...]) -> None:
-    if len(shape) != 1:
-        raise DimensionMismatch(
-            f"query shape {shape} != stored context shape ({model.context_length},)"
-        )
-    if shape[0] != model.context_length:
-        raise DimensionMismatch(
-            f"query length {shape[0]} != stored context length {model.context_length}"
-        )
-
-
 def predict_day(model: KnnModel, context) -> np.ndarray:
     """Forecast one day from a query context, read as D days of M slots."""
     query = np.asarray(context, dtype=float)
-    _check_query_shape(model, query.shape)
+    if query.ndim != 1:
+        raise DimensionMismatch(
+            f"query shape {query.shape} != stored context shape ({model.context_length},)")
+    if len(query) != model.context_length:
+        raise DimensionMismatch(
+            f"query length {len(query)} != stored context length {model.context_length}")
     distances = _distances(model, query.reshape(model.config.depth_days, -1))
     return blend_nearest(distances, model.targets, model.config.neighbors)[0]
 
@@ -268,13 +262,15 @@ def forecast_days(model: KnnModel, series: SolarSeries, day_indices) -> np.ndarr
     allowed), each `predict_day` on the `history_days` days of `series`
     before it, from one `day_table` of the series days from the first
     one read to the last; raises InsufficientHistory when any of them is
-    missing."""
+    missing, and GridMismatch when `series` is on another grid."""
     depth = model.history_days
     require_history(series, day_indices, depth)
+    if series.grid.samples_per_day != model.samples_per_day:
+        raise GridMismatch(f"model expects {model.samples_per_day} samples per day, "
+                           f"got {series.grid.samples_per_day}")
     indices = np.asarray(day_indices, dtype=int).reshape(-1)
     if not indices.size:
         return np.empty((0, model.target_length))
-    _check_query_shape(model, (depth * series.grid.samples_per_day,))
     first = indices.min()
     distances = _distances(model, series.rows(range(first - depth, indices.max())))
     return blend_nearest(distances[indices - first], model.targets, model.config.neighbors)

@@ -32,9 +32,9 @@ network's own outputs give a training loss of exactly 0.
 The restarts are independent, so fit_restarts spreads them over the
 CPUs this process may use, in lanes: restart r runs in the calling
 process when r % lanes == 0, and otherwise in one of lanes - 1 workers
-started by fork. There is one lane per usable CPU when this process
-runs no thread but its own, which only Linux lets it count, and one lane
-otherwise (_lanes). The caller walks the restarts in order, so a failure
+started by fork. There is one lane per usable CPU on Linux when OpenBLAS
+was told to run one thread and Python runs one, and one lane otherwise
+(_lanes). The caller walks the restarts in order, so a failure
 stops it at the first failing restart, as the one-lane loop stops. A
 restart computes the same bits in any process, so the models, the scores
 and every output byte do not depend on the CPU count.
@@ -44,15 +44,22 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
+from . import BLAS_THREAD_VARIABLES
 from .errors import GridMismatch, InsufficientTrainingDays, SingularStep
 from .rng import SplitMix64, derive_seed
 from .timeseries import MAX_POWER_W, DayProfile, SolarSeries, require_history
+
+# OpenBLAS took its thread count at numpy's import, above, from the first of
+# these variables that is set; a later change to them moves no thread.
+_ONE_BLAS_THREAD = next(filter(None, map(os.environ.get, BLAS_THREAD_VARIABLES)), None) == "1"
 
 INPUT_WIDTH = 2
 DAMPING_CAP = 1e10
@@ -447,27 +454,19 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _threads() -> int:
-    """How many threads this process runs, or 0 if it cannot tell."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
-
-
 def _lanes(restarts: int) -> int:
     """How many processes train `restarts` restarts at once: one per
-    usable CPU, at most `restarts`, when this process runs no thread but
-    its own, and 1 otherwise.
+    usable CPU, at most `restarts`, on Linux when OpenBLAS was told to run
+    one thread and Python runs one, and 1 otherwise.
 
-    BLAS threads in every lane oversubscribe the CPUs (OpenBLAS starts one
-    per CPU at import unless told to run one; on a 2-core VM tune_nn took
+    OpenBLAS's pool holds the only native threads this program starts. It
+    stops at a fork and starts again at the next call that needs it, so
+    its setting, not a count of threads, says whether it runs. Its threads in
+    every lane oversubscribe the CPUs (on a 2-core VM tune_nn took
     3.8-12.2 s in two lanes, 3.5-3.8 s in one), and Python 3.12 and later
-    warn when they fork a threaded process. Only Linux has the
-    /proc/self/task that _threads counts, so elsewhere it gives 0 and one
-    lane: there fork is not CPython's default, and on macOS CPython calls
-    it unsafe."""
-    if _threads() != 1:
+    warn when they fork a threaded process. Off Linux, fork is not
+    CPython's default, and on macOS CPython calls it unsafe."""
+    if sys.platform != "linux" or not _ONE_BLAS_THREAD or threading.active_count() != 1:
         return 1
     return min(restarts, _usable_cpus())
 

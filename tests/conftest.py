@@ -37,10 +37,9 @@ def neuron_major_order(h):
 
 
 # Python 3.12 and later warn when a process that has threads forks. In the
-# suite at its default BLAS threads, a test that forces lanes forks a
-# process that runs BLAS threads, which the library itself never does, so
-# its forks may warn; at one BLAS thread from the start (the CI step that
-# reruns them) they do not.
+# suite at its default BLAS threads, a test that forces lanes forks a process
+# that runs BLAS threads, so its forks may warn. The library never does: it
+# forks only where OpenBLAS was told to run one thread.
 forks_with_blas_threads = pytest.mark.filterwarnings(
     r"ignore:This process \(pid=\d+\) is multi-threaded, use of fork\(\):DeprecationWarning"
 )
@@ -48,9 +47,9 @@ forks_with_blas_threads = pytest.mark.filterwarnings(
 
 def force_lanes(monkeypatch, lanes):
     """Make fit_restarts train in `lanes` processes: `lanes` usable CPUs
-    and a process of one thread, as far as nn._lanes can tell."""
+    and OpenBLAS on one thread, as far as nn._lanes can tell."""
     monkeypatch.setattr(nn, "_usable_cpus", lambda: lanes)
-    monkeypatch.setattr(nn, "_threads", lambda: 1)
+    monkeypatch.setattr(nn, "_ONE_BLAS_THREAD", True)
     assert nn._lanes(lanes) == lanes
 
 

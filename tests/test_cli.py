@@ -24,7 +24,7 @@ from conftest import (
     VERSION_1_KNN_FILE, force_lanes, forks_with_blas_threads, make_series, printed_best,
     repeating_clear_days, replace_payload_line,
 )
-from twotier import cli, persistence, timeseries
+from twotier import BLAS_THREAD_VARIABLES, cli, persistence, timeseries
 from twotier.config import parse_config
 from twotier.errors import InsufficientTrainingDays, MalformedRow, quoted
 from twotier.knn import KnnModel
@@ -255,15 +255,18 @@ class TestIngest:
         assert cli.main(["ingest", "--data", str(bad)]) == 3
         assert capsys.readouterr().err == "error: line 41: non-numeric power '1.0\\x00'\n"
 
-    @pytest.mark.parametrize("command", ["tune", "train", "evaluate"])
-    def test_power_above_the_limit_exit_3(self, pipeline, tmp_path, capsys, command):
+    @pytest.mark.parametrize("value", ["1e13", "2000000000000.0"])
+    @pytest.mark.parametrize("command", ["ingest", "tune", "train", "evaluate"])
+    def test_power_above_the_limit_exit_3(self, pipeline, tmp_path, capsys, command, value):
         """A reading above MAX_POWER_W is a data error naming its line, not
-        a numpy warning: at 1e160 W the squared k-NN distances overflowed."""
+        a numpy warning: at 1e160 W the squared k-NN distances overflowed.
+        Plain, the value reaches the block reader's own bound."""
         lines = pipeline["data"].read_text().splitlines()
-        lines[50] = lines[50].split(",")[0] + ",1e13"
+        lines[50] = lines[50].split(",")[0] + "," + value
         data = tmp_path / "huge.csv"
         data.write_text("\n".join(lines) + "\n")
         extra = {
+            "ingest": [],
             "tune": ["--knn-only", "--out", str(tmp_path / "tuned.cfg")],
             "train": ["--out", str(tmp_path / "models")],
             "evaluate": ["--models", str(pipeline["models"]),
@@ -273,7 +276,7 @@ class TestIngest:
             warnings.simplefilter("always")
             assert cli.main([command, "--data", str(data), *extra]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        check_one_error_line(capsys, "line 51: power '1e13' above the 1e+12 W limit")
+        check_one_error_line(capsys, f"line 51: power '{value}' above the 1e+12 W limit")
         assert [path.name for path in tmp_path.iterdir()] == ["huge.csv"]
 
 
@@ -712,21 +715,24 @@ class TestEvaluate:
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("name, field, message", [
-        ("knn", "day", "stored pairs must be finite, at most 1e+12 W in magnitude"),
-        ("nn", "scale_max", "scale_max must be in (0, 1e+12]"),
+    @pytest.mark.parametrize("name, field, value, message", [
+        ("knn", "day", "1e200", "stored pairs must be finite, at most 1e+12 W in magnitude"),
+        ("knn", "day", "2000000000000.0",
+         "stored pairs must be finite, at most 1e+12 W in magnitude"),
+        ("nn", "scale_max", "1e200", "scale_max must be in (0, 1e+12]"),
     ])
     def test_model_value_above_the_power_limit_exit_3(self, pipeline, tmp_path, capsys,
-                                                      name, field, message):
+                                                      name, field, value, message):
         """A model value above MAX_POWER_W is an unusable model file, not a
-        numpy warning: a 1e200 W k-NN day overflowed the distances."""
+        numpy warning: a 1e200 W k-NN day overflowed the distances. A plain
+        k-NN value is read as a block and bounded after it."""
         models = tmp_path / "models"
         shutil.copytree(pipeline["models"], models)
         path = models / f"{name}{persistence.MODEL_SUFFIX}"
         text = path.read_text()
         old = next(line for line in text.splitlines() if line.startswith(field + " "))
         values = old.split(" ")
-        values[-1] = "1e200"
+        values[-1] = value
         path.write_text(replace_payload_line(text, old, " ".join(values)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1401,9 +1407,6 @@ def test_unwritable_stdout_exits_3(pipeline, stdout, error, unbuffered):
     assert run.stderr.decode() == f"error: [Errno {error}] {os.strerror(error)}\n"
 
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def run_python(args, **variables):
     """A Python subprocess that imports twotier from this checkout, in an
     environment with none of the BLAS thread variables but `variables`."""
@@ -1413,26 +1416,45 @@ def run_python(args, **variables):
                           timeout=120)
 
 
-@pytest.mark.parametrize("module, variables, threads", [
-    ("twotier.__main__", {}, "1"),
-    ("twotier.__main__", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
-    ("twotier.__main__", {"GOTO_NUM_THREADS": "2"}, "None"),
-    ("twotier.__main__", {"OMP_NUM_THREADS": "2"}, "None"),
-    ("twotier.cli", {}, "None"),
-    ("twotier", {}, "None"),
-], ids=["entry", "entry-openblas-2", "entry-goto-2", "entry-omp-2", "cli", "package"])
-def test_entry_runs_blas_on_one_thread_unless_the_user_set_a_count(module, variables, threads):
+@pytest.mark.parametrize("module, variables, threads, lanes", [
+    ("twotier.__main__", {}, "1", True),
+    ("twotier.__main__", {"OPENBLAS_NUM_THREADS": "2"}, "2", False),
+    ("twotier.__main__", {"GOTO_NUM_THREADS": "2"}, "None", False),
+    ("twotier.__main__", {"GOTO_NUM_THREADS": "1"}, "None", True),
+    ("twotier.__main__", {"OMP_NUM_THREADS": "2"}, "None", False),
+    ("twotier.__main__", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "2", False),
+    ("twotier.cli", {}, "None", False),
+    ("twotier", {}, "None", False),
+], ids=["entry", "entry-openblas-2", "entry-goto-2", "entry-goto-1", "entry-omp-2",
+        "entry-openblas-2-omp-1", "cli", "package"])
+def test_entry_runs_blas_on_one_thread_unless_the_user_set_a_count(
+    module, variables, threads, lanes
+):
     """The command's entry module (the console script and `python -m
     twotier`) sets OPENBLAS_NUM_THREADS=1 before numpy is imported, so
     the network trains in lanes, unless a BLAS thread variable is already
-    set; importing the package or its cli sets nothing."""
+    set; importing the package or its cli sets nothing. There are lanes
+    when the first BLAS thread variable that is set reads 1."""
     report = ("import os; from twotier import nn; "
               "print(os.getenv('OPENBLAS_NUM_THREADS'), nn._lanes(2))")
     done = run_python(["-c", f"import {module}; {report}"], **variables)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[0] == threads
-    if threads == "1":
-        assert done.stdout.split()[1] == str(min(2, len(os.sched_getaffinity(0))))
+    cpus = len(os.sched_getaffinity(0))
+    assert done.stdout.split() == [threads, str(min(2, cpus) if lanes else 1)]
+
+
+@pytest.mark.parametrize("variables, lanes", [({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4)],
+                         ids=["default", "one-blas-thread"])
+def test_lanes_read_the_same_after_each_fork(variables, lanes):
+    """OpenBLAS stops its threads at a fork and starts them again at the
+    next call that needs them, and a pool's threads end a moment after its
+    shutdown returns; neither moves the lanes of 50 back-to-back
+    _in_lanes calls."""
+    script = ("from twotier import nn\nnn._usable_cpus = lambda: 4\nprint(nn._lanes(10))\n"
+              "for _ in range(50):\n    nn._in_lanes(abs, 4, 2)\n    print(nn._lanes(10))\n")
+    done = run_python(["-c", script], **variables)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(lanes)] * 51
 
 
 def test_module_entry_trains_the_bytes_of_an_in_process_run(pipeline, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from conftest import make_series
 from twotier.errors import (
     DimensionMismatch,
+    GridMismatch,
     InsufficientHistory,
     InsufficientTrainingDays,
 )
@@ -332,3 +333,10 @@ class TestForecastDay:
             forecast_days(model, series, [first + 3, last + 2, first])
         assert str(err.value) == (
             "2015-03-03 needs 2015-03-02..2015-03-02; series covers 2015-02-18..2015-03-01")
+
+    def test_series_on_another_grid_raises_grid_mismatch(self):
+        rng = np.random.default_rng(16)
+        model = fit(make_series(rng.uniform(0, 900, (12, 96))), KnnConfig(depth_days=5))
+        series = make_series(rng.uniform(0, 900, (12, 48)), interval_seconds=1800)
+        with pytest.raises(GridMismatch, match=r"^model expects 96 samples per day, got 48$"):
+            forecast_days(model, series, [series.first_index + 5])

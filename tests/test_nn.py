@@ -11,12 +11,10 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import sys
 import threading
-import time
-from contextlib import contextmanager
 from datetime import date as Date
 from functools import partial
-from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -709,36 +707,6 @@ def in_process_restarts(default_train):
     return [nn._fit_restart(rows, NnConfig(), 96, restart) for restart in range(10)]
 
 
-count_threads = nn._threads  # unpatched by force_lanes
-
-
-def settled_threads(most):
-    """count_threads() once it reads at most `most`, or after 5 s. A joined
-    thread's OS thread ends a moment after the join returns (within 6 ms
-    when measured), so a count taken at once may still include it."""
-    deadline = time.monotonic() + 5
-    while count_threads() > most and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return count_threads()
-
-
-@contextmanager
-def waiting_thread():
-    """A second thread in this process, blocked on an Event until the
-    block ends; then it is released and joined, and its OS thread has
-    ended."""
-    before = count_threads()
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        yield
-    finally:
-        release.set()
-        waiter.join()
-        settled_threads(before)
-
-
 def job_failing_at(failing, i):
     """i * i, or ValueError(i) if i is in `failing`; a job _in_lanes can
     pickle."""
@@ -769,52 +737,43 @@ class TestRestartLanes:
     the others in lanes - 1 forked workers; every result is the bits of the
     in-process job, in restart order, whatever the CPU count."""
 
-    @pytest.mark.parametrize("cpus, threads, restarts, lanes", [
-        (2, 2, 10, 1),
-        (2, 1, 10, 2),
-        (2, 1, 1, 1),
-        (8, 3, 10, 1),
-        (8, 1, 5, 5),
-        (8, 0, 10, 1),
-        (1, 1, 10, 1),
-    ])
-    def test_one_lane_per_cpu_at_one_blas_thread(
-        self, monkeypatch, cpus, threads, restarts, lanes
-    ):
-        """One lane per CPU, at most one per restart, when this process
-        runs one thread; one lane at more threads and when it cannot tell
-        (0)."""
+    @pytest.mark.parametrize("cpus, restarts, lanes",
+                             [(2, 10, 2), (2, 1, 1), (8, 5, 5), (1, 10, 1)])
+    def test_one_lane_per_cpu_at_one_blas_thread(self, monkeypatch, cpus, restarts, lanes):
+        """One lane per CPU, at most one per restart, when OpenBLAS was
+        told to run one thread; one lane at any other setting."""
         monkeypatch.setattr(nn, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(nn, "_threads", lambda: threads)
+        monkeypatch.setattr(nn, "_ONE_BLAS_THREAD", True)
         assert nn._lanes(restarts) == lanes
+        monkeypatch.setattr(nn, "_ONE_BLAS_THREAD", False)
+        assert nn._lanes(restarts) == 1
+
+    def test_one_lane_off_linux(self, monkeypatch):
+        force_lanes(monkeypatch, 4)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert nn._lanes(10) == 1
 
     def test_one_lane_beside_a_thread_of_the_caller(self, monkeypatch):
         """A thread the caller started rules out forking, whatever the
-        BLAS settings say: OPENBLAS_NUM_THREADS set after numpy's import
-        no longer gives lanes."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 4)
-        with waiting_thread():
+        BLAS setting says; once it is joined, the lanes come back."""
+        force_lanes(monkeypatch, 4)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
             assert nn._lanes(10) == 1
-
-    def test_threads_counts_this_process(self, monkeypatch):
-        before = nn._threads()
-        with waiting_thread():
-            assert nn._threads() == before + 1
-        assert nn._threads() == before
-        monkeypatch.setattr(nn.os, "listdir", Mock(side_effect=FileNotFoundError))
-        assert nn._threads() == 0
+        finally:
+            release.set()
+            waiter.join()
+        assert nn._lanes(10) == 4
 
     def test_forked_lanes_leave_the_thread_count(self, monkeypatch, default_train):
         """The pool joins its own threads on shutdown, so a process that
         ran one thread before fit_restarts runs one after it, and a later
-        fit_restarts keeps its lanes. At the suite's default BLAS threads
-        the count may fall: OpenBLAS stops its threads when the process
-        forks, until a BLAS call needs them again."""
-        before = count_threads()
+        fit_restarts keeps its lanes."""
         force_lanes(monkeypatch, 3)
         nn.fit_restarts(default_train, NnConfig(restarts=3, max_iterations=2))
-        assert settled_threads(before) <= before
+        assert nn._lanes(3) == 3
         assert_no_child_processes()
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -916,9 +875,12 @@ class TestPredictDay:
 
     def test_grid_mismatch(self):
         model = build(NnConfig(), seed=1, samples_per_day=96)
-        series = make_series(np.zeros((2, 4)), interval_seconds=21600)
+        series = make_series(np.zeros((12, 48)), interval_seconds=1800)
         with pytest.raises(GridMismatch):
             predict_day(model, series.days[1], series.days[0])
+        with pytest.raises(GridMismatch,
+                           match=r"^model expects 96 samples per day, got 48 and 48$"):
+            nn.forecast_days(model, series, [series.first_index + 5])
 
 
 class TestForecastDay:

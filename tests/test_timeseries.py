@@ -222,11 +222,13 @@ class TestIngest:
         expected = "0001-01-01" if rows_per_day == 1 else "0001-01-02"
         assert expected in str(err.value)
 
-    def test_power_above_the_limit_names_the_line(self):
-        text = csv_for([[0.0] * 95 + [MAX_POWER_W]]).replace("1000000000000.0\n", "1e13\n")
+    @pytest.mark.parametrize("value", ["1e13", "2000000000000.0"])
+    def test_power_above_the_limit_names_the_line(self, value):
+        # a plain value passes the block reader's spelling test and meets its bound
+        text = csv_for([[0.0] * 95 + [MAX_POWER_W]]).replace("1000000000000.0\n", value + "\n")
         with pytest.raises(MalformedRow) as err:
             ingest_csv(text, SamplingGrid())
-        assert str(err.value) == "line 97: power '1e13' above the 1e+12 W limit"
+        assert str(err.value) == f"line 97: power '{value}' above the 1e+12 W limit"
 
     def test_only_a_leading_bom_is_dropped(self):
         text = csv_for([range(96)])
